@@ -6,12 +6,13 @@ Run from the repository root::
     python3 perfbench/run.py --workload fare_paper --seed 0 --seconds 40 --trace 0
 
 Each repetition starts a fresh single-threaded interpreter (BLAS/OpenMP
-threads pinned to 1) that builds the workload's inputs from the seed, runs a
-fixed host probe, makes the timed call into the program and checks its
-outputs against ``references.json``.  A canary process pinned to the same
-CPU samples the host's speed during the timed call, and times are rescaled
-by it.  A run takes a few set-up-only samples, then repetitions while the
-next one fits in ``--seconds``; the medians are reported.
+threads pinned to 1) on one CPU; it builds the workload's inputs from the
+seed, runs a fixed host probe, makes the timed call into the program and
+checks its outputs against ``references.json``.  One canary process per CPU
+samples the host's speed for the whole run, and every set-up and every timed
+call is rescaled by the canary of its CPU over its own time window.  A run
+makes timed repetitions while the next one fits in ``--seconds``, then fills
+the time left with set-up-only samples; the medians are reported.
 
 ``--trace 0`` prints the gated end-to-end metrics (``run_s``, ``setup_s``,
 ``peak_rss_mib``).  ``--trace 1`` adds one traced repetition
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import compileall
-import hashlib
 import json
 import os
 import platform
@@ -61,20 +61,23 @@ CHILD_ENV = {
 #: pre-computed paths (``tests/test_train_fused.py`` pins the same atol).
 HISTORY_ATOL = 1e-9
 CHILD_MARK = "PERFBENCH_CHILD "
-#: Same-CPU canary: every ``CANARY_PERIOD_S`` seconds one chunk of
-#: ``CANARY_STEPS`` small matmul + Python steps, about 1.2 ms (2 % of the CPU)
-#: on an 18 KiB working set that leaves the workload's caches alone.  Times
-#: are rescaled to a host on which the chunk takes ``CANARY_NOMINAL_S``: by
-#: ``CANARY_NOMINAL_S / mean chunk time`` during the timed call.
+#: Canary: every ``CANARY_PERIOD_S`` seconds one chunk of ``CANARY_STEPS``
+#: small matmul + Python steps, about 1.2 ms (2 % of a CPU) on an 18 KiB
+#: working set that leaves the workload's caches alone.  A window's time is
+#: rescaled to a host on which the chunk takes ``CANARY_NOMINAL_S``: by
+#: ``CANARY_NOMINAL_S / mean chunk time`` over the window, on its CPU.
 CANARY_PERIOD_S = 0.05
 CANARY_STEPS = 90
 CANARY_NOMINAL_S = 1e-3
+#: Time the canaries get to import numpy before the first child starts.
+CANARY_WARMUP_S = 0.3
 #: Children still running this long after the run started are killed, so a
 #: run ends within three minutes even if a repetition hangs.
 RUN_DEADLINE_S = 170.0
-#: Set-up-only children per run, on top of each timed repetition's set-up;
-#: ``setup_s`` is the median over all of them.
-SETUP_ONLY_SAMPLES = 4
+#: Set-up-only samples taken even when no time is left after the timed
+#: repetitions; ``setup_s`` is the median over these and every repetition's
+#: own set-up.
+MIN_SETUP_SAMPLES = 4
 
 END_TO_END = (
     ("run_s", "s"),
@@ -158,7 +161,7 @@ SPAN_METRICS = (
 
 
 # --------------------------------------------------------------------------- #
-# Child: one repetition in a fresh interpreter
+# Children: one repetition in a fresh interpreter, and the canary
 # --------------------------------------------------------------------------- #
 def host_probe() -> float:
     """Seconds taken by a fixed numpy + Python loop (host-drift diagnostic)."""
@@ -198,18 +201,17 @@ def environment() -> dict:
     }
 
 
-def canary_main(args: argparse.Namespace) -> None:
+def canary_main() -> None:
     """Sample this CPU's speed until SIGTERM, then print the samples.
 
     Every ``CANARY_PERIOD_S`` the canary times one fixed work chunk on the
-    repetition's CPU; the chunk takes longer while the host slows that CPU
-    down, so the mean over the timed window tracks the host's speed there.
+    CPU it is pinned to; the chunk takes longer while the host slows that CPU
+    down, so the mean over a window tracks the host's speed there.
     """
     import signal
 
     import numpy as np
 
-    os.sched_setaffinity(0, {args.cpu})
     stopping = []
     signal.signal(signal.SIGTERM, lambda *_: stopping.append(True))
     matrix = np.random.default_rng(7).random((48, 48))
@@ -228,7 +230,6 @@ def canary_main(args: argparse.Namespace) -> None:
 def child_main(args: argparse.Namespace) -> None:
     import resource
 
-    os.sched_setaffinity(0, {args.cpu})
     sys.path.insert(0, SRC)
     tracer = None
     if args.trace:
@@ -277,9 +278,55 @@ def child_main(args: argparse.Namespace) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Parent: repetitions, checks, metrics
+# Parent: canaries, repetitions, checks, metrics
 # --------------------------------------------------------------------------- #
-def child_command(workload: str, seed: int, cpu: int, *flags: str) -> list:
+def pinned_to(cpu: int):
+    """``preexec_fn`` that pins a child process to ``cpu`` before it starts."""
+    return lambda: os.sched_setaffinity(0, {cpu})
+
+
+def start_canaries(cpus: list) -> dict:
+    """Start one canary pinned to each CPU; they sample until stopped."""
+    canaries = {
+        cpu: subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--canary"],
+            cwd=ROOT,
+            env=dict(os.environ, **CHILD_ENV),
+            stdout=subprocess.PIPE,
+            text=True,
+            preexec_fn=pinned_to(cpu),
+        )
+        for cpu in cpus
+    }
+    time.sleep(CANARY_WARMUP_S)
+    return canaries
+
+
+def stop_canaries(canaries: dict) -> dict:
+    """Stop the canaries; returns each CPU's ``[end stamp, chunk s]`` samples."""
+    for canary in canaries.values():
+        canary.terminate()
+    samples = {}
+    for cpu, canary in canaries.items():
+        try:
+            out, _ = canary.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            canary.kill()
+            out, _ = canary.communicate()
+        samples[cpu] = json.loads(out or "[]")
+    return samples
+
+
+def canary_chunk_s(samples: list, start: float, end: float) -> float:
+    """Mean canary chunk time in ``[start, end]``, else the chunk nearest to it."""
+    chunks = [duration for stamp, duration in samples if start <= stamp <= end]
+    if not chunks:
+        middle = (start + end) / 2
+        chunks = [min(samples, key=lambda sample: abs(sample[0] - middle))[1]]
+    return sum(chunks) / len(chunks)
+
+
+def child_command(workload: str, seed: int, *flags: str) -> list:
     return [
         sys.executable,
         os.path.abspath(__file__),
@@ -288,15 +335,18 @@ def child_command(workload: str, seed: int, cpu: int, *flags: str) -> list:
         workload,
         "--seed",
         str(seed),
-        "--cpu",
-        str(cpu),
         *flags,
     ]
 
 
-def run_process(command: list, deadline: float) -> dict:
-    """Run one child to completion and parse its record (``error`` on failure)."""
+def run_process(command: list, cpu: int, deadline: float) -> dict:
+    """Run one child pinned to ``cpu`` and parse its record (``error`` on failure).
+
+    The record gains ``cpu`` and ``launch``, the clock just before the
+    interpreter was started.
+    """
     timeout = max(1.0, deadline - time.monotonic())
+    launch = time.monotonic()
     try:
         proc = subprocess.run(
             command,
@@ -305,6 +355,7 @@ def run_process(command: list, deadline: float) -> dict:
             capture_output=True,
             text=True,
             timeout=timeout,
+            preexec_fn=pinned_to(cpu),
         )
     except subprocess.TimeoutExpired:
         return {"error": f"killed at the {RUN_DEADLINE_S:.0f} s run deadline"}
@@ -312,57 +363,27 @@ def run_process(command: list, deadline: float) -> dict:
     if proc.returncode != 0 or not lines:
         tail = "\n".join(proc.stderr.strip().splitlines()[-15:])
         return {"error": f"exit code {proc.returncode}\n{tail}"}
-    return json.loads(lines[-1][len(CHILD_MARK):])
-
-
-def measure_setup(workload: str, seed: int, cpu: int, deadline: float) -> dict:
-    """Wall time of one set-up in a fresh interpreter that then exits."""
-    launch = time.monotonic()
-    record = run_process(child_command(workload, seed, cpu, "--setup-only"), deadline)
-    if "error" not in record:
-        record["setup_wall_s"] = record["ready"] - launch
+    record = json.loads(lines[-1][len(CHILD_MARK):])
+    record.update(cpu=cpu, launch=launch)
     return record
 
 
-def run_child(workload: str, seed: int, trace: bool, cpu: int, deadline: float) -> dict:
-    """One timed repetition with the canary sampling its CPU alongside."""
-    canary = subprocess.Popen(
-        [sys.executable, os.path.abspath(__file__), "--canary", "--cpu", str(cpu)],
-        cwd=ROOT,
-        env=dict(os.environ, **CHILD_ENV),
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        # Let the canary finish importing numpy before the child's set-up is
-        # timed on the same CPU.
-        time.sleep(0.2)
-        launch = time.monotonic()
-        record = run_process(
-            child_command(workload, seed, cpu, "--trace", "1" if trace else "0"), deadline
-        )
-    finally:
-        canary.terminate()
-        try:
-            canary_out, _ = canary.communicate(timeout=10)
-        except subprocess.TimeoutExpired:
-            canary.kill()
-            canary_out, _ = canary.communicate()
+def rescale(record: dict, canary_samples: dict) -> dict:
+    """Add the set-up and run times rescaled by the canary of the record's CPU."""
     if "error" in record:
         return record
-    record["setup_wall_s"] = record["ready"] - launch
-    start, end = record["window"]
-    chunks = [
-        duration
-        for stamp, duration in json.loads(canary_out or "[]")
-        if start <= stamp <= end
-    ]
-    if not chunks:
-        return {"error": "the canary took no sample during the timed run"}
-    record["canary_s"] = sum(chunks) / len(chunks)
-    record["speed"] = CANARY_NOMINAL_S / record["canary_s"]
-    record["wall_s"] = record["run_s"]
-    record["run_s"] = record["wall_s"] * record["speed"]
+    samples = canary_samples[record["cpu"]]
+    if not samples:
+        return {"error": f"the canary on CPU {record['cpu']} took no sample"}
+    record["setup_wall_s"] = record["ready"] - record["launch"]
+    record["setup_s"] = record["setup_wall_s"] * CANARY_NOMINAL_S / canary_chunk_s(
+        samples, record["launch"], record["ready"]
+    )
+    if "window" in record:
+        record["canary_s"] = canary_chunk_s(samples, *record["window"])
+        record["speed"] = CANARY_NOMINAL_S / record["canary_s"]
+        record["wall_s"] = record["run_s"]
+        record["run_s"] = record["wall_s"] * record["speed"]
     return record
 
 
@@ -496,48 +517,41 @@ def counter_metrics(record: dict, workload: str) -> dict:
 
 
 def source_identity() -> str:
-    """The git commit if there is one, else a digest of the program sources."""
+    """The git commit of the checkout, or ``unknown`` outside a git checkout."""
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
         )
-        if proc.returncode == 0:
-            return proc.stdout.strip()
     except OSError:
-        pass
-    digest = hashlib.sha256()
-    for directory, subdirs, files in os.walk(SRC):
-        subdirs.sort()
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(directory, name)
-                digest.update(os.path.relpath(path, SRC).encode())
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-    return "src-sha256:" + digest.hexdigest()[:16]
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
-def repetitions(workload: str, seed: int, seconds: float, reserve: float, deadline: float):
-    """Set-up samples, then timed repetitions while the next one fits.
+def repetitions(workload: str, seed: int, seconds: float, reserve: float, cpus: list,
+                deadline: float):
+    """Timed repetitions, then set-up-only samples in the time left.
 
-    Returns ``(records, setups)``: the timed repetitions, run while the next
-    one fits in ``seconds`` with ``reserve`` repetitions' time kept back, and
-    the set-up-only samples taken first.  Consecutive children alternate
-    between the CPUs this process may use.
+    Returns ``(records, setups)``.  Timed repetitions run while the next one
+    fits in ``seconds`` with ``reserve`` repetitions' time kept back; set-up
+    samples (at least ``MIN_SETUP_SAMPLES``) then run while the next one
+    fits.  Consecutive children alternate between ``cpus``.
     """
     start = time.monotonic()
-    cpus = sorted(os.sched_getaffinity(0))
-    setups = [
-        measure_setup(workload, seed, cpus[index % len(cpus)], deadline)
-        for index in range(SETUP_ONLY_SAMPLES)
-    ]
-    begin = time.monotonic()
     records = []
     while True:
         cpu = cpus[len(records) % len(cpus)]
-        records.append(run_child(workload, seed, False, cpu, deadline))
-        per_rep = (time.monotonic() - begin) / len(records)
-        if time.monotonic() - start + per_rep * (1.0 + reserve) > seconds:
+        records.append(run_process(child_command(workload, seed), cpu, deadline))
+        per_rep = (time.monotonic() - start) / len(records)
+        budget = seconds - per_rep * reserve
+        if time.monotonic() - start + per_rep > budget:
+            break
+    begin = time.monotonic()
+    setups = []
+    while True:
+        cpu = cpus[len(setups) % len(cpus)]
+        setups.append(run_process(child_command(workload, seed, "--setup-only"), cpu, deadline))
+        per_setup = (time.monotonic() - begin) / len(setups)
+        if len(setups) >= MIN_SETUP_SAMPLES and time.monotonic() - start + per_setup > budget:
             return records, setups
 
 
@@ -566,10 +580,23 @@ def parent_main(args: argparse.Namespace) -> int:
     compileall.compile_dir(SRC, quiet=1)
     seed = WORKLOADS[args.workload].seed_for(args.seed)
 
-    records, setups = repetitions(
-        args.workload, seed, args.seconds, 1.0 if args.trace else 0.0, deadline
-    )
-    traced = run_child(args.workload, seed, True, 0, deadline) if args.trace else None
+    cpus = sorted(os.sched_getaffinity(0))
+    canaries = start_canaries(cpus)
+    try:
+        records, setups = repetitions(
+            args.workload, seed, args.seconds, 1.0 if args.trace else 0.0, cpus, deadline
+        )
+        traced = None
+        if args.trace:
+            traced = run_process(
+                child_command(args.workload, seed, "--trace", "1"), cpus[0], deadline
+            )
+    finally:
+        canary_samples = stop_canaries(canaries)
+    records = [rescale(record, canary_samples) for record in records]
+    setups = [rescale(record, canary_samples) for record in setups]
+    if traced is not None:
+        traced = rescale(traced, canary_samples)
 
     attempted = failed = 0
     problems = [f"set-up sample: {r['error']}" for r in setups if "error" in r]
@@ -579,9 +606,11 @@ def parent_main(args: argparse.Namespace) -> int:
         failed += rep_failed
         problems.extend(rep_problems)
     good = [record for record in records if "error" not in record]
+    good_setups = good + [record for record in setups if "error" not in record]
 
     print(f"workload {args.workload}  seed {args.seed} (workload seed {seed})  "
-          f"repetitions {len(records)}  source {source_identity()}")
+          f"repetitions {len(records)}  set-up samples {len(good_setups)}  "
+          f"source {source_identity()}")
     if good:
         print(f"env {json.dumps(good[0]['env'], sort_keys=True)}")
     for index, record in enumerate(records):
@@ -590,19 +619,18 @@ def parent_main(args: argparse.Namespace) -> int:
             continue
         host = record["host"]
         print(f"  rep {index}: run_s {record['run_s']:.3f} (wall {record['wall_s']:.3f})  "
-              f"setup wall {record['setup_wall_s']:.3f}  "
+              f"setup_s {record['setup_s']:.3f} (wall {record['setup_wall_s']:.3f})  "
               f"peak_rss {record['peak_rss_bytes'] / 2**20:.1f} MiB  "
               f"host.canary_ms {record['canary_s'] * 1e3:.3f}  host.ref_s {host['ref_s']:.3f}  "
               f"host.cpu_s {host['cpu_s']:.3f}  invol_ctx {host['invol_ctx_switches']}")
-
-    setup_walls = [r["setup_wall_s"] for r in good + setups if "setup_wall_s" in r]
-    print(f"  set-up walls {' '.join(f'{value:.3f}' for value in setup_walls)}")
+    print("  set-up samples s (wall): " + "  ".join(
+        f"{r['setup_s']:.3f} ({r['setup_wall_s']:.3f})" for r in good_setups
+    ))
     metrics = {}
     if good:
-        speed = statistics.median(r["speed"] for r in good)
         metrics = {
             "run_s": (statistics.median(r["run_s"] for r in good), "s"),
-            "setup_s": (statistics.median(setup_walls) * speed, "s"),
+            "setup_s": (statistics.median(r["setup_s"] for r in good_setups), "s"),
             "peak_rss_mib": (
                 statistics.median(r["peak_rss_bytes"] for r in good) / 2**20, "MiB"
             ),
@@ -657,17 +685,18 @@ def trace_metrics(args, seed: int, good: list, traced: dict, problems: list) -> 
 def record_references() -> int:
     """Re-record ``references.json``: one untraced repetition per seed."""
     references = {}
+    cpu = min(os.sched_getaffinity(0))
     for workload in WORKLOADS.values():
         references[workload.name] = {}
         for seed in workload.seeds:
-            record = run_child(
-                workload.name, seed, False, 0, time.monotonic() + RUN_DEADLINE_S
+            record = run_process(
+                child_command(workload.name, seed), cpu, time.monotonic() + RUN_DEADLINE_S
             )
             if "error" in record:
                 print(f"{workload.name} seed {seed}: {record['error']}", file=sys.stderr)
                 return 1
             references[workload.name][str(seed)] = record["outputs"]
-            print(f"{workload.name} seed {seed}: run_s {record['run_s']:.2f} "
+            print(f"{workload.name} seed {seed}: wall {record['run_s']:.2f} s "
                   f"test_acc {record['test_acc']:.4f}")
     with open(REFERENCES, "w") as handle:
         json.dump(references, handle, indent=1, sort_keys=True)
@@ -683,7 +712,6 @@ def main() -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--canary", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--cpu", type=int, default=0, help=argparse.SUPPRESS)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--record-references", action="store_true")
     args = parser.parse_args()
@@ -691,7 +719,7 @@ def main() -> int:
         child_main(args)
         return 0
     if args.canary:
-        canary_main(args)
+        canary_main()
         return 0
     if args.record_references:
         return record_references()
