@@ -8,26 +8,38 @@ Entry point for CI / tooling::
     REPRO_BENCH_SCALE=paper python benchmarks/run_benchmarks.py
 
 The suite runs at ``REPRO_BENCH_SCALE=ci`` unless the environment already
-says otherwise.  Afterwards every ``benchmarks/results/<name>.json`` metrics
-file (written by benchmarks that pass ``metrics=`` to
-``_bench_utils.record_result``) is merged into
+says otherwise.  Benchmarks write their tables and metrics to the untracked
+``.benchmarks/results/`` (``_bench_utils.record_result``); afterwards the
+files this run wrote are copied into ``benchmarks/results/`` and every
+``<name>.json`` metrics file among them is merged into
 ``benchmarks/results/bench_summary.json`` — a flat ``metric name → value``
-mapping plus a ``_meta`` block (scale, seed, pytest exit code) — so future
-PRs can diff the perf trajectory without parsing tables.
+mapping plus a ``_meta`` block (scale, seed, pytest exit code) — so the perf
+trajectory can be diffed without parsing tables.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+from _bench_utils import OUTPUT_DIR
+
 BENCH_DIR = Path(__file__).resolve().parent
 RESULTS_DIR = BENCH_DIR / "results"
 SUMMARY_PATH = RESULTS_DIR / "bench_summary.json"
+
+
+def publish_results(since: float) -> None:
+    """Copy the result files written at or after ``since`` into ``results/``."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    for path in sorted(OUTPUT_DIR.glob("*")):
+        if path.is_file() and path.stat().st_mtime >= since:
+            shutil.copyfile(path, RESULTS_DIR / path.name)
 
 
 def collect_summary(
@@ -80,7 +92,7 @@ def main(argv: list) -> int:
     started = time.time() - 2.0
     exit_code = subprocess.call(command, env=env)
 
-    RESULTS_DIR.mkdir(exist_ok=True)
+    publish_results(started)
     summary = collect_summary(
         exit_code,
         scale=env["REPRO_BENCH_SCALE"],

@@ -75,7 +75,7 @@ def _identical(a, b):
 
 
 def _mapper(method):
-    return FaultAwareMapper(row_method=method, use_cost_engine=True)
+    return FaultAwareMapper(row_method=method)
 
 
 def _time_scenario(method, blocks, maps_per_step, repetitions):

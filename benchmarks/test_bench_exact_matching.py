@@ -7,14 +7,11 @@ dedupe/skip machinery alone buys them almost nothing (random blocks against
 random fault maps have no duplicates), so a 16 × 32 Hungarian mapping still
 took seconds.  The lockstep batched solvers in
 :mod:`repro.core.batch_solvers` close that gap.  This benchmark maps the same
-batches through three paths per exact method:
+batches through two paths per exact method:
 
-* **seed** — ``FaultAwareMapper(use_cost_engine=False)``: the original
+* **seed** — :class:`reference.mapping.SeedLoopMapper`: the original
   ``B × M`` double loop, one scalar solve per pair;
-* **engine (cold, per-pair)** — the cost engine with
-  ``use_batched_exact=False``: batched cost matrices and dedupe, scalar
-  solver calls (documents that dedupe alone is not the win);
-* **engine (cold/warm, batched)** — the default path, the whole uncached
+* **engine (cold/warm, batched)** — the cost engine, the whole uncached
   pair stack solved by one lockstep Hungarian / b-Suitor run.
 
 All paths must return identical mappings (exhaustively proven in
@@ -33,6 +30,7 @@ from repro.hardware.faults import FaultModel
 from repro.utils.tabulate import format_table
 
 from _bench_utils import bench_scale, bench_seed, record_result
+from reference.mapping import SeedLoopMapper
 
 CROSSBAR_SIZE = 32
 BLOCK_DENSITY = 0.08
@@ -45,14 +43,6 @@ SWEEP_PAPER = [
 ]
 METHODS = ("hungarian", "bsuitor")
 MIN_COLD_SPEEDUP = 3.0
-
-
-def _mapper(method, use_cost_engine=True, use_batched_exact=True):
-    return FaultAwareMapper(
-        row_method=method,
-        use_cost_engine=use_cost_engine,
-        use_batched_exact=use_batched_exact,
-    )
 
 
 def _make_case(num_blocks, num_crossbars, fault_rate, seed):
@@ -103,7 +93,7 @@ def test_bench_exact_matching(run_once):
     # The seed Hungarian path takes seconds per repetition, so it gets the
     # fewest; the measured interval is long enough for timer noise not to
     # matter.
-    seed_reps, scalar_reps, batch_reps = (1, 1, 3) if scale == "ci" else (2, 2, 6)
+    seed_reps, batch_reps = (1, 3) if scale == "ci" else (2, 6)
 
     def run_sweep():
         results = {}
@@ -114,26 +104,21 @@ def test_bench_exact_matching(run_once):
             )
             for method in METHODS:
                 seed_bps, seed_mapping = _time_path(
-                    lambda: _mapper(method, use_cost_engine=False),
+                    lambda: SeedLoopMapper(row_method=method),
                     blocks, fmaps, seed_reps,
                 )
-                scalar_bps, scalar_mapping = _time_path(
-                    lambda: _mapper(method, use_batched_exact=False),
-                    blocks, fmaps, scalar_reps,
-                )
                 cold_bps, cold_mapping = _time_path(
-                    lambda: _mapper(method), blocks, fmaps, batch_reps
+                    lambda: FaultAwareMapper(row_method=method),
+                    blocks, fmaps, batch_reps,
                 )
                 warm_bps, warm_mapping = _time_path(
-                    lambda: _mapper(method), blocks, fmaps, batch_reps,
-                    reuse_mapper=True,
+                    lambda: FaultAwareMapper(row_method=method),
+                    blocks, fmaps, batch_reps, reuse_mapper=True,
                 )
-                assert _identical(seed_mapping, scalar_mapping)
                 assert _identical(seed_mapping, cold_mapping)
                 assert _identical(seed_mapping, warm_mapping)
                 results[(method, case)] = {
                     "seed_bps": seed_bps,
-                    "scalar_bps": scalar_bps,
                     "cold_bps": cold_bps,
                     "warm_bps": warm_bps,
                 }
@@ -147,7 +132,6 @@ def test_bench_exact_matching(run_once):
             [
                 f"{method} {num_blocks}x{num_crossbars} @ {fault_rate:.0%}",
                 r["seed_bps"],
-                r["scalar_bps"],
                 r["cold_bps"],
                 r["warm_bps"],
                 r["cold_bps"] / r["seed_bps"],
@@ -159,7 +143,6 @@ def test_bench_exact_matching(run_once):
         r = results[(method, HEADLINE)]
         prefix = f"exact_matching.{method}"
         metrics[f"{prefix}_seed_blocks_per_s"] = r["seed_bps"]
-        metrics[f"{prefix}_scalar_engine_blocks_per_s"] = r["scalar_bps"]
         metrics[f"{prefix}_cold_blocks_per_s"] = r["cold_bps"]
         metrics[f"{prefix}_warm_blocks_per_s"] = r["warm_bps"]
         metrics[f"{prefix}_cold_speedup"] = r["cold_bps"] / r["seed_bps"]
@@ -170,7 +153,6 @@ def test_bench_exact_matching(run_once):
             [
                 "Method / blocks x crossbars @ fault rate",
                 "Seed (blocks/s)",
-                "Engine per-pair (blocks/s)",
                 "Engine batched cold (blocks/s)",
                 "Engine batched warm (blocks/s)",
                 "Cold speedup",

@@ -16,8 +16,8 @@ the same workload:
 Both run the identical 2-layer GCN-style forward+backward epoch loop through
 the same autograd machinery; the figure of merit is epoch-loop iterations
 per second and the acceptance gate is a ≥3× speedup at CI scale.  A second
-(ungated) table tracks the new sparse edge-wise GAT against the seed dense
-``N × N`` masked-attention path on the same graph.
+table tracks the sparse edge-wise GAT against the seed dense ``N × N``
+masked attention (:class:`reference.gat.DenseGAT`) on the same graph.
 
 PR 9 adds a **large tier**: the same comparison on a graph an order of
 magnitude past toy scale (50k nodes / 800k edges at CI scale, 10^6 edges+
@@ -42,6 +42,7 @@ from repro.tensor.tensor import Tensor, no_grad
 from repro.utils.tabulate import format_table
 
 from _bench_utils import bench_scale, bench_seed, record_result
+from reference.gat import DenseGAT
 
 MIN_SPEEDUP = 3.0
 #: Gate of the large tier.  Measured 1.8–3.1× at the 50k-node CI scale
@@ -184,10 +185,9 @@ def _time_gat_paths(nodes, steps, seed, reps=3):
     best = {"dense": float("inf"), "sparse": float("inf")}
     final = {}
     for _ in range(reps):
-        for name, dense_attention in (("dense", True), ("sparse", False)):
-            model = GAT(
-                graph.num_features, 16, graph.num_classes,
-                rng=seed, dropout=0.0, dense_attention=dense_attention,
+        for name, model_cls in (("dense", DenseGAT), ("sparse", GAT)):
+            model = model_cls(
+                graph.num_features, 16, graph.num_classes, rng=seed, dropout=0.0
             )
             start = time.perf_counter()
             for _ in range(steps):

@@ -2,10 +2,11 @@
 
 Algorithm 1 runs once per mini-batch per epoch, so blocks-mapped-per-second
 is the figure of merit for the pre-processing phase.  This benchmark maps the
-same random batches through both :class:`FaultAwareMapper` paths:
+same random batches through:
 
 * **seed** — the original Python ``B × M`` double loop (two matmuls and one
-  assignment solve per pair, all permutations materialised);
+  assignment solve per pair, all permutations materialised;
+  :class:`reference.mapping.SeedLoopMapper`);
 * **engine (cold)** — the batched :class:`MappingCostEngine` with an empty
   result cache (fresh mapper per repetition);
 * **engine (warm)** — the same mapper re-mapping an already-seen batch, i.e.
@@ -26,6 +27,7 @@ from repro.hardware.faults import FaultModel
 from repro.utils.tabulate import format_table
 
 from _bench_utils import bench_scale, bench_seed, record_result
+from reference.mapping import SeedLoopMapper
 
 CROSSBAR_SIZE = 32
 BLOCK_DENSITY = 0.08
@@ -42,8 +44,12 @@ SWEEP_PAPER = SWEEP_CI + [
 MIN_COLD_SPEEDUP = 10.0
 
 
-def _mapper(use_cost_engine):
-    return FaultAwareMapper(row_method="greedy", use_cost_engine=use_cost_engine)
+def _seed_mapper():
+    return SeedLoopMapper(row_method="greedy")
+
+
+def _mapper():
+    return FaultAwareMapper(row_method="greedy")
 
 
 def _make_case(num_blocks, num_crossbars, fault_rate, seed):
@@ -100,13 +106,13 @@ def test_bench_mapping_throughput(run_once):
                 num_blocks, num_crossbars, fault_rate, seed + 17 * case_index
             )
             seed_bps, seed_s, seed_mapping = _time_path(
-                lambda: _mapper(False), blocks, fmaps, seed_reps
+                _seed_mapper, blocks, fmaps, seed_reps
             )
             cold_bps, cold_s, cold_mapping = _time_path(
-                lambda: _mapper(True), blocks, fmaps, engine_reps
+                _mapper, blocks, fmaps, engine_reps
             )
             warm_bps, warm_s, warm_mapping = _time_path(
-                lambda: _mapper(True), blocks, fmaps, engine_reps, reuse_mapper=True
+                _mapper, blocks, fmaps, engine_reps, reuse_mapper=True
             )
             assert _identical(seed_mapping, cold_mapping)
             assert _identical(seed_mapping, warm_mapping)

@@ -9,7 +9,8 @@ per-epoch train pass plus train/test accuracy tracking) executed twice:
 
 * **per-batch** — the seed loop: one eval forward per batch *per split* per
   epoch, per-batch adjacency fetches, per-call aggregation
-  (``use_shared_eval=use_batched_eval=use_agg_precompute=False``);
+  (:class:`reference.trainer.PerSplitEvalTrainer` with
+  ``use_agg_precompute=False``);
 * **vectorised** — one shared eval forward per block-diagonal bucket per
   epoch, bucket inputs memoised against the hardware-state version, and the
   first-layer aggregation precomputed once per (adjacency, features) pair.
@@ -50,6 +51,7 @@ from repro.pipeline.trainer import FaultyTrainer, TrainingConfig
 from repro.utils.tabulate import format_table
 
 from _bench_utils import bench_epochs, bench_scale, bench_seed, record_result
+from reference.trainer import PerSplitEvalTrainer
 
 MIN_SPEEDUP = 2.0
 #: (nodes, epochs, repetitions) per scale.  Long runs amortise the one-time
@@ -146,14 +148,13 @@ def _build_trainer(vectorised, nodes, epochs, seed):
         batch_clusters=2,
         seed=seed,
     )
-    return FaultyTrainer(
+    trainer_cls = FaultyTrainer if vectorised else PerSplitEvalTrainer
+    return trainer_cls(
         graph,
         "gcn",
         build_strategy("fare"),
         training,
         hardware=hardware,
-        use_shared_eval=vectorised,
-        use_batched_eval=vectorised,
         use_agg_precompute=vectorised,
     )
 

@@ -8,7 +8,7 @@ train/test evaluation) is executed twice:
 * **uncached** — the seed per-batch path: every batch re-programs and
   re-reads its adjacency blocks through the per-block loop and re-runs the
   unfused quantise→bit-slice→fault→reassemble→dequantise weight pipeline per
-  layer per forward (``use_hw_state_cache=False``);
+  layer per forward (:func:`reference.hardware.uncached_hardware`);
 * **cached** — the epoch-cached subsystem (``core/hw_state.py``): batched
   block read-back, versioned adjacency/effective-weight caches, fused
   quantise→fault→dequantise pass.
@@ -26,10 +26,12 @@ from repro.graph.datasets import synthetic_graph
 from repro.hardware.config import ReRAMConfig
 from repro.hardware.faults import FaultModel
 from repro.pipeline.mapping_engine import HardwareEnvironment
-from repro.pipeline.trainer import FaultyTrainer, TrainingConfig
+from repro.pipeline.trainer import TrainingConfig
 from repro.utils.tabulate import format_table
 
 from _bench_utils import bench_epochs, bench_scale, bench_seed, record_result
+from reference.hardware import uncached_hardware
+from reference.trainer import PerSplitEvalTrainer
 
 MIN_SPEEDUP = 3.0
 #: (nodes, epochs) per scale; the graph/model stay small so the hardware
@@ -64,22 +66,25 @@ def _build_trainer(cached, nodes, epochs, seed):
         batch_clusters=2,
         seed=seed,
     )
-    return FaultyTrainer(
-        graph,
-        "gcn",
-        build_strategy("fare"),
-        training,
-        hardware=hardware,
-        use_hw_state_cache=cached,
-        # Pin both arms to the per-batch eval path: this gate isolates the
-        # hw-state cache subsystem, and the (default-on) vectorised eval
-        # accelerates the uncached baseline too, compressing the ratio it
-        # measures.  The vectorised paths have their own gate in
-        # test_bench_multigraph_train.py.
-        use_shared_eval=False,
-        use_batched_eval=False,
-        use_agg_precompute=False,
-    )
+
+    # Pin both arms to the per-split eval loop: this gate isolates the
+    # hw-state cache subsystem, and the vectorised eval accelerates the
+    # uncached baseline too, compressing the ratio it measures.  The
+    # vectorised paths have their own gate in test_bench_multigraph_train.py.
+    def build():
+        return PerSplitEvalTrainer(
+            graph,
+            "gcn",
+            build_strategy("fare"),
+            training,
+            hardware=hardware,
+            use_agg_precompute=False,
+        )
+
+    if cached:
+        return build()
+    with uncached_hardware():
+        return build()
 
 
 def _time_paths(nodes, epochs, seed, repetitions=3):

@@ -5,7 +5,8 @@ under test share the same reference semantics — one optimizer step per
 node-capped bucket of cluster mini-batches:
 
 * **accumulate** — the reference: ``zero_grad`` once per bucket, then one
-  forward + loss + ``backward`` per member, one ``step`` per bucket;
+  forward + loss + ``backward`` per member, one ``step`` per bucket
+  (:class:`reference.trainer.AccumulationTrainer`);
 * **fused** — one block-diagonal forward per bucket (``CSRMatrix.block_diag``
   over the members' faulty read-backs, memoised against the hardware-state
   version), a segmented loss whose per-member mean weights match the
@@ -40,6 +41,7 @@ from repro.pipeline.trainer import FaultyTrainer, TrainingConfig
 from repro.utils.tabulate import format_table
 
 from _bench_utils import bench_epochs, bench_scale, bench_seed, record_result
+from reference.trainer import AccumulationTrainer
 
 MIN_SPEEDUP = 1.5
 #: (nodes, partitions, epochs, repetitions) per scale.  Many small batches
@@ -76,14 +78,10 @@ def _build_trainer(mode, nodes, parts, epochs, seed):
         seed=seed,
         train_bucket_nodes=TRAIN_BUCKET_NODES,
     )
-    return FaultyTrainer(
-        graph,
-        "gcn",
-        build_strategy("fare"),
-        training,
-        hardware=hardware,
-        train_mode=mode,
-    )
+    args = (graph, "gcn", build_strategy("fare"), training)
+    if mode == "accumulate":
+        return AccumulationTrainer(*args, hardware=hardware)
+    return FaultyTrainer(*args, hardware=hardware, train_mode="fused")
 
 
 def _time_modes(nodes, parts, epochs, seed, repetitions):

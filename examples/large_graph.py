@@ -14,13 +14,12 @@ peaks below 2 GiB; ``--nodes 120000`` finishes in ~15 s.
 
 The training step runs in the fused mode by default — one block-diagonal
 forward, a segmented per-member loss, and one optimizer step per
-node-capped bucket of cluster batches; ``--train-mode accumulate`` runs
-the per-member gradient-accumulation reference (same semantics to machine
-round-off) and ``--train-mode per_batch`` the seed one-step-per-batch loop.
+node-capped bucket of cluster batches; ``--train-mode per_batch`` runs the
+seed one-step-per-batch loop.
 
 Usage:
     python examples/large_graph.py [--nodes 1000000] [--seed 0]
-                                   [--train-mode fused|accumulate|per_batch]
+                                   [--train-mode fused|per_batch]
 """
 
 from __future__ import annotations
@@ -48,10 +47,10 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
         "--train-mode",
-        choices=("per_batch", "accumulate", "fused"),
+        choices=("per_batch", "fused"),
         default="fused",
-        help="training step: fused block-diagonal buckets (default), "
-        "per-member gradient accumulation, or the seed per-batch loop",
+        help="training step: fused block-diagonal buckets (default) "
+        "or the seed per-batch loop",
     )
     args = parser.parse_args()
 

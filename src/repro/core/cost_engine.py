@@ -1,12 +1,13 @@
 """Batched mapping cost engine behind Algorithm 1 (fault-aware mapping).
 
-The seed implementation of :meth:`FaultAwareMapper._pairwise_costs` was a
-Python ``B × M`` double loop: for every (block, crossbar) pair it built the
-row-mismatch matrix with two dense matmuls and ran a full assignment solve —
-and then threw away all but ``B`` of the ``B × M`` permutations it computed.
-This module replaces that loop with a batched engine that produces results
-**bit-identical** to the seed loop (the equivalence is enforced by
-``tests/test_core_cost_engine.py``) while doing orders of magnitude less work:
+The seed formulation of Algorithm 1's inner loop is a Python ``B × M``
+double loop: for every (block, crossbar) pair it builds the row-mismatch
+matrix with two dense matmuls and runs a full assignment solve — and then
+throws away all but ``B`` of the ``B × M`` permutations it computed.  That
+loop now lives only in ``tests/reference/mapping.py``; this engine produces
+results **bit-identical** to it (the equivalence is enforced by
+``tests/test_core_cost_engine.py``) while doing orders of magnitude less
+work:
 
 * **Batched costs** — all distinct blocks are stacked into a ``(B, R, C)``
   tensor and all distinct faulty maps into ``(M, R, C)`` tensors; every
@@ -108,8 +109,8 @@ def block_row_cost_matrix(
 
     This is the single definition of the per-pair cost arithmetic: both the
     seed per-pair loop (via :mod:`repro.core.mapping`, which re-exports it)
-    and the batched engine's scalar fallbacks call it, so the two paths
-    cannot drift apart.
+    and the batched engine's scalar solves call it, so the two cannot drift
+    apart.
     """
     block = np.asarray(block, dtype=np.float64)
     if block.shape != fault_map.shape:
@@ -310,13 +311,6 @@ class MappingCostEngine:
         Upper bound on the number of float64 elements materialised per batched
         chunk; keeps the ``(pairs, R, C)`` intermediates within a fixed
         memory budget on large batches.
-    use_batched_exact:
-        Route ``'hungarian'``/``'bsuitor'`` pair stacks through the batched
-        exact solvers (default).  ``False`` keeps the seed behaviour of one
-        scalar :func:`~repro.matching.bipartite.solve_assignment` call per
-        pair — the reference path for the equivalence tests and the
-        ``benchmarks/test_bench_exact_matching.py`` speedup gate.  Both
-        paths are bit-identical.
     """
 
     #: Stop offering Hungarian warm-start seeds after this many rejected
@@ -329,17 +323,20 @@ class MappingCostEngine:
         row_method: str = "greedy",
         cache_size: int = 65536,
         max_chunk_cells: int = 16_000_000,
-        use_batched_exact: bool = True,
     ) -> None:
         if sa1_weight < 0:
             raise ValueError(f"sa1_weight must be non-negative, got {sa1_weight}")
+        if row_method not in BATCH_SOLVERS:
+            raise ValueError(
+                f"unknown row method {row_method!r}; available: "
+                f"{sorted(BATCH_SOLVERS)}"
+            )
         if cache_size < 0:
             raise ValueError(f"cache_size must be non-negative, got {cache_size}")
         self.sa1_weight = float(sa1_weight)
         self.row_method = row_method
         self.cache_size = int(cache_size)
         self.max_chunk_cells = int(max_chunk_cells)
-        self.use_batched_exact = bool(use_batched_exact)
         self.stats = CostEngineStats()
         self._cache: "OrderedDict[Tuple, _PairEntry]" = OrderedDict()
 
@@ -780,9 +777,9 @@ class MappingCostEngine:
                         permutation=assignments[k],
                     ),
                 )
-        elif self.use_batched_exact and self.row_method in BATCH_SOLVERS:
+        else:
             # Lockstep exact solve of the whole pair stack (bit-identical to
-            # the scalar per-pair calls below, which remain the seed path).
+            # one scalar solver call per pair, the seed formulation).
             sa1_f64 = sa1_live.astype(np.float64)
             total = sa0_live.astype(np.float64) + self.sa1_weight * sa1_f64
             # Warm-start attempts first (delta re-planning): a pair with a
@@ -889,16 +886,6 @@ class MappingCostEngine:
                                 )
                             },
                         )
-        else:
-            sa1_f64 = sa1_live.astype(np.float64)
-            total = sa0_live.astype(np.float64) + self.sa1_weight * sa1_f64
-            for k, (ub, um) in enumerate(live_pairs):
-                cost, permutation, sa1 = self._solve_pair(total[k], sa1_f64[k])
-                record(
-                    ub,
-                    um,
-                    _PairEntry(cost=cost, sa1_mismatch=sa1, permutation=permutation),
-                )
 
     def _solve_exact_stack(
         self, total: np.ndarray, capture: bool

@@ -33,10 +33,12 @@ invalidate-on-change lookups:
 Cache hits still advance the *simulated* write accounting (the hardware
 re-programs its blocks every batch regardless of what the simulator
 recomputes), so the endurance counters and the write-event counters feeding
-the Fig. 7 timing model are identical to the uncached path.  Hit/miss
+the Fig. 7 timing model are identical to a run that recomputes every batch.
+That uncached run is the pass-through cache in ``tests/reference/hardware.py``
+(``tests/test_core_hw_state.py`` holds the bit-identity proof).  Hit/miss
 counters surface through :meth:`Strategy.mapping_engine_stats` into the
-trainer counters and the timing components, next to the mapping cost engine's
-counters from PR 1.
+trainer counters and the timing components, next to the mapping cost
+engine's counters.
 """
 
 from __future__ import annotations
@@ -97,21 +99,11 @@ class HardwareStateCache:
     weight_mapper:
         The run's :class:`~repro.pipeline.mapping_engine.WeightCrossbarMapper`
         (optional — only needed for simulated-write replay on weight hits).
-    enabled:
-        When False every lookup delegates straight to the underlying mapper —
-        the uncached reference path used by the equivalence tests and the
-        epoch-throughput benchmark baseline.
     """
 
-    def __init__(
-        self,
-        adjacency_mapper,
-        weight_mapper=None,
-        enabled: bool = True,
-    ) -> None:
+    def __init__(self, adjacency_mapper, weight_mapper=None) -> None:
         self.adjacency_mapper = adjacency_mapper
         self.weight_mapper = weight_mapper
-        self.enabled = bool(enabled)
         self.stats = HwStateStats()
         self._plan_version = 0
         self._adjacency_cache: Dict[int, _AdjacencyEntry] = {}
@@ -145,8 +137,7 @@ class HardwareStateCache:
         Changes whenever a cached read-back could go stale (mapping-plan
         refresh or fault-map change) and never otherwise, so callers can
         memoise derived artifacts — e.g. the trainer's fused eval buckets —
-        against it.  Valid even with the cache ``enabled=False`` (the plan
-        version is bumped by the trainer regardless).
+        against it.
         """
         return self._adjacency_key()
 
@@ -177,8 +168,6 @@ class HardwareStateCache:
         are bit-identical to the uncached path (``tests/test_core_hw_state.py``).
         """
         mapper = self.adjacency_mapper
-        if not self.enabled:
-            return mapper.apply_mapping(adjacency, mapping, blocks=blocks, grid=grid)
         key = self._adjacency_key()
         entry = self._adjacency_cache.get(batch_index)
         if entry is not None and entry.key == key:
@@ -197,7 +186,7 @@ class HardwareStateCache:
         )
         return result
 
-    def replay_adjacency_writes(self, batch_index: int) -> bool:
+    def replay_adjacency_writes(self, batch_index: int) -> None:
         """Replay one batch's simulated write accounting without a fetch.
 
         The fused train path memoises whole block-diagonal *buckets* against
@@ -207,22 +196,14 @@ class HardwareStateCache:
         trainer calls this per skipped member to advance
         ``block_write_events`` and the per-crossbar endurance counters (and
         the hit statistic) exactly as the per-member hit path would have.
-
-        Returns ``False`` when no current-state entry exists for
-        ``batch_index`` (cache disabled, cleared, or stale) — the caller
-        must then fall back to a real :meth:`batch_adjacency` fetch so the
-        uncached reference accounting runs instead.
+        The bucket memo is only ever hit under the state key its members
+        were fetched at, so the member's current-state entry always exists.
         """
-        if not self.enabled:
-            return False
-        entry = self._adjacency_cache.get(batch_index)
-        if entry is None or entry.key != self._adjacency_key():
-            return False
+        entry = self._adjacency_cache[batch_index]
         self.stats.adjacency_hits += 1
         self.adjacency_mapper.block_write_events += entry.num_blocks
         for crossbar, count in entry.writes_per_crossbar:
             crossbar.record_simulated_writes(count)
-        return True
 
     # ------------------------------------------------------------------ #
     # Effective weights
@@ -242,8 +223,6 @@ class HardwareStateCache:
         training (where hardware re-programs per batch), False during
         evaluation (re-read only).
         """
-        if not self.enabled:
-            return compute()
         cached = self._weight_cache.get(name)
         if cached is not None and cached[0] == key:
             self.stats.weight_hits += 1
@@ -254,13 +233,3 @@ class HardwareStateCache:
         value = compute()
         self._weight_cache[name] = (key, value)
         return value
-
-    def invalidate_weights(self) -> None:
-        """Drop cached effective weights (e.g. after out-of-band edits)."""
-        self._weight_cache.clear()
-
-    # ------------------------------------------------------------------ #
-    def clear(self) -> None:
-        """Drop all cached state (counters are kept)."""
-        self._adjacency_cache.clear()
-        self._weight_cache.clear()

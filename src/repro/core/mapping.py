@@ -26,33 +26,28 @@ Two refinements from the paper are implemented:
 Performance model
 -----------------
 The mapper runs once per mini-batch per epoch, so its cost dominates the
-pre-processing phase.  Two execution paths produce **identical**
-:class:`BatchMapping` outputs (enforced by ``tests/test_core_cost_engine.py``):
+pre-processing phase.  Every pair cost goes through
+:class:`~repro.core.cost_engine.MappingCostEngine`, which batches the cost
+tensors, dedupes identical blocks/fault maps, skips fault-free and
+provably-zero pairs, solves the remaining inner assignments in one vectorised
+stack solve (the batched-greedy sweep or a lockstep exact solver from
+:mod:`repro.core.batch_solvers`, per the row method), materialises only the
+≤ ``B`` selected permutations, and caches every pair result by content
+fingerprint so per-epoch refreshes on unchanged BIST maps are near-free.
 
-* the *seed path* (``use_cost_engine=False``) computes every (block,
-  crossbar) pair independently: ``B·M`` Python-level calls, each with two
-  dense matmuls and a full assignment solve, materialising all ``B·M``
-  permutations even though at most ``B`` survive into the result;
-* the *engine path* (default) delegates to
-  :class:`~repro.core.cost_engine.MappingCostEngine`, which batches the cost
-  tensors, dedupes identical blocks/fault maps, skips fault-free and
-  provably-zero pairs, solves the remaining inner assignments in one
-  vectorised stack solve (the batched-greedy sweep or a lockstep exact
-  solver from :mod:`repro.core.batch_solvers`, per the row method),
-  materialises only the ≤ ``B`` selected permutations, and caches every pair
-  result by content fingerprint so per-epoch refreshes on unchanged BIST
-  maps are near-free.
-
-``benchmarks/test_bench_mapping_throughput.py`` tracks the blocks-per-second
-ratio between the two paths for the greedy row method and
-``benchmarks/test_bench_exact_matching.py`` for the exact ones; the overall
-layering is documented in ``docs/ARCHITECTURE.md``.
+The seed per-pair loop — ``B·M`` independent calls of
+:func:`block_crossbar_cost`, every permutation materialised — lives in
+``tests/reference/mapping.py``.  ``tests/test_core_cost_engine.py`` proves
+both return identical :class:`BatchMapping` outputs;
+``benchmarks/test_bench_mapping_throughput.py`` (greedy) and
+``benchmarks/test_bench_exact_matching.py`` (exact methods) time the engine
+against it.  The overall layering is documented in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -290,18 +285,6 @@ class FaultAwareMapper:
         Enable the crossbar-pruning heuristic (Algorithm 1, line 12).
     relax_sparsest_block:
         Enable the sparsest-block relaxation (Algorithm 1, line 14).
-    use_cost_engine:
-        Route the inner-loop cost computation through the batched
-        :class:`~repro.core.cost_engine.MappingCostEngine` (default).  The
-        seed per-pair loop is kept (``False``) as the reference path for the
-        equivalence tests and the throughput benchmark; both paths return
-        identical mappings.
-    use_batched_exact:
-        With the cost engine enabled, solve ``'hungarian'``/``'bsuitor'``
-        pair stacks with the lockstep batched solvers of
-        :mod:`repro.core.batch_solvers` (default).  ``False`` keeps one
-        scalar solver call per pair inside the engine — again bit-identical,
-        kept reachable for the exact-matching speedup benchmark.
     """
 
     def __init__(
@@ -311,8 +294,6 @@ class FaultAwareMapper:
         assignment_method: str = "hungarian",
         prune_crossbars: bool = True,
         relax_sparsest_block: bool = True,
-        use_cost_engine: bool = True,
-        use_batched_exact: bool = True,
     ) -> None:
         if sa1_weight < 1.0:
             raise ValueError(
@@ -324,47 +305,11 @@ class FaultAwareMapper:
         self.assignment_method = assignment_method
         self.prune_crossbars = bool(prune_crossbars)
         self.relax_sparsest_block = bool(relax_sparsest_block)
-        self.cost_engine: Optional[MappingCostEngine] = (
-            MappingCostEngine(
-                sa1_weight=self.sa1_weight,
-                row_method=row_method,
-                use_batched_exact=use_batched_exact,
-            )
-            if use_cost_engine
-            else None
+        self.cost_engine = MappingCostEngine(
+            sa1_weight=self.sa1_weight, row_method=row_method
         )
 
     # ------------------------------------------------------------------ #
-    def _pairwise_costs(
-        self, blocks: Sequence[np.ndarray], fault_maps: Sequence[FaultMap]
-    ) -> Tuple[np.ndarray, np.ndarray, Callable[[int, int], np.ndarray]]:
-        """Cost(i, j) and SA1 mismatch for all pairs, plus a lazy permutation
-        provider (``provider(i, j)`` → row permutation of that pair)."""
-        if self.cost_engine is not None:
-            return self.cost_engine.pairwise_costs(blocks, fault_maps)
-        return self._pairwise_costs_reference(blocks, fault_maps)
-
-    def _pairwise_costs_reference(
-        self, blocks: Sequence[np.ndarray], fault_maps: Sequence[FaultMap]
-    ) -> Tuple[np.ndarray, np.ndarray, Callable[[int, int], np.ndarray]]:
-        """The seed per-pair loop: every permutation solved eagerly."""
-        num_blocks = len(blocks)
-        num_crossbars = len(fault_maps)
-        costs = np.zeros((num_blocks, num_crossbars))
-        sa1_mismatches = np.zeros((num_blocks, num_crossbars))
-        permutations: List[List[np.ndarray]] = [
-            [None] * num_crossbars for _ in range(num_blocks)
-        ]
-        for j, fmap in enumerate(fault_maps):
-            for i, block in enumerate(blocks):
-                cost, perm, sa1 = block_crossbar_cost(
-                    block, fmap, self.sa1_weight, method=self.row_method
-                )
-                costs[i, j] = cost
-                sa1_mismatches[i, j] = sa1
-                permutations[i][j] = perm
-        return costs, sa1_mismatches, lambda i, j: permutations[i][j]
-
     @staticmethod
     def _block_densities(blocks: Sequence[np.ndarray]) -> np.ndarray:
         return np.array(
@@ -405,8 +350,7 @@ class FaultAwareMapper:
 
         The mapping is bit-identical to :meth:`map_blocks`; the extra
         :class:`MapperPlanState` seeds :meth:`replan_blocks` after a fault-map
-        delta.  Without a cost engine the state is an empty shell and every
-        re-plan runs cold.
+        delta.
         """
         return self._plan(blocks, fault_maps, crossbar_ids, None, capture=True)
 
@@ -459,7 +403,7 @@ class FaultAwareMapper:
                 and len(prev_state.chunk_contexts) == len(starts)
             ):
                 contexts = list(prev_state.chunk_contexts)
-            elif self.cost_engine is not None:
+            else:
                 self.cost_engine.stats.delta_full_replans += 1
         if len(starts) == 1:
             mapping, context = self._map_chunk(
@@ -500,14 +444,14 @@ class FaultAwareMapper:
         num_blocks = len(blocks)
         num_crossbars = len(fault_maps)
         context: Optional[PlanContext] = None
-        if capture and self.cost_engine is not None:
+        if capture:
             costs, sa1_mismatches, permutation_for, context = (
                 self.cost_engine.plan_pairwise(
                     blocks, fault_maps, prev_context=prev_context
                 )
             )
         else:
-            costs, sa1_mismatches, permutation_for = self._pairwise_costs(
+            costs, sa1_mismatches, permutation_for = self.cost_engine.pairwise_costs(
                 blocks, fault_maps
             )
         densities = self._block_densities(blocks)
@@ -606,20 +550,15 @@ class FaultAwareMapper:
         epoch do not justify recomputing it — and only the within-crossbar row
         permutations are recomputed against the latest BIST fault maps.  The
         matching is linear-time work per block and is overlapped with ReRAM
-        execution on the host, so it adds no pipeline time.  With the cost
-        engine enabled, refreshes against an *unchanged* fault map are cache
-        hits and do no tensor or solver work at all.
+        execution on the host, so it adds no pipeline time.  Refreshes
+        against an *unchanged* fault map are cost-engine cache hits and do no
+        tensor or solver work at all.
         """
         updated: List[BlockMapping] = []
         for block_mapping in mapping.blocks:
             block = blocks[block_mapping.block_index]
             fmap = fault_maps_by_id[block_mapping.crossbar_index]
-            if self.cost_engine is not None:
-                cost, perm, sa1 = self.cost_engine.block_crossbar_cost(block, fmap)
-            else:
-                cost, perm, sa1 = block_crossbar_cost(
-                    block, fmap, self.sa1_weight, method=self.row_method
-                )
+            cost, perm, sa1 = self.cost_engine.block_crossbar_cost(block, fmap)
             updated.append(
                 BlockMapping(
                     block_index=block_mapping.block_index,

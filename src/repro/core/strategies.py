@@ -427,8 +427,6 @@ class FaReStrategy(Strategy):
         assignment_method: str = "hungarian",
         prune_crossbars: bool = True,
         relax_sparsest_block: bool = True,
-        use_batched_exact: bool = True,
-        use_delta_planning: bool = True,
     ) -> None:
         self.clipper = WeightClipper(clipping_threshold)
         self.mapper = FaultAwareMapper(
@@ -437,13 +435,11 @@ class FaReStrategy(Strategy):
             assignment_method=assignment_method,
             prune_crossbars=prune_crossbars,
             relax_sparsest_block=relax_sparsest_block,
-            use_batched_exact=use_batched_exact,
         )
-        #: Capture per-batch solver state during planning so a later
-        #: :meth:`replan_adjacency` only re-solves the fault delta.  Plans are
-        #: bit-identical either way; ``False`` keeps the seed cold-replan
-        #: path reachable for the equivalence tests and benchmarks.
-        self.use_delta_planning = bool(use_delta_planning)
+        #: Per-batch solver state captured by :meth:`plan_adjacency`, so a
+        #: later :meth:`replan_adjacency` only re-solves the fault delta (a
+        #: fresh strategy has none and plans cold; plans are bit-identical
+        #: either way).
         self._plan_states: Optional[List[Optional[MapperPlanState]]] = None
 
     # -- aggregation ---------------------------------------------------- #
@@ -469,11 +465,6 @@ class FaReStrategy(Strategy):
         crossbar_ids: Sequence[int],
         crossbar_rows: int,
     ) -> List[BatchMapping]:
-        if not self.use_delta_planning:
-            return [
-                self.mapper.map_blocks(blocks, fault_maps, crossbar_ids=crossbar_ids)
-                for blocks in blocks_per_batch
-            ]
         plans: List[BatchMapping] = []
         states: List[Optional[MapperPlanState]] = []
         for blocks in blocks_per_batch:
@@ -494,9 +485,7 @@ class FaReStrategy(Strategy):
     ) -> List[BatchMapping]:
         """Delta re-plan: warm-start each batch from its previous plan state."""
         states = self._plan_states
-        if not self.use_delta_planning or states is None or len(states) != len(
-            blocks_per_batch
-        ):
+        if states is None or len(states) != len(blocks_per_batch):
             return self.plan_adjacency(
                 blocks_per_batch, fault_maps, crossbar_ids, crossbar_rows
             )
@@ -533,10 +522,8 @@ class FaReStrategy(Strategy):
     # -- introspection --------------------------------------------------- #
     def mapping_engine_stats(self) -> Optional[Dict[str, float]]:
         stats = dict(super().mapping_engine_stats() or {})
-        engine = self.mapper.cost_engine
-        if engine is not None:
-            stats.update(engine.stats.as_dict())
-        return stats or None
+        stats.update(self.mapper.cost_engine.stats.as_dict())
+        return stats
 
 
 #: Registry of strategy builders keyed by the names used in the experiments.

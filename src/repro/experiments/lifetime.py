@@ -218,7 +218,6 @@ def _wear_step(
             assignment_method=mapper.assignment_method,
             prune_crossbars=mapper.prune_crossbars,
             relax_sparsest_block=mapper.relax_sparsest_block,
-            use_delta_planning=False,
         )
         started = time.perf_counter()
         cold.plan_adjacency(
@@ -272,7 +271,8 @@ def run_lifetime(
     re-scans, delta-re-plans, and evaluates test accuracy on the degraded
     hardware — producing the accuracy/remap-cost-vs-write-cycles curve.
     ``compare_cold=True`` additionally times a from-scratch re-plan of the
-    same fault maps at every checkpoint (the speedup denominator).
+    same fault maps at every checkpoint (the speedup denominator): a fresh
+    :class:`FaReStrategy`, whose timing includes capturing its plan context.
     """
     if schedule is None:
         schedule = WearOutSchedule.log_spaced(EnduranceModel())

@@ -24,7 +24,6 @@ from repro.experiments.sweeps import (
     SweepEngine,
     SweepPlan,
     build_hardware,
-    execute_spec,
 )
 from repro.pipeline.trainer import TrainingResult
 
@@ -70,12 +69,11 @@ def run_single(
     post_deployment_extra: Optional[float] = None,
     fault_region: str = "both",
     strategy_kwargs: Optional[Dict] = None,
-    use_cache: bool = True,
 ) -> TrainingResult:
     """Train one configuration and return its result (memoised).
 
-    ``use_cache=False`` bypasses the engine entirely and rebuilds every input
-    from scratch — the seed serial behaviour, kept as the reference path.
+    ``execute_spec(RunSpec.make(...))`` from :mod:`repro.experiments.sweeps`
+    is the unmemoised equivalent: it rebuilds every input from scratch.
     """
     spec = RunSpec.make(
         dataset=dataset,
@@ -90,6 +88,4 @@ def run_single(
         fault_region=fault_region,
         strategy_kwargs=strategy_kwargs,
     )
-    if not use_cache:
-        return execute_spec(spec)
     return DEFAULT_ENGINE.run(SweepPlan([spec]))[spec]

@@ -1,17 +1,17 @@
 """Graph Attention Network (Veličković et al., 2018).
 
-The default implementation is *sparse edge-wise attention*: attention logits
-are computed per stored edge of the (possibly fault-corrupted) binary
-adjacency, normalised with a segment softmax over each destination row
+Attention is *sparse and edge-wise*: attention logits are computed per
+stored edge of the (possibly fault-corrupted) binary adjacency, normalised
+with a segment softmax over each destination row
 (:func:`repro.tensor.ops.edge_softmax`) and aggregated with a segment
 scatter-add.  Work and memory are therefore O(E) instead of the O(N²) of the
-seed's dense ``masked_fill`` path, which opens large-graph GAT workloads the
-dense path cannot reach.
+seed's dense ``masked_fill`` attention, which opens large-graph GAT workloads
+the dense formulation cannot reach.
 
-The dense path is kept fully reachable (``dense_attention=True`` or simply
-passing a dense boolean mask) and the two are equivalence-tested: the edge
-list is exactly the support of the dense mask — the corrupted adjacency's
-stored positive entries plus self loops — and the per-row max-shift/softmax
+The dense formulation lives in ``tests/reference/gat.py`` and the two are
+equivalence-tested (``tests/test_nn_gat_sparse.py``): the edge list is
+exactly the support of the dense mask — the corrupted adjacency's stored
+positive entries plus self loops — and the per-row max-shift/softmax
 arithmetic matches the dense masked softmax to floating-point round-off.
 
 Fault semantics are unchanged: the edge list is derived from the binary
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,8 +35,6 @@ from repro.nn.layers import Linear
 from repro.tensor import init, kernels, ops
 from repro.tensor.tensor import Tensor
 from repro.utils.rng import ensure_rng, spawn_rngs
-
-_NEG_INF = -1e9
 
 
 # --------------------------------------------------------------------------- #
@@ -128,12 +126,7 @@ def clear_edge_cache() -> None:
 
 
 class GATLayer(GNNModel):
-    """Multi-head graph attention layer (sparse edge-wise by default).
-
-    ``forward`` accepts either a :class:`CSRMatrix` (sparse edge-wise
-    attention unless ``dense_attention=True``) or a dense boolean mask
-    (always the dense path, preserving the seed call signature).
-    """
+    """Multi-head graph attention layer (sparse edge-wise attention)."""
 
     def __init__(
         self,
@@ -142,7 +135,6 @@ class GATLayer(GNNModel):
         num_heads: int = 2,
         concat_heads: bool = True,
         negative_slope: float = 0.2,
-        dense_attention: bool = False,
         name: str = "gat",
         rng=None,
     ) -> None:
@@ -157,7 +149,6 @@ class GATLayer(GNNModel):
         self.num_heads = num_heads
         self.concat_heads = concat_heads
         self.negative_slope = negative_slope
-        self.dense_attention = bool(dense_attention)
         self.head_features = (
             out_features // num_heads if concat_heads else out_features
         )
@@ -214,17 +205,8 @@ class GATLayer(GNNModel):
         return total * (1.0 / self.num_heads)
 
     # ------------------------------------------------------------------ #
-    def forward(
-        self, x: Tensor, adjacency: Union[CSRMatrix, np.ndarray]
-    ) -> Tensor:
+    def forward(self, x: Tensor, adjacency: CSRMatrix) -> Tensor:
         """Apply attention restricted to the adjacency's edges (+ self loops)."""
-        if isinstance(adjacency, CSRMatrix):
-            if self.dense_attention:
-                return self._forward_dense(x, adjacency.to_dense() > 0)
-            return self._forward_sparse(x, adjacency)
-        return self._forward_dense(x, np.asarray(adjacency))
-
-    def _forward_sparse(self, x: Tensor, adjacency: CSRMatrix) -> Tensor:
         edges = attention_edges_cached(adjacency)
         indptr, cols, row_ids = edges.indptr, edges.cols, edges.row_ids
         n = indptr.shape[0] - 1
@@ -248,32 +230,9 @@ class GATLayer(GNNModel):
             head_outputs.append(ops.scatter_add_rows(messages, row_ids, n))
         return self._combine_heads(head_outputs)
 
-    def _forward_dense(self, x: Tensor, adjacency_mask: np.ndarray) -> Tensor:
-        n = adjacency_mask.shape[0]
-        if adjacency_mask.shape != (n, n):
-            raise ValueError("adjacency_mask must be square")
-        allowed = adjacency_mask.astype(bool) | np.eye(n, dtype=bool)
-        head_outputs = []
-        for head in range(self.num_heads):
-            proj, attn_src, attn_dst = self._head_weights(head)
-            h = proj(x)
-            src_scores = h @ attn_src  # (n, 1)
-            dst_scores = h @ attn_dst  # (n, 1)
-            logits = src_scores + dst_scores.transpose()
-            logits = ops.leaky_relu(logits, self.negative_slope)
-            logits = ops.masked_fill(logits, ~allowed, _NEG_INF)
-            attention = ops.softmax(logits, axis=1)
-            head_outputs.append(attention @ h)
-        return self._combine_heads(head_outputs)
-
 
 class GAT(GNNModel):
-    """Two-layer GAT: multi-head concatenated hidden layer, averaged output.
-
-    ``dense_attention=True`` restores the seed's dense ``N × N`` masked
-    attention; the default routes both layers through the sparse edge-wise
-    path (same outputs within floating-point round-off, O(E) work).
-    """
+    """Two-layer GAT: multi-head concatenated hidden layer, averaged output."""
 
     def __init__(
         self,
@@ -282,14 +241,12 @@ class GAT(GNNModel):
         num_classes: int,
         num_heads: int = 2,
         dropout: float = 0.2,
-        dense_attention: bool = False,
         rng=None,
     ) -> None:
         super().__init__()
         if not 0.0 <= dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {dropout}")
         self.dropout = dropout
-        self.dense_attention = bool(dense_attention)
         rng_a, rng_b, rng_drop = spawn_rngs(rng, 3)
         self._dropout_rng = rng_drop
         self.layer0 = GATLayer(
@@ -297,7 +254,6 @@ class GAT(GNNModel):
             hidden_features,
             num_heads=num_heads,
             concat_heads=True,
-            dense_attention=dense_attention,
             name="gat0",
             rng=rng_a,
         )
@@ -306,22 +262,15 @@ class GAT(GNNModel):
             num_classes,
             num_heads=1,
             concat_heads=False,
-            dense_attention=dense_attention,
             name="gat1",
             rng=rng_b,
         )
 
     def forward(self, batch: BatchInputs, rng: Optional[object] = None) -> Tensor:
         """Return per-node logits for the subgraph in ``batch``."""
-        if self.dense_attention:
-            adjacency: Union[CSRMatrix, np.ndarray] = (
-                batch.adjacency.to_dense() > 0
-            )
-        else:
-            adjacency = batch.adjacency
         rng = ensure_rng(rng) if rng is not None else self._dropout_rng
         x = Tensor(batch.features)
-        x = self.layer0(x, adjacency)
+        x = self.layer0(x, batch.adjacency)
         x = ops.elu(x)
         x = ops.dropout(x, self.dropout, training=self.training, rng=rng)
-        return self.layer1(x, adjacency)
+        return self.layer1(x, batch.adjacency)

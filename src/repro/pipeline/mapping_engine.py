@@ -18,11 +18,12 @@ Two mappers mirror the two computation phases:
 the crossbar pool (with injected faults), the BIST controller, the
 fixed-point format, and the split of crossbars between weights and adjacency.
 
-Both mappers expose two bit-identical execution paths: the seed per-block /
-per-cell loops (the reference, kept behind ``use_batched=False`` /
-``fused=False``) and vectorised fast paths — a stacked fault-mask gather for
-the adjacency read-back, a fused per-code mask application for the weights —
-that the epoch cache in :mod:`repro.core.hw_state` builds on.
+Both mappers read back through vectorised paths — a stacked fault-mask
+gather for the adjacency read-back, a fused per-code mask application for the
+weights — that the epoch cache in :mod:`repro.core.hw_state` builds on.  The
+seed per-block program/read loop and the bit-sliced weight pipeline they
+replace live in ``tests/reference/hardware.py``; both fast paths are
+bit-identical to them (enforced by ``tests/test_core_hw_state.py``).
 
 How these mappers sit between the strategy layer (which plans the mappings
 and reports the cost engine's / hardware-state cache's work counters through
@@ -48,13 +49,10 @@ from repro.hardware.faults import (
     FaultMap,
     FaultModel,
     apply_faults_to_binary_batch,
-    apply_faults_to_cells,
 )
 from repro.hardware.quantization import (
     FixedPointFormat,
-    cells_to_codes,
     codes_to_cells,
-    dequantize,
     fault_code_masks,
     quantize,
     quantize_faulty_dequantize,
@@ -82,17 +80,7 @@ class WeightLayout:
 
 
 class WeightCrossbarMapper:
-    """Maps every 2-D model parameter onto a pool of weight crossbars.
-
-    Parameters
-    ----------
-    use_fused:
-        Route :meth:`effective_weights` through the fused
-        quantise → fault → dequantise pass (a single integer array per value,
-        no per-cell intermediates).  The seed bit-sliced pipeline is kept
-        (``False``) as the reference path; both are bit-identical (enforced
-        by ``tests/test_core_hw_state.py``).
-    """
+    """Maps every 2-D model parameter onto a pool of weight crossbars."""
 
     def __init__(
         self,
@@ -100,11 +88,9 @@ class WeightCrossbarMapper:
         crossbars: Sequence[Crossbar],
         fmt: FixedPointFormat,
         config: ReRAMConfig = DEFAULT_CONFIG,
-        use_fused: bool = True,
     ) -> None:
         self.fmt = fmt
         self.config = config
-        self.use_fused = bool(use_fused)
         #: Bumped on every :meth:`refresh_fault_masks`; effective-weight
         #: caches key on it (see :mod:`repro.core.hw_state`).
         self.fault_version = 0
@@ -244,9 +230,12 @@ class WeightCrossbarMapper:
         values: np.ndarray,
         row_permutation: Optional[np.ndarray] = None,
         count_write: bool = True,
-        fused: Optional[bool] = None,
     ) -> np.ndarray:
         """Return the weights the crossbars actually provide to the MVM.
+
+        The precomputed per-code clear/set masks are applied in a single
+        integer quantise → fault → dequantise pass (no per-cell
+        intermediates).
 
         Parameters
         ----------
@@ -262,11 +251,6 @@ class WeightCrossbarMapper:
         count_write:
             Whether this call represents a re-programming of the weights
             (True during training, False for read-only analyses).
-        fused:
-            Override :attr:`use_fused` for this call.  The fused path applies
-            the precomputed per-code clear/set masks in a single integer
-            pass; the seed path materialises the full bit-sliced cell
-            pipeline.  Outputs are bit-identical.
         """
         layout = self.layout(name)
         values = np.asarray(values, dtype=np.float64)
@@ -274,47 +258,23 @@ class WeightCrossbarMapper:
             raise ValueError(
                 f"values shape {values.shape} does not match layout {layout.shape}"
             )
-        rows = layout.shape[0]
-        permutation: Optional[np.ndarray] = None
+        clear, set_ = self._code_masks[name]
         if row_permutation is not None:
             cached = self._perm_cache.get(name)
             if cached is not None and cached[0] is row_permutation:
                 permutation = cached[1]
             else:
                 permutation = check_permutation(
-                    row_permutation, rows, "row_permutation"
+                    row_permutation, layout.shape[0], "row_permutation"
                 )
                 self._perm_cache[name] = (row_permutation, permutation)
-
-        use_fused = self.use_fused if fused is None else bool(fused)
-        if use_fused:
             # Logical row ``i`` sits at physical row ``permutation[i]``, so
             # gathering the per-code masks with the permutation applies the
             # physical faults directly to the logical matrix — no
             # scatter/gather round trip through the stored layout.
-            clear, set_ = self._code_masks[name]
-            if permutation is not None:
-                clear = clear[permutation]
-                set_ = set_[permutation]
-            result = quantize_faulty_dequantize(values, clear, set_, self.fmt)
-        else:
-            if permutation is None:
-                permutation = np.arange(rows, dtype=np.int64)
-            stored = np.empty_like(values)
-            stored[permutation] = values
-
-            codes = quantize(stored, self.fmt)
-            cells = codes_to_cells(codes, self.fmt)  # (rows, cols, num_cells)
-            cell_matrix = cells.reshape(layout.cell_shape)
-            sa0, sa1 = self._fault_cache[name]
-            faulty_matrix = apply_faults_to_cells(
-                cell_matrix, sa0, sa1, self.fmt.cell_levels
-            )
-            faulty_cells = faulty_matrix.reshape(cells.shape)
-            faulty_codes = cells_to_codes(faulty_cells, self.fmt)
-            faulty_stored = dequantize(faulty_codes, self.fmt)
-            result = faulty_stored[permutation]
-
+            clear = clear[permutation]
+            set_ = set_[permutation]
+        result = quantize_faulty_dequantize(values, clear, set_, self.fmt)
         if count_write:
             self.weight_write_events += layout.num_crossbars
         return result
@@ -478,30 +438,16 @@ def decompose_adjacency(
 
 
 class AdjacencyCrossbarMapper:
-    """Programs per-batch adjacency blocks onto crossbars and reads them back.
-
-    Parameters
-    ----------
-    use_batched:
-        Route :meth:`apply_mapping` through the batched read-back: the
-        batch's blocks are stacked into a ``(B, rows, cols)`` tensor and the
-        per-crossbar SA0/SA1 masks are applied with one vectorised gather —
-        no per-block ``program_binary``/``read_binary`` round trips; the
-        endurance counters advance in bulk.  The seed per-block loop is kept
-        (``False``) as the reference path; both are bit-identical (enforced
-        by ``tests/test_core_hw_state.py``).
-    """
+    """Programs per-batch adjacency blocks onto crossbars and reads them back."""
 
     def __init__(
         self,
         crossbars: Sequence[Crossbar],
         config: ReRAMConfig = DEFAULT_CONFIG,
-        use_batched: bool = True,
     ) -> None:
         if not crossbars:
             raise ValueError("adjacency mapper needs at least one crossbar")
         self.config = config
-        self.use_batched = bool(use_batched)
         self.crossbars = list(crossbars)
         self.by_id: Dict[int, Crossbar] = {x.crossbar_id: x for x in self.crossbars}
         self.block_write_events = 0
@@ -521,8 +467,8 @@ class AdjacencyCrossbarMapper:
 
         One entry per distinct target crossbar, counting the blocks programmed
         onto it — the simulated write-accounting unit.  Single source for both
-        the batched read-back's bulk endurance update and the epoch cache's
-        hit replay (:mod:`repro.core.hw_state`), so the two cannot diverge.
+        the read-back's bulk endurance update and the epoch cache's hit
+        replay (:mod:`repro.core.hw_state`), so the two cannot diverge.
         """
         counts: Dict[int, int] = {}
         for block_mapping in mapping.blocks:
@@ -548,15 +494,12 @@ class AdjacencyCrossbarMapper:
         mapping: BatchMapping,
         blocks: Optional[List[np.ndarray]] = None,
         grid: Optional[Tuple[int, int]] = None,
-        batched: Optional[bool] = None,
     ) -> CSRMatrix:
         """Program the blocks per ``mapping`` and return the faulty adjacency.
 
         The returned matrix is the structural adjacency the aggregation phase
         actually uses: SA1 cells appear as spurious edges, SA0 cells delete
-        stored edges.  ``batched`` overrides :attr:`use_batched` for this
-        call; both paths produce bit-identical results and identical
-        write/endurance accounting.
+        stored edges.
         """
         if blocks is None or grid is None:
             blocks, grid = self.decompose(adjacency)
@@ -565,11 +508,7 @@ class AdjacencyCrossbarMapper:
                 f"mapping covers {len(mapping)} blocks but the adjacency has "
                 f"{len(blocks)}"
             )
-        use_batched = self.use_batched if batched is None else bool(batched)
-        if use_batched and mapping.blocks:
-            faulty_dense = self._read_back_batched(blocks, mapping, grid)
-        else:
-            faulty_dense = self._read_back_loop(blocks, mapping, grid)
+        faulty_dense = self._read_back(blocks, mapping, grid)
         n = adjacency.shape[0]
         faulty_dense = faulty_dense[:n, : adjacency.shape[1]]
         # Faults outside the logical adjacency area (padding region) are
@@ -577,31 +516,7 @@ class AdjacencyCrossbarMapper:
         np.fill_diagonal(faulty_dense, 0.0)
         return CSRMatrix.from_dense(faulty_dense)
 
-    def _read_back_loop(
-        self,
-        blocks: List[np.ndarray],
-        mapping: BatchMapping,
-        grid: Tuple[int, int],
-    ) -> np.ndarray:
-        """The seed per-block path: one program/read round trip per block."""
-        rows = self.config.crossbar_rows
-        cols = self.config.crossbar_cols
-        row_blocks, col_blocks = grid
-        faulty_dense = np.zeros((row_blocks * rows, col_blocks * cols), dtype=np.float64)
-        for block_mapping in mapping.blocks:
-            index = block_mapping.block_index
-            block = blocks[index]
-            crossbar = self.by_id[block_mapping.crossbar_index]
-            crossbar.program_binary(block, row_permutation=block_mapping.row_permutation)
-            self.block_write_events += 1
-            read_back = crossbar.read_binary(
-                row_permutation=block_mapping.row_permutation
-            )
-            bi, bj = divmod(index, col_blocks)
-            faulty_dense[bi * rows : (bi + 1) * rows, bj * cols : (bj + 1) * cols] = read_back
-        return faulty_dense
-
-    def _read_back_batched(
+    def _read_back(
         self,
         blocks: List[np.ndarray],
         mapping: BatchMapping,
@@ -615,7 +530,8 @@ class AdjacencyCrossbarMapper:
         stacked per-crossbar masks and one ``np.where`` chain, then scattered
         into the dense grid with one reshape/transpose.  Crossbar state
         (stored contents, endurance counters) is updated in bulk so it ends
-        exactly where the per-block loop would leave it.
+        exactly where one ``program_binary``/``read_binary`` round trip per
+        block would leave it.
         """
         rows = self.config.crossbar_rows
         cols = self.config.crossbar_cols

@@ -22,10 +22,16 @@ read-back, effective-weight pipeline) is served from the versioned
 :class:`~repro.core.hw_state.HardwareStateCache` — recomputed only when the
 underlying state changes (fault injection, BIST re-scan, plan refresh,
 optimiser step), while the simulated write/endurance accounting still
-advances per batch exactly as on the uncached path.
-``use_hw_state_cache=False`` restores the seed per-batch recomputation
-bit-for-bit (equivalence enforced by ``tests/test_core_hw_state.py``,
-throughput tracked by ``benchmarks/test_bench_train_epoch.py``).
+advances per batch exactly as on the uncached path.  Per-epoch train/test
+accuracy comes from one block-diagonal eval forward per bucket of batches.
+
+The seed paths these replace live with the tests: the uncached per-batch
+recomputation in ``tests/reference/hardware.py`` (bit-identity enforced by
+``tests/test_core_hw_state.py``, throughput by
+``benchmarks/test_bench_train_epoch.py``), the per-member gradient
+accumulation that ``train_mode="fused"`` must match in
+``tests/reference/trainer.py``, and the per-split eval loop is the public
+:meth:`FaultyTrainer.evaluate`.
 """
 
 from __future__ import annotations
@@ -85,10 +91,9 @@ class TrainingConfig:
     #: fused into one block-diagonal forward until adding the next batch
     #: would exceed this many nodes (a bucket always holds ≥ 1 batch).
     eval_bucket_nodes: int = 4096
-    #: Node budget of one *training* bucket (``FaultyTrainer`` train modes
-    #: ``"accumulate"``/``"fused"``): consecutive mini-batches whose
-    #: gradients are accumulated into one optimizer step — fused into one
-    #: block-diagonal forward in the fused mode.  Same layout rule as
+    #: Node budget of one *training* bucket (``FaultyTrainer`` train mode
+    #: ``"fused"``): consecutive mini-batches fused into one block-diagonal
+    #: forward and one optimizer step.  Same layout rule as
     #: ``eval_bucket_nodes``; ``train_bucket_nodes=1`` degenerates every
     #: bucket to a single batch (the seed step granularity).
     train_bucket_nodes: int = 4096
@@ -96,6 +101,8 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be at least 1")
         if self.eval_bucket_nodes <= 0:
             raise ValueError("eval_bucket_nodes must be positive")
         if self.train_bucket_nodes <= 0:
@@ -173,11 +180,8 @@ class FaultyTrainer:
         config: TrainingConfig,
         hardware: Optional[HardwareEnvironment] = None,
         post_deployment: Optional[PostDeploymentSchedule] = None,
-        use_hw_state_cache: bool = True,
         artifacts: Optional[TrainerArtifacts] = None,
         replan_on_rescan: bool = False,
-        use_shared_eval: bool = True,
-        use_batched_eval: bool = True,
         use_agg_precompute: bool = True,
         streaming_blocks: Optional[bool] = None,
         train_mode: str = "per_batch",
@@ -196,22 +200,8 @@ class FaultyTrainer:
         #: from the previous plan when the strategy supports delta planning
         #: (the lifetime experiment's mode).
         self.replan_on_rescan = bool(replan_on_rescan)
-        #: Epoch-cached hardware read-back (see :mod:`repro.core.hw_state`).
-        #: ``False`` restores the seed per-batch recomputation path exactly —
-        #: per-block program/read loops and the unfused weight pipeline — for
-        #: the equivalence tests and the epoch-throughput benchmark baseline.
-        self.use_hw_state_cache = bool(use_hw_state_cache)
-        #: Multi-graph vectorised evaluation (see ``docs/ARCHITECTURE.md``,
-        #: "Batched multi-graph training").  ``use_shared_eval`` computes the
-        #: per-epoch train and test accuracy from one forward per batch (the
-        #: logits do not depend on the split mask); ``use_batched_eval``
-        #: additionally fuses consecutive batches into one block-diagonal
-        #: forward per bucket; ``use_agg_precompute`` caches the
-        #: weight-independent first-layer aggregation across steps.  All
-        #: three ``False`` restores the seed per-split / per-batch loop
-        #: bit-for-bit (the multigraph benchmark's baseline).
-        self.use_shared_eval = bool(use_shared_eval)
-        self.use_batched_eval = bool(use_batched_eval)
+        #: Cache the weight-independent first-layer aggregation across steps
+        #: (see ``docs/ARCHITECTURE.md``, "Batched multi-graph training").
         self.use_agg_precompute = bool(use_agg_precompute)
         #: Memory-bounded block handling for huge graphs: when on, the dense
         #: per-batch adjacency blocks are decomposed *transiently* — once per
@@ -229,21 +219,18 @@ class FaultyTrainer:
         #: multi-graph training"):
         #:
         #: * ``"per_batch"`` (default) — the seed loop: one forward/backward/
-        #:   optimizer step per mini-batch, bit-identical to HEAD.
-        #: * ``"accumulate"`` — the reference bucket semantics: consecutive
-        #:   batches are grouped into buckets capped at
-        #:   ``config.train_bucket_nodes`` nodes; ``zero_grad`` runs once per
-        #:   bucket, each member's loss backward accumulates into the shared
-        #:   parameter gradients, and the optimizer steps once per bucket.
-        #: * ``"fused"`` — same semantics as ``"accumulate"`` through one
-        #:   block-diagonal forward per bucket and a segmented per-member
-        #:   loss; gradients are the sum of the per-member reference
-        #:   gradients (bit-identical structural reductions, round-off
-        #:   contract where GEMMs/``reduceat`` reassociate).
-        if train_mode not in ("per_batch", "accumulate", "fused"):
+        #:   optimizer step per mini-batch.
+        #: * ``"fused"`` — consecutive batches are grouped into buckets
+        #:   capped at ``config.train_bucket_nodes`` nodes; each bucket runs
+        #:   one block-diagonal forward, a segmented per-member loss and one
+        #:   optimizer step.  Gradients are the sum of the per-member
+        #:   gradients of the accumulation reference in
+        #:   ``tests/reference/trainer.py`` (bit-identical structural
+        #:   reductions, round-off contract where GEMMs/``reduceat``
+        #:   reassociate).
+        if train_mode not in ("per_batch", "fused"):
             raise ValueError(
-                "train_mode must be 'per_batch', 'accumulate' or 'fused', "
-                f"got {train_mode!r}"
+                f"train_mode must be 'per_batch' or 'fused', got {train_mode!r}"
             )
         self.train_mode = train_mode
         if strategy.requires_hardware and hardware is None:
@@ -298,7 +285,7 @@ class FaultyTrainer:
         self._eval_buckets: Optional[List[List[int]]] = None
         self._fused_eval_cache: Dict[int, tuple] = {}
         self._batched_eval_forwards = 0
-        # Batched-train state: bucket layout for the accumulate/fused modes,
+        # Batched-train state: bucket layout for the fused mode,
         # the per-bucket workspace shared with eval (member offsets, fused
         # features/labels, loss segment plan — all hardware-independent,
         # built once per bucket), and the fused train-input memo keyed on
@@ -328,20 +315,12 @@ class FaultyTrainer:
             return
         hw = self.hardware
         self._weight_mapper = WeightCrossbarMapper(
-            self.model,
-            hw.weight_crossbars,
-            hw.fmt,
-            hw.config,
-            use_fused=self.use_hw_state_cache,
+            self.model, hw.weight_crossbars, hw.fmt, hw.config
         )
         self._adjacency_mapper = AdjacencyCrossbarMapper(
-            hw.adjacency_crossbars, hw.config, use_batched=self.use_hw_state_cache
+            hw.adjacency_crossbars, hw.config
         )
-        self._hw_cache = HardwareStateCache(
-            self._adjacency_mapper,
-            self._weight_mapper,
-            enabled=self.use_hw_state_cache,
-        )
+        self._hw_cache = HardwareStateCache(self._adjacency_mapper, self._weight_mapper)
         self.strategy.attach_hw_state_cache(self._hw_cache)
         streaming = self.streaming_blocks
         if streaming is None:
@@ -511,9 +490,7 @@ class FaultyTrainer:
 
         for epoch in range(config.epochs):
             self.model.train()
-            if self.train_mode == "accumulate":
-                epoch_losses = self._train_epoch_accumulation()
-            elif self.train_mode == "fused":
+            if self.train_mode == "fused":
                 epoch_losses = self._train_epoch_fused()
             else:
                 epoch_losses = self._train_epoch_per_batch()
@@ -559,50 +536,21 @@ class FaultyTrainer:
             epoch_losses.append(loss.item())
         return epoch_losses
 
-    def _train_epoch_accumulation(self) -> List[float]:
-        """Reference bucket semantics: per-member steps, one update per bucket.
-
-        ``zero_grad`` runs once per bucket, every member's ``backward()``
-        accumulates into the shared parameter gradients, and the optimizer
-        steps once per bucket — the seed-reachable reference the fused mode
-        must match.  The epoch permutation is drawn over *buckets* (one RNG
-        draw of the same length in both bucket modes); with
-        ``train_bucket_nodes=1`` every bucket holds one batch and this
-        degenerates to the seed per-batch loop bit-for-bit.
-        """
-        epoch_losses: List[float] = []
-        buckets = self._train_bucket_layout()
-        order = self._train_rng.permutation(len(buckets))
-        for bucket_position in order:
-            bucket = buckets[int(bucket_position)]
-            kernels.COUNTERS.batched_train_buckets += 1
-            self._batched_train_buckets += 1
-            self.optimizer.zero_grad()
-            for index in bucket:
-                batch = self.batches[index]
-                logits = self.model(self._batch_inputs(index))
-                loss = self._loss(
-                    logits, batch.subgraph.labels, batch.subgraph.train_mask
-                )
-                loss.backward()
-                epoch_losses.append(loss.item())
-            self.optimizer.step()
-            self.strategy.after_optimizer_step(self.model)
-        return epoch_losses
-
     def _train_epoch_fused(self) -> List[float]:
         """One block-diagonal forward + one backward + one step per bucket.
 
-        Semantics of :meth:`_train_epoch_accumulation` (same bucket layout,
-        same RNG draws, same per-bucket optimizer/write accounting) with the
+        Semantics of per-member gradient accumulation (``zero_grad`` once
+        per bucket, one backward per member, one optimizer step per bucket;
+        the reference epoch in ``tests/reference/trainer.py``) with the
         per-member forwards fused: the segmented loss applies each member's
         own mean-reduction weight, so the single backward produces exactly
         the sum of the per-member reference gradients — bit-identical where
         reductions are structural (per-row sparse kernels, dropout masks,
         per-row loss gradients), round-off contract where the fused GEMMs /
-        ``reduceat`` reassociate sums (see ``docs/ARCHITECTURE.md``).
-        Single-member buckets take the plain unfused step, which keeps them
-        bit-identical to the reference.
+        ``reduceat`` reassociate sums (see ``docs/ARCHITECTURE.md``).  The
+        epoch permutation is drawn over buckets.  Single-member buckets take
+        the plain unfused step, which keeps them bit-identical to the
+        reference.
         """
         epoch_losses: List[float] = []
         buckets = self._train_bucket_layout()
@@ -766,8 +714,7 @@ class FaultyTrainer:
         blocks each epoch, so a memo hit replays the per-member simulated
         write events through
         :meth:`~repro.core.hw_state.HardwareStateCache.replay_adjacency_writes`
-        (falling back to a real per-member fetch when the hardware-state
-        cache is disabled) instead of skipping them like eval does.
+        instead of skipping them like eval does.
         """
         key = (
             self._hw_cache.state_key()
@@ -779,8 +726,7 @@ class FaultyTrainer:
         if entry is not None and entry[0] == key:
             if self.strategy.requires_hardware:
                 for index in bucket:
-                    if not self._hw_cache.replay_adjacency_writes(index):
-                        self._batch_inputs(index)
+                    self._hw_cache.replay_adjacency_writes(index)
             return entry[1]
         inputs = [self._batch_inputs(index) for index in bucket]
         fused, _ = CSRMatrix.block_diag([item.adjacency for item in inputs])
@@ -906,41 +852,27 @@ class FaultyTrainer:
         """Per-epoch ``(train accuracy, test accuracy)``.
 
         The logits of an eval forward do not depend on the split mask, so
-        both accuracies come from **one** forward per batch
-        (``use_shared_eval``) — per split, the gathered logits are the exact
-        arrays the per-split :meth:`evaluate` loop would produce, in the
-        same batch order.  ``use_batched_eval`` additionally fuses
-        consecutive batches into one block-diagonal forward per bucket (see
-        :meth:`_eval_bucket_layout`).  Both flags off delegates to the seed
-        per-split loop unchanged.
+        both accuracies come from **one** forward per bucket of consecutive
+        batches fused into one block-diagonal forward (see
+        :meth:`_eval_bucket_layout`) — per split, the gathered logits match
+        what the per-split :meth:`evaluate` loop produces, in the same batch
+        order.
 
-        Accounting note: the shared forward programs each batch's adjacency
-        once per eval epoch instead of once per split, so eval-time
-        ``block_write_events`` halve relative to the seed loop; the batched
-        path goes further and re-fetches bucket inputs only when the hardware
-        state actually changed, dropping eval-time write accounting to one
-        pass per state version.  The training write stream is untouched in
-        both cases; documented in ``docs/ARCHITECTURE.md``.
+        Accounting note: bucket inputs are re-fetched only when the hardware
+        state actually changed, so eval-time ``block_write_events`` drop to
+        one pass per state version, where :meth:`evaluate` programs each
+        batch's adjacency once per split.  The training write stream is
+        untouched; documented in ``docs/ARCHITECTURE.md``.
         """
-        if not (self.use_shared_eval or self.use_batched_eval):
-            return self.evaluate(split="train"), self.evaluate(split="test")
         self.model.eval()
         chunks: Dict[str, Tuple[List[np.ndarray], List[np.ndarray]]] = {
             "train": ([], []),
             "test": ([], []),
         }
         with no_grad():
-            if self.use_batched_eval:
-                for bucket in self._eval_bucket_layout():
-                    for index, rows in zip(bucket, self._bucket_forward(bucket)):
-                        self._gather_split_chunks(index, rows, chunks)
-            else:
-                for index, batch in enumerate(self.batches):
-                    sub = batch.subgraph
-                    if not (sub.train_mask.any() or sub.test_mask.any()):
-                        continue
-                    logits = self.model(self._batch_inputs(index))
-                    self._gather_split_chunks(index, logits.data, chunks)
+            for bucket in self._eval_bucket_layout():
+                for index, rows in zip(bucket, self._bucket_forward(bucket)):
+                    self._gather_split_chunks(index, rows, chunks)
         self.model.train()
         accuracies = []
         for split in ("train", "test"):
@@ -1062,15 +994,11 @@ class FaultyTrainer:
                 self._adjacency_mapper.block_write_events
             )
         counters["batched_eval_forwards"] = float(self._batched_eval_forwards)
-        counters["batched_eval_buckets"] = float(
-            len(self._eval_bucket_layout()) if self.use_batched_eval else 0
-        )
+        counters["batched_eval_buckets"] = float(len(self._eval_bucket_layout()))
         counters["batched_train_buckets"] = float(self._batched_train_buckets)
         counters["train_fused_forwards"] = float(self._train_fused_forwards)
         counters["train_bucket_layout"] = float(
-            len(self._train_bucket_layout())
-            if self.train_mode in ("accumulate", "fused")
-            else 0
+            len(self._train_bucket_layout()) if self.train_mode == "fused" else 0
         )
         engine_stats = self.strategy.mapping_engine_stats()
         if engine_stats:

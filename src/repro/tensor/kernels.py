@@ -66,7 +66,7 @@ class KernelCounters:
     batched_agg_cache_hits: int = 0
     batched_agg_cache_misses: int = 0
     #: Fused train-step batching (see ``pipeline.trainer``): buckets stepped
-    #: by the accumulate/fused train modes, block-diagonal training forwards
+    #: by the fused train mode, block-diagonal training forwards
     #: actually fused, and reuse hits of the memoised per-bucket
     #: ``SegmentPlan`` + block-diag workspace across epochs.
     batched_train_buckets: int = 0

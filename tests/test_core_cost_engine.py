@@ -3,7 +3,8 @@
 The headline guarantee is *bit-identical equivalence*: routing Algorithm 1
 through :class:`MappingCostEngine` must return exactly the same
 :class:`BatchMapping` (assignments, permutations, costs, SA1 mismatches,
-pruned/relaxed lists) as the seed per-pair loop, across fault rates,
+pruned/relaxed lists) as the seed per-pair loop
+(:class:`reference.mapping.SeedLoopMapper`), across fault rates,
 ``sa1_weight`` values and all three row-matching methods.
 """
 
@@ -19,6 +20,8 @@ from repro.core.cost_engine import (
 )
 from repro.core.mapping import FaultAwareMapper, block_crossbar_cost
 from repro.hardware.faults import FaultMap, FaultModel
+
+from reference.mapping import SeedLoopMapper
 
 
 def random_blocks(rng, num_blocks, size, density):
@@ -39,19 +42,14 @@ def assert_mappings_identical(reference, candidate):
         np.testing.assert_array_equal(ref.row_permutation, got.row_permutation)
 
 
-def make_mappers(method, sa1_weight=4.0, prune=True, relax=True, batched_exact=True):
+def make_mappers(method, sa1_weight=4.0, prune=True, relax=True):
     kwargs = dict(
         sa1_weight=sa1_weight,
         row_method=method,
         prune_crossbars=prune,
         relax_sparsest_block=relax,
     )
-    return (
-        FaultAwareMapper(use_cost_engine=False, **kwargs),
-        FaultAwareMapper(
-            use_cost_engine=True, use_batched_exact=batched_exact, **kwargs
-        ),
-    )
+    return SeedLoopMapper(**kwargs), FaultAwareMapper(**kwargs)
 
 
 # --------------------------------------------------------------------------- #
@@ -147,13 +145,8 @@ class TestEngineEquivalence:
             num_crossbars, size, size
         )
         seed_mapper, engine_mapper = make_mappers(method, sa1_weight=sa1_weight)
-        _, scalar_engine_mapper = make_mappers(
-            method, sa1_weight=sa1_weight, batched_exact=False
-        )
-        reference = seed_mapper.map_blocks(blocks, fmaps)
-        assert_mappings_identical(reference, engine_mapper.map_blocks(blocks, fmaps))
         assert_mappings_identical(
-            reference, scalar_engine_mapper.map_blocks(blocks, fmaps)
+            seed_mapper.map_blocks(blocks, fmaps), engine_mapper.map_blocks(blocks, fmaps)
         )
 
     @pytest.mark.parametrize("method", ["hungarian", "bsuitor"])
@@ -162,15 +155,11 @@ class TestEngineEquivalence:
         blocks = random_blocks(rng, 4, 8, 0.3)
         fmaps = FaultModel(0.2, (1, 1), seed=22).generate(6, 8, 8)
         _, batched = make_mappers(method)
-        _, scalar = make_mappers(method, batched_exact=False)
         batched.map_blocks(blocks, fmaps)
-        scalar.map_blocks(blocks, fmaps)
         assert batched.cost_engine.stats.batched_solver_pairs > 0
         assert batched.cost_engine.stats.batched_solver_pairs == (
             batched.cost_engine.stats.solver_pairs
         )
-        assert scalar.cost_engine.stats.batched_solver_pairs == 0
-        assert scalar.cost_engine.stats.solver_pairs > 0
 
     def test_single_pair_matches_module_function(self):
         rng = np.random.default_rng(5)
@@ -280,6 +269,8 @@ class TestWorkAvoidance:
             MappingCostEngine(sa1_weight=-1.0)
         with pytest.raises(ValueError):
             MappingCostEngine(cache_size=-1)
+        with pytest.raises(ValueError, match="row method"):
+            MappingCostEngine(row_method="auction")
 
 
 # --------------------------------------------------------------------------- #
@@ -341,14 +332,14 @@ class TestStats:
 
 
 # --------------------------------------------------------------------------- #
-# Solver edge cases shared by the seed, scalar-engine and batched-exact paths
+# Solver edge cases shared by the seed loop and the engine
 # --------------------------------------------------------------------------- #
 class TestSolverEdgeCases:
     """Degenerate inputs that stress tie-breaking and feasibility handling.
 
     Every case is run through all three row methods and checked for
-    (a) bit-identical mappings across the seed loop, the scalar engine path
-    and the batched path, and (b) structurally valid row permutations
+    (a) bit-identical mappings between the seed loop and the engine, and
+    (b) structurally valid row permutations
     (:func:`repro.utils.validation.check_permutation`).
     """
 
@@ -357,11 +348,9 @@ class TestSolverEdgeCases:
     def _check_all_paths(self, blocks, fmaps, method):
         from repro.utils.validation import check_permutation
 
-        seed_mapper, batched = make_mappers(method)
-        _, scalar = make_mappers(method, batched_exact=False)
+        seed_mapper, engine_mapper = make_mappers(method)
         reference = seed_mapper.map_blocks(blocks, fmaps)
-        assert_mappings_identical(reference, batched.map_blocks(blocks, fmaps))
-        assert_mappings_identical(reference, scalar.map_blocks(blocks, fmaps))
+        assert_mappings_identical(reference, engine_mapper.map_blocks(blocks, fmaps))
         for mapping in reference.blocks:
             check_permutation(
                 mapping.row_permutation, len(mapping.row_permutation)

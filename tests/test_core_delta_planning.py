@@ -44,9 +44,7 @@ def assert_mappings_identical(reference, candidate):
 
 
 def make_mapper(method, sa1_weight=4.0, **kwargs):
-    return FaultAwareMapper(
-        sa1_weight=sa1_weight, row_method=method, use_cost_engine=True, **kwargs
-    )
+    return FaultAwareMapper(sa1_weight=sa1_weight, row_method=method, **kwargs)
 
 
 def apply_delta(rng, model, fmaps, kind, size):
@@ -138,8 +136,8 @@ class TestDeltaEquivalence:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_strategy_replan_identical_to_fresh_plan(self, method):
-        """FaReStrategy.replan_adjacency == a fresh strategy's plan_adjacency
-        on the new maps, across batches."""
+        """FaReStrategy.replan_adjacency == a fresh strategy's (cold)
+        plan_adjacency on the new maps, across batches."""
         rng = np.random.default_rng(17)
         size, num_crossbars = 8, 6
         blocks_per_batch = [random_blocks(rng, 4, size, 0.2) for _ in range(3)]
@@ -148,18 +146,17 @@ class TestDeltaEquivalence:
         ids = list(range(num_crossbars))
 
         delta = FaReStrategy(row_method=method)
-        cold = FaReStrategy(row_method=method, use_delta_planning=False)
         first = delta.plan_adjacency(blocks_per_batch, fmaps, ids, size)
-        for ref, got in zip(
-            cold.plan_adjacency(blocks_per_batch, fmaps, ids, size), first
-        ):
-            assert_mappings_identical(ref, got)
+        for blocks, got in zip(blocks_per_batch, first):
+            assert_mappings_identical(
+                make_mapper(method).map_blocks(blocks, fmaps, crossbar_ids=ids), got
+            )
         for _ in range(2):
             fmaps = apply_delta(rng, model, fmaps, "injection", size)
             replanned = delta.replan_adjacency(blocks_per_batch, fmaps, ids, size)
-            fresh = FaReStrategy(
-                row_method=method, use_delta_planning=False
-            ).plan_adjacency(blocks_per_batch, fmaps, ids, size)
+            fresh = FaReStrategy(row_method=method).plan_adjacency(
+                blocks_per_batch, fmaps, ids, size
+            )
             for ref, got in zip(fresh, replanned):
                 assert_mappings_identical(ref, got)
 

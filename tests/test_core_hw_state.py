@@ -1,6 +1,7 @@
 """Tests for the epoch-cached hardware read-back (core/hw_state.py).
 
-Three equivalence guarantees are enforced:
+Three equivalence guarantees are enforced against the seed paths in
+:mod:`reference.hardware`:
 
 * the batched adjacency read-back is bit-identical to the seed per-block
   program/read loop — including the crossbars' stored contents and endurance
@@ -20,7 +21,6 @@ trainer counters.
 import numpy as np
 import pytest
 
-from repro.core.hw_state import HardwareStateCache
 from repro.core.strategies import FaReStrategy, build_strategy
 from repro.graph.sparse import CSRMatrix
 from repro.hardware.endurance import PostDeploymentSchedule
@@ -32,6 +32,12 @@ from repro.pipeline.mapping_engine import (
     WeightCrossbarMapper,
 )
 from repro.pipeline.trainer import FaultyTrainer, TrainingConfig
+
+from reference.hardware import (
+    BitSlicedWeightMapper,
+    LoopAdjacencyMapper,
+    uncached_hardware,
+)
 
 
 def make_environment(tiny_config, density=0.08, ratio=(4.0, 1.0), seed=11):
@@ -62,7 +68,7 @@ class TestBatchedReadBackEquivalence:
         """Same read-back, same stored contents, same endurance counters."""
         env_loop = make_environment(tiny_config, seed=seed + 50)
         env_batched = make_environment(tiny_config, seed=seed + 50)
-        loop = AdjacencyCrossbarMapper(env_loop.adjacency_crossbars, tiny_config)
+        loop = LoopAdjacencyMapper(env_loop.adjacency_crossbars, tiny_config)
         batched = AdjacencyCrossbarMapper(env_batched.adjacency_crossbars, tiny_config)
 
         adjacency = random_adjacency(44, seed=seed)
@@ -71,11 +77,9 @@ class TestBatchedReadBackEquivalence:
         plan_l = fare_plan(loop, blocks_l)
         plan_b = fare_plan(batched, blocks_b)
 
-        out_loop = loop.apply_mapping(
-            adjacency, plan_l, blocks=blocks_l, grid=grid_l, batched=False
-        )
+        out_loop = loop.apply_mapping(adjacency, plan_l, blocks=blocks_l, grid=grid_l)
         out_batched = batched.apply_mapping(
-            adjacency, plan_b, blocks=blocks_b, grid=grid_b, batched=True
+            adjacency, plan_b, blocks=blocks_b, grid=grid_b
         )
         np.testing.assert_array_equal(out_loop.to_dense(), out_batched.to_dense())
         assert loop.block_write_events == batched.block_write_events
@@ -101,7 +105,7 @@ class TestBatchedReadBackEquivalence:
         plan = fare_plan(mapper, blocks)
         plan.blocks[0].row_permutation = np.zeros(tiny_config.crossbar_rows, dtype=int)
         with pytest.raises(ValueError):
-            mapper.apply_mapping(adjacency, plan, blocks=blocks, grid=grid, batched=True)
+            mapper.apply_mapping(adjacency, plan, blocks=blocks, grid=grid)
 
 
 # --------------------------------------------------------------------------- #
@@ -109,54 +113,59 @@ class TestBatchedReadBackEquivalence:
 # --------------------------------------------------------------------------- #
 class TestFusedWeightEquivalence:
     @staticmethod
-    def _mapper(env, model):
-        return WeightCrossbarMapper(model, env.weight_crossbars, env.fmt, env.config)
+    def _mappers(env, model):
+        """The fused mapper and the bit-sliced reference on the same crossbars."""
+        return (
+            WeightCrossbarMapper(model, env.weight_crossbars, env.fmt, env.config),
+            BitSlicedWeightMapper(model, env.weight_crossbars, env.fmt, env.config),
+        )
 
     @pytest.mark.parametrize("use_permutation", [False, True])
     def test_bit_identical(self, tiny_config, use_permutation):
         env = make_environment(tiny_config, density=0.1, seed=3)
         model = build_model("gcn", 12, 8, 4, rng=0)
-        mapper = self._mapper(env, model)
+        mapper, seed_mapper = self._mappers(env, model)
         rng = np.random.default_rng(7)
         for name in mapper.layouts:
             rows, cols = mapper.layout(name).shape
             values = rng.normal(scale=2.0, size=(rows, cols))
             perm = rng.permutation(rows) if use_permutation else None
             fused = mapper.effective_weights(
-                name, values, row_permutation=perm, count_write=False, fused=True
+                name, values, row_permutation=perm, count_write=False
             )
-            seed = mapper.effective_weights(
-                name, values, row_permutation=perm, count_write=False, fused=False
+            seed = seed_mapper.effective_weights(
+                name, values, row_permutation=perm, count_write=False
             )
             np.testing.assert_array_equal(fused, seed)
 
     def test_bit_identical_after_fault_refresh(self, tiny_config):
         env = make_environment(tiny_config, density=0.05, seed=9)
         model = build_model("gcn", 12, 8, 4, rng=0)
-        mapper = self._mapper(env, model)
+        mapper, seed_mapper = self._mappers(env, model)
         before = mapper.fault_version
         env.inject_post_deployment(0.08)
         mapper.refresh_fault_masks()
+        seed_mapper.refresh_fault_masks()
         assert mapper.fault_version == before + 1
         rng = np.random.default_rng(8)
         for name in mapper.layouts:
             values = rng.normal(scale=3.0, size=mapper.layout(name).shape)
             np.testing.assert_array_equal(
-                mapper.effective_weights(name, values, count_write=False, fused=True),
-                mapper.effective_weights(name, values, count_write=False, fused=False),
+                mapper.effective_weights(name, values, count_write=False),
+                seed_mapper.effective_weights(name, values, count_write=False),
             )
 
     def test_saturating_values_identical(self, tiny_config):
         """Out-of-range values saturate the same way on both paths."""
         env = make_environment(tiny_config, density=0.1, seed=2)
         model = build_model("gcn", 12, 8, 4, rng=0)
-        mapper = self._mapper(env, model)
+        mapper, seed_mapper = self._mappers(env, model)
         name = next(iter(mapper.layouts))
         shape = mapper.layout(name).shape
         values = np.linspace(-50.0, 50.0, num=shape[0] * shape[1]).reshape(shape)
         np.testing.assert_array_equal(
-            mapper.effective_weights(name, values, count_write=False, fused=True),
-            mapper.effective_weights(name, values, count_write=False, fused=False),
+            mapper.effective_weights(name, values, count_write=False),
+            seed_mapper.effective_weights(name, values, count_write=False),
         )
 
 
@@ -181,15 +190,24 @@ class TestTrainerEquivalence:
             if with_post
             else None
         )
-        trainer = FaultyTrainer(
-            tiny_graph,
-            "gcn",
-            build_strategy(strategy_name),
-            config,
-            hardware=hardware,
-            post_deployment=post,
-            use_hw_state_cache=cached,
-        )
+
+        def build():
+            return FaultyTrainer(
+                tiny_graph,
+                "gcn",
+                build_strategy(strategy_name),
+                config,
+                hardware=hardware,
+                post_deployment=post,
+            )
+
+        if cached:
+            trainer = build()
+        else:
+            with uncached_hardware():
+                trainer = build()
+            assert isinstance(trainer._adjacency_mapper, LoopAdjacencyMapper)
+            assert isinstance(trainer._weight_mapper, BitSlicedWeightMapper)
         result = trainer.train()
         return trainer, result
 
@@ -353,16 +371,3 @@ class TestCacheBookkeeping:
         trainer.evaluate("test")
         trainer.evaluate("train")
         assert trainer._weight_mapper.weight_write_events == after_train
-
-    def test_disabled_cache_delegates(self, tiny_config):
-        env = make_environment(tiny_config, seed=37)
-        mapper = AdjacencyCrossbarMapper(env.adjacency_crossbars, tiny_config)
-        cache = HardwareStateCache(mapper, enabled=False)
-        adjacency = random_adjacency(20, seed=6)
-        blocks, grid = mapper.decompose(adjacency)
-        plan = fare_plan(mapper, blocks)
-        first = cache.batch_adjacency(0, adjacency, plan, blocks=blocks, grid=grid)
-        second = cache.batch_adjacency(0, adjacency, plan, blocks=blocks, grid=grid)
-        assert first is not second  # recomputed, not served from cache
-        np.testing.assert_array_equal(first.to_dense(), second.to_dense())
-        assert cache.stats.adjacency_hits == 0 and cache.stats.adjacency_misses == 0

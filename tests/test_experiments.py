@@ -14,6 +14,7 @@ from repro.experiments.fig5 import format_fig5, run_fig5
 from repro.experiments.fig6 import format_fig6, run_fig6
 from repro.experiments.fig7 import FIG7_STRATEGIES, format_fig7, run_fig7
 from repro.experiments.headline import format_headline, run_headline
+from repro.experiments.sweeps import RunSpec, execute_spec
 from repro.hardware.config import DEFAULT_CONFIG
 
 
@@ -92,10 +93,13 @@ class TestRunner:
         assert runner.cache_size() == size_after_first
         assert first is second
 
-    def test_use_cache_false(self):
+    def test_execute_spec_bypasses_memo(self):
         runner.clear_cache()
-        a = runner.run_single(
-            "reddit", "gcn", "fault_free", 0.0, scale="ci", seed=0, epochs=1, use_cache=False
+        a = execute_spec(
+            RunSpec.make(
+                dataset="reddit", model="gcn", strategy="fault_free",
+                fault_density=0.0, scale="ci", seed=0, epochs=1,
+            )
         )
         assert runner.cache_size() == 0
         assert a.final_test_accuracy >= 0
@@ -113,7 +117,7 @@ class TestRunner:
 
     def test_result_metadata(self):
         result = runner.run_single(
-            "ppi", "gat", "clipping", 0.03, scale="ci", seed=0, epochs=1, use_cache=False
+            "ppi", "gat", "clipping", 0.03, scale="ci", seed=0, epochs=1
         )
         assert result.dataset == "ppi"
         assert result.model == "gat"

@@ -5,9 +5,10 @@ Four subsystems under test:
 * the sparse block decomposition (``decompose_adjacency``) — bit-identical
   to a dense reference, shared frozen zero blocks, counters;
 * the block-diagonal CSR fusion (``block_diag_csr`` / ``CSRMatrix.block_diag``)
-  and the batched-eval / shared-eval / aggregation-precompute trainer paths —
-  fuzzed equivalence against the seed per-split per-batch loop across the
-  three models, fault-free and fault-injected;
+  and the bucketed-eval / aggregation-precompute trainer paths — fuzzed
+  equivalence against the seed per-split per-batch loop
+  (:class:`reference.trainer.PerSplitEvalTrainer`) across the three models,
+  fault-free and fault-injected;
 * the streaming dataset generator and partitioner;
 * the trainer's ``streaming_blocks`` mode — plans and histories identical to
   the retained-blocks path without ever retaining per-batch dense blocks.
@@ -43,6 +44,8 @@ from repro.pipeline.mapping_engine import (
 from repro.pipeline.trainer import FaultyTrainer, TrainerArtifacts, TrainingConfig
 from repro.tensor import kernels, ops
 from repro.tensor.tensor import Tensor
+
+from reference.trainer import PerSplitEvalTrainer
 
 
 def _random_csr(rng, n, m, density=0.08):
@@ -207,7 +210,7 @@ def _hardware():
     )
 
 
-def _train(model, strategy_name, graph, **flags):
+def _train(model, strategy_name, graph, trainer_cls=FaultyTrainer, **flags):
     clear_normalize_cache()
     strategy = build_strategy(strategy_name)
     hardware = _hardware() if strategy.requires_hardware else None
@@ -221,17 +224,22 @@ def _train(model, strategy_name, graph, **flags):
         seed=0,
         eval_bucket_nodes=flags.pop("eval_bucket_nodes", 4096),
     )
-    trainer = FaultyTrainer(
-        graph, model, strategy, config, hardware=hardware, **flags
-    )
+    trainer = trainer_cls(graph, model, strategy, config, hardware=hardware, **flags)
     result = trainer.train()
     params = {n: p.data.copy() for n, p in trainer.model.named_parameters()}
     return result, params, trainer
 
 
-SEED_FLAGS = dict(
-    use_shared_eval=False, use_batched_eval=False, use_agg_precompute=False
-)
+def _train_seed(model, strategy_name, graph, **flags):
+    """The seed loop: per-split eval, no aggregation precompute."""
+    return _train(
+        model,
+        strategy_name,
+        graph,
+        trainer_cls=PerSplitEvalTrainer,
+        use_agg_precompute=False,
+        **flags,
+    )
 
 
 class TestVectorisedEquivalence:
@@ -242,7 +250,7 @@ class TestVectorisedEquivalence:
     @pytest.mark.parametrize("seed", [3, 19])
     def test_flags_on_vs_seed(self, model, strategy, seed):
         graph = _graph(seed)
-        base, base_params, _ = _train(model, strategy, graph, **SEED_FLAGS)
+        base, base_params, _ = _train_seed(model, strategy, graph)
         fast, fast_params, trainer = _train(model, strategy, graph)
         if model == "gcn":
             # Aggregation precompute reassociates one GEMM: round-off contract.
@@ -273,39 +281,41 @@ class TestVectorisedEquivalence:
             assert counters.get("kernel_batched_agg_cache_misses", 0) >= 1
 
     @pytest.mark.parametrize("model", ["gcn", "sage"])
-    def test_ragged_b1_buckets_degenerate_to_shared(self, model):
+    def test_ragged_b1_buckets_match_per_split_eval(self, model):
         """eval_bucket_nodes=1 forces one batch per bucket (no fusion)."""
         graph = _graph(5)
-        shared, shared_params, _ = _train(
-            model, "fare", graph, use_batched_eval=False
+        base, base_params, _ = _train(
+            model, "fare", graph, trainer_cls=PerSplitEvalTrainer
         )
         ragged, ragged_params, trainer = _train(
             model, "fare", graph, eval_bucket_nodes=1
         )
-        assert shared.loss_history == ragged.loss_history
-        assert shared.test_accuracy_history == ragged.test_accuracy_history
-        for name in shared_params:
-            np.testing.assert_array_equal(shared_params[name], ragged_params[name])
-        assert ragged.counters["batched_eval_buckets"] == len(trainer.batches)
-
-    def test_shared_eval_bitwise_vs_seed(self):
-        """Shared eval alone (no fusion, no precompute) is bit-identical."""
-        graph = _graph(7)
-        base, base_params, _ = _train("gcn", "fare", graph, **SEED_FLAGS)
-        shared, shared_params, _ = _train(
-            "gcn", "fare", graph, use_batched_eval=False, use_agg_precompute=False
-        )
-        assert base.loss_history == shared.loss_history
-        assert base.train_accuracy_history == shared.train_accuracy_history
-        assert base.test_accuracy_history == shared.test_accuracy_history
+        assert base.loss_history == ragged.loss_history
+        assert base.train_accuracy_history == ragged.train_accuracy_history
+        assert base.test_accuracy_history == ragged.test_accuracy_history
         for name in base_params:
-            np.testing.assert_array_equal(base_params[name], shared_params[name])
-        # One forward per batch per eval epoch instead of one per split:
-        # eval-time adjacency programming halves (documented accounting).
+            np.testing.assert_array_equal(base_params[name], ragged_params[name])
+        assert ragged.counters["batched_eval_buckets"] == len(trainer.batches)
+        # Eval re-programs each batch's adjacency only when the hardware
+        # state changed, not once per split (documented accounting).
         assert (
-            shared.counters["block_write_events"]
+            ragged.counters["block_write_events"]
             < base.counters["block_write_events"]
         )
+
+    def test_fused_buckets_bitwise_vs_seed(self):
+        """Fused eval buckets alone (no aggregation precompute) change no bit."""
+        graph = _graph(7)
+        base, base_params, _ = _train_seed("gcn", "fare", graph)
+        fused, fused_params, trainer = _train(
+            "gcn", "fare", graph, use_agg_precompute=False
+        )
+        assert fused.counters["batched_eval_buckets"] < len(trainer.batches)
+        assert base.loss_history == fused.loss_history
+        assert base.train_accuracy_history == fused.train_accuracy_history
+        assert base.test_accuracy_history == fused.test_accuracy_history
+        for name in base_params:
+            np.testing.assert_array_equal(base_params[name], fused_params[name])
 
 
 # --------------------------------------------------------------------------- #

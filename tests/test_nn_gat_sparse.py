@@ -1,8 +1,9 @@
 """Dense-vs-sparse GAT equivalence, including under injected SA0/SA1 faults.
 
-The sparse edge-wise attention path must reproduce the seed's dense
-``masked_fill`` attention to within 1e-8 — outputs *and* gradients — on both
-clean and fault-corrupted binary adjacencies.  The fault semantics ride on
+The sparse edge-wise attention must reproduce the seed's dense
+``masked_fill`` attention (:class:`reference.gat.DenseGAT`) to within 1e-8 —
+outputs *and* gradients — on both clean and fault-corrupted binary
+adjacencies.  The fault semantics ride on
 the corrupted adjacency's edge list: a stuck-at-1 cell inserts an edge
 (attention to a non-neighbour), a stuck-at-0 cell removes one.
 """
@@ -12,8 +13,9 @@ import pytest
 
 from repro.graph.sparse import CSRMatrix
 from repro.nn.base import BatchInputs
-from repro.nn.gat import GAT, GATLayer, attention_edges
-from repro.tensor.tensor import Tensor
+from repro.nn.gat import GAT, attention_edges
+
+from reference.gat import DenseGAT
 
 TOL = 1e-8
 
@@ -21,9 +23,7 @@ TOL = 1e-8
 def build_pair(graph, **kwargs):
     """Two GATs with identical weights: sparse path and dense path."""
     sparse = GAT(graph.num_features, 8, graph.num_classes, rng=0, **kwargs).eval()
-    dense = GAT(
-        graph.num_features, 8, graph.num_classes, rng=0, dense_attention=True, **kwargs
-    ).eval()
+    dense = DenseGAT(graph.num_features, 8, graph.num_classes, rng=0, **kwargs).eval()
     return sparse, dense
 
 
@@ -94,14 +94,9 @@ class TestSparseDenseEquivalence:
         from repro.tensor.optim import Adam
 
         results = []
-        for dense_attention in (False, True):
-            model = GAT(
-                tiny_graph.num_features,
-                8,
-                tiny_graph.num_classes,
-                rng=0,
-                dropout=0.0,
-                dense_attention=dense_attention,
+        for model_cls in (GAT, DenseGAT):
+            model = model_cls(
+                tiny_graph.num_features, 8, tiny_graph.num_classes, rng=0, dropout=0.0
             )
             optimizer = Adam(model.parameters(), lr=0.01)
             batch = BatchInputs(
@@ -116,25 +111,6 @@ class TestSparseDenseEquivalence:
                 losses.append(loss.item())
             results.append(losses)
         np.testing.assert_allclose(results[0], results[1], atol=1e-7, rtol=0)
-
-
-class TestDensePathReachability:
-    def test_dense_flag_routes_through_masked_fill(self, tiny_graph):
-        """dense_attention=True on a CSR input equals the explicit dense mask."""
-        layer = GATLayer(tiny_graph.num_features, 8, dense_attention=True, rng=0)
-        x = Tensor(tiny_graph.features)
-        via_csr = layer(x, tiny_graph.adjacency)
-        mask = tiny_graph.adjacency.to_dense() > 0
-        via_mask = layer(x, mask)
-        np.testing.assert_array_equal(via_csr.data, via_mask.data)
-
-    def test_layer_accepts_dense_mask_directly(self, tiny_graph):
-        """Seed call signature (dense boolean mask) keeps working."""
-        layer = GATLayer(tiny_graph.num_features, 8, rng=0)
-        mask = tiny_graph.adjacency.to_dense() > 0
-        out = layer(Tensor(tiny_graph.features), mask)
-        assert out.shape == (tiny_graph.num_nodes, 8)
-        assert np.all(np.isfinite(out.data))
 
 
 class TestAttentionEdges:

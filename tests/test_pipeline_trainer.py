@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.strategies import build_strategy
+from repro.core.strategies import FaReStrategy, build_strategy
 from repro.hardware.endurance import PostDeploymentSchedule
 from repro.hardware.faults import FaultModel
 from repro.pipeline.mapping_engine import HardwareEnvironment
@@ -38,6 +38,10 @@ class TestTrainingConfig:
             TrainingConfig(num_parts=2, batch_clusters=4)
         with pytest.raises(ValueError):
             TrainingConfig(optimizer="rmsprop")
+        with pytest.raises(ValueError, match="eval_every"):
+            TrainingConfig(eval_every=0)
+        with pytest.raises(ValueError, match="eval_every"):
+            TrainingConfig(eval_every=-2)
 
 
 class TestFaultFreeTraining:
@@ -149,10 +153,14 @@ class TestPostDeployment:
         self, tiny_graph, tiny_config, trainer_config
     ):
         """Trainer-level delta equivalence: a warm re-plan after each BIST
-        re-scan must produce exactly the plans a cold-planning strategy
+        re-scan must produce exactly the plans a fresh (cold) strategy
         computes on the same fault maps (same RNG stream on both paths)."""
 
-        def run(use_delta, replan):
+        class FreshReplanFaRe(FaReStrategy):
+            def replan_adjacency(self, *args):
+                return FaReStrategy().plan_adjacency(*args)
+
+        def run(strategy):
             hardware = make_hardware(tiny_config, density=0.02, seed=5)
             schedule = PostDeploymentSchedule(
                 total_extra_density=0.05, num_epochs=trainer_config.epochs
@@ -160,17 +168,17 @@ class TestPostDeployment:
             trainer = FaultyTrainer(
                 tiny_graph,
                 "gcn",
-                build_strategy("fare", use_delta_planning=use_delta),
+                strategy,
                 trainer_config,
                 hardware=hardware,
                 post_deployment=schedule,
-                replan_on_rescan=replan,
+                replan_on_rescan=True,
             )
             result = trainer.train()
             return trainer, result
 
-        delta_trainer, delta_result = run(use_delta=True, replan=True)
-        cold_trainer, cold_result = run(use_delta=False, replan=True)
+        delta_trainer, delta_result = run(FaReStrategy())
+        cold_trainer, cold_result = run(FreshReplanFaRe())
         assert delta_result.final_test_accuracy == cold_result.final_test_accuracy
         np.testing.assert_allclose(delta_result.loss_history, cold_result.loss_history)
         for ref, got in zip(cold_trainer.plans, delta_trainer.plans):

@@ -6,10 +6,11 @@ Three subsystems under test:
   ``bce_with_logits_segmented``) — member loss values match the per-member
   reference losses and the gradients reaching the logits are **bit-identical**
   to the reference per-row scales;
-* the trainer's bucketed train modes — ``"accumulate"`` (zero_grad once per
-  bucket, per-member backward, one optimizer step per bucket: the reference)
-  vs ``"fused"`` (one block-diagonal forward + one backward per bucket) —
-  fuzzed equivalence across the three models, fault-free and fault-injected,
+* the trainer's ``train_mode="fused"`` (one block-diagonal forward + one
+  backward per bucket) vs the per-member gradient accumulation of
+  :class:`reference.trainer.AccumulationTrainer` (zero_grad once per
+  bucket, per-member backward, one optimizer step per bucket) — fuzzed
+  equivalence across the three models, fault-free and fault-injected,
   post-deployment deltas, ragged B=1 buckets, streaming-blocks on/off, with
   the write/endurance counters and optimizer step accounting identical;
 * the bucket-layout staleness fix and the ``edge_list_graph_streaming``
@@ -19,8 +20,10 @@ Equivalence contract (``docs/ARCHITECTURE.md``): per-row sparse kernels and
 the per-row loss gradients are structural (bit-identical per member); the
 fused GEMMs and the ``reduceat`` loss-value reductions reassociate sums, so
 histories/weights are compared to ≤1e-9 tolerances.  ``train_bucket_nodes=1``
-degenerates both bucket modes to the seed per-batch loop bit-for-bit.
+degenerates both bucket paths to the seed per-batch loop bit-for-bit.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -44,6 +47,8 @@ from repro.pipeline.mapping_engine import HardwareEnvironment
 from repro.pipeline.trainer import FaultyTrainer, TrainingConfig
 from repro.tensor import kernels
 from repro.tensor.tensor import Tensor
+
+from reference.trainer import AccumulationTrainer
 
 
 # --------------------------------------------------------------------------- #
@@ -168,7 +173,7 @@ def _hardware():
     )
 
 
-def _train(model, strategy_name, graph, **flags):
+def _train(model, strategy_name, graph, trainer_cls=FaultyTrainer, **flags):
     clear_normalize_cache()
     strategy = build_strategy(strategy_name)
     hardware = _hardware() if strategy.requires_hardware else None
@@ -182,12 +187,14 @@ def _train(model, strategy_name, graph, **flags):
         seed=0,
         train_bucket_nodes=flags.pop("train_bucket_nodes", 64),
     )
-    trainer = FaultyTrainer(
-        graph, model, strategy, config, hardware=hardware, **flags
-    )
+    trainer = trainer_cls(graph, model, strategy, config, hardware=hardware, **flags)
     result = trainer.train()
     params = {n: p.data.copy() for n, p in trainer.model.named_parameters()}
     return result, params, trainer
+
+
+def _accumulate(model, strategy_name, graph, **flags):
+    return _train(model, strategy_name, graph, trainer_cls=AccumulationTrainer, **flags)
 
 
 def _assert_equivalent(reference, fused, ref_params, fused_params):
@@ -218,9 +225,7 @@ class TestFusedTrainEquivalence:
     @pytest.mark.parametrize("seed", [3, 19])
     def test_fused_vs_accumulation(self, model, strategy, seed):
         graph = _graph(seed)
-        ref, ref_params, ref_trainer = _train(
-            model, strategy, graph, train_mode="accumulate"
-        )
+        ref, ref_params, ref_trainer = _accumulate(model, strategy, graph)
         fused, fused_params, trainer = _train(
             model, strategy, graph, train_mode="fused"
         )
@@ -255,20 +260,22 @@ class TestFusedTrainEquivalence:
 
     def test_multilabel_bce_fused_vs_accumulation(self):
         graph = _graph(23, multilabel=True)
-        ref, ref_params, _ = _train("gcn", "fare", graph, train_mode="accumulate")
+        ref, ref_params, _ = _accumulate("gcn", "fare", graph)
         fused, fused_params, _ = _train("gcn", "fare", graph, train_mode="fused")
         _assert_equivalent(ref, fused, ref_params, fused_params)
 
-    @pytest.mark.parametrize("mode", ["accumulate", "fused"])
-    def test_bucket_nodes_1_degenerates_to_seed(self, mode):
+    @pytest.mark.parametrize(
+        "run",
+        [_accumulate, functools.partial(_train, train_mode="fused")],
+        ids=["accumulate", "fused"],
+    )
+    def test_bucket_nodes_1_degenerates_to_seed(self, run):
         """train_bucket_nodes=1 forces B=1 buckets: bit-identical to seed."""
         graph = _graph(5)
         seed_result, seed_params, _ = _train(
             "gcn", "fare", graph, train_mode="per_batch"
         )
-        bucket, bucket_params, trainer = _train(
-            "gcn", "fare", graph, train_mode=mode, train_bucket_nodes=1
-        )
+        bucket, bucket_params, trainer = run("gcn", "fare", graph, train_bucket_nodes=1)
         assert seed_result.loss_history == bucket.loss_history
         assert seed_result.test_accuracy_history == bucket.test_accuracy_history
         for name in seed_params:
@@ -282,9 +289,7 @@ class TestFusedTrainEquivalence:
     def test_post_deployment_delta(self, model):
         post = PostDeploymentSchedule(total_extra_density=0.01, num_epochs=3)
         graph = _graph(13)
-        ref, ref_params, _ = _train(
-            model, "fare", graph, train_mode="accumulate", post_deployment=post
-        )
+        ref, ref_params, _ = _accumulate(model, "fare", graph, post_deployment=post)
         fused, fused_params, _ = _train(
             model, "fare", graph, train_mode="fused", post_deployment=post
         )
@@ -294,12 +299,8 @@ class TestFusedTrainEquivalence:
     @pytest.mark.parametrize("streaming", [False, True])
     def test_streaming_blocks_composes(self, streaming):
         graph = _graph(17)
-        ref, ref_params, _ = _train(
-            "sage",
-            "fare",
-            graph,
-            train_mode="accumulate",
-            streaming_blocks=streaming,
+        ref, ref_params, _ = _accumulate(
+            "sage", "fare", graph, streaming_blocks=streaming
         )
         fused, fused_params, trainer = _train(
             "sage",
@@ -312,18 +313,8 @@ class TestFusedTrainEquivalence:
         assert _write_counters(ref) == _write_counters(fused)
         assert trainer.streaming_blocks_active == streaming
 
-    def test_fused_with_hw_cache_disabled(self):
-        graph = _graph(29)
-        ref, ref_params, _ = _train(
-            "gcn", "fare", graph, train_mode="accumulate", use_hw_state_cache=False
-        )
-        fused, fused_params, _ = _train(
-            "gcn", "fare", graph, train_mode="fused", use_hw_state_cache=False
-        )
-        _assert_equivalent(ref, fused, ref_params, fused_params)
-        assert _write_counters(ref) == _write_counters(fused)
-
-    def test_invalid_train_mode_rejected(self):
+    @pytest.mark.parametrize("mode", ["bogus", "accumulate"])
+    def test_invalid_train_mode_rejected(self, mode):
         graph = _graph(3)
         with pytest.raises(ValueError, match="train_mode"):
             FaultyTrainer(
@@ -331,7 +322,7 @@ class TestFusedTrainEquivalence:
                 "gcn",
                 build_strategy("fault_free"),
                 TrainingConfig(epochs=1, num_parts=4, batch_clusters=1, seed=0),
-                train_mode="bogus",
+                train_mode=mode,
             )
 
     def test_invalid_train_bucket_nodes_rejected(self):
