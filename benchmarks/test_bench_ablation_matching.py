@@ -36,28 +36,28 @@ def _setup(scale, seed):
         num_crossbars=settings.num_crossbars,
     )
     mapper = AdjacencyCrossbarMapper(hardware.adjacency_crossbars, hw_config)
-    blocks, grid = mapper.decompose(batch.subgraph.adjacency)
-    return batch.subgraph.adjacency, mapper, blocks, grid, hw_config
+    blocks, _ = mapper.decompose(batch.subgraph.adjacency)
+    return batch.subgraph.adjacency, mapper, blocks, hw_config
 
 
-def _evaluate(matcher, adjacency, mapper, blocks, grid, hw_config):
+def _evaluate(matcher, adjacency, mapper, blocks, hw_config):
     strategy = FaReStrategy(row_method=matcher)
     start = time.perf_counter()
     plan = strategy.plan_adjacency(
         [blocks], mapper.fault_maps(), mapper.crossbar_ids, hw_config.crossbar_rows
     )[0]
     elapsed = time.perf_counter() - start
-    faulty = mapper.apply_mapping(adjacency, plan, blocks=blocks, grid=grid)
+    faulty = mapper.apply_mapping(adjacency, plan)
     corrupted = float(np.abs(faulty.to_dense() - adjacency.to_dense()).sum())
     return plan.total_cost, corrupted, elapsed
 
 
 def test_bench_ablation_matching(run_once):
-    adjacency, mapper, blocks, grid, hw_config = _setup(bench_scale(), bench_seed())
+    adjacency, mapper, blocks, hw_config = _setup(bench_scale(), bench_seed())
 
     def sweep():
         return {
-            matcher: _evaluate(matcher, adjacency, mapper, blocks, grid, hw_config)
+            matcher: _evaluate(matcher, adjacency, mapper, blocks, hw_config)
             for matcher in MATCHERS
         }
 

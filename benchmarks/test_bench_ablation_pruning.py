@@ -39,12 +39,12 @@ def _setup(scale, seed):
                 rng.random((crossbar.rows, crossbar.cols)) < 0.4,
             )
         )
-    blocks, grid = mapper.decompose(batch.subgraph.adjacency)
-    return batch.subgraph.adjacency, mapper, blocks, grid
+    blocks, _ = mapper.decompose(batch.subgraph.adjacency)
+    return batch.subgraph.adjacency, mapper, blocks
 
 
 def test_bench_ablation_pruning(run_once):
-    adjacency, mapper, blocks, grid = _setup(bench_scale(), bench_seed())
+    adjacency, mapper, blocks = _setup(bench_scale(), bench_seed())
 
     def sweep():
         outcomes = {}
@@ -59,7 +59,7 @@ def test_bench_ablation_pruning(run_once):
                 relax_sparsest_block=relax,
             )
             plan = fault_aware.map_blocks(blocks, mapper.fault_maps(), mapper.crossbar_ids)
-            faulty = mapper.apply_mapping(adjacency, plan, blocks=blocks, grid=grid)
+            faulty = mapper.apply_mapping(adjacency, plan)
             corrupted = float(np.abs(faulty.to_dense() - adjacency.to_dense()).sum())
             outcomes[label] = (plan.total_cost, corrupted, len(plan.pruned_crossbars))
         return outcomes

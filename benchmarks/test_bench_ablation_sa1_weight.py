@@ -34,12 +34,12 @@ def _setup(scale, seed):
         num_crossbars=settings.num_crossbars,
     )
     mapper = AdjacencyCrossbarMapper(hardware.adjacency_crossbars, hw_config)
-    blocks, grid = mapper.decompose(batch.subgraph.adjacency)
-    return batch.subgraph.adjacency, mapper, blocks, grid, hw_config
+    blocks, _ = mapper.decompose(batch.subgraph.adjacency)
+    return batch.subgraph.adjacency, mapper, blocks, hw_config
 
 
 def test_bench_ablation_sa1_weight(run_once):
-    adjacency, mapper, blocks, grid, hw_config = _setup(bench_scale(), bench_seed())
+    adjacency, mapper, blocks, hw_config = _setup(bench_scale(), bench_seed())
     dense = adjacency.to_dense()
 
     def sweep():
@@ -49,7 +49,7 @@ def test_bench_ablation_sa1_weight(run_once):
             plan = strategy.plan_adjacency(
                 [blocks], mapper.fault_maps(), mapper.crossbar_ids, hw_config.crossbar_rows
             )[0]
-            faulty = mapper.apply_mapping(adjacency, plan, blocks=blocks, grid=grid).to_dense()
+            faulty = mapper.apply_mapping(adjacency, plan).to_dense()
             spurious = float(np.sum((faulty == 1) & (dense == 0)))
             deleted = float(np.sum((faulty == 0) & (dense == 1)))
             outcomes[weight] = (spurious, deleted)

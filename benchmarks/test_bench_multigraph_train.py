@@ -22,11 +22,12 @@ per second; the acceptance gate is a ≥2× end-to-end speedup at CI scale.
 
 **Streaming** — a fresh subprocess generates a large synthetic graph in
 chunks, partitions it with the sampling-based streaming matcher, and trains
-one epoch in streaming-blocks mode (no retained dense blocks; transient
-decomposition per state change).  The child reports its own peak RSS and
-the decompose counters; the gate asserts the peak stays under the
-documented ceiling and that the bytes *transiently* materialised exceed the
-resident peak — the proof that block storage was streamed, not retained.
+one epoch in streaming-blocks mode (no retained dense blocks; planning
+decomposes each batch transiently, and the faulty read-back is sparse and
+builds no blocks).  The child reports its own peak RSS and the decompose
+counters; the gate asserts the peak stays under the documented ceiling and
+that the bytes *transiently* materialised exceed the resident peak — the
+proof that block storage was streamed, not retained.
 At CI scale the leg runs 120k nodes; ``REPRO_BENCH_SCALE=paper`` runs the
 full 10^6-node graph (~8M edges, measured ≈151 s end-to-end, ≈1.8 GiB
 peak — against ≈14.7 GiB of blocks a retained run would hold).

@@ -63,7 +63,7 @@ def main() -> None:
         num_crossbars=settings.num_crossbars,
     )
     mapper = AdjacencyCrossbarMapper(hardware.adjacency_crossbars, hw_config)
-    blocks, grid = mapper.decompose(batch.subgraph.adjacency)
+    blocks, _ = mapper.decompose(batch.subgraph.adjacency)
     report = hardware.bist.scan(mapper.crossbars)
 
     print(
@@ -87,7 +87,7 @@ def main() -> None:
         plan = strategy.plan_adjacency(
             [blocks], report.fault_maps, mapper.crossbar_ids, hw_config.crossbar_rows
         )[0]
-        faulty = mapper.apply_mapping(batch.subgraph.adjacency, plan, blocks=blocks, grid=grid)
+        faulty = mapper.apply_mapping(batch.subgraph.adjacency, plan)
         spurious, deleted = corruption_counts(batch.subgraph.adjacency, faulty)
         rows.append([name, spurious, deleted, spurious + deleted])
         if name == "fare":

@@ -4,10 +4,11 @@
 Generates a planted-partition graph chunk-by-chunk (no dense ``N x N``
 intermediate), partitions it with the streaming multilevel matcher, and
 trains one epoch of a GCN on faulty ReRAM hardware in streaming-blocks
-mode — per-batch adjacency blocks are decomposed on demand and dropped
-after programming instead of being retained for the whole run.  The report
-at the end shows the process peak RSS next to the bytes the decomposition
-*transiently* materialised: the gap is the memory the streaming mode saved.
+mode — the per-batch adjacency blocks that planning reads are decomposed
+once and dropped instead of being retained for the whole run (the faulty
+read-back is sparse and builds no blocks).  The report at the end shows the
+process peak RSS next to the bytes the decomposition *transiently*
+materialised: the gap is the memory the streaming mode saved.
 
 At the default 1,000,000 nodes (~8 M edges) this takes a few minutes and
 peaks below 2 GiB; ``--nodes 120000`` finishes in ~15 s.

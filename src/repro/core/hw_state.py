@@ -5,7 +5,8 @@ batch of every epoch:
 
 * the **faulty adjacency read-back** — every adjacency block of the batch is
   programmed onto its assigned crossbar and read back through the stuck-at
-  masks (:meth:`AdjacencyCrossbarMapper.apply_mapping`);
+  masks (:meth:`AdjacencyCrossbarMapper.apply_mapping`, which computes it in
+  sparse coordinates from the batch CSR and the plan, O(nnz + #faults));
 * the **effective weights** — every 2-D parameter runs through the
   quantise → bit-slice → fault → reassemble → dequantise pipeline
   (:meth:`WeightCrossbarMapper.effective_weights`).
@@ -145,12 +146,7 @@ class HardwareStateCache:
     # Adjacency read-back
     # ------------------------------------------------------------------ #
     def batch_adjacency(
-        self,
-        batch_index: int,
-        adjacency: CSRMatrix,
-        mapping,
-        blocks=None,
-        grid=None,
+        self, batch_index: int, adjacency: CSRMatrix, mapping
     ) -> CSRMatrix:
         """Faulty read-back of one batch's adjacency, cached per state version.
 
@@ -177,7 +173,7 @@ class HardwareStateCache:
                 crossbar.record_simulated_writes(count)
             return entry.result
         self.stats.adjacency_misses += 1
-        result = mapper.apply_mapping(adjacency, mapping, blocks=blocks, grid=grid)
+        result = mapper.apply_mapping(adjacency, mapping)
         self._adjacency_cache[batch_index] = _AdjacencyEntry(
             key=key,
             result=result,

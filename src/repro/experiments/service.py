@@ -23,15 +23,18 @@ re-submitting an already-queued spec is a counted dedupe hit, and a spec
 whose result is already in the store is never queued at all.
 
 **Lease-based single-flight.**  Before executing a job, a client must win
-``<signature>.lease`` via ``os.open(..., O_CREAT | O_EXCL)`` — the
-filesystem's atomic create is the mutual exclusion primitive.  The lease
-records the owner pid and client id; the owner refreshes the file's mtime
-from a heartbeat thread while training.  A lease is *stale* when its owner
-pid is dead, its mtime is older than ``stale_after``, or its content is
-unparseable (torn write); reclamation is serialized by an atomic rename to
-a tombstone, so exactly one of the contending clients reclaims it.  After
-winning a lease the client re-checks the store (another client may have
-published while we waited) before executing — the single-flight rule.
+``<signature>.lease``: it writes and fsyncs the owner record to a private
+temp file, then hard-links it to the lease path (``os.link``).  The link
+fails if the path exists, so the filesystem's atomic link is the mutual
+exclusion primitive and a lease is never visible without its content.
+The lease records the owner pid and client id; the owner refreshes the
+file's mtime from a heartbeat thread while training.  A lease is *stale*
+when its owner pid is dead, its mtime is older than ``stale_after``, or its
+content is unparseable (torn write); reclamation is serialized by an atomic
+rename to a tombstone, so exactly one of the contending clients reclaims
+it.  After winning a lease the client re-checks the store (another client
+may have published while we waited) before executing — the single-flight
+rule.
 
 **Failure routing.**  Per the :mod:`repro.experiments.failures` contract,
 every error path wraps exceptions in :class:`FailureRecord` via
@@ -53,6 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -127,10 +131,13 @@ def _pid_alive(pid: int) -> bool:
 class LeaseManager:
     """At-most-one-executor-per-signature via atomic lease files.
 
-    The exclusion primitive is ``os.open(path, O_CREAT | O_EXCL)`` — it
-    either creates the lease or raises, atomically, on any local
-    filesystem.  Staleness (dead owner pid, mtime older than
-    ``stale_after``, or unparseable content) makes a lease reclaimable;
+    The exclusion primitive is ``os.link`` of a fsync'd private temp file
+    holding the owner record — it either publishes the complete lease or
+    raises, atomically, on any local filesystem.  (Creating the lease
+    empty and writing it afterwards let a contender read it half-written,
+    count it corrupt and reclaim a live lease.)  Staleness (dead owner
+    pid, mtime older than ``stale_after``, or unparseable content) makes a
+    lease reclaimable;
     the reclaim itself is serialized by ``os.rename`` to a per-reclaimer
     tombstone, so when several clients notice the same stale lease exactly
     one wins the rename and the rest retry the create.
@@ -210,27 +217,10 @@ class LeaseManager:
                 continue
         return removed
 
-    # ------------------------------------------------------------------ #
-    def acquire(self, signature: str) -> Optional[Lease]:
-        """Try to win the lease on ``signature``; ``None`` when contended.
-
-        Losing is not an error — the job is being executed by a live
-        client; the caller skips it and the eventual result is served from
-        the shared store.
-        """
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._lease_path(signature)
-        for _ in range(3):
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if self._is_stale(path):
-                    # Reclaim (or observe someone else reclaiming) and retry
-                    # the atomic create.
-                    self._try_reclaim(path)
-                    continue
-                self.contended += 1
-                return None
+    def _publish(self, path: Path, signature: str) -> bool:
+        """Create the lease together with its content; ``False`` if it exists."""
+        fd, temp = tempfile.mkstemp(dir=self.directory, prefix=f"{path.name}.tmp.")
+        try:
             with os.fdopen(fd, "w") as handle:
                 json.dump(
                     {
@@ -242,6 +232,32 @@ class LeaseManager:
                 )
                 handle.flush()
                 os.fsync(handle.fileno())
+            os.link(temp, path)
+        except FileExistsError:
+            return False
+        finally:
+            os.unlink(temp)
+        return True
+
+    # ------------------------------------------------------------------ #
+    def acquire(self, signature: str) -> Optional[Lease]:
+        """Try to win the lease on ``signature``; ``None`` when contended.
+
+        Losing is not an error — the job is being executed by a live
+        client; the caller skips it and the eventual result is served from
+        the shared store.
+        """
+        self.directory.mkdir(parents=True, exist_ok=True)
+        path = self._lease_path(signature)
+        for _ in range(3):
+            if not self._publish(path, signature):
+                if self._is_stale(path):
+                    # Reclaim (or observe someone else reclaiming) and retry
+                    # the atomic create.
+                    self._try_reclaim(path)
+                    continue
+                self.contended += 1
+                return None
             self.acquired += 1
             lease = Lease(signature, path, os.getpid(), self.client_id)
             if self.injector is not None:

@@ -180,27 +180,6 @@ def apply_faults_to_binary(block: np.ndarray, fault_map: FaultMap) -> np.ndarray
     return out
 
 
-def apply_faults_to_binary_batch(
-    blocks: np.ndarray, sa0: np.ndarray, sa1: np.ndarray
-) -> np.ndarray:
-    """Vectorised :func:`apply_faults_to_binary` over stacked arrays.
-
-    ``blocks`` holds 0/1 values of shape ``(..., rows, cols)``; ``sa0``/``sa1``
-    are boolean masks of the same shape (typically gathered per block with the
-    block's row permutation already applied).  One ``np.where`` chain replaces
-    the per-block program/read round trip of the seed loop.
-    """
-    blocks = np.asarray(blocks, dtype=np.float64)
-    sa0 = np.asarray(sa0, dtype=bool)
-    sa1 = np.asarray(sa1, dtype=bool)
-    if sa0.shape != blocks.shape or sa1.shape != blocks.shape:
-        raise ValueError(
-            f"fault mask shapes {sa0.shape}/{sa1.shape} do not match blocks "
-            f"{blocks.shape}"
-        )
-    return np.where(sa1, 1.0, np.where(sa0, 0.0, blocks))
-
-
 def apply_faults_to_cells(
     cells: np.ndarray, sa0: np.ndarray, sa1: np.ndarray, cell_levels: int
 ) -> np.ndarray:

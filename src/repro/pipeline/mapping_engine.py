@@ -8,22 +8,26 @@ Two mappers mirror the two computation phases:
   applies the crossbars' stuck-at faults cell-wise and reassembles the
   (possibly exploded) floating point values.
 * :class:`AdjacencyCrossbarMapper` — aggregation phase.  The binary adjacency
-  of a mini-batch subgraph is decomposed into crossbar-sized blocks which are
-  programmed onto the crossbars chosen by the active strategy's
+  of a mini-batch subgraph is split into crossbar-sized blocks (the dense
+  blocks the strategies plan with come from :func:`decompose_adjacency`),
+  which are programmed onto the crossbars chosen by the active strategy's
   :class:`~repro.core.mapping.BatchMapping` (with the strategy's row
-  permutations); the faulty read-back is reassembled into the adjacency the
-  GNN actually aggregates with.
+  permutations); the faulty read-back is the adjacency the GNN actually
+  aggregates with.
 
 :class:`HardwareEnvironment` bundles the accelerator state shared by both:
 the crossbar pool (with injected faults), the BIST controller, the
 fixed-point format, and the split of crossbars between weights and adjacency.
 
-Both mappers read back through vectorised paths — a stacked fault-mask
-gather for the adjacency read-back, a fused per-code mask application for the
-weights — that the epoch cache in :mod:`repro.core.hw_state` builds on.  The
-seed per-block program/read loop and the bit-sliced weight pipeline they
-replace live in ``tests/reference/hardware.py``; both fast paths are
-bit-identical to them (enforced by ``tests/test_core_hw_state.py``).
+Both mappers read back through vectorised paths that the epoch cache in
+:mod:`repro.core.hw_state` builds on.  The adjacency read-back works in sparse
+coordinates — the stored edges minus those on SA0 cells plus the SA1 cells,
+O(nnz + #faults) straight from the batch CSR, with no dense block, grid or
+``from_dense``; the weights go through a fused per-code mask application.
+The seed per-block program/read loop over dense blocks and the bit-sliced
+weight pipeline they replace live in ``tests/reference/hardware.py``; both
+fast paths are bit-identical to them (enforced by
+``tests/test_core_hw_state.py``).
 
 How these mappers sit between the strategy layer (which plans the mappings
 and reports the cost engine's / hardware-state cache's work counters through
@@ -45,11 +49,7 @@ from repro.graph.sparse import CSRMatrix
 from repro.hardware.config import DEFAULT_CONFIG, ReRAMConfig
 from repro.hardware.bist import BISTController
 from repro.hardware.crossbar import Crossbar
-from repro.hardware.faults import (
-    FaultMap,
-    FaultModel,
-    apply_faults_to_binary_batch,
-)
+from repro.hardware.faults import FaultMap, FaultModel
 from repro.hardware.quantization import (
     FixedPointFormat,
     codes_to_cells,
@@ -488,104 +488,108 @@ class AdjacencyCrossbarMapper:
             adjacency, self.config.crossbar_rows, self.config.crossbar_cols
         )
 
-    def apply_mapping(
-        self,
-        adjacency: CSRMatrix,
-        mapping: BatchMapping,
-        blocks: Optional[List[np.ndarray]] = None,
-        grid: Optional[Tuple[int, int]] = None,
-    ) -> CSRMatrix:
-        """Program the blocks per ``mapping`` and return the faulty adjacency.
+    def apply_mapping(self, adjacency: CSRMatrix, mapping: BatchMapping) -> CSRMatrix:
+        """Program the batch per ``mapping`` and return the faulty adjacency.
 
         The returned matrix is the structural adjacency the aggregation phase
         actually uses: SA1 cells appear as spurious edges, SA0 cells delete
         stored edges.
-        """
-        if blocks is None or grid is None:
-            blocks, grid = self.decompose(adjacency)
-        if len(mapping) != len(blocks):
-            raise ValueError(
-                f"mapping covers {len(mapping)} blocks but the adjacency has "
-                f"{len(blocks)}"
-            )
-        faulty_dense = self._read_back(blocks, mapping, grid)
-        n = adjacency.shape[0]
-        faulty_dense = faulty_dense[:n, : adjacency.shape[1]]
-        # Faults outside the logical adjacency area (padding region) are
-        # irrelevant; the truncation above drops them.
-        np.fill_diagonal(faulty_dense, 0.0)
-        return CSRMatrix.from_dense(faulty_dense)
 
-    def _read_back(
-        self,
-        blocks: List[np.ndarray],
-        mapping: BatchMapping,
-        grid: Tuple[int, int],
-    ) -> np.ndarray:
-        """Vectorised read-back: one fault gather over the stacked batch.
-
-        Per block, programming then reading through the stuck-at masks
-        reduces to ``where(sa1[perm], 1, where(sa0[perm], 0, block))``; the
-        whole batch is resolved with a single fancy-indexed gather over the
-        stacked per-crossbar masks and one ``np.where`` chain, then scattered
-        into the dense grid with one reshape/transpose.  Crossbar state
-        (stored contents, endurance counters) is updated in bulk so it ends
-        exactly where one ``program_binary``/``read_binary`` round trip per
-        block would leave it.
+        The stuck-at model is binary, so the read-back works in sparse
+        coordinates, O(nnz + #faults) with no dense block: the stored edges
+        (``data > 0``, last duplicate wins, as in :func:`decompose_adjacency`)
+        minus those whose permuted cell is SA0, plus every SA1 cell of each
+        block's crossbar mapped back through the inverse row permutation,
+        clipped to the logical ``n × m`` area, diagonal dropped.  Crossbar
+        state is updated from the same coordinates and ends exactly where one
+        ``program_binary``/``read_binary`` round trip per block leaves it:
+        endurance counters advance by the per-crossbar block count and each
+        crossbar stores the last block programmed onto it.
         """
         rows = self.config.crossbar_rows
         cols = self.config.crossbar_cols
-        row_blocks, col_blocks = grid
+        n, m = adjacency.shape
+        col_blocks = max(1, -(-m // cols))
+        num_blocks = max(1, -(-n // rows)) * col_blocks
         order = mapping.blocks
-        block_idx = np.array([m.block_index for m in order], dtype=np.int64)
-        stacked = np.stack([np.asarray(blocks[i]) for i in block_idx])
-        if stacked.shape[1:] != (rows, cols):
+        block_idx = np.array([b.block_index for b in order], dtype=np.int64)
+        if len(order) != num_blocks or not np.array_equal(
+            np.sort(block_idx), np.arange(num_blocks)
+        ):
             raise ValueError(
-                f"binary block shape {stacked.shape[1:]} must equal crossbar "
-                f"shape ({rows}, {cols})"
+                f"mapping must place each of the adjacency's {num_blocks} blocks "
+                f"exactly once, got {len(order)} entries"
             )
-        ones = (stacked > 0).astype(np.float64)
-        perms = np.stack(
-            [
-                check_permutation(m.row_permutation, rows, "row_permutation")
-                for m in order
-            ]
+        perms = np.array([b.row_permutation for b in order], dtype=np.int64)
+        if perms.shape != (num_blocks, rows) or np.any(
+            np.sort(perms, axis=1) != np.arange(rows)
+        ):
+            raise ValueError(f"row_permutation must be a permutation of 0..{rows - 1}")
+        inverse = np.empty_like(perms)
+        inverse[np.arange(num_blocks)[:, None], perms] = np.arange(rows)
+        slot: Dict[int, int] = {}
+        owner = np.array(
+            [slot.setdefault(b.crossbar_index, len(slot)) for b in order],
+            dtype=np.int64,
         )
+        targets = [self.by_id[index] for index in slot]
+        position = np.empty(num_blocks, dtype=np.int64)
+        position[block_idx] = np.arange(num_blocks)
 
-        unique_index: Dict[int, int] = {}
-        for m in order:
-            unique_index.setdefault(m.crossbar_index, len(unique_index))
-        unique_ids = list(unique_index)
-        sa0_stack = np.stack([self.by_id[c].fault_map.sa0 for c in unique_ids])
-        sa1_stack = np.stack([self.by_id[c].fault_map.sa1 for c in unique_ids])
-        owner = np.array([unique_index[m.crossbar_index] for m in order], dtype=np.int64)
-        # sa*_sel[b, i, :] = sa*_stack[owner[b], perms[b, i], :] — the fault
-        # rows each logical block row actually lands on.
-        sa0_sel = sa0_stack[owner[:, None], perms]
-        sa1_sel = sa1_stack[owner[:, None], perms]
-        read_stack = apply_faults_to_binary_batch(ones, sa0_sel, sa1_sel)
+        # Stored edges and the block position / local cell each lands on.
+        keys = np.repeat(np.arange(n, dtype=np.int64) * m, np.diff(adjacency.indptr))
+        keys += adjacency.indices
+        data = adjacency.data
+        if np.any(keys[1:] <= keys[:-1]):  # unsorted or duplicate entries
+            by_key = np.argsort(keys, kind="stable")
+            keys = keys[by_key]
+            last_of_key = np.append(keys[1:] != keys[:-1], True)
+            keys, data = keys[last_of_key], data[by_key][last_of_key]
+        keys = keys[data > 0]
+        r, c = np.divmod(keys, max(m, 1))
+        block_r, local_r = np.divmod(r, rows)
+        block_c, local_c = np.divmod(c, cols)
+        pos = position[block_r * col_blocks + block_c]
+        edge_owner, physical_r = owner[pos], perms[pos, local_r]
+        sa0 = np.stack([x.fault_map.sa0 for x in targets])
+        sa1 = np.stack([x.fault_map.sa1 for x in targets])
+        # Edges on healthy cells survive; SA1 cells are all added below, so
+        # the two key sets are disjoint.
+        cell = (edge_owner, physical_r, local_c)
+        kept = keys[~(sa0[cell] | sa1[cell]) & (r != c)]
 
-        grid_arr = np.zeros((row_blocks, col_blocks, rows, cols), dtype=np.float64)
-        grid_arr[block_idx // col_blocks, block_idx % col_blocks] = read_stack
-        faulty_dense = (
-            grid_arr.transpose(0, 2, 1, 3).reshape(row_blocks * rows, col_blocks * cols)
-        )
+        # Every SA1 cell of every block's crossbar, in logical coordinates:
+        # block position ``at`` reads its owner's SA1 list from ``first``.
+        sa1_owner, sa1_cell = np.divmod(np.flatnonzero(sa1), rows * cols)
+        per_owner = np.bincount(sa1_owner, minlength=len(targets))
+        first = np.cumsum(per_owner) - per_owner
+        counts = per_owner[owner]
+        at = np.repeat(np.arange(num_blocks), counts)
+        start = np.cumsum(counts) - counts
+        src = np.arange(at.size) + np.repeat(first[owner] - start, counts)
+        sa1_r, sa1_c = np.divmod(sa1_cell[src], cols)
+        sa1_block_r, sa1_block_c = np.divmod(block_idx[at], col_blocks)
+        r1 = sa1_block_r * rows + inverse[at, sa1_r]
+        c1 = sa1_block_c * cols + sa1_c
+        inside = (r1 < n) & (c1 < m) & (r1 != c1)
+        faulty = np.sort(np.concatenate((kept, r1[inside] * m + c1[inside])))
 
-        # Bulk hardware-state update: endurance counters advance by the
-        # per-crossbar block count, stored contents end at the last block
-        # programmed per crossbar (matching the loop's final state).
         for crossbar, count in self.writes_per_crossbar(mapping):
             crossbar.record_simulated_writes(count)
-        last: Dict[int, int] = {}
-        for position, m in enumerate(order):
-            last[m.crossbar_index] = position
-        for crossbar_index, position in last.items():
-            self.by_id[crossbar_index].store_binary(
-                blocks[block_idx[position]],
-                row_permutation=order[position].row_permutation,
-            )
-        self.block_write_events += len(order)
-        return faulty_dense
+        # Each crossbar ends up storing the last block programmed onto it,
+        # placed in physical row order.
+        last = np.zeros(len(targets), dtype=np.int64)
+        np.maximum.at(last, owner, np.arange(num_blocks))
+        mine = last[edge_owner] == pos
+        stored = np.zeros((len(targets), rows, cols), dtype=bool)
+        stored[edge_owner[mine], physical_r[mine], local_c[mine]] = True
+        for index, crossbar in enumerate(targets):
+            crossbar.store_binary(stored[index])
+        self.block_write_events += num_blocks
+
+        out_r, out_c = np.divmod(faulty, max(m, 1))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(out_r, minlength=n))))
+        return CSRMatrix(indptr, out_c, np.ones(faulty.size), (n, m))
 
 
 # --------------------------------------------------------------------------- #

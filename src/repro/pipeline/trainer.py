@@ -204,16 +204,17 @@ class FaultyTrainer:
         #: (see ``docs/ARCHITECTURE.md``, "Batched multi-graph training").
         self.use_agg_precompute = bool(use_agg_precompute)
         #: Memory-bounded block handling for huge graphs: when on, the dense
-        #: per-batch adjacency blocks are decomposed *transiently* — once per
-        #: batch during planning, then again inside ``apply_mapping`` on each
-        #: hardware-state change — instead of being retained for the whole
-        #: run (retention costs ``O(sum of padded batch-matrix bytes)``,
-        #: ~12 GB at 10^6 nodes).  Plans are bit-identical to the retained
-        #: path (every strategy plans per batch independently).  ``None``
-        #: (auto) enables it at ``STREAMING_NODE_THRESHOLD`` nodes unless
-        #: block artifacts are supplied; post-deployment fault reaction
-        #: (:meth:`apply_fault_delta`) needs the retained blocks and raises
-        #: in this mode.
+        #: per-batch adjacency blocks that planning reads are decomposed
+        #: *transiently*, once per batch, instead of being retained for the
+        #: whole run (retention costs ``O(sum of padded batch-matrix
+        #: bytes)``, ~12 GB at 10^6 nodes).  The faulty read-back never needs
+        #: blocks: ``apply_mapping`` works from the batch CSR and the plan.
+        #: Plans are bit-identical to the retained path (every strategy
+        #: plans per batch independently).  ``None`` (auto) enables it at
+        #: ``STREAMING_NODE_THRESHOLD`` nodes unless block artifacts are
+        #: supplied; post-deployment fault reaction
+        #: (:meth:`apply_fault_delta`) re-plans from the retained blocks and
+        #: raises in this mode.
         self.streaming_blocks = streaming_blocks
         #: Training-step granularity (see ``docs/ARCHITECTURE.md``, "Batched
         #: multi-graph training"):
@@ -382,9 +383,8 @@ class FaultyTrainer:
         planning batch-by-batch over a transient decomposition yields plans
         bit-identical to the retained path while peak memory holds one
         batch's blocks instead of all of them.  ``self._blocks_per_batch``
-        stays ``None`` — the marker :meth:`_batch_inputs` uses to let
-        ``apply_mapping`` re-decompose on hardware-state changes (served
-        from the epoch cache in between).
+        stays ``None``; the read-back works from the batch CSR and needs
+        none.
         """
         self._blocks_per_batch = None
         rows = hw.config.crossbar_rows
@@ -447,15 +447,10 @@ class FaultyTrainer:
         batch = self.batches[batch_index]
         adjacency = batch.subgraph.adjacency
         if self.strategy.requires_hardware:
-            # Streaming mode retains no blocks: apply_mapping re-decomposes
-            # transiently on each state change (cache hits skip it entirely).
-            retained = self._blocks_per_batch is not None
+            # The read-back works from the batch CSR and the plan alone, so
+            # retained and streaming mode fetch it the same way.
             adjacency = self._hw_cache.batch_adjacency(
-                batch_index,
-                adjacency,
-                self._plans[batch_index],
-                blocks=self._blocks_per_batch[batch_index] if retained else None,
-                grid=self._grids[batch_index] if retained else None,
+                batch_index, adjacency, self._plans[batch_index]
             )
         return BatchInputs(features=batch.subgraph.features, adjacency=adjacency)
 
@@ -800,9 +795,9 @@ class FaultyTrainer:
     def streaming_blocks_active(self) -> bool:
         """Whether this trainer runs in memory-bounded streaming mode.
 
-        True when preprocessing retained no per-batch block lists — each
-        state change re-decomposes batch adjacencies transiently instead
-        (requested via ``streaming_blocks=True`` or auto-enabled above
+        True when preprocessing retained no per-batch block lists: planning
+        decomposed each batch adjacency transiently instead (requested via
+        ``streaming_blocks=True`` or auto-enabled above
         :data:`repro.graph.partition.STREAMING_NODE_THRESHOLD` nodes).
         """
         return self.strategy.requires_hardware and self._blocks_per_batch is None

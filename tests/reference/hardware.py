@@ -10,7 +10,7 @@ it run all three — the seed per-batch recomputation.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 from unittest import mock
 
 import numpy as np
@@ -33,17 +33,22 @@ from repro.utils.validation import check_permutation
 
 
 class LoopAdjacencyMapper(AdjacencyCrossbarMapper):
-    """Adjacency read-back through one program/read round trip per block."""
+    """Adjacency read-back through one program/read round trip per block.
 
-    def _read_back(
-        self,
-        blocks: List[np.ndarray],
-        mapping: BatchMapping,
-        grid: Tuple[int, int],
-    ) -> np.ndarray:
+    Decompose into dense blocks, program and read each block on its
+    crossbar, assemble the dense grid, truncate it to ``n × m``, zero the
+    diagonal and convert back to CSR.
+    """
+
+    def apply_mapping(self, adjacency: CSRMatrix, mapping: BatchMapping) -> CSRMatrix:
+        blocks, (row_blocks, col_blocks) = self.decompose(adjacency)
+        if len(mapping) != len(blocks):
+            raise ValueError(
+                f"mapping covers {len(mapping)} blocks but the adjacency has "
+                f"{len(blocks)}"
+            )
         rows = self.config.crossbar_rows
         cols = self.config.crossbar_cols
-        row_blocks, col_blocks = grid
         faulty_dense = np.zeros((row_blocks * rows, col_blocks * cols), dtype=np.float64)
         for block_mapping in mapping.blocks:
             index = block_mapping.block_index
@@ -57,7 +62,10 @@ class LoopAdjacencyMapper(AdjacencyCrossbarMapper):
             )
             bi, bj = divmod(index, col_blocks)
             faulty_dense[bi * rows : (bi + 1) * rows, bj * cols : (bj + 1) * cols] = read_back
-        return faulty_dense
+        n, m = adjacency.shape
+        faulty_dense = faulty_dense[:n, :m]
+        np.fill_diagonal(faulty_dense, 0.0)
+        return CSRMatrix.from_dense(faulty_dense)
 
 
 class BitSlicedWeightMapper(WeightCrossbarMapper):
@@ -105,11 +113,9 @@ class PassThroughStateCache(HardwareStateCache):
     """
 
     def batch_adjacency(
-        self, batch_index: int, adjacency: CSRMatrix, mapping, blocks=None, grid=None
+        self, batch_index: int, adjacency: CSRMatrix, mapping
     ) -> CSRMatrix:
-        return self.adjacency_mapper.apply_mapping(
-            adjacency, mapping, blocks=blocks, grid=grid
-        )
+        return self.adjacency_mapper.apply_mapping(adjacency, mapping)
 
     def effective_weights(
         self,

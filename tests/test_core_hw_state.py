@@ -3,9 +3,11 @@
 Three equivalence guarantees are enforced against the seed paths in
 :mod:`reference.hardware`:
 
-* the batched adjacency read-back is bit-identical to the seed per-block
+* the sparse adjacency read-back is bit-identical to the seed per-block
   program/read loop — including the crossbars' stored contents and endurance
-  counters;
+  counters — on fuzzed batches (ragged and non-square geometries, every
+  SA0:SA1 mix, time-multiplexed crossbars, unsorted/duplicate/explicit-zero
+  CSR entries), and malformed plans are rejected;
 * the fused quantise→fault→dequantise weight path is bit-identical to the
   seed bit-sliced pipeline;
 * a fully cached training run (adjacency + weight caches, batched/fused
@@ -21,10 +23,13 @@ trainer counters.
 import numpy as np
 import pytest
 
-from repro.core.strategies import FaReStrategy, build_strategy
+from repro.core.mapping import BatchMapping, BlockMapping
+from repro.core.strategies import FaReStrategy, FaultUnawareStrategy, build_strategy
 from repro.graph.sparse import CSRMatrix
+from repro.hardware.config import ReRAMConfig
+from repro.hardware.crossbar import Crossbar
 from repro.hardware.endurance import PostDeploymentSchedule
-from repro.hardware.faults import FaultModel
+from repro.hardware.faults import FaultMap, FaultModel
 from repro.nn.factory import build_model
 from repro.pipeline.mapping_engine import (
     AdjacencyCrossbarMapper,
@@ -60,52 +65,137 @@ def fare_plan(mapper, blocks):
 
 
 # --------------------------------------------------------------------------- #
-# Batched adjacency read-back ≡ seed per-block loop
+# Sparse adjacency read-back ≡ seed per-block loop
 # --------------------------------------------------------------------------- #
-class TestBatchedReadBackEquivalence:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bit_identical_including_hardware_state(self, tiny_config, seed):
-        """Same read-back, same stored contents, same endurance counters."""
-        env_loop = make_environment(tiny_config, seed=seed + 50)
-        env_batched = make_environment(tiny_config, seed=seed + 50)
-        loop = LoopAdjacencyMapper(env_loop.adjacency_crossbars, tiny_config)
-        batched = AdjacencyCrossbarMapper(env_batched.adjacency_crossbars, tiny_config)
+#: (crossbar rows, crossbar cols): square, non-square both ways, odd sizes.
+GEOMETRIES = [(8, 8), (8, 12), (12, 8), (16, 16), (5, 7)]
+#: SA0:SA1 ratios; ``None`` is fault-free hardware.
+RATIOS = [(9.0, 1.0), (1.0, 1.0), (0.0, 1.0), None]
+PLAN_KINDS = ["fare", "fault_unaware", "random"]
 
-        adjacency = random_adjacency(44, seed=seed)
-        blocks_l, grid_l = loop.decompose(adjacency)
-        blocks_b, grid_b = batched.decompose(adjacency)
-        plan_l = fare_plan(loop, blocks_l)
-        plan_b = fare_plan(batched, blocks_b)
 
-        out_loop = loop.apply_mapping(adjacency, plan_l, blocks=blocks_l, grid=grid_l)
-        out_batched = batched.apply_mapping(
-            adjacency, plan_b, blocks=blocks_b, grid=grid_b
+def fuzz_adjacency(rng, n, m):
+    """A CSR with unsorted columns, self-loops, explicit zeros and duplicates."""
+    counts = rng.integers(0, max(2, m // 3), size=n)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indices = rng.integers(0, m, size=int(indptr[-1]))
+    rows = np.repeat(np.arange(n), counts)
+    loops = (rng.random(indices.size) < 0.1) & (rows < m)
+    indices[loops] = rows[loops]
+    data = rng.choice([1.0, 1.0, 1.0, 2.0, 0.0, -1.0], size=indices.size)
+    return CSRMatrix(indptr, indices, data, (n, m))
+
+
+def fuzz_plan(kind, blocks, crossbars, rows, rng):
+    fault_maps = [x.fault_map for x in crossbars]
+    ids = [x.crossbar_id for x in crossbars]
+    if kind == "random":
+        # Shuffled order, any crossbar (repeats included), any row order.
+        return BatchMapping(
+            blocks=[
+                BlockMapping(int(b), int(rng.choice(ids)), rng.permutation(rows), 0.0)
+                for b in rng.permutation(len(blocks))
+            ]
         )
-        np.testing.assert_array_equal(out_loop.to_dense(), out_batched.to_dense())
-        assert loop.block_write_events == batched.block_write_events
-        for xl, xb in zip(loop.crossbars, batched.crossbars):
-            np.testing.assert_array_equal(xl.read_ideal(), xb.read_ideal())
-            np.testing.assert_array_equal(xl.write_counts, xb.write_counts)
-            assert xl.total_writes == xb.total_writes
+    strategy = (
+        FaReStrategy(row_method="greedy") if kind == "fare" else FaultUnawareStrategy()
+    )
+    return strategy.plan_adjacency([blocks], fault_maps, ids, rows)[0]
+
+
+def crossbar_pair(rng, num_crossbars, rows, cols, ratio):
+    """Two crossbar sets with identical faults: one per read-back path."""
+    if ratio is None:
+        maps = [FaultMap.empty(rows, cols) for _ in range(num_crossbars)]
+    else:
+        model = FaultModel(float(rng.uniform(0.05, 0.3)), ratio, seed=rng)
+        maps = model.generate(num_crossbars, rows, cols)
+    # Ids offset from list positions, so an id/position mix-up shows.
+    return [
+        [Crossbar(100 + i, rows, cols, fault_map=fmap) for i, fmap in enumerate(maps)]
+        for _ in range(2)
+    ]
+
+
+class TestBatchedReadBackEquivalence:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_bit_identical_including_hardware_state(self, seed):
+        """Same faulty CSR, stored contents, endurance and write counters as
+        the seed loop, over two consecutive batches on the same crossbars."""
+        rng = np.random.default_rng(seed)
+        rows, cols = GEOMETRIES[seed % len(GEOMETRIES)]
+        ratio = RATIOS[seed % len(RATIOS)]
+        kind = PLAN_KINDS[(seed // len(RATIOS)) % len(PLAN_KINDS)]
+        config = ReRAMConfig(
+            crossbar_rows=rows, crossbar_cols=cols, crossbars_per_tile=8, num_tiles=1
+        )
+        crossbars, loop_crossbars = crossbar_pair(
+            rng, int(rng.integers(2, 7)), rows, cols, ratio
+        )
+        mapper = AdjacencyCrossbarMapper(crossbars, config)
+        loop = LoopAdjacencyMapper(loop_crossbars, config)
+        for _ in range(2):
+            # Ragged sizes (up to 5 × 5 blocks); every fifth batch non-square.
+            n = int(rng.integers(1, 5 * rows))
+            m = int(rng.integers(1, 5 * cols)) if seed % 5 == 0 else n
+            adjacency = fuzz_adjacency(rng, n, m)
+            blocks, _ = loop.decompose(adjacency)
+            plan = fuzz_plan(kind, blocks, loop.crossbars, rows, rng)
+
+            out = mapper.apply_mapping(adjacency, plan)
+            expected = loop.apply_mapping(adjacency, plan)
+            np.testing.assert_array_equal(out.indptr, expected.indptr)
+            np.testing.assert_array_equal(out.indices, expected.indices)
+            np.testing.assert_array_equal(out.data, expected.data)
+            assert out.shape == expected.shape
+            assert mapper.block_write_events == loop.block_write_events
+            for xs, xl in zip(mapper.crossbars, loop.crossbars):
+                np.testing.assert_array_equal(xs.read_ideal(), xl.read_ideal())
+                np.testing.assert_array_equal(xs.write_counts, xl.write_counts)
+                assert xs.total_writes == xl.total_writes
+
+    @pytest.mark.parametrize("defect", ["duplicate", "out_of_range"])
+    def test_rejects_malformed_plan(self, defect):
+        """A plan must place blocks 0..B-1 exactly once each; a rejected plan
+        leaves the hardware untouched."""
+        config = ReRAMConfig(
+            crossbar_rows=8, crossbar_cols=8, crossbars_per_tile=8, num_tiles=1
+        )
+        crossbars = [Crossbar(i, 8, 8) for i in range(8)]
+        mapper = AdjacencyCrossbarMapper(crossbars, config)
+        adjacency = random_adjacency(20, seed=7, density=0.3)
+        blocks, _ = mapper.decompose(adjacency)
+        plan = fuzz_plan("fault_unaware", blocks, crossbars, 8, None)
+        # Same entry count either way; a short plan is
+        # test_pipeline_mapping_engine's test_mapping_block_count_mismatch.
+        if defect == "duplicate":
+            # One block listed twice, another not at all.
+            plan.blocks[1].block_index = plan.blocks[0].block_index
+        else:
+            plan.blocks[-1].block_index = len(blocks)
+        with pytest.raises(ValueError, match="exactly once"):
+            mapper.apply_mapping(adjacency, plan)
+        assert mapper.block_write_events == 0
+        assert all(x.total_writes == 0 for x in crossbars)
 
     def test_fault_free_batched_preserves_adjacency(self, tiny_config):
         env = make_environment(tiny_config, density=0.0)
         mapper = AdjacencyCrossbarMapper(env.adjacency_crossbars, tiny_config)
         adjacency = random_adjacency(30, seed=4)
-        blocks, grid = mapper.decompose(adjacency)
+        blocks, _ = mapper.decompose(adjacency)
         plan = fare_plan(mapper, blocks)
-        out = mapper.apply_mapping(adjacency, plan, blocks=blocks, grid=grid)
+        out = mapper.apply_mapping(adjacency, plan)
         np.testing.assert_array_equal(out.to_dense(), adjacency.to_dense())
 
     def test_batched_rejects_bad_permutation(self, tiny_config):
         env = make_environment(tiny_config)
         mapper = AdjacencyCrossbarMapper(env.adjacency_crossbars, tiny_config)
         adjacency = random_adjacency(16, seed=5)
-        blocks, grid = mapper.decompose(adjacency)
+        blocks, _ = mapper.decompose(adjacency)
         plan = fare_plan(mapper, blocks)
         plan.blocks[0].row_permutation = np.zeros(tiny_config.crossbar_rows, dtype=int)
         with pytest.raises(ValueError):
-            mapper.apply_mapping(adjacency, plan, blocks=blocks, grid=grid)
+            mapper.apply_mapping(adjacency, plan)
 
 
 # --------------------------------------------------------------------------- #

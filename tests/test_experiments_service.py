@@ -120,6 +120,31 @@ class TestLeaseManager:
         assert other.acquire("sig1") is None
         assert other.reclaimed == 0
 
+    def test_contender_never_sees_a_lease_without_its_owner(
+        self, tmp_path, monkeypatch
+    ):
+        """B probes the lease while A is still writing its owner record: B
+        must not read it as torn and reclaim it, so exactly one client wins."""
+        a = LeaseManager(tmp_path, "a", stale_after=3600.0)
+        b = LeaseManager(tmp_path, "b", stale_after=3600.0)
+        real_dump = json.dump
+        b_leases = []
+
+        def dump_with_b_interleaved(obj, handle, *args, **kwargs):
+            if not b_leases:
+                b_leases.append(None)  # guard: B's own write must not recurse
+                b_leases[0] = b.acquire("sig1")
+            return real_dump(obj, handle, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump_with_b_interleaved)
+        a_lease = a.acquire("sig1")
+        winners = [lease for lease in (a_lease, b_leases[0]) if lease is not None]
+        assert len(winners) == 1
+        assert (a.corrupt, b.corrupt, a.reclaimed, b.reclaimed) == (0, 0, 0, 0)
+        owner = json.loads((tmp_path / "sig1.lease").read_text())["client_id"]
+        assert owner == winners[0].client_id
+        assert not list(tmp_path.glob("*.tmp.*"))
+
     def test_corrupt_lease_is_reclaimable(self, tmp_path):
         (tmp_path / "sig1.lease").write_text('{"pid": ')  # torn write
         manager = LeaseManager(tmp_path, "live", stale_after=3600.0)

@@ -196,11 +196,11 @@ class TestAdjacencyCrossbarMapper:
             clean_environment.adjacency_crossbars, clean_environment.config
         )
         adjacency = self._random_adjacency(30, seed=2)
-        blocks, grid = mapper.decompose(adjacency)
+        blocks, _ = mapper.decompose(adjacency)
         plan = sequential_mapping(len(blocks), 16, len(mapper.crossbars))
         for m in plan.blocks:
             m.crossbar_index = mapper.crossbar_ids[m.crossbar_index % len(mapper.crossbars)]
-        faulty = mapper.apply_mapping(adjacency, plan, blocks=blocks, grid=grid)
+        faulty = mapper.apply_mapping(adjacency, plan)
         np.testing.assert_array_equal(faulty.to_dense(), adjacency.to_dense())
 
     def test_faulty_mapping_changes_adjacency(self, environment):
@@ -208,11 +208,11 @@ class TestAdjacencyCrossbarMapper:
             environment.adjacency_crossbars, environment.config
         )
         adjacency = self._random_adjacency(30, seed=3)
-        blocks, grid = mapper.decompose(adjacency)
+        blocks, _ = mapper.decompose(adjacency)
         plan = sequential_mapping(len(blocks), 16, len(mapper.crossbars))
         for m in plan.blocks:
             m.crossbar_index = mapper.crossbar_ids[m.crossbar_index % len(mapper.crossbars)]
-        faulty = mapper.apply_mapping(adjacency, plan, blocks=blocks, grid=grid)
+        faulty = mapper.apply_mapping(adjacency, plan)
         assert not np.array_equal(faulty.to_dense(), adjacency.to_dense())
         # No self-loops may be introduced by faults.
         assert np.all(np.diag(faulty.to_dense()) == 0)
@@ -222,7 +222,7 @@ class TestAdjacencyCrossbarMapper:
             environment.adjacency_crossbars, environment.config
         )
         adjacency = self._random_adjacency(30, seed=4, density=0.05)
-        blocks, grid = mapper.decompose(adjacency)
+        blocks, _ = mapper.decompose(adjacency)
         naive = sequential_mapping(len(blocks), 16, len(mapper.crossbars))
         for m in naive.blocks:
             m.crossbar_index = mapper.crossbar_ids[m.crossbar_index % len(mapper.crossbars)]
@@ -231,7 +231,7 @@ class TestAdjacencyCrossbarMapper:
         )[0]
 
         def corruption(plan):
-            faulty = mapper.apply_mapping(adjacency, plan, blocks=blocks, grid=grid)
+            faulty = mapper.apply_mapping(adjacency, plan)
             return np.abs(faulty.to_dense() - adjacency.to_dense()).sum()
 
         assert corruption(fare_plan) <= corruption(naive)
@@ -241,11 +241,11 @@ class TestAdjacencyCrossbarMapper:
             clean_environment.adjacency_crossbars, clean_environment.config
         )
         adjacency = self._random_adjacency(16, seed=5)
-        blocks, grid = mapper.decompose(adjacency)
+        blocks, _ = mapper.decompose(adjacency)
         plan = sequential_mapping(len(blocks), 16, len(mapper.crossbars))
         for m in plan.blocks:
             m.crossbar_index = mapper.crossbar_ids[m.crossbar_index % len(mapper.crossbars)]
-        mapper.apply_mapping(adjacency, plan, blocks=blocks, grid=grid)
+        mapper.apply_mapping(adjacency, plan)
         assert mapper.block_write_events == len(blocks)
 
     def test_mapping_block_count_mismatch(self, clean_environment):
