@@ -13,13 +13,6 @@ Most users only need three calls:
   optional process-parallel execution and an optional persistent on-disk
   result store (see :mod:`repro.experiments.sweeps`).
 
-For the multi-client service surface (shared queue + leases over the run
-cache, see :mod:`repro.experiments.service`):
-
-* :func:`submit_sweep` — queue a grid idempotently for any running server
-  (or a later ``drain``) to execute.
-* :func:`sweep_status` — counter snapshot of the shared service root.
-
 All are thin wrappers over :mod:`repro.experiments`, which the benchmark
 harness uses directly.
 """
@@ -198,51 +191,3 @@ def run_sweep(
         engine = default_engine()
     return engine.run(plan, max_workers=max_workers)
 
-
-def submit_sweep(
-    datasets: Iterable[Tuple[str, str]] = (("reddit", "gcn"),),
-    strategies: Iterable[str] = ("fault_free", "fault_unaware", "nr", "clipping", "fare"),
-    fault_densities: Iterable[float] = (0.01, 0.03, 0.05),
-    sa_ratio: Tuple[float, float] = (9.0, 1.0),
-    seeds: Iterable[int] = (0,),
-    scale: str = "ci",
-    epochs: Optional[int] = None,
-    root=None,
-    client_id: Optional[str] = None,
-) -> Dict[str, int]:
-    """Queue a grid on the shared sweep service, idempotently.
-
-    Submission is keyed by run signature: specs whose results already sit
-    in the shared store are skipped (``already_done``), specs already
-    queued by any client are counted dedupe hits (``deduped``), the rest
-    become persistent job files (``submitted``) claimable by any
-    ``python -m repro.experiments serve`` / ``drain`` process pointed at
-    the same ``root`` (default: the run cache; ``REPRO_RUNCACHE_DIR``
-    aware).  Returns the ``{submitted, deduped, already_done}`` receipt.
-    """
-    from repro.experiments.service import SweepService
-    from repro.experiments.sweeps import SweepPlan
-
-    plan = SweepPlan.grid(
-        datasets=list(datasets),
-        strategies=list(strategies),
-        fault_densities=list(fault_densities),
-        sa_ratio=sa_ratio,
-        seeds=list(seeds),
-        scale=scale,
-        epochs=epochs,
-    )
-    return SweepService(root=root, client_id=client_id).submit(plan)
-
-
-def sweep_status(root=None) -> Dict[str, float]:
-    """Counter snapshot of the shared sweep-service root.
-
-    Flat ``name → number`` mapping: queue depth and dedupe hits, lease
-    counters (``lease_acquired`` / ``lease_reclaimed`` / …), store
-    hit/miss/race counters and quarantined-job count — the same channel as
-    :meth:`repro.experiments.sweeps.SweepEngine.summary`.
-    """
-    from repro.experiments.service import SweepService
-
-    return SweepService(root=root).status()

@@ -9,8 +9,8 @@ execute through the :class:`~repro.experiments.sweeps.SweepEngine` (shared
 preprocessing artifacts, optional process parallelism, optional on-disk
 result store); ``python -m repro.experiments`` runs any figure from the
 command line.  The benchmark harness under ``benchmarks/`` calls these
-drivers one-to-one, and ``EXPERIMENTS.md`` records the measured numbers next
-to the paper's.
+drivers one-to-one, and ``benchmarks/results/headline.txt`` records the
+measured headline numbers next to the paper's.
 """
 
 from repro.experiments import configs, lifetime, runner, sweeps, tables

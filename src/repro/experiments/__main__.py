@@ -15,6 +15,8 @@ per figure: preprocessing artifacts are shared across grid cells, multiple
 ``--store`` persists results under ``benchmarks/results/runcache/``
 (``REPRO_RUNCACHE_DIR`` overrides the location) so re-runs skip finished
 cells.  ``fig7`` and ``tables`` are analytical/static and run as-is.
+``--epochs``, ``--workers``, ``--max-attempts`` and ``--timeout`` must be
+positive; any other value exits 2 before training starts.
 
 Fault tolerance: execution is supervised (see
 :mod:`repro.experiments.failures`) — ``--max-attempts`` and ``--timeout``
@@ -24,14 +26,6 @@ invocation recomputes only unfinished specs.  Any spec that exhausts its
 retries is quarantined: the grid still renders (missing cells marked), a
 failure report prints, and the exit status is 1 so CI catches partial
 sweeps.  A ``Ctrl-C`` exits 130 with a resume hint.
-
-Sweep service (multi-client, crash-safe — see
-:mod:`repro.experiments.service`)::
-
-    python -m repro.experiments submit fig4 --epochs 1   # queue a grid
-    python -m repro.experiments serve --idle-exit 5      # execute until idle
-    python -m repro.experiments drain                    # execute until empty
-    python -m repro.experiments status                   # counters + failures
 
 Device-lifetime scenario (endurance wear-out + incremental re-planning —
 see :mod:`repro.experiments.lifetime`)::
@@ -140,6 +134,20 @@ def _emit_analytic_figure(name: str) -> str:
     )
 
 
+def _positive(convert):
+    """argparse ``type=`` that rejects values ≤ 0 (argparse then exits 2)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    # argparse names the type in its "invalid int value: 'x'" error.
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -159,9 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0],
         help="seed replication axis; >1 seed renders mean±std tables",
     )
-    parser.add_argument("--epochs", type=int, default=None, help="override epoch count")
     parser.add_argument(
-        "--workers", type=int, default=1, help="process-parallel workers (spawn)"
+        "--epochs", type=_positive(int), default=None, help="override epoch count"
+    )
+    parser.add_argument(
+        "--workers",
+        type=_positive(int),
+        default=1,
+        help="process-parallel workers (spawn)",
     )
     parser.add_argument(
         "--store",
@@ -170,13 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-attempts",
-        type=int,
+        type=_positive(int),
         default=3,
         help="attempts per spec before quarantine (transient/infra failures only)",
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_positive(float),
         default=None,
         help="per-artifact-group wall-clock budget in seconds (parallel runs)",
     )
@@ -188,12 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: List[str] = None) -> int:
     argv_list = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv_list and argv_list[0] in ("serve", "submit", "status", "drain"):
-        # Sweep-service subcommands (shared queue + leases over the run
-        # cache) live in their own module with their own parser.
-        from repro.experiments.service import cli_main
-
-        return cli_main(argv_list)
     if argv_list and argv_list[0] == "lifetime":
         # Device-lifetime scenario (endurance wear-out + incremental
         # re-planning) — sequential and stateful, so it has its own driver

@@ -33,11 +33,9 @@ grid.  This module is the vocabulary of that robustness layer:
   kill the worker on the Nth artifact group, raise on chosen spec
   signatures (N times, then succeed), delay a group past the supervisor's
   timeout, corrupt a store file, or abort the sweep after K published runs.
-  Service-level hooks (``benchmarks/test_bench_sweep_service.py``) kill a
-  lease holder right after it wins a lease, corrupt a lease file, or
-  freeze a heartbeat so other clients observe a stale lease.  Every hook
-  is gated on the *attempt number* (or a target spec signature), which
-  makes the injected chaos reproducible without any cross-process state.
+  Every hook is gated on the *attempt number* (or a target spec
+  signature), which makes the injected chaos reproducible without any
+  cross-process state.
 
 The rule for future PRs (see ``docs/ARCHITECTURE.md``): any new executor —
 remote workers, an async queue, a REST front-end — must wrap per-run errors
@@ -57,7 +55,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.utils.tabulate import format_table
 
@@ -189,17 +187,6 @@ class FailureRecord:
             f"{self.signature} [{self.kind.value}] {self.error_type}: "
             f"{self.message} (after {self.attempts} attempt(s))"
         )
-
-    def to_dict(self) -> Dict:
-        """JSON-friendly form (used by the service's failed ledger)."""
-        return {
-            "signature": self.signature,
-            "spec": self.spec.to_dict(),
-            "kind": self.kind.value,
-            "error_type": self.error_type,
-            "message": self.message,
-            "attempts": self.attempts,
-        }
 
 
 class SpecExecutionError(Exception):
@@ -337,19 +324,6 @@ class FaultInjector:
         Raise ``KeyboardInterrupt`` in the *engine* process after this many
         results have been published — simulates an interrupted
         ``python -m repro.experiments`` invocation for resume tests.
-    ``kill_lease_holder``
-        Service-level chaos: ``os._exit(137)`` the client process right
-        after it acquires the lease on this spec signature — models a
-        client crashing mid-run while holding the lease, which a later
-        client must detect (dead pid / stale mtime) and reclaim.
-    ``corrupt_lease_for``
-        Overwrite the freshly created lease file for these signatures with
-        garbage bytes — a torn lease write.  Readers must classify an
-        unparseable lease as stale (reclaimable), never crash on it.
-    ``freeze_heartbeat_for``
-        Stop heartbeating (mtime refresh) for these signatures while still
-        running — models a livelocked client, which other clients see as a
-        stale lease once ``stale_after`` passes.
     """
 
     transient_specs: Tuple[Tuple[str, int], ...] = ()
@@ -361,9 +335,6 @@ class FaultInjector:
     delay_attempt: int = 0
     delay_seconds: float = 0.0
     abort_after: Optional[int] = None
-    kill_lease_holder: Optional[str] = None
-    corrupt_lease_for: Tuple[str, ...] = ()
-    freeze_heartbeat_for: Tuple[str, ...] = ()
 
     # ------------------------------------------------------------------ #
     def on_spec_start(self, signature: str, attempt: int) -> None:
@@ -404,25 +375,6 @@ class FaultInjector:
 
     def should_abort(self, published_count: int) -> bool:
         return self.abort_after is not None and published_count >= self.abort_after
-
-    # ------------------------------------------------------------------ #
-    # Service-level chaos (lease protocol)
-    # ------------------------------------------------------------------ #
-    def on_lease_acquired(self, signature: str, lease_path) -> None:
-        """Strike right after a lease is won, before any work happens.
-
-        The kill is ``os._exit(137)`` (SIGKILL-style, no cleanup handlers)
-        so the lease file survives with a live-looking mtime and a dead
-        owner pid — the exact state stale-lease reclamation must handle.
-        """
-        if signature in self.corrupt_lease_for:
-            Path(lease_path).write_text('{"pid": ')
-        if self.kill_lease_holder is not None and signature == self.kill_lease_holder:
-            os._exit(137)
-
-    def heartbeat_frozen(self, signature: str) -> bool:
-        """Whether the heartbeat pump should skip refreshing this lease."""
-        return signature in self.freeze_heartbeat_for
 
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -10,11 +10,12 @@ The abstract/introduction quote four numbers:
 4. FARe is up to **4×** faster than the NR baseline.
 
 :func:`run_headline` recomputes all four from the same drivers that produce
-Fig. 5 and Fig. 7 and returns them side by side with the paper's figures so
-EXPERIMENTS.md can report paper-vs-measured directly.  The two Fig. 5 panels
-it needs are one combined :class:`~repro.experiments.sweeps.SweepPlan`
-(:func:`plan_headline`): the sweep engine de-duplicates the shared fault-free
-baseline and reuses each panel's preprocessing artifacts.
+Fig. 5 and Fig. 7 and returns them side by side with the paper's figures
+(``benchmarks/results/headline.txt`` records paper vs measured).  The two
+Fig. 5 panels it needs are one combined
+:class:`~repro.experiments.sweeps.SweepPlan` (:func:`plan_headline`): the
+sweep engine de-duplicates the shared fault-free baseline and reuses each
+panel's preprocessing artifacts.
 """
 
 from __future__ import annotations

@@ -69,7 +69,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields, replace
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -203,29 +203,11 @@ class RunSpec:
         )
 
     def to_dict(self) -> Dict:
-        """JSON-friendly representation (inverse of :meth:`from_dict`)."""
+        """JSON-friendly form; :meth:`signature` hashes it, the store saves it."""
         payload = asdict(self)
         payload["sa_ratio"] = list(self.sa_ratio)
         payload["strategy_kwargs"] = [[k, v] for k, v in self.strategy_kwargs]
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "RunSpec":
-        return cls.make(
-            dataset=payload["dataset"],
-            model=payload["model"],
-            strategy=payload["strategy"],
-            fault_density=payload["fault_density"],
-            sa_ratio=tuple(payload["sa_ratio"]),
-            scale=payload["scale"],
-            seed=payload["seed"],
-            epochs=payload["epochs"],
-            post_deployment_extra=payload["post_deployment_extra"],
-            fault_region=payload["fault_region"],
-            strategy_kwargs=dict(
-                (k, v) for k, v in payload.get("strategy_kwargs", [])
-            ),
-        )
 
     def signature(self) -> str:
         """Content hash naming this run in the on-disk result store."""
@@ -819,10 +801,10 @@ class ResultStore:
     ``os.replace`` (a reader never sees a torn file), readers tolerate a
     concurrent process deleting or replacing an entry at any point between
     existence check and read (counted as a miss, never a crash), and a
-    duplicate publish of the same signature — two processes that both
-    executed a spec because single-flight was broken or bypassed — is
-    counted in ``races_lost`` (content-addressed results are bit-identical,
-    so the last write is harmless).
+    duplicate publish of the same signature — two processes sharing the
+    store that both executed the spec — is counted in ``races_lost``
+    (content-addressed results are bit-identical, so the last write is
+    harmless).
     """
 
     #: Age (seconds) below which an atomic-write temp file is presumed to
@@ -928,10 +910,10 @@ class ResultStore:
         # not leave a truncated one behind.
         path = self.path(spec)
         if path.exists():
-            # Another process published this signature first (duplicate
-            # execution — single-flight was bypassed or its lease reclaimed).
-            # Results are bit-identical per signature, so replacing is safe;
-            # the counter is what surfaces the lost race.
+            # Another process sharing this store published the signature
+            # first (both executed the spec).  Results are bit-identical per
+            # signature, so replacing is safe; the counter is what surfaces
+            # the lost race.
             self.races_lost += 1
         try:
             _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -1086,7 +1068,8 @@ class SweepEngine:
         Per-artifact-group wall-clock budget (seconds) for the parallel
         executor, measured from task submission.  A group that overruns is
         presumed hung: its workers are killed, the pool respawned and the
-        in-flight groups requeued.  ``None`` (default) disables timeouts.
+        in-flight groups requeued.  ``None`` (default) disables timeouts;
+        a budget ≤ 0 raises ``ValueError``.
     fault_injector:
         Deterministic chaos hook (tests/benchmarks only).
     """
@@ -1100,6 +1083,8 @@ class SweepEngine:
         group_timeout: Optional[float] = None,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
+        if group_timeout is not None and not group_timeout > 0:
+            raise ValueError(f"group_timeout must be > 0, got {group_timeout}")
         self.store = store
         self.memo = _LRU(memo_capacity)
         self.max_workers = max(1, int(max_workers))
@@ -1125,22 +1110,8 @@ class SweepEngine:
             "pool_respawns": 0.0,
         }
         self._published = 0
-        #: External counter providers (e.g. the sweep service's queue and
-        #: lease manager) merged into :meth:`summary` — same flat
-        #: ``name → number`` convention as every other stats source.
-        self._stats_providers: List[Callable[[], Dict[str, float]]] = []
 
     # ------------------------------------------------------------------ #
-    def register_stats(self, provider: Callable[[], Dict[str, float]]) -> None:
-        """Merge ``provider()`` (flat ``name → number``) into :meth:`summary`.
-
-        The sweep service registers its queue and lease counters here so
-        ``lease_acquired`` / ``queue_dedupe_hits`` flow through the same
-        :meth:`summary` / :meth:`format_summary` channel as the engine's own
-        counters.  Later registrations win on key collisions.
-        """
-        self._stats_providers.append(provider)
-
     def clear_memo(self) -> None:
         """Drop memoised results, shared artifacts and the quarantine ledger."""
         self.memo.clear()
@@ -1484,8 +1455,6 @@ class SweepEngine:
         stats.update(artifact_stats)
         if self.store is not None:
             stats.update(self.store.stats())
-        for provider in self._stats_providers:
-            stats.update(provider())
         return stats
 
     def format_summary(self) -> str:

@@ -269,6 +269,11 @@ class TestParallelFaults:
         assert stats["group_timeouts"] >= 1
         assert stats["pool_respawns"] >= 1
 
+    @pytest.mark.parametrize("budget", [0, -1.0])
+    def test_rejects_non_positive_group_timeout(self, budget):
+        with pytest.raises(ValueError, match="group_timeout"):
+            SweepEngine(group_timeout=budget)
+
     def test_deterministic_failure_quarantines_in_parallel(self):
         victim = sorted(TWO_GROUP_GRID, key=lambda s: s.signature())[0]
         engine = SweepEngine(
@@ -386,6 +391,36 @@ class TestCLI:
         assert MISSING in captured.out
         assert "failure report" in captured.out
         assert "quarantined" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig3", "--epochs", "0"],
+            ["fig3", "--max-attempts", "0"],
+            ["fig3", "--workers", "0"],
+            ["fig3", "--workers", "-3"],
+            ["fig3", "--timeout", "0"],
+            ["fig3", "--seeds", "0", "1", "--epochs", "1", "--workers", "2",
+             "--timeout", "-1"],
+        ],
+        ids=["epochs0", "attempts0", "workers0", "workers-3", "timeout0",
+             "timeout-1"],
+    )
+    def test_cli_rejects_non_positive_numbers(self, argv, capsys, monkeypatch):
+        from repro.experiments.__main__ import main
+
+        executed = []
+
+        def recording_execute(spec, artifacts=None, injector=None, attempt=0):
+            executed.append(spec)
+            raise AssertionError("a spec executed despite a bad argument")
+
+        monkeypatch.setattr(sweeps, "execute_spec", recording_execute)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert executed == []
 
     def test_cli_succeeds_without_faults(self, capsys):
         from repro.experiments.__main__ import main
