@@ -133,7 +133,8 @@ def run_sweep(
     artifacts (dataset, partition, block decomposition, BIST scan, mapping
     plans) are shared across cells; ``max_workers > 1`` distributes whole
     workload groups over spawned processes (results are keyed by spec, so
-    parallel and serial execution are bit-identical); ``use_store=True``
+    parallel and serial execution are bit-identical) and ``max_workers < 1``
+    raises ``ValueError``; ``use_store=True``
     persists results under ``benchmarks/results/runcache/`` keyed by the
     run-signature hash, so repeated sweeps skip finished cells across
     sessions.

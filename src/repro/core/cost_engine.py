@@ -307,11 +307,12 @@ class MappingCostEngine:
         the lockstep exact solvers in :mod:`repro.core.batch_solvers`.
     cache_size:
         Maximum number of pair results kept (LRU eviction).
-    max_chunk_cells:
-        Upper bound on the number of float64 elements materialised per batched
-        chunk; keeps the ``(pairs, R, C)`` intermediates within a fixed
-        memory budget on large batches.
     """
+
+    #: Upper bound on the number of float64 elements materialised per batched
+    #: chunk; keeps the ``(pairs, R, C)`` intermediates within a fixed memory
+    #: budget on large batches.
+    MAX_CHUNK_CELLS = 16_000_000
 
     #: Stop offering Hungarian warm-start seeds after this many rejected
     #: attempts with zero accepted (see the back-off note in ``_plan_delta``).
@@ -322,7 +323,6 @@ class MappingCostEngine:
         sa1_weight: float = 4.0,
         row_method: str = "greedy",
         cache_size: int = 65536,
-        max_chunk_cells: int = 16_000_000,
     ) -> None:
         if sa1_weight < 0:
             raise ValueError(f"sa1_weight must be non-negative, got {sa1_weight}")
@@ -336,7 +336,6 @@ class MappingCostEngine:
         self.sa1_weight = float(sa1_weight)
         self.row_method = row_method
         self.cache_size = int(cache_size)
-        self.max_chunk_cells = int(max_chunk_cells)
         self.stats = CostEngineStats()
         self._cache: "OrderedDict[Tuple, _PairEntry]" = OrderedDict()
 
@@ -662,7 +661,7 @@ class MappingCostEngine:
             # exact integer-valued results, identical to the seed's per-pair
             # products.  Chunked over maps to bound the grid size.
             grid_cells = max(len(solve_ubs) * rows * rows * 6, 1)
-            map_chunk = max(1, self.max_chunk_cells // grid_cells)
+            map_chunk = max(1, self.MAX_CHUNK_CELLS // grid_cells)
             by_um = sorted(to_solve, key=lambda pair: compact_um[pair[1]])
             cursor = 0
             while cursor < len(by_um):
@@ -697,7 +696,7 @@ class MappingCostEngine:
             # Sparse pending set (e.g. one new block against a warm pool plus
             # one refreshed map): batched per-pair matmuls over just the
             # pending pairs, so the cost stays proportional to the new work.
-            pair_chunk = max(1, self.max_chunk_cells // max(rows * cols * 6, 1))
+            pair_chunk = max(1, self.MAX_CHUNK_CELLS // max(rows * cols * 6, 1))
             for start in range(0, len(to_solve), pair_chunk):
                 batch = to_solve[start : start + pair_chunk]
                 ub_idx = np.array(

@@ -148,13 +148,6 @@ class BatchMapping:
     blocks: List[BlockMapping]
     pruned_crossbars: List[int] = field(default_factory=list)
     relaxed_blocks: List[int] = field(default_factory=list)
-    #: Lazily built block index → list position lookup (``crossbar_for_block``
-    #: used to be a linear scan per call, O(B²) over a batch readback).
-    #: Positions (not objects) are cached so slot replacements in ``blocks``
-    #: are always served the current object.
-    _block_lookup: Optional[dict] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def total_cost(self) -> float:
@@ -164,31 +157,11 @@ class BatchMapping:
     def total_sa1_mismatch(self) -> float:
         return float(sum(b.sa1_mismatch for b in self.blocks))
 
-    def _rebuild_lookup(self) -> dict:
-        self._block_lookup = {
-            m.block_index: position for position, m in enumerate(self.blocks)
-        }
-        return self._block_lookup
-
-    def _lookup_position(self, lookup: dict, block_index: int) -> Optional[BlockMapping]:
-        position = lookup.get(block_index)
-        if position is None or position >= len(self.blocks):
-            return None
-        mapping = self.blocks[position]
-        return mapping if mapping.block_index == block_index else None
-
     def crossbar_for_block(self, block_index: int) -> BlockMapping:
-        lookup = self._block_lookup
-        if lookup is None or len(lookup) != len(self.blocks):
-            lookup = self._rebuild_lookup()
-        mapping = self._lookup_position(lookup, block_index)
-        if mapping is None:
-            # ``blocks`` was reordered or renumbered since the lookup was
-            # built — rebuild once and retry before giving up.
-            mapping = self._lookup_position(self._rebuild_lookup(), block_index)
-        if mapping is None:
-            raise KeyError(f"no mapping recorded for block {block_index}")
-        return mapping
+        for mapping in self.blocks:
+            if mapping.block_index == block_index:
+                return mapping
+        raise KeyError(f"no mapping recorded for block {block_index}")
 
     def __len__(self) -> int:
         return len(self.blocks)

@@ -92,7 +92,11 @@ from repro.hardware.bist import BISTReport
 from repro.hardware.endurance import PostDeploymentSchedule
 from repro.hardware.faults import FaultMap, FaultModel
 from repro.hardware.quantization import FixedPointFormat
-from repro.pipeline.mapping_engine import HardwareEnvironment, decompose_adjacency
+from repro.pipeline.mapping_engine import (
+    AdjacencyBlocks,
+    HardwareEnvironment,
+    decompose_adjacency,
+)
 from repro.pipeline.trainer import FaultyTrainer, TrainerArtifacts, TrainingResult
 from repro.utils.logging import get_logger
 from repro.utils.rng import spawn_rngs
@@ -478,12 +482,9 @@ class ArtifactCache:
         "plans": 16,
     }
 
-    def __init__(self, capacities: Optional[Dict[str, int]] = None) -> None:
-        caps = dict(self.CAPACITIES)
-        if capacities:
-            caps.update(capacities)
+    def __init__(self) -> None:
         self._caches: Dict[str, _LRU] = {
-            kind: _LRU(capacity) for kind, capacity in caps.items()
+            kind: _LRU(capacity) for kind, capacity in self.CAPACITIES.items()
         }
 
     # ------------------------------------------------------------------ #
@@ -528,8 +529,8 @@ class ArtifactCache:
 
         return self._caches["batches"].get(key, compute)
 
-    def decomposition(self, spec: RunSpec):
-        """Per-batch ``(blocks, grid)`` decompositions for the scale's geometry."""
+    def decomposition(self, spec: RunSpec) -> List[AdjacencyBlocks]:
+        """Per-batch block views for the scale's crossbar geometry."""
         hw_config = configs.hardware_config(spec.scale)
         num_parts, batch_clusters = self._batch_shape(spec)
         key = spec.artifact_group() + (
@@ -539,18 +540,15 @@ class ArtifactCache:
             hw_config.crossbar_cols,
         )
 
-        def compute():
-            blocks_per_batch = []
-            grids = []
-            for batch in self.batches(spec):
-                blocks, grid = decompose_adjacency(
+        def compute() -> List[AdjacencyBlocks]:
+            return [
+                decompose_adjacency(
                     batch.subgraph.adjacency,
                     hw_config.crossbar_rows,
                     hw_config.crossbar_cols,
-                )
-                blocks_per_batch.append(blocks)
-                grids.append(grid)
-            return blocks_per_batch, grids
+                )[0]
+                for batch in self.batches(spec)
+            ]
 
         return self._caches["decomposition"].get(key, compute)
 
@@ -681,13 +679,12 @@ def execute_spec(
         )
         if strategy.requires_hardware:
             hardware = artifacts.hardware(spec)
-            blocks_per_batch, grids = artifacts.decomposition(spec)
+            blocks_per_batch = artifacts.decomposition(spec)
             report = artifacts.bist_report(spec, hardware)
             crossbar_ids = [x.crossbar_id for x in hardware.adjacency_crossbars]
             trainer_artifacts = replace(
                 trainer_artifacts,
                 blocks_per_batch=blocks_per_batch,
-                grids=grids,
                 bist_report=report,
                 plans=artifacts.plans(
                     spec,
@@ -1046,6 +1043,13 @@ class SweepResult:
         return len(self.results)
 
 
+def _check_workers(max_workers: int) -> int:
+    workers = int(max_workers)
+    if workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    return workers
+
+
 class SweepEngine:
     """Executes :class:`SweepPlan`\\ s with caching, sharing and parallelism.
 
@@ -1058,7 +1062,8 @@ class SweepEngine:
         LRU bound of the in-process result memo (the seed runner's unbounded
         ``_RESULT_CACHE``, now capped and instrumented).
     max_workers:
-        Default process count for :meth:`run`; 1 executes in-process.
+        Default process count for :meth:`run`; 1 executes in-process, a
+        count below 1 raises ``ValueError``.
     retry_policy:
         Failure handling (see :mod:`repro.experiments.failures`): transient
         and infra failures retry with deterministic seeded backoff,
@@ -1087,7 +1092,7 @@ class SweepEngine:
             raise ValueError(f"group_timeout must be > 0, got {group_timeout}")
         self.store = store
         self.memo = _LRU(memo_capacity)
-        self.max_workers = max(1, int(max_workers))
+        self.max_workers = _check_workers(max_workers)
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.group_timeout = group_timeout
         self.fault_injector = fault_injector
@@ -1142,7 +1147,7 @@ class SweepEngine:
         in-flight runs.  Specs whose retries exhaust land in
         :attr:`SweepResult.failed` instead of raising.
         """
-        workers = self.max_workers if max_workers is None else max(1, int(max_workers))
+        workers = self.max_workers if max_workers is None else _check_workers(max_workers)
         sweep = SweepResult(plan=plan)
         pending: List[RunSpec] = []
         for spec in plan:

@@ -8,9 +8,10 @@ Two mappers mirror the two computation phases:
   applies the crossbars' stuck-at faults cell-wise and reassembles the
   (possibly exploded) floating point values.
 * :class:`AdjacencyCrossbarMapper` — aggregation phase.  The binary adjacency
-  of a mini-batch subgraph is split into crossbar-sized blocks (the dense
-  blocks the strategies plan with come from :func:`decompose_adjacency`),
-  which are programmed onto the crossbars chosen by the active strategy's
+  of a mini-batch subgraph is split into crossbar-sized blocks (the
+  strategies plan with the lazy :class:`AdjacencyBlocks` views that
+  :func:`decompose_adjacency` returns), which are programmed onto the
+  crossbars chosen by the active strategy's
   :class:`~repro.core.mapping.BatchMapping` (with the strategy's row
   permutations); the faulty read-back is the adjacency the GNN actually
   aggregates with.
@@ -39,6 +40,8 @@ with the two cache-invalidation protocols that keep the fast paths honest.
 
 from __future__ import annotations
 
+import operator
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -283,45 +286,6 @@ class WeightCrossbarMapper:
 # --------------------------------------------------------------------------- #
 # Adjacency mapping
 # --------------------------------------------------------------------------- #
-@dataclass
-class DecomposeCounters:
-    """Peak-memory accounting for the sparse block decomposition.
-
-    ``bytes_dense_padded_avoided`` is the size of the padded
-    ``(row_blocks·rows) × (col_blocks·cols)`` float64 array the pre-streaming
-    implementation materialised minus what the sparse path actually allocated
-    — the number the million-node benchmark's peak-RSS ceiling rests on.
-    """
-
-    decompose_calls: int = 0
-    blocks_materialised: int = 0
-    blocks_shared_zero: int = 0
-    bytes_materialised: int = 0
-    bytes_dense_padded_avoided: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "decompose_calls": self.decompose_calls,
-            "decompose_blocks_materialised": self.blocks_materialised,
-            "decompose_blocks_shared_zero": self.blocks_shared_zero,
-            "decompose_bytes_materialised": self.bytes_materialised,
-            "decompose_bytes_dense_padded_avoided": self.bytes_dense_padded_avoided,
-        }
-
-    def reset(self) -> None:
-        self.decompose_calls = 0
-        self.blocks_materialised = 0
-        self.blocks_shared_zero = 0
-        self.bytes_materialised = 0
-        self.bytes_dense_padded_avoided = 0
-
-
-#: Module-level accounting, mirroring ``tensor.kernels.COUNTERS``: cheap
-#: integer bumps on the hot path, read (and reset) by tests and the
-#: streaming-mode benchmark leg.
-DECOMPOSE_COUNTERS = DecomposeCounters()
-
-
 def peak_rss_bytes() -> int:
     """Peak resident set size of this process, in bytes.
 
@@ -352,89 +316,81 @@ def peak_rss_bytes() -> int:
     return int(usage) * 1024
 
 
-_SHARED_ZERO_BLOCKS: Dict[Tuple[int, int], np.ndarray] = {}
+class AdjacencyBlocks(abc.Sequence):
+    """One batch adjacency as a read-only sequence of crossbar-sized blocks.
 
+    ``view[k]`` is block ``k`` in row-major block order: a fresh
+    ``rows × cols`` float64 0/1 array, zero-padded on the right/bottom edge,
+    built from the batch CSR when it is read.  ``grid`` is ``(row_blocks,
+    col_blocks)``.  Slicing returns a list of blocks.
 
-def _shared_zero_block(rows: int, cols: int) -> np.ndarray:
-    """One immutable all-zero block per geometry, shared by every empty slot.
-
-    Consumers treat decomposition blocks as read-only (they are stacked,
-    programmed and compared, never written), so empty blocks — the vast
-    majority at streaming scale, where a batch touches a handful of column
-    blocks out of thousands — can alias a single frozen array.
+    The first read sorts the stored entries once by (block, local cell),
+    stably, and keeps the last duplicate of each cell and only ``data > 0``
+    (the rules :meth:`AdjacencyCrossbarMapper.apply_mapping` uses); what
+    stays is one int32 cell index per stored edge plus per-block bounds,
+    O(nnz), so a view per batch can be kept for the whole run at any graph
+    size.  The dense decomposition it replaces lives in
+    ``tests/reference/hardware.py``; the blocks are bit-identical to it.
     """
-    key = (rows, cols)
-    block = _SHARED_ZERO_BLOCKS.get(key)
-    if block is None:
-        block = np.zeros((rows, cols), dtype=np.float64)
-        block.flags.writeable = False
-        _SHARED_ZERO_BLOCKS[key] = block
-    return block
+
+    def __init__(self, adjacency: CSRMatrix, rows: int, cols: int) -> None:
+        n, m = adjacency.shape
+        self.rows = rows
+        self.cols = cols
+        self.grid = (max(1, -(-n // rows)), max(1, -(-m // cols)))
+        self._adjacency: Optional[CSRMatrix] = adjacency
+        self._cells = np.zeros(0, dtype=np.int32)
+        self._bounds = np.zeros(len(self) + 1, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.grid[0] * self.grid[1]
+
+    def _layout(self) -> None:
+        adjacency, self._adjacency = self._adjacency, None
+        rows, cols = self.rows, self.cols
+        entry_rows = np.repeat(
+            np.arange(adjacency.shape[0], dtype=np.int64), np.diff(adjacency.indptr)
+        )
+        block_r, local_r = np.divmod(entry_rows, rows)
+        block_c, local_c = np.divmod(adjacency.indices, cols)
+        keys = (block_r * self.grid[1] + block_c) * (rows * cols)
+        keys += local_r * cols + local_c
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        last = np.ones(keys.size, dtype=bool)
+        last[:-1] = keys[1:] != keys[:-1]
+        block, cell = np.divmod(keys[last & (adjacency.data[order] > 0)], rows * cols)
+        self._cells = cell.astype(np.int32)
+        self._bounds[1:] = np.cumsum(np.bincount(block, minlength=len(self)))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"block index {index} out of range for {len(self)} blocks")
+        if self._adjacency is not None:
+            self._layout()
+        block = np.zeros(self.rows * self.cols, dtype=np.float64)
+        block[self._cells[self._bounds[k] : self._bounds[k + 1]]] = 1.0
+        return block.reshape(self.rows, self.cols)
 
 
 def decompose_adjacency(
     adjacency: CSRMatrix, rows: int, cols: int
-) -> Tuple[List[np.ndarray], Tuple[int, int]]:
-    """Split a (binary) adjacency into ``rows × cols`` dense blocks.
+) -> Tuple[AdjacencyBlocks, Tuple[int, int]]:
+    """Split a (binary) adjacency into ``rows × cols`` blocks.
 
-    Blocks on the right/bottom edge are zero-padded to the crossbar shape.
-    Returns ``(blocks, (row_blocks, col_blocks))`` in row-major order.  A
-    free function (rather than only a mapper method) so the sweep engine can
-    compute the decomposition once per ``(graph, geometry)`` and share it
+    Returns ``(view, (row_blocks, col_blocks))``: an :class:`AdjacencyBlocks`
+    that builds each zero-padded block in row-major order when it is read.
+    A free function (rather than only a mapper method) so the sweep engine
+    can compute the decomposition once per ``(graph, geometry)`` and share it
     across every run of a grid.
-
-    Memory contract (streaming mode): only blocks that contain at least one
-    CSR entry are materialised — O(nnz + nonempty·rows·cols) — and empty
-    blocks alias one shared read-only zero array.  Nothing the size of the
-    padded dense matrix is ever allocated, which is what lets a 10^6-node
-    graph decompose batch-by-batch inside a fixed memory budget
-    (``DECOMPOSE_COUNTERS`` records the avoided allocation;
-    :func:`peak_rss_bytes` is the matching process-level hook).  The blocks
-    are bit-identical to the dense scatter this replaces: a stable sort
-    groups entries per block without reordering them inside a block, so
-    duplicate ``(row, col)`` entries resolve last-wins exactly as the single
-    dense fancy-index assignment did, and the same ``> 0`` threshold
-    binarises the result.
     """
-    n, m = adjacency.shape
-    row_blocks = max(1, -(-n // rows))
-    col_blocks = max(1, -(-m // cols))
-    total_blocks = row_blocks * col_blocks
-
-    entry_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adjacency.indptr))
-    indices = adjacency.indices
-    bi = entry_rows // rows
-    bj = indices // cols
-    block_ids = bi * col_blocks + bj
-    order = np.argsort(block_ids, kind="stable")
-    sorted_ids = block_ids[order]
-    local_r = (entry_rows - bi * rows)[order]
-    local_c = (indices - bj * cols)[order]
-    sorted_data = adjacency.data[order]
-
-    zero = _shared_zero_block(rows, cols)
-    blocks: List[np.ndarray] = [zero] * total_blocks
-    if sorted_ids.size:
-        boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [sorted_ids.size]))
-        for start, stop in zip(starts, stops):
-            block = np.zeros((rows, cols), dtype=np.float64)
-            block[local_r[start:stop], local_c[start:stop]] = sorted_data[start:stop]
-            blocks[int(sorted_ids[start])] = (block > 0).astype(np.float64)
-        materialised = len(starts)
-    else:
-        materialised = 0
-
-    block_bytes = rows * cols * 8
-    DECOMPOSE_COUNTERS.decompose_calls += 1
-    DECOMPOSE_COUNTERS.blocks_materialised += materialised
-    DECOMPOSE_COUNTERS.blocks_shared_zero += total_blocks - materialised
-    DECOMPOSE_COUNTERS.bytes_materialised += materialised * block_bytes
-    DECOMPOSE_COUNTERS.bytes_dense_padded_avoided += (
-        total_blocks - materialised
-    ) * block_bytes
-    return blocks, (row_blocks, col_blocks)
+    view = AdjacencyBlocks(adjacency, rows, cols)
+    return view, view.grid
 
 
 class AdjacencyCrossbarMapper:
@@ -478,11 +434,11 @@ class AdjacencyCrossbarMapper:
         return [(self.by_id[index], count) for index, count in counts.items()]
 
     # ------------------------------------------------------------------ #
-    def decompose(self, adjacency: CSRMatrix) -> Tuple[List[np.ndarray], Tuple[int, int]]:
-        """Split a (binary) adjacency into crossbar-sized dense blocks.
+    def decompose(self, adjacency: CSRMatrix) -> Tuple[AdjacencyBlocks, Tuple[int, int]]:
+        """Split a (binary) adjacency into crossbar-sized blocks.
 
-        Blocks on the right/bottom edge are zero-padded to the crossbar shape.
-        Returns ``(blocks, (row_blocks, col_blocks))`` in row-major order.
+        Returns ``(view, (row_blocks, col_blocks))``; see
+        :func:`decompose_adjacency`.
         """
         return decompose_adjacency(
             adjacency, self.config.crossbar_rows, self.config.crossbar_cols

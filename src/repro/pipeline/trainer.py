@@ -37,7 +37,7 @@ accumulation that ``train_mode="fused"`` must match in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from repro.core.hw_state import HardwareStateCache
 from repro.core.mapping import BatchMapping
 from repro.core.strategies import Strategy
 from repro.graph.graph import Graph
-from repro.graph.partition import STREAMING_NODE_THRESHOLD, PartitionResult
+from repro.graph.partition import PartitionResult
 from repro.graph.sampling import ClusterBatch, ClusterBatchSampler
 from repro.graph.sparse import CSRMatrix
 from repro.hardware.bist import BISTReport
@@ -133,9 +133,9 @@ class TrainerArtifacts:
     partition: Optional[PartitionResult] = None
     #: The fixed mini-batch list (skips sampler construction entirely).
     batches: Optional[List[ClusterBatch]] = None
-    #: Per-batch adjacency blocks + grid shapes (skips ``decompose``).
-    blocks_per_batch: Optional[List[List[np.ndarray]]] = None
-    grids: Optional[List] = None
+    #: Per-batch adjacency blocks (skips ``decompose``): one sequence of
+    #: crossbar-sized blocks per batch, e.g. the ``AdjacencyBlocks`` views.
+    blocks_per_batch: Optional[List[Sequence[np.ndarray]]] = None
     #: Pre-deployment scan result (skips the BIST scan).
     bist_report: Optional[BISTReport] = None
     #: Adjacency mapping plans (skips ``strategy.plan_adjacency``).
@@ -183,7 +183,6 @@ class FaultyTrainer:
         artifacts: Optional[TrainerArtifacts] = None,
         replan_on_rescan: bool = False,
         use_agg_precompute: bool = True,
-        streaming_blocks: Optional[bool] = None,
         train_mode: str = "per_batch",
     ) -> None:
         self.graph = graph
@@ -203,19 +202,6 @@ class FaultyTrainer:
         #: Cache the weight-independent first-layer aggregation across steps
         #: (see ``docs/ARCHITECTURE.md``, "Batched multi-graph training").
         self.use_agg_precompute = bool(use_agg_precompute)
-        #: Memory-bounded block handling for huge graphs: when on, the dense
-        #: per-batch adjacency blocks that planning reads are decomposed
-        #: *transiently*, once per batch, instead of being retained for the
-        #: whole run (retention costs ``O(sum of padded batch-matrix
-        #: bytes)``, ~12 GB at 10^6 nodes).  The faulty read-back never needs
-        #: blocks: ``apply_mapping`` works from the batch CSR and the plan.
-        #: Plans are bit-identical to the retained path (every strategy
-        #: plans per batch independently).  ``None`` (auto) enables it at
-        #: ``STREAMING_NODE_THRESHOLD`` nodes unless block artifacts are
-        #: supplied; post-deployment fault reaction
-        #: (:meth:`apply_fault_delta`) re-plans from the retained blocks and
-        #: raises in this mode.
-        self.streaming_blocks = streaming_blocks
         #: Training-step granularity (see ``docs/ARCHITECTURE.md``, "Batched
         #: multi-graph training"):
         #:
@@ -277,7 +263,6 @@ class FaultyTrainer:
         self._hw_cache: Optional[HardwareStateCache] = None
         self._plans = None
         self._blocks_per_batch = None
-        self._grids = None
         # Batched-eval state: the bucket layout is fixed (batch composition
         # never changes), the fused block-diagonal inputs are memoised per
         # bucket on the identity of the member adjacencies (stable while the
@@ -323,40 +308,22 @@ class FaultyTrainer:
         )
         self._hw_cache = HardwareStateCache(self._adjacency_mapper, self._weight_mapper)
         self.strategy.attach_hw_state_cache(self._hw_cache)
-        streaming = self.streaming_blocks
-        if streaming is None:
-            streaming = (
-                self.graph.num_nodes >= STREAMING_NODE_THRESHOLD
-                and self.artifacts.blocks_per_batch is None
-            )
-        elif streaming and self.artifacts.blocks_per_batch is not None:
-            raise ValueError(
-                "streaming_blocks=True conflicts with supplied block artifacts"
-            )
-        if streaming:
-            self._preprocess_streaming(hw)
-            return
-        if (
-            self.artifacts.blocks_per_batch is not None
-            and self.artifacts.grids is not None
-        ):
-            if len(self.artifacts.blocks_per_batch) != len(self.batches) or len(
-                self.artifacts.grids
-            ) != len(self.batches):
+        # The views hold O(nnz) cell indices and build each block when it is
+        # read, so every batch keeps one for the run: planning, FARe's
+        # refresh and re-planning after a BIST re-scan all read them.
+        if self.artifacts.blocks_per_batch is not None:
+            if len(self.artifacts.blocks_per_batch) != len(self.batches):
                 raise ValueError(
                     f"artifacts cover {len(self.artifacts.blocks_per_batch)} "
-                    f"block lists / {len(self.artifacts.grids)} grids but the "
-                    f"sampler produced {len(self.batches)} batches"
+                    f"block lists but the sampler produced {len(self.batches)} "
+                    "batches"
                 )
             self._blocks_per_batch = self.artifacts.blocks_per_batch
-            self._grids = self.artifacts.grids
         else:
-            self._blocks_per_batch = []
-            self._grids = []
-            for batch in self.batches:
-                blocks, grid = self._adjacency_mapper.decompose(batch.subgraph.adjacency)
-                self._blocks_per_batch.append(blocks)
-                self._grids.append(grid)
+            self._blocks_per_batch = [
+                self._adjacency_mapper.decompose(batch.subgraph.adjacency)[0]
+                for batch in self.batches
+            ]
         if self.artifacts.plans is not None:
             if len(self.artifacts.plans) != len(self.batches):
                 raise ValueError(
@@ -374,46 +341,6 @@ class FaultyTrainer:
             self._adjacency_mapper.crossbar_ids,
             hw.config.crossbar_rows,
         )
-
-    def _preprocess_streaming(self, hw: HardwareEnvironment) -> None:
-        """Plan without retaining blocks: decompose each batch transiently.
-
-        Every strategy plans its batches independently (one
-        ``BatchMapping`` per batch from that batch's blocks alone), so
-        planning batch-by-batch over a transient decomposition yields plans
-        bit-identical to the retained path while peak memory holds one
-        batch's blocks instead of all of them.  ``self._blocks_per_batch``
-        stays ``None``; the read-back works from the batch CSR and needs
-        none.
-        """
-        self._blocks_per_batch = None
-        rows = hw.config.crossbar_rows
-        cols = hw.config.crossbar_cols
-        self._grids = [
-            (-(-batch.num_nodes // rows), -(-batch.num_nodes // cols))
-            for batch in self.batches
-        ]
-        if self.artifacts.plans is not None:
-            if len(self.artifacts.plans) != len(self.batches):
-                raise ValueError(
-                    f"artifacts supply {len(self.artifacts.plans)} mapping "
-                    f"plans but the sampler produced {len(self.batches)} batches"
-                )
-            self._plans = list(self.artifacts.plans)
-            return
-        report = self.artifacts.bist_report
-        if report is None:
-            report = hw.bist.scan(self._adjacency_mapper.crossbars)
-        crossbar_ids = self._adjacency_mapper.crossbar_ids
-        plans: List[BatchMapping] = []
-        for batch in self.batches:
-            blocks, _ = self._adjacency_mapper.decompose(batch.subgraph.adjacency)
-            plans.extend(
-                self.strategy.plan_adjacency(
-                    [blocks], report.fault_maps, crossbar_ids, rows
-                )
-            )
-        self._plans = plans
 
     # ------------------------------------------------------------------ #
     # Hardware views
@@ -447,8 +374,7 @@ class FaultyTrainer:
         batch = self.batches[batch_index]
         adjacency = batch.subgraph.adjacency
         if self.strategy.requires_hardware:
-            # The read-back works from the batch CSR and the plan alone, so
-            # retained and streaming mode fetch it the same way.
+            # The read-back works from the batch CSR and the plan alone.
             adjacency = self._hw_cache.batch_adjacency(
                 batch_index, adjacency, self._plans[batch_index]
             )
@@ -753,11 +679,6 @@ class FaultyTrainer:
         plan (delta-warm-started when supported) instead of the Π-preserving
         row-permutation refresh.  Returns the fresh BIST report.
         """
-        if self._blocks_per_batch is None:
-            raise RuntimeError(
-                "post-deployment fault reaction needs the retained per-batch "
-                "blocks; construct the trainer with streaming_blocks=False"
-            )
         self.hardware.inject_post_deployment(extra_density)
         report = self.hardware.bist.scan(self._adjacency_mapper.crossbars)
         self._weight_mapper.refresh_fault_masks()
@@ -787,20 +708,9 @@ class FaultyTrainer:
         return self._plans
 
     @property
-    def blocks_per_batch(self) -> Optional[List[List[np.ndarray]]]:
+    def blocks_per_batch(self) -> Optional[List[Sequence[np.ndarray]]]:
         """Per-batch adjacency blocks (read-only view, set by preprocessing)."""
         return self._blocks_per_batch
-
-    @property
-    def streaming_blocks_active(self) -> bool:
-        """Whether this trainer runs in memory-bounded streaming mode.
-
-        True when preprocessing retained no per-batch block lists: planning
-        decomposed each batch adjacency transiently instead (requested via
-        ``streaming_blocks=True`` or auto-enabled above
-        :data:`repro.graph.partition.STREAMING_NODE_THRESHOLD` nodes).
-        """
-        return self.strategy.requires_hardware and self._blocks_per_batch is None
 
     @property
     def adjacency_crossbar_ids(self) -> Optional[List[int]]:
@@ -968,10 +878,8 @@ class FaultyTrainer:
             "avg_batch_nodes": float(
                 np.mean([b.num_nodes for b in self.batches]) if self.batches else 0.0
             ),
-            # Grid shapes exist in both block modes (decompose emits one
-            # block per grid cell, so this equals the retained block count).
             "total_blocks": float(
-                sum(rb * cb for rb, cb in self._grids) if self._grids else 0.0
+                sum(len(blocks) for blocks in self._blocks_per_batch or ())
             ),
         }
         if self._weight_mapper is not None:

@@ -6,8 +6,9 @@ throughput benchmarks use them as their baselines:
 
 * :mod:`reference.mapping` — the per-pair loop behind Algorithm 1 (for the
   batched mapping cost engine);
-* :mod:`reference.hardware` — the per-block adjacency read-back, the
-  bit-sliced weight pipeline and the uncached hardware-state view (for the
+* :mod:`reference.hardware` — the eager dense block decomposition (for the
+  lazy block views), the per-block adjacency read-back, the bit-sliced
+  weight pipeline and the uncached hardware-state view (for the
   batched/fused read-back and the epoch cache);
 * :mod:`reference.trainer` — per-member gradient accumulation (for
   ``train_mode="fused"``) and per-split evaluation (for the bucketed eval);

@@ -1,16 +1,17 @@
 """Uncached seed paths of the simulated accelerator read-back.
 
 References for :mod:`repro.pipeline.mapping_engine` and
-:mod:`repro.core.hw_state`: one program/read round trip per adjacency block,
-the full bit-sliced weight pipeline, and a state cache that recomputes every
-view.  :func:`uncached_hardware` makes a :class:`FaultyTrainer` built inside
-it run all three — the seed per-batch recomputation.
+:mod:`repro.core.hw_state`: the eager dense block decomposition, one
+program/read round trip per adjacency block, the full bit-sliced weight
+pipeline, and a state cache that recomputes every view.
+:func:`uncached_hardware` makes a :class:`FaultyTrainer` built inside it run
+the last three — the seed per-batch recomputation.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 from unittest import mock
 
 import numpy as np
@@ -32,23 +33,64 @@ from repro.pipeline.mapping_engine import (
 from repro.utils.validation import check_permutation
 
 
+def dense_decompose_adjacency(
+    adjacency: CSRMatrix, rows: int, cols: int
+) -> Tuple[List[np.ndarray], Tuple[int, int]]:
+    """Eager decomposition into every ``rows × cols`` dense block at once.
+
+    The reference for :class:`~repro.pipeline.mapping_engine.AdjacencyBlocks`:
+    a stable sort groups the entries per block without reordering them inside
+    a block, one fancy-index assignment per non-empty block resolves
+    duplicate ``(row, col)`` entries last-wins, and ``> 0`` binarises.  Empty
+    blocks alias one zero array.  Returns ``(blocks, (row_blocks,
+    col_blocks))`` in row-major order.
+    """
+    n, m = adjacency.shape
+    row_blocks = max(1, -(-n // rows))
+    col_blocks = max(1, -(-m // cols))
+
+    entry_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adjacency.indptr))
+    indices = adjacency.indices
+    bi = entry_rows // rows
+    bj = indices // cols
+    block_ids = bi * col_blocks + bj
+    order = np.argsort(block_ids, kind="stable")
+    sorted_ids = block_ids[order]
+    local_r = (entry_rows - bi * rows)[order]
+    local_c = (indices - bj * cols)[order]
+    sorted_data = adjacency.data[order]
+
+    blocks: List[np.ndarray] = [np.zeros((rows, cols))] * (row_blocks * col_blocks)
+    if sorted_ids.size:
+        boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
+        starts = np.concatenate(([0], boundaries))
+        stops = np.concatenate((boundaries, [sorted_ids.size]))
+        for start, stop in zip(starts, stops):
+            block = np.zeros((rows, cols), dtype=np.float64)
+            block[local_r[start:stop], local_c[start:stop]] = sorted_data[start:stop]
+            blocks[int(sorted_ids[start])] = (block > 0).astype(np.float64)
+    return blocks, (row_blocks, col_blocks)
+
+
 class LoopAdjacencyMapper(AdjacencyCrossbarMapper):
     """Adjacency read-back through one program/read round trip per block.
 
-    Decompose into dense blocks, program and read each block on its
-    crossbar, assemble the dense grid, truncate it to ``n × m``, zero the
-    diagonal and convert back to CSR.
+    Decompose into dense blocks (:func:`dense_decompose_adjacency`), program
+    and read each block on its crossbar, assemble the dense grid, truncate it
+    to ``n × m``, zero the diagonal and convert back to CSR.
     """
 
     def apply_mapping(self, adjacency: CSRMatrix, mapping: BatchMapping) -> CSRMatrix:
-        blocks, (row_blocks, col_blocks) = self.decompose(adjacency)
+        rows = self.config.crossbar_rows
+        cols = self.config.crossbar_cols
+        blocks, (row_blocks, col_blocks) = dense_decompose_adjacency(
+            adjacency, rows, cols
+        )
         if len(mapping) != len(blocks):
             raise ValueError(
                 f"mapping covers {len(mapping)} blocks but the adjacency has "
                 f"{len(blocks)}"
             )
-        rows = self.config.crossbar_rows
-        cols = self.config.crossbar_cols
         faulty_dense = np.zeros((row_blocks * rows, col_blocks * cols), dtype=np.float64)
         for block_mapping in mapping.blocks:
             index = block_mapping.block_index

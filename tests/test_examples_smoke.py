@@ -60,9 +60,9 @@ def test_readme_large_graph_quickstart():
     """The README's streaming quickstart at smoke scale.
 
     60k nodes sits above ``STREAMING_NODE_THRESHOLD`` (50k), so the run
-    exercises the real large-graph machinery — chunked generation,
-    streaming partitioner, auto-enabled streaming-blocks mode — in a few
-    seconds.  The full 10^6-node configuration is gated (with a peak-RSS
+    exercises the real large-graph machinery — chunked generation and the
+    streaming partitioner — in a few seconds, planning from lazy block
+    views.  The full 10^6-node configuration is gated (with a peak-RSS
     ceiling) in ``benchmarks/test_bench_multigraph_train.py``.
     """
     env = _src_env()
@@ -76,11 +76,10 @@ def test_readme_large_graph_quickstart():
         env,
     )
     assert proc.returncode == 0, f"large_graph failed:\n{proc.stderr}"
-    assert "block mode: streaming" in proc.stdout
     # The README advertises the fused train step as the example's default;
     # the trainer must report it active (not silently fall back).
     assert "train mode: fused" in proc.stdout
-    for needle in ("peak RSS", "blocks streamed through", "test accuracy"):
+    for needle in ("peak RSS", "dense blocks if retained", "test accuracy"):
         assert needle in proc.stdout, (
             f"expected {needle!r} in large_graph output:\n{proc.stdout}"
         )

@@ -19,6 +19,7 @@ import re
 
 import pytest
 
+from repro.api import run_sweep
 from repro.experiments import sweeps
 from repro.experiments.failures import (
     FailureKind,
@@ -38,7 +39,7 @@ from repro.experiments.sweeps import ResultStore, SweepEngine, SweepPlan
 from repro.experiments.tables import aggregate_seed_rows
 from repro.utils.tabulate import MISSING, format_table
 
-from test_experiments_sweeps import SMALL_GRID, comparable
+from test_experiments_sweeps import SMALL_GRID, TWO_SPEC_PLAN, comparable
 
 #: Two artifact groups (groups key on dataset/scale/seed) so the parallel
 #: supervisor has in-flight work to requeue when one group's worker dies.
@@ -273,6 +274,26 @@ class TestParallelFaults:
     def test_rejects_non_positive_group_timeout(self, budget):
         with pytest.raises(ValueError, match="group_timeout"):
             SweepEngine(group_timeout=budget)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("entry", ["constructor", "run", "api"])
+    def test_rejects_worker_count_below_one(self, entry, workers):
+        """A worker count below 1 raises instead of running serially."""
+        engine = SweepEngine()
+        with pytest.raises(ValueError, match="max_workers"):
+            if entry == "constructor":
+                SweepEngine(max_workers=workers)
+            elif entry == "run":
+                engine.run(TWO_SPEC_PLAN, max_workers=workers)
+            else:
+                run_sweep(
+                    datasets=(("ppi", "gcn"),),
+                    strategies=("fault_free",),
+                    fault_densities=(0.05,),
+                    epochs=1,
+                    max_workers=workers,
+                )
+        assert engine.runs_executed == 0
 
     def test_deterministic_failure_quarantines_in_parallel(self):
         victim = sorted(TWO_GROUP_GRID, key=lambda s: s.signature())[0]

@@ -1,17 +1,18 @@
-"""Multi-graph vectorised training + memory-bounded streaming mode.
+"""Multi-graph vectorised training + the million-node streaming path.
 
 Four subsystems under test:
 
-* the sparse block decomposition (``decompose_adjacency``) — bit-identical
-  to a dense reference, shared frozen zero blocks, counters;
+* the lazy block views (``decompose_adjacency`` → ``AdjacencyBlocks``) —
+  fuzzed bit-identical to a dense reference;
 * the block-diagonal CSR fusion (``block_diag_csr`` / ``CSRMatrix.block_diag``)
   and the bucketed-eval / aggregation-precompute trainer paths — fuzzed
   equivalence against the seed per-split per-batch loop
   (:class:`reference.trainer.PerSplitEvalTrainer`) across the three models,
   fault-free and fault-injected;
 * the streaming dataset generator and partitioner;
-* the trainer's ``streaming_blocks`` mode — plans and histories identical to
-  the retained-blocks path without ever retaining per-batch dense blocks.
+* the post-deployment fault reaction over block views — histories, plans and
+  counters identical to a trainer given the dense reference blocks, and
+  working above the streaming partitioner's node threshold.
 
 Equivalence contract (``docs/ARCHITECTURE.md``): per-row sparse kernels over
 a block-diagonal matrix never mix rows across members, so fused results are
@@ -33,10 +34,12 @@ from repro.graph.partition import (
     partition_graph,
 )
 from repro.graph.sparse import CSRMatrix
+from repro.hardware.bist import BISTReport
 from repro.hardware.config import ReRAMConfig
+from repro.hardware.endurance import PostDeploymentSchedule
 from repro.hardware.faults import FaultModel
 from repro.pipeline.mapping_engine import (
-    DECOMPOSE_COUNTERS,
+    AdjacencyBlocks,
     HardwareEnvironment,
     decompose_adjacency,
     peak_rss_bytes,
@@ -45,6 +48,7 @@ from repro.pipeline.trainer import FaultyTrainer, TrainerArtifacts, TrainingConf
 from repro.tensor import kernels, ops
 from repro.tensor.tensor import Tensor
 
+from reference.hardware import dense_decompose_adjacency
 from reference.trainer import PerSplitEvalTrainer
 
 
@@ -85,26 +89,56 @@ class TestSparseDecompose:
         for got, want in zip(blocks, ref_blocks):
             np.testing.assert_array_equal(got, want)
 
-    def test_empty_blocks_share_one_frozen_array(self, rng):
-        mat, _ = _random_csr(rng, 64, 64, density=0.005)
-        blocks, _ = decompose_adjacency(mat, 16, 16)
-        zeros = [b for b in blocks if not b.any()]
-        assert zeros, "expected at least one empty block at this density"
-        for z in zeros:
-            assert z is zeros[0]
-            assert not z.flags.writeable
+    def test_fuzz_matches_dense_reference(self):
+        """Ragged shapes, unsorted and duplicate entries, non-positive data.
 
-    def test_counters_advance(self, rng):
-        mat, _ = _random_csr(rng, 32, 32, density=0.1)
-        before = dict(DECOMPOSE_COUNTERS.as_dict())
-        blocks, _ = decompose_adjacency(mat, 16, 16)
-        after = DECOMPOSE_COUNTERS.as_dict()
-        assert after["decompose_calls"] == before["decompose_calls"] + 1
-        materialised = sum(1 for b in blocks if b.any())
-        assert (
-            after["decompose_blocks_materialised"]
-            == before["decompose_blocks_materialised"] + materialised
-        )
+        The dense matrix is written entry by entry in CSR storage order, so
+        the last duplicate of a cell wins and ``> 0`` keeps only positive
+        values — the rules the view must apply.  Every case is also checked
+        against the eager dense decomposition the views replaced.
+        """
+        rng = np.random.default_rng(2024)
+        for case in range(240):
+            n, m = (int(v) for v in rng.integers(1, 90, size=2))
+            rows, cols = (int(v) for v in rng.integers(1, 24, size=2))
+            nnz = 0 if case % 10 == 0 else int(rng.integers(1, 4 * max(n, m)))
+            entry_rows = np.sort(rng.integers(0, n, size=nnz))
+            entry_cols = rng.integers(0, m, size=nnz)  # unsorted within a row
+            if case % 3 == 0 and nnz:
+                # Re-store a third of the cells with a different value.
+                again = rng.integers(0, nnz, size=max(1, nnz // 3))
+                entry_rows = np.concatenate((entry_rows, entry_rows[again]))
+                entry_cols = np.concatenate((entry_cols, entry_cols[again]))
+                order = np.argsort(entry_rows, kind="stable")
+                entry_rows, entry_cols = entry_rows[order], entry_cols[order]
+            data = rng.choice([-2.0, 0.0, 0.5, 1.0, 3.0], size=entry_rows.size)
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_rows, minlength=n))))
+            mat = CSRMatrix(indptr, entry_cols, data, (n, m))
+            dense = np.zeros((n, m))
+            for r, c, v in zip(entry_rows, entry_cols, data):
+                dense[r, c] = v
+
+            view, grid = decompose_adjacency(mat, rows, cols)
+            ref_blocks, ref_grid = _dense_decompose_reference(dense, rows, cols)
+            eager_blocks, _ = dense_decompose_adjacency(mat, rows, cols)
+            assert isinstance(view, AdjacencyBlocks)
+            assert grid == view.grid == ref_grid
+            assert len(view) == len(ref_blocks)
+            for k, want in enumerate(ref_blocks):
+                got = view[k]
+                assert got.dtype == np.float64 and got.shape == (rows, cols)
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(got, eager_blocks[k])
+            start, stop = sorted(int(v) for v in rng.integers(0, len(view) + 1, 2))
+            sliced = view[start:stop]
+            assert isinstance(sliced, list) and len(sliced) == stop - start
+            for got, want in zip(sliced, ref_blocks[start:stop]):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(view[-1], ref_blocks[-1])
+            with pytest.raises(IndexError):
+                view[len(view)]
+            with pytest.raises(IndexError):
+                view[-len(view) - 1]
 
     def test_nonbinary_values_threshold(self):
         mat = CSRMatrix.from_coo([0, 1], [1, 0], [2.5, 7.0], (4, 4))
@@ -391,75 +425,98 @@ class TestStreamingPartitioner:
 
 
 # --------------------------------------------------------------------------- #
-# Trainer streaming-blocks mode
+# Post-deployment fault reaction over block views
 # --------------------------------------------------------------------------- #
-class TestStreamingBlocksMode:
-    @pytest.mark.parametrize("strategy", ["fault_unaware", "fare"])
-    def test_bitwise_equivalent_to_retained(self, strategy):
-        graph = _graph(13)
-        retained, retained_params, rt = _train(
-            "gcn", strategy, graph, streaming_blocks=False
-        )
-        streaming, streaming_params, st = _train(
-            "gcn", strategy, graph, streaming_blocks=True
-        )
-        assert retained.loss_history == streaming.loss_history
-        assert retained.test_accuracy_history == streaming.test_accuracy_history
-        for name in retained_params:
-            np.testing.assert_array_equal(
-                retained_params[name], streaming_params[name]
-            )
-        assert st.blocks_per_batch is None
-        assert rt.blocks_per_batch is not None
-        # Same plans (every strategy plans its batches independently).
-        for plan_r, plan_s in zip(rt.plans, st.plans):
-            for br, bs in zip(plan_r.blocks, plan_s.blocks):
-                assert br.block_index == bs.block_index
-                assert br.crossbar_index == bs.crossbar_index
-                assert br.cost == bs.cost
-                np.testing.assert_array_equal(
-                    br.row_permutation, bs.row_permutation
-                )
-        assert retained.counters["total_blocks"] == streaming.counters[
-            "total_blocks"
-        ] > 0
+def _same_plans(left, right):
+    assert len(left) == len(right)
+    for plan_l, plan_r in zip(left, right):
+        assert len(plan_l) == len(plan_r)
+        for bl, br in zip(plan_l.blocks, plan_r.blocks):
+            assert bl.block_index == br.block_index
+            assert bl.crossbar_index == br.crossbar_index
+            assert bl.cost == br.cost
+            assert bl.sa1_mismatch == br.sa1_mismatch
+            np.testing.assert_array_equal(bl.row_permutation, br.row_permutation)
 
-    def test_fault_delta_requires_retained_blocks(self):
+
+class TestPostDeploymentViews:
+    @pytest.mark.parametrize("replan", [False, True], ids=["refresh", "replan"])
+    @pytest.mark.parametrize("strategy", ["fault_unaware", "fare", "nr"])
+    def test_matches_dense_reference_blocks(self, strategy, replan):
+        """BIST re-scans refresh or re-plan from the views exactly as from
+        the dense reference blocks."""
         graph = _graph(13)
-        strategy = build_strategy("fare")
-        trainer = FaultyTrainer(
-            graph,
+        post = PostDeploymentSchedule(total_extra_density=0.02, num_epochs=3)
+        views, view_params, vt = _train(
+            "gcn", strategy, graph, post_deployment=post, replan_on_rescan=replan
+        )
+        dense = [
+            dense_decompose_adjacency(batch.subgraph.adjacency, 16, 16)[0]
+            for batch in vt.batches
+        ]
+        ref, ref_params, rt = _train(
             "gcn",
             strategy,
-            TrainingConfig(epochs=1, num_parts=4, batch_clusters=2, seed=0),
-            hardware=_hardware(),
-            streaming_blocks=True,
+            graph,
+            post_deployment=post,
+            replan_on_rescan=replan,
+            artifacts=TrainerArtifacts(blocks_per_batch=dense),
         )
-        with pytest.raises(RuntimeError, match="retained per-batch blocks"):
-            trainer.apply_fault_delta(0.01)
+        assert all(isinstance(b, AdjacencyBlocks) for b in vt.blocks_per_batch)
+        assert rt.blocks_per_batch is dense
+        assert views.loss_history == ref.loss_history
+        assert views.train_accuracy_history == ref.train_accuracy_history
+        assert views.test_accuracy_history == ref.test_accuracy_history
+        for name in ref_params:
+            np.testing.assert_array_equal(view_params[name], ref_params[name])
+        _same_plans(vt.plans, rt.plans)
+        assert views.counters == ref.counters
+        assert views.counters["total_blocks"] == sum(len(b) for b in dense) > 0
 
-    def test_streaming_conflicts_with_block_artifacts(self):
+    def test_block_artifacts_must_cover_every_batch(self):
         graph = _graph(13)
-        strategy = build_strategy("fare")
-        hw = _hardware()
+        config = TrainingConfig(epochs=1, num_parts=4, batch_clusters=1, seed=0)
         base = FaultyTrainer(
-            graph,
-            "gcn",
-            strategy,
-            TrainingConfig(epochs=1, num_parts=4, batch_clusters=2, seed=0),
-            hardware=hw,
+            graph, "gcn", build_strategy("fare"), config, hardware=_hardware()
         )
-        artifacts = TrainerArtifacts(
-            blocks_per_batch=base.blocks_per_batch,
-            grids=list(base._grids),
-        )
-        with pytest.raises(ValueError, match="streaming_blocks"):
+        short = TrainerArtifacts(blocks_per_batch=base.blocks_per_batch[:-1])
+        with pytest.raises(ValueError, match="block lists"):
             FaultyTrainer(
                 graph,
                 "gcn",
                 build_strategy("fare"),
-                TrainingConfig(epochs=1, num_parts=4, batch_clusters=2, seed=0),
+                config,
                 hardware=_hardware(),
-                artifacts=artifacts,
-                streaming_blocks=True,
+                artifacts=short,
             )
+
+    def test_fault_delta_above_streaming_threshold(self):
+        """Post-deployment reaction works at streaming-partitioner scale."""
+        nodes = STREAMING_NODE_THRESHOLD
+        parts = nodes // 1250
+        graph = synthetic_graph_streaming(nodes, parts, 8, 8, avg_degree=8.0, seed=3)
+        hardware = HardwareEnvironment(
+            config=ReRAMConfig(
+                crossbar_rows=64, crossbar_cols=64, crossbars_per_tile=160, num_tiles=2
+            ),
+            fault_model=FaultModel(0.05, (9.0, 1.0), seed=4),
+            weight_fraction=0.5,
+        )
+        trainer = FaultyTrainer(
+            graph,
+            "gcn",
+            build_strategy("fault_unaware"),
+            TrainingConfig(
+                epochs=1, hidden_features=8, num_parts=parts, batch_clusters=1,
+                seed=0,
+            ),
+            hardware=hardware,
+        )
+        before = trainer.plans
+        assert isinstance(trainer.apply_fault_delta(0.01), BISTReport)
+        assert trainer.plans is before  # refresh keeps the sequential plan
+        assert isinstance(trainer.apply_fault_delta(0.01, replan=True), BISTReport)
+        assert len(trainer.plans) == len(trainer.batches)
+        assert sum(plan.total_cost for plan in trainer.plans) > sum(
+            plan.total_cost for plan in before
+        )

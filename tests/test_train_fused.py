@@ -11,7 +11,7 @@ Three subsystems under test:
   :class:`reference.trainer.AccumulationTrainer` (zero_grad once per
   bucket, per-member backward, one optimizer step per bucket) — fuzzed
   equivalence across the three models, fault-free and fault-injected,
-  post-deployment deltas, ragged B=1 buckets, streaming-blocks on/off, with
+  post-deployment deltas, ragged B=1 buckets, lazy block views, with
   the write/endurance counters and optimizer step accounting identical;
 * the bucket-layout staleness fix and the ``edge_list_graph_streaming``
   loader contract.
@@ -296,22 +296,12 @@ class TestFusedTrainEquivalence:
         _assert_equivalent(ref, fused, ref_params, fused_params)
         assert _write_counters(ref) == _write_counters(fused)
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_streaming_blocks_composes(self, streaming):
+    def test_block_views_compose(self):
         graph = _graph(17)
-        ref, ref_params, _ = _accumulate(
-            "sage", "fare", graph, streaming_blocks=streaming
-        )
-        fused, fused_params, trainer = _train(
-            "sage",
-            "fare",
-            graph,
-            train_mode="fused",
-            streaming_blocks=streaming,
-        )
+        ref, ref_params, _ = _accumulate("sage", "fare", graph)
+        fused, fused_params, _ = _train("sage", "fare", graph, train_mode="fused")
         _assert_equivalent(ref, fused, ref_params, fused_params)
         assert _write_counters(ref) == _write_counters(fused)
-        assert trainer.streaming_blocks_active == streaming
 
     @pytest.mark.parametrize("mode", ["bogus", "accumulate"])
     def test_invalid_train_mode_rejected(self, mode):
@@ -467,7 +457,7 @@ class TestEdgeListLoader:
         )
 
     def test_same_contract_as_synthetic_streaming(self, tmp_path):
-        """The loaded graph trains through the streaming trainer path."""
+        """The loaded graph trains like a synthetic streaming graph."""
         path = tmp_path / "train.npz"
         reference = _graph(37, nodes=72)
         rows, cols, _ = reference.adjacency.coo()
@@ -485,12 +475,10 @@ class TestEdgeListLoader:
                 seed=0,
             ),
             hardware=_hardware(),
-            streaming_blocks=True,
             train_mode="fused",
         )
         result = trainer.train()
         assert result.epochs_run == 1
-        assert trainer.streaming_blocks_active
 
     def test_bad_inputs_rejected(self, tmp_path):
         empty = tmp_path / "empty.txt"
