@@ -135,8 +135,6 @@ def test_bench_train_fused(run_once):
     # dict TimingBreakdown.components is updated from).
     assert counters["batched_train_buckets"] == epochs
     assert counters["train_fused_forwards"] == epochs
-    assert counters["kernel_batched_train_buckets"] == epochs
-    assert counters["kernel_train_fused_forwards"] == epochs
     assert counters["kernel_segment_plan_cache_hits"] >= epochs - 1
 
     eps = {mode: epochs / value for mode, value in best.items()}

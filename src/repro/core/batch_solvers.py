@@ -39,31 +39,14 @@ The batched front-ends return ``(assignments, totals)`` stacks shaped like
 dispatched by name through :func:`solve_assignment_batch` (the batch
 counterpart of :func:`repro.matching.bipartite.solve_assignment`).
 
-Warm-started solves (delta re-planning)
----------------------------------------
-When a fault map changes by a small delta, the cost engine re-solves only the
-affected pairs — and those solves can start from the *previous* solution
-instead of cold:
-
-* :func:`hungarian_warm_solve` reuses the predecessor's dual potentials
-  (feasibility-repaired for the changed columns) and its still-tight matched
-  edges, augmenting only the displaced rows.  A warm solve is exact but may
-  land on a *different* optimum than the cold solver when the optimum is
-  degenerate, so :func:`assignment_is_unique` certifies uniqueness (no
-  zero-reduced-cost alternating cycle); the engine accepts a warm result only
-  with that certificate and falls back to the cold solver otherwise —
-  bit-identity is never assumed, it is proved per pair.
-* :func:`bsuitor_assignment_batch` accepts cached per-column preference
-  orders (``col_orders``).  A column's order is reused only when its weight
-  column is provably bit-equal to the predecessor's (cost column untouched by
-  the fault delta *and* equal per-matrix weight offset), in which case
-  ``argsort`` over that column would reproduce it exactly — identical by
-  construction, no verification needed.
+A re-plan after a fault delta needs no solver state from the previous plan:
+the cost engine serves every pair with an unchanged block and fault map from
+its pair cache and sends only the rest here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -71,10 +54,8 @@ from repro.matching.greedy import greedy_assignment_batch
 
 __all__ = [
     "BATCH_SOLVERS",
-    "assignment_is_unique",
     "bsuitor_assignment_batch",
     "hungarian_assignment_batch",
-    "hungarian_warm_solve",
     "solve_assignment_batch",
 ]
 
@@ -94,10 +75,7 @@ def _validate_stack(cost: np.ndarray, name: str) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Hungarian
 # --------------------------------------------------------------------------- #
-def hungarian_assignment_batch(
-    cost: np.ndarray,
-    return_duals: bool = False,
-) -> Tuple[np.ndarray, ...]:
+def hungarian_assignment_batch(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Solve a stack of rectangular assignment problems exactly.
 
     Parameters
@@ -105,11 +83,6 @@ def hungarian_assignment_batch(
     cost:
         ``(num_problems, n_rows, n_cols)`` stack with ``n_rows <= n_cols``;
         entries must be finite.
-    return_duals:
-        Also return the final dual potentials ``(u, v)`` of shape
-        ``(num_problems, n_rows)`` / ``(num_problems, n_cols)`` (the virtual
-        row/column stripped).  They certify optimality (feasible, matched
-        edges tight) and seed :func:`hungarian_warm_solve` on the next delta.
 
     Returns
     -------
@@ -202,200 +175,19 @@ def hungarian_assignment_batch(
     row_range = np.arange(n_rows)
     for k in range(num):
         totals[k] = float(cost[k, row_range, assignments[k]].sum())
-    if return_duals:
-        return assignments, totals, (u[:, 1:].copy(), v[:, 1:].copy())
     return assignments, totals
-
-
-# --------------------------------------------------------------------------- #
-# Warm-started Hungarian (delta re-planning)
-# --------------------------------------------------------------------------- #
-def hungarian_warm_solve(
-    cost: np.ndarray,
-    u0: np.ndarray,
-    v0: np.ndarray,
-    seed_assignment: np.ndarray,
-) -> Tuple[np.ndarray, float, Tuple[np.ndarray, np.ndarray], int]:
-    """Exact JV solve warm-started from a predecessor's duals and matching.
-
-    ``(u0, v0)`` are the final duals of a solve on a *similar* cost matrix
-    (typically the same pair before a small fault delta) and
-    ``seed_assignment`` its optimal assignment.  The solve
-
-    1. restores dual feasibility by lowering ``v`` on columns the delta made
-       over-covered (``v_j += min_i rc_ij`` where the minimum reduced cost
-       went negative — exact arithmetic on integral costs and duals),
-    2. keeps every seed edge that is still tight under the repaired duals as
-       the initial partial matching, and
-    3. runs the scalar JV augmentation (the exact loop of
-       :func:`repro.matching.hungarian.hungarian_assignment`) only for the
-       rows left unmatched.
-
-    Returns ``(assignment, total, (u, v), augmentations)``.  The assignment
-    is provably optimal, but under dual degeneracy it may be a *different*
-    optimum than the cold solver's — callers that need the cold solver's
-    exact tie-breaking must certify with :func:`assignment_is_unique` and
-    fall back to a cold solve when the certificate fails.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    n_rows, n_cols = cost.shape
-    seed = np.asarray(seed_assignment, dtype=np.int64)
-    if seed.shape != (n_rows,):
-        raise ValueError(
-            f"seed assignment has shape {seed.shape}, expected ({n_rows},)"
-        )
-    u = np.zeros(n_rows + 1)
-    v = np.zeros(n_cols + 1)
-    u[1:] = np.asarray(u0, dtype=np.float64)
-    v[1:] = np.asarray(v0, dtype=np.float64)
-
-    # Feasibility repair for changed columns.
-    col_min = (cost - u[1:, None] - v[None, 1:]).min(axis=0)
-    violated = col_min < 0
-    if violated.any():
-        v[1:][violated] += col_min[violated]
-
-    # Seed the partial matching with the still-tight predecessor edges.  The
-    # seed assignment is injective, so no column is claimed twice.
-    p = np.zeros(n_cols + 1, dtype=np.int64)
-    row_range = np.arange(n_rows)
-    still_tight = cost[row_range, seed] - u[1:] - v[seed + 1] == 0.0
-    for i in np.flatnonzero(still_tight):
-        p[seed[i] + 1] = i + 1
-
-    augmentations = 0
-    INF = np.inf
-    for i in range(1, n_rows + 1):
-        if still_tight[i - 1]:
-            continue
-        augmentations += 1
-        # From here on this is the scalar solver's augmentation loop verbatim
-        # (it only requires feasible duals and a tight partial matching).
-        p[0] = i
-        j0 = 0
-        minv = np.full(n_cols + 1, INF)
-        used = np.zeros(n_cols + 1, dtype=bool)
-        way = np.zeros(n_cols + 1, dtype=np.int64)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = ~used
-            free[0] = False
-            cols = np.flatnonzero(free)
-            cur = cost[i0 - 1, cols - 1] - u[i0] - v[cols]
-            better = cur < minv[cols]
-            minv[cols] = np.where(better, cur, minv[cols])
-            way[cols[better]] = j0
-            best_idx = int(np.argmin(minv[cols]))
-            delta = minv[cols][best_idx]
-            j1 = int(cols[best_idx])
-            used_idx = np.flatnonzero(used)
-            u[p[used_idx]] += delta
-            v[used_idx] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while True:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-            if j0 == 0:
-                break
-
-    assignment = -np.ones(n_rows, dtype=np.int64)
-    for j in range(1, n_cols + 1):
-        if p[j] > 0:
-            assignment[p[j] - 1] = j - 1
-    total = float(cost[row_range, assignment].sum())
-    return assignment, total, (u[1:].copy(), v[1:].copy()), augmentations
-
-
-def assignment_is_unique(
-    cost: np.ndarray, u: np.ndarray, v: np.ndarray, assignment: np.ndarray
-) -> bool:
-    """Certify that ``assignment`` is the *only* minimum-cost assignment.
-
-    Sound for square cost matrices with exact (integer-valued) duals: by
-    complementary slackness every optimal assignment uses only tight edges
-    (reduced cost exactly ``0``), and a second perfect matching inside the
-    tight-edge graph exists iff the directed row graph ``i → k`` when
-    ``tight[i, assignment[k]]`` (``i ≠ k``) contains a cycle.  An acyclic
-    graph therefore proves the optimum unique — and hence equal, bit for
-    bit, to whatever any exact solver (in particular the cold scalar/batched
-    Hungarian) returns.  ``False`` means "cannot certify", not "not unique":
-    non-square inputs, inexact duals and genuine degeneracy all land there.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    n_rows, n_cols = cost.shape
-    if n_rows != n_cols:
-        return False
-    assignment = np.asarray(assignment, dtype=np.int64)
-    rc = cost - np.asarray(u)[:, None] - np.asarray(v)[None, :]
-    if rc.min() < 0.0:
-        return False
-    if (rc[np.arange(n_rows), assignment] != 0.0).any():
-        return False
-    adj = rc[:, assignment] == 0.0  # adj[i, k]: tight edge i → assignment[k]
-    np.fill_diagonal(adj, False)
-    # Kahn peel: repeatedly drop rows with no remaining outgoing tight edge;
-    # anything that survives sits on an alternating cycle.
-    alive = np.ones(n_rows, dtype=bool)
-    while alive.any():
-        removable = alive & ~(adj & alive[None, :]).any(axis=1)
-        if not removable.any():
-            return False
-        alive &= ~removable
-    return True
 
 
 # --------------------------------------------------------------------------- #
 # b-Suitor (b = 1 assignment front-end)
 # --------------------------------------------------------------------------- #
-def _right_preference_orders(
-    weights: np.ndarray,
-    col_orders: Optional[Sequence[Optional[Tuple[np.ndarray, np.ndarray]]]],
-) -> np.ndarray:
-    """Right-side preference orders, reusing cached columns where provided.
-
-    ``col_orders[k]`` is either ``None`` (compute matrix ``k`` fully) or a
-    ``(valid_cols, cached_order)`` pair: boolean mask over columns whose
-    weight column is **bit-equal** to the one ``cached_order`` was sorted
-    from.  For those columns ``argsort`` is deterministic on identical input,
-    so the cached order *is* the order the full sort would produce —
-    identical by construction; the remaining columns are sorted fresh
-    (``np.argsort`` sorts each 1-D slice independently, so a column-subset
-    sort equals the same columns of the full sort).
-    """
-    if col_orders is None:
-        return np.argsort(-weights, axis=1)
-    num, n_left, n_right = weights.shape
-    order_right = np.empty((num, n_left, n_right), dtype=np.int64)
-    for k in range(num):
-        cached = col_orders[k] if k < len(col_orders) else None
-        if cached is None:
-            order_right[k] = np.argsort(-weights[k], axis=0)
-            continue
-        valid, cached_order = cached
-        order_right[k][:, valid] = cached_order[:, valid]
-        fresh = ~valid
-        if fresh.any():
-            order_right[k][:, fresh] = np.argsort(-weights[k][:, fresh], axis=0)
-    return order_right
-
-
-def _suitor_matching_batch(
-    weights: np.ndarray,
-    col_orders: Optional[Sequence[Optional[Tuple[np.ndarray, np.ndarray]]]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+def _suitor_matching_batch(weights: np.ndarray) -> np.ndarray:
     """Run the ``b = 1`` suitor algorithm on a stack of weight matrices.
 
-    Returns ``(prop, order_right)``: ``prop`` of shape ``(num, L + R)`` where
-    ``prop[b, u]`` is the vertex that ``u``'s still-accepted proposal points
-    at (``-1`` if none) — the surviving proposals *are* the matching, exactly
-    as in the sequential :func:`repro.matching.bsuitor.bsuitor_bmatching` —
-    and ``order_right`` the right-side preference orders actually used (the
-    reusable warm-start artifact).
+    Returns ``prop`` of shape ``(num, L + R)`` where ``prop[b, u]`` is the
+    vertex that ``u``'s still-accepted proposal points at (``-1`` if none) —
+    the surviving proposals *are* the matching, exactly as in the sequential
+    :func:`repro.matching.bsuitor.bsuitor_bmatching`.
 
     The sequential algorithm works through a LIFO stack of vertices that
     still need a partner; each pop scans the vertex's preference list from
@@ -416,7 +208,7 @@ def _suitor_matching_batch(
     # like the sequential implementation; tails beyond a side's true degree
     # are padded with -inf weights, which can never be proposed to.
     order_left = np.argsort(-weights, axis=2)
-    order_right = _right_preference_orders(weights, col_orders)
+    order_right = np.argsort(-weights, axis=1)
     pref_ids = np.zeros((num, nv, deg), dtype=np.int64)
     pref_w = np.full((num, nv, deg), -np.inf)
     pref_ids[:, :n_left, :n_right] = n_left + order_left
@@ -474,14 +266,10 @@ def _suitor_matching_batch(
                 stack[d_m, size[d_m]] = d_id
                 size[d_m] += 1
         active = active[size[active] > 0]
-    return prop, order_right
+    return prop
 
 
-def bsuitor_assignment_batch(
-    cost: np.ndarray,
-    col_orders: Optional[Sequence[Optional[Tuple[np.ndarray, np.ndarray]]]] = None,
-    return_aux: bool = False,
-) -> Tuple[np.ndarray, ...]:
+def bsuitor_assignment_batch(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Solve a stack of assignment problems with the b-Suitor algorithm.
 
     Batched counterpart of
@@ -491,37 +279,16 @@ def bsuitor_assignment_batch(
     left unmatched are filled greedily with the cheapest remaining columns —
     every step ordered exactly like the scalar front-end, so row ``p`` of the
     result equals ``bsuitor_assignment(cost[p])`` bit for bit.
-
-    Parameters
-    ----------
-    col_orders:
-        Optional per-matrix warm-start: entry ``k`` is ``None`` or a
-        ``(valid_cols, cached_order)`` pair whose valid columns' weight
-        columns are bit-equal to the ones the cached right-side preference
-        order was sorted from (see :func:`_right_preference_orders`).  The
-        caller owns that equality guarantee — typically "fault-map row
-        untouched by the delta *and* same per-matrix ``cost.max()`` offset".
-    return_aux:
-        Also return ``{"col_orders": (num, n_rows, n_cols) right-side
-        preference orders, "wmax": (num,) per-matrix cost maxima}`` — the
-        artifacts a later delta solve can pass back through ``col_orders``.
     """
     cost = _validate_stack(cost, "bsuitor_assignment_batch")
     num, n_rows, n_cols = cost.shape
     assignments = np.full((num, n_rows), -1, dtype=np.int64)
     totals = np.zeros(num, dtype=np.float64)
     if num == 0 or n_rows == 0:
-        if return_aux:
-            aux = {
-                "col_orders": np.zeros((num, n_rows, n_cols), dtype=np.int64),
-                "wmax": cost.max(axis=(1, 2)) if num else np.zeros(0),
-            }
-            return assignments, totals, aux
         return assignments, totals
 
-    wmax = cost.max(axis=(1, 2), keepdims=True)
-    weights = wmax - cost + 1.0
-    prop, order_right = _suitor_matching_batch(weights, col_orders)
+    weights = cost.max(axis=(1, 2), keepdims=True) - cost + 1.0
+    prop = _suitor_matching_batch(weights)
 
     # Surviving proposals from either side name the same (row, column) pair.
     # Encoding every pair as ``batch * span + row * n_cols + col`` makes one
@@ -583,11 +350,6 @@ def bsuitor_assignment_batch(
     row_range = np.arange(n_rows)
     for k in range(num):
         totals[k] = float(cost[k, row_range, assignments[k]].sum())
-    if return_aux:
-        return assignments, totals, {
-            "col_orders": order_right,
-            "wmax": wmax.reshape(num).copy(),
-        }
     return assignments, totals
 
 

@@ -34,6 +34,9 @@ stack solve (the batched-greedy sweep or a lockstep exact solver from
 :mod:`repro.core.batch_solvers`, per the row method), materialises only the
 ≤ ``B`` selected permutations, and caches every pair result by content
 fingerprint so per-epoch refreshes on unchanged BIST maps are near-free.
+A full re-plan after a fault delta is just another ``map_blocks`` call on
+the same mapper: the cache serves every pair whose block and fault map are
+unchanged, and only the pairs against changed maps are solved again.
 
 The seed per-pair loop — ``B·M`` independent calls of
 :func:`block_crossbar_cost`, every permutation materialised — lives in
@@ -51,11 +54,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cost_engine import (
-    MappingCostEngine,
-    PlanContext,
-    block_row_cost_matrix,
-)
+from repro.core.cost_engine import MappingCostEngine, block_row_cost_matrix
 from repro.hardware.faults import FaultMap
 from repro.matching.bipartite import solve_assignment
 from repro.matching.hungarian import hungarian_assignment
@@ -64,7 +63,6 @@ __all__ = [
     "BatchMapping",
     "BlockMapping",
     "FaultAwareMapper",
-    "MapperPlanState",
     "block_crossbar_cost",
     "block_row_cost_matrix",  # re-exported single source: core.cost_engine
     "permutation_mismatch_cost",
@@ -165,22 +163,6 @@ class BatchMapping:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-
-@dataclass
-class MapperPlanState:
-    """Opaque warm-start state of one :meth:`FaultAwareMapper.plan_blocks` call.
-
-    Carries one engine :class:`~repro.core.cost_engine.PlanContext` per block
-    chunk (blocks are mapped ``num_crossbars`` at a time when the batch has
-    more blocks than crossbars).  Feed it back into
-    :meth:`FaultAwareMapper.replan_blocks` after a fault-map delta; it is
-    never required for correctness — a missing or stale state simply means a
-    cold re-plan.
-    """
-
-    num_crossbars: int
-    chunk_contexts: List[Optional[PlanContext]]
 
 
 def sequential_mapping(
@@ -285,9 +267,13 @@ class FaultAwareMapper:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _block_densities(blocks: Sequence[np.ndarray]) -> np.ndarray:
-        return np.array(
-            [float((np.asarray(b) > 0).mean()) if np.asarray(b).size else 0.0 for b in blocks]
-        )
+        densities = []
+        for block in blocks:
+            block = np.asarray(block)
+            densities.append(
+                np.count_nonzero(block > 0) / block.size if block.size else 0.0
+            )
+        return np.array(densities)
 
     # ------------------------------------------------------------------ #
     def map_blocks(
@@ -307,58 +293,16 @@ class FaultAwareMapper:
         crossbar_ids:
             Physical ids of the candidate crossbars; defaults to
             ``0..len(fault_maps)-1``.
+
+        Calling this again after a fault-map delta re-plans warm: pairs with
+        an unchanged block and fault map are cost-engine cache hits, so the
+        plan is bit-identical to a fresh mapper's at the cost of the changed
+        pairs only.
         """
-        mapping, _ = self._plan(
-            blocks, fault_maps, crossbar_ids, prev_state=None, capture=False
-        )
-        return mapping
-
-    def plan_blocks(
-        self,
-        blocks: Sequence[np.ndarray],
-        fault_maps: Sequence[FaultMap],
-        crossbar_ids: Optional[Sequence[int]] = None,
-    ) -> Tuple[BatchMapping, Optional[MapperPlanState]]:
-        """:meth:`map_blocks` that also returns warm-start state for re-plans.
-
-        The mapping is bit-identical to :meth:`map_blocks`; the extra
-        :class:`MapperPlanState` seeds :meth:`replan_blocks` after a fault-map
-        delta.
-        """
-        return self._plan(blocks, fault_maps, crossbar_ids, None, capture=True)
-
-    def replan_blocks(
-        self,
-        blocks: Sequence[np.ndarray],
-        fault_maps: Sequence[FaultMap],
-        crossbar_ids: Optional[Sequence[int]] = None,
-        prev_state: Optional[MapperPlanState] = None,
-    ) -> Tuple[BatchMapping, Optional[MapperPlanState]]:
-        """Re-run Algorithm 1 after a fault-map delta, warm-started.
-
-        Only the (block, crossbar) pairs whose fault maps changed since
-        ``prev_state`` was produced are re-solved; the outer block → crossbar
-        assignment, pruning, and relaxation are re-run on the spliced cost
-        grid, so the result is bit-identical to a cold :meth:`map_blocks` on
-        the new maps.  A stale or missing ``prev_state`` degrades to that
-        cold plan (counted in ``delta_full_replans``).
-        """
-        return self._plan(blocks, fault_maps, crossbar_ids, prev_state, capture=True)
-
-    def _plan(
-        self,
-        blocks: Sequence[np.ndarray],
-        fault_maps: Sequence[FaultMap],
-        crossbar_ids: Optional[Sequence[int]],
-        prev_state: Optional[MapperPlanState],
-        capture: bool,
-    ) -> Tuple[BatchMapping, Optional[MapperPlanState]]:
         num_blocks = len(blocks)
         num_crossbars = len(fault_maps)
         if num_blocks == 0:
-            return BatchMapping(blocks=[]), (
-                MapperPlanState(num_crossbars, []) if capture else None
-            )
+            return BatchMapping(blocks=[])
         if num_crossbars == 0:
             raise ValueError("need at least one crossbar")
         ids = list(crossbar_ids) if crossbar_ids is not None else list(range(num_crossbars))
@@ -368,31 +312,12 @@ class FaultAwareMapper:
         # More blocks than crossbars: the crossbars are time-multiplexed —
         # map one chunk of (at most) m blocks at a time, each chunk with an
         # injective assignment, and concatenate the results.
-        starts = list(range(0, num_blocks, num_crossbars))
-        contexts: List[Optional[PlanContext]] = [None] * len(starts)
-        if prev_state is not None:
-            if (
-                prev_state.num_crossbars == num_crossbars
-                and len(prev_state.chunk_contexts) == len(starts)
-            ):
-                contexts = list(prev_state.chunk_contexts)
-            else:
-                self.cost_engine.stats.delta_full_replans += 1
-        if len(starts) == 1:
-            mapping, context = self._map_chunk(
-                blocks, fault_maps, ids, contexts[0], capture
-            )
-            return mapping, (
-                MapperPlanState(num_crossbars, [context]) if capture else None
-            )
+        if num_blocks <= num_crossbars:
+            return self._map_chunk(blocks, fault_maps, ids)
         merged = BatchMapping(blocks=[])
-        new_contexts: List[Optional[PlanContext]] = []
-        for chunk_index, start in enumerate(starts):
+        for start in range(0, num_blocks, num_crossbars):
             chunk = blocks[start : start + num_crossbars]
-            chunk_mapping, context = self._map_chunk(
-                chunk, fault_maps, ids, contexts[chunk_index], capture
-            )
-            new_contexts.append(context)
+            chunk_mapping = self._map_chunk(chunk, fault_maps, ids)
             for block_mapping in chunk_mapping.blocks:
                 block_mapping.block_index += start
             merged.blocks.extend(chunk_mapping.blocks)
@@ -401,32 +326,20 @@ class FaultAwareMapper:
                 index + start for index in chunk_mapping.relaxed_blocks
             )
         merged.blocks.sort(key=lambda m: m.block_index)
-        return merged, (
-            MapperPlanState(num_crossbars, new_contexts) if capture else None
-        )
+        return merged
 
     def _map_chunk(
         self,
         blocks: Sequence[np.ndarray],
         fault_maps: Sequence[FaultMap],
         ids: List[int],
-        prev_context: Optional[PlanContext],
-        capture: bool,
-    ) -> Tuple[BatchMapping, Optional[PlanContext]]:
+    ) -> BatchMapping:
         """Algorithm 1 core for one chunk of at most ``len(fault_maps)`` blocks."""
         num_blocks = len(blocks)
         num_crossbars = len(fault_maps)
-        context: Optional[PlanContext] = None
-        if capture:
-            costs, sa1_mismatches, permutation_for, context = (
-                self.cost_engine.plan_pairwise(
-                    blocks, fault_maps, prev_context=prev_context
-                )
-            )
-        else:
-            costs, sa1_mismatches, permutation_for = self.cost_engine.pairwise_costs(
-                blocks, fault_maps
-            )
+        costs, sa1_mismatches, permutation_for = self.cost_engine.plan_pairwise(
+            blocks, fault_maps
+        )
         densities = self._block_densities(blocks)
         block_cells = float(np.asarray(blocks[0]).size)
 
@@ -502,11 +415,8 @@ class FaultAwareMapper:
             )
 
         block_mappings.sort(key=lambda m: m.block_index)
-        return (
-            BatchMapping(
-                blocks=block_mappings, pruned_crossbars=pruned, relaxed_blocks=relaxed
-            ),
-            context,
+        return BatchMapping(
+            blocks=block_mappings, pruned_crossbars=pruned, relaxed_blocks=relaxed
         )
 
     # ------------------------------------------------------------------ #

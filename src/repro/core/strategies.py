@@ -39,7 +39,6 @@ from repro.core.mapping import (
     BatchMapping,
     BlockMapping,
     FaultAwareMapper,
-    MapperPlanState,
     permutation_mismatch_cost,
     sequential_mapping,
 )
@@ -105,26 +104,6 @@ class Strategy:
     ) -> List[BatchMapping]:
         """React to a post-deployment BIST re-scan (no-op by default)."""
         return plans
-
-    def replan_adjacency(
-        self,
-        blocks_per_batch: Sequence[Sequence[np.ndarray]],
-        fault_maps: Sequence[FaultMap],
-        crossbar_ids: Sequence[int],
-        crossbar_rows: int,
-    ) -> List[BatchMapping]:
-        """Full re-plan against new fault maps, warm-started where possible.
-
-        Unlike :meth:`refresh_adjacency` (which keeps the block → crossbar
-        assignment Π and only refreshes row permutations), this recomputes
-        the complete plan — bit-identical to calling :meth:`plan_adjacency`
-        from scratch on the new maps.  Strategies with delta-planning support
-        (FARe) reuse the previous plan's solver state so the cost scales with
-        the fault delta; the base implementation simply re-plans cold.
-        """
-        return self.plan_adjacency(
-            blocks_per_batch, fault_maps, crossbar_ids, crossbar_rows
-        )
 
     def plan_signature(self) -> Optional[Tuple]:
         """Content key of :meth:`plan_adjacency`'s output, or ``None``.
@@ -436,11 +415,6 @@ class FaReStrategy(Strategy):
             prune_crossbars=prune_crossbars,
             relax_sparsest_block=relax_sparsest_block,
         )
-        #: Per-batch solver state captured by :meth:`plan_adjacency`, so a
-        #: later :meth:`replan_adjacency` only re-solves the fault delta (a
-        #: fresh strategy has none and plans cold; plans are bit-identical
-        #: either way).
-        self._plan_states: Optional[List[Optional[MapperPlanState]]] = None
 
     # -- aggregation ---------------------------------------------------- #
     def plan_signature(self) -> Optional[Tuple]:
@@ -465,40 +439,16 @@ class FaReStrategy(Strategy):
         crossbar_ids: Sequence[int],
         crossbar_rows: int,
     ) -> List[BatchMapping]:
-        plans: List[BatchMapping] = []
-        states: List[Optional[MapperPlanState]] = []
-        for blocks in blocks_per_batch:
-            mapping, state = self.mapper.plan_blocks(
-                blocks, fault_maps, crossbar_ids=crossbar_ids
-            )
-            plans.append(mapping)
-            states.append(state)
-        self._plan_states = states
-        return plans
+        """Algorithm 1 per batch.
 
-    def replan_adjacency(
-        self,
-        blocks_per_batch: Sequence[Sequence[np.ndarray]],
-        fault_maps: Sequence[FaultMap],
-        crossbar_ids: Sequence[int],
-        crossbar_rows: int,
-    ) -> List[BatchMapping]:
-        """Delta re-plan: warm-start each batch from its previous plan state."""
-        states = self._plan_states
-        if states is None or len(states) != len(blocks_per_batch):
-            return self.plan_adjacency(
-                blocks_per_batch, fault_maps, crossbar_ids, crossbar_rows
-            )
-        plans: List[BatchMapping] = []
-        new_states: List[Optional[MapperPlanState]] = []
-        for blocks, state in zip(blocks_per_batch, states):
-            mapping, new_state = self.mapper.replan_blocks(
-                blocks, fault_maps, crossbar_ids=crossbar_ids, prev_state=state
-            )
-            plans.append(mapping)
-            new_states.append(new_state)
-        self._plan_states = new_states
-        return plans
+        A full re-plan after a fault delta calls this again on the new maps:
+        the mapper's cost engine serves every pair whose block and fault map
+        are unchanged from its pair cache.
+        """
+        return [
+            self.mapper.map_blocks(blocks, fault_maps, crossbar_ids=crossbar_ids)
+            for blocks in blocks_per_batch
+        ]
 
     def refresh_adjacency(
         self,

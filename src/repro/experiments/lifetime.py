@@ -6,23 +6,22 @@ density over one training run.  This driver extends that axis to the device's
 cumulative write cycles into population fault density, a
 :class:`~repro.hardware.endurance.WearOutSchedule` places checkpoints along
 that curve, and at every checkpoint the accumulated fault delta is injected,
-the BIST re-scans, and the FaRe mapping is **re-planned incrementally**
+the BIST re-scans, and the FaRe mapping is **re-planned**
 (:meth:`~repro.pipeline.trainer.FaultyTrainer.apply_fault_delta` with
-``replan=True`` → delta-planning through the mapping stack).  Recorded per
-checkpoint: test accuracy on the degraded hardware, plan cost/SA1 mismatch,
-the delta-planning work counters, and re-plan wall time (optionally alongside
-a from-scratch re-plan of the same maps for the speedup column).
-
-The scenario only became tractable with incremental re-planning: a lifetime
-sweep re-plans after every wear-out step, and from-scratch planning at every
-checkpoint is exactly the cost wall ROADMAP item 1 describes.
+``replan=True``).  The re-plan is warm: the strategy's cost engine serves
+every (block, crossbar) pair whose fault map did not change from its pair
+cache.  Recorded per checkpoint: test accuracy on the degraded hardware,
+plan cost/SA1 mismatch, how many fault maps the BIST saw change, the pairs
+re-solved (cache misses) and reused (cache hits), and re-plan wall time
+(optionally alongside a from-scratch re-plan of the same maps for the
+speedup column).
 
 Two drivers:
 
 * :func:`run_lifetime` — train once at the base density, then walk the
   wear-out schedule (accuracy + cost curves).
 * :func:`run_density_grid` — no training; walk a grid of cumulative fault
-  densities, each level's plan delta-patched from the previous level's
+  densities, each level re-planned warm after the previous level's plan
   (the cross-density figure-grid mode; plan-cost curves only).
 
 CLI: ``python -m repro.experiments lifetime`` (see ``--help``).
@@ -57,7 +56,6 @@ LIFETIME_HEADERS: Tuple[str, ...] = (
     "Maps Δ",
     "Pairs re-solved",
     "Pairs reused",
-    "Warm hits",
     "Replan ms",
     "Cold ms",
 )
@@ -70,7 +68,6 @@ DENSITY_GRID_HEADERS: Tuple[str, ...] = (
     "Maps Δ",
     "Pairs re-solved",
     "Pairs reused",
-    "Warm hits",
     "Replan ms",
     "Cold ms",
 )
@@ -78,7 +75,7 @@ DENSITY_GRID_HEADERS: Tuple[str, ...] = (
 
 @dataclass
 class LifetimeCheckpoint:
-    """Measurements taken after one wear-out step and incremental re-plan."""
+    """Measurements taken after one wear-out step and re-plan."""
 
     writes: float
     cumulative_density: float
@@ -89,8 +86,6 @@ class LifetimeCheckpoint:
     maps_changed: int
     pairs_resolved: int
     pairs_reused: int
-    warm_hits: int
-    warm_fallbacks: int
     replan_seconds: float
     cold_replan_seconds: Optional[float] = None
 
@@ -119,7 +114,6 @@ class LifetimeResult:
                     cp.maps_changed,
                     cp.pairs_resolved,
                     cp.pairs_reused,
-                    cp.warm_hits,
                     f"{cp.replan_seconds * 1e3:.1f}",
                     (
                         f"{cp.cold_replan_seconds * 1e3:.1f}"
@@ -133,7 +127,7 @@ class LifetimeResult:
 
 @dataclass
 class DensityGridResult:
-    """Plan-cost curve across fault densities, delta-patched level to level."""
+    """Plan-cost curve across fault densities, re-planned level to level."""
 
     dataset: str
     row_method: str
@@ -150,7 +144,6 @@ class DensityGridResult:
                     cp.maps_changed,
                     cp.pairs_resolved,
                     cp.pairs_reused,
-                    cp.warm_hits,
                     f"{cp.replan_seconds * 1e3:.1f}",
                     (
                         f"{cp.cold_replan_seconds * 1e3:.1f}"
@@ -204,6 +197,10 @@ def _wear_step(
 ) -> Tuple[LifetimeCheckpoint, object]:
     """Apply one wear-out density increment and measure the re-plan."""
     before = dict(trainer.strategy.mapping_engine_stats() or {})
+    # The maps of the previous BIST scan, to count the maps this step changed.
+    previous_maps = [
+        fmap.fingerprint for fmap in trainer.hardware.bist.history[-1].fault_maps
+    ]
     started = time.perf_counter()
     report = trainer.apply_fault_delta(increment, replan=True)
     replan_seconds = time.perf_counter() - started
@@ -236,13 +233,12 @@ def _wear_step(
         test_accuracy=float("nan"),  # filled in by the caller when trained
         plan_cost=float(sum(plan.total_cost for plan in plans)),
         plan_sa1_mismatch=float(sum(plan.total_sa1_mismatch for plan in plans)),
-        maps_changed=_delta_counter(before, after, "mapping_delta_maps_changed"),
-        pairs_resolved=_delta_counter(before, after, "mapping_pairs_total"),
-        pairs_reused=_delta_counter(before, after, "mapping_delta_pairs_reused"),
-        warm_hits=_delta_counter(before, after, "mapping_warm_start_hits"),
-        warm_fallbacks=_delta_counter(
-            before, after, "mapping_warm_start_fallbacks"
+        maps_changed=sum(
+            old != fmap.fingerprint
+            for old, fmap in zip(previous_maps, report.fault_maps)
         ),
+        pairs_resolved=_delta_counter(before, after, "mapping_cache_misses"),
+        pairs_reused=_delta_counter(before, after, "mapping_cache_hits"),
         replan_seconds=replan_seconds,
         cold_replan_seconds=cold_seconds,
     )
@@ -264,15 +260,15 @@ def run_lifetime(
     schedule: Optional[WearOutSchedule] = None,
     compare_cold: bool = False,
 ) -> LifetimeResult:
-    """Train once, then walk a wear-out schedule with incremental re-plans.
+    """Train once, then walk a wear-out schedule with warm re-plans.
 
     Training runs at ``base_density`` (the pre-deployment fault level).  Each
     subsequent checkpoint injects the endurance model's density increment,
-    re-scans, delta-re-plans, and evaluates test accuracy on the degraded
+    re-scans, re-plans, and evaluates test accuracy on the degraded
     hardware — producing the accuracy/remap-cost-vs-write-cycles curve.
     ``compare_cold=True`` additionally times a from-scratch re-plan of the
     same fault maps at every checkpoint (the speedup denominator): a fresh
-    :class:`FaReStrategy`, whose timing includes capturing its plan context.
+    :class:`FaReStrategy` with an empty pair cache.
     """
     if schedule is None:
         schedule = WearOutSchedule.log_spaced(EnduranceModel())
@@ -317,12 +313,12 @@ def run_density_grid(
     row_method: Optional[str] = None,
     compare_cold: bool = False,
 ) -> DensityGridResult:
-    """Cross-density plan grid, each level delta-patched from the previous.
+    """Cross-density plan grid, each level re-planned after the previous.
 
     No training: the trainer is used only for its preprocessing (real
     adjacency blocks + BIST machinery).  Starting from the ``base_density``
     plan, each target density is reached by injecting the difference and
-    delta-re-planning — the incremental analogue of planning every density
+    re-planning warm — the incremental analogue of planning every density
     level of a figure grid from scratch.
     """
     trainer = _build_trainer(
@@ -359,7 +355,7 @@ def format_lifetime(result: LifetimeResult) -> str:
 
 def format_density_grid(result: DensityGridResult) -> str:
     title = (
-        f"Cross-density plan grid (delta-patched) — {result.dataset}, "
+        f"Cross-density plan grid (warm re-plans) — {result.dataset}, "
         f"row method {result.row_method}"
     )
     return format_table(list(DENSITY_GRID_HEADERS), result.rows(), title=title)
@@ -373,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.experiments lifetime",
         description=(
             "Device-lifetime scenario: wear-out faults accumulate along an "
-            "endurance curve and the FaRe mapping is re-planned incrementally "
-            "at every checkpoint."
+            "endurance curve and the FaRe mapping is re-planned (warm, through "
+            "its pair cache) at every checkpoint."
         ),
     )
     parser.add_argument("--dataset", default="ppi")

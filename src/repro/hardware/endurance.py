@@ -84,7 +84,7 @@ class WearOutSchedule:
     uniformly over one training run, this schedule follows the endurance
     model itself: at each write-count checkpoint the cumulative population
     fault density equals the model's failure probability, and the per-step
-    :meth:`density_increments` drive incremental re-planning in the
+    :meth:`density_increments` drive the warm re-plans of the
     ``lifetime`` experiment (:mod:`repro.experiments.lifetime`).
     """
 

@@ -116,7 +116,7 @@ class FaultMap:
         return self.sa0 | self.sa1
 
     def is_fault_free(self) -> bool:
-        return self.num_faults == 0
+        return not (self.sa0.any() or self.sa1.any())
 
     @property
     def fingerprint(self) -> str:

@@ -131,29 +131,34 @@ def greedy_assignment_batch(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     assignments = -np.ones((num_problems, n_rows), dtype=np.int64)
     totals = np.zeros(num_problems, dtype=np.float64)
     problem_ids = np.arange(num_problems)
+    # On the int32 path every live entry is below the sentinel, so argmin
+    # always lands on a live cell; only float costs can tie with it.
+    sentinel_can_tie = masked_value == np.inf
     row_dead = np.zeros((num_problems, n_rows), dtype=bool)
     col_dead = np.zeros((num_problems, n_cols), dtype=bool)
     for _ in range(n_rows):
         flat = work.reshape(num_problems, -1).argmin(axis=1)
         rows = flat // n_cols
         cols = flat % n_cols
-        # With real inf costs the sentinel no longer dominates and argmin can
-        # land on an already-committed cell; the scalar function would pick
-        # the first *remaining* cell instead (everything left ties at inf).
-        invalid = np.flatnonzero(
-            row_dead[problem_ids, rows] | col_dead[problem_ids, cols]
-        )
-        if invalid.size:
-            alive = (
-                ~row_dead[invalid, :, None] & ~col_dead[invalid, None, :]
-            ).reshape(invalid.size, -1)
-            first_alive = alive.argmax(axis=1)
-            rows[invalid] = first_alive // n_cols
-            cols[invalid] = first_alive % n_cols
+        if sentinel_can_tie:
+            # With real inf costs the sentinel no longer dominates and argmin
+            # can land on an already-committed cell; the scalar function
+            # would pick the first *remaining* cell instead (everything left
+            # ties at inf).
+            invalid = np.flatnonzero(
+                row_dead[problem_ids, rows] | col_dead[problem_ids, cols]
+            )
+            if invalid.size:
+                alive = (
+                    ~row_dead[invalid, :, None] & ~col_dead[invalid, None, :]
+                ).reshape(invalid.size, -1)
+                first_alive = alive.argmax(axis=1)
+                rows[invalid] = first_alive // n_cols
+                cols[invalid] = first_alive % n_cols
+            row_dead[problem_ids, rows] = True
+            col_dead[problem_ids, cols] = True
         totals += cost[problem_ids, rows, cols]
         assignments[problem_ids, rows] = cols
-        row_dead[problem_ids, rows] = True
-        col_dead[problem_ids, cols] = True
         work[problem_ids, rows, :] = masked_value
         work[problem_ids, :, cols] = masked_value
     return assignments, totals

@@ -56,39 +56,57 @@ def hungarian_assignment(cost: np.ndarray) -> Tuple[np.ndarray, float]:
     u = np.zeros(n_rows + 1)
     v = np.zeros(n_cols + 1)
     p = np.zeros(n_cols + 1, dtype=np.int64)  # p[j] = row assigned to column j (1-based)
+    v_real = v[1:]  # view: the potentials of the real columns
+    way = np.zeros(n_cols, dtype=np.int64)  # way[j - 1]: predecessor of column j
+    # The alternating tree of the current search: its columns (virtual
+    # column 0 first), their rows, and the rows'/columns' potentials.  Only
+    # tree members have their potentials shifted during a search, so they
+    # are updated here with one slice operation each and written back to
+    # ``u``/``v`` when the search ends — the same additions in the same
+    # order as updating ``u``/``v`` in place.
+    tree_cols = np.zeros(n_rows + 1, dtype=np.int64)
+    tree_rows = np.zeros(n_rows + 1, dtype=np.int64)
+    tree_u = np.zeros(n_rows + 1)
+    tree_v = np.zeros(n_rows + 1)
 
     for i in range(1, n_rows + 1):
-        p[0] = i
         j0 = 0
-        minv = np.full(n_cols + 1, INF)
-        used = np.zeros(n_cols + 1, dtype=bool)
-        way = np.zeros(n_cols + 1, dtype=np.int64)
+        free = np.ones(n_cols, dtype=bool)
+        minv = np.full(n_cols, INF)
+        tree_rows[0], tree_u[0], tree_v[0] = i, u[i], v[0]
+        size = 1
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = ~used
-            free[0] = False
-            cols = np.flatnonzero(free)
-            # Reduced costs from the newly used column's row to all free columns.
-            cur = cost[i0 - 1, cols - 1] - u[i0] - v[cols]
-            better = cur < minv[cols]
-            minv[cols] = np.where(better, cur, minv[cols])
-            way[cols[better]] = j0
-            # Pick the free column with the smallest tentative cost.
-            best_idx = int(np.argmin(minv[cols]))
-            delta = minv[cols][best_idx]
-            j1 = int(cols[best_idx])
-            # Update potentials.
-            used_idx = np.flatnonzero(used)
-            u[p[used_idx]] += delta
-            v[used_idx] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            # Reduced costs from the newest tree row to all columns (only the
+            # free ones may update the tentative costs).
+            i0 = tree_rows[size - 1]
+            cur = cost[i0 - 1] - tree_u[size - 1] - v_real
+            better = (cur < minv) & free
+            minv = np.where(better, cur, minv)
+            way = np.where(better, j0, way)
+            # Pick the first free column with the smallest tentative cost.
+            masked = np.where(free, minv, INF)
+            best = int(masked.argmin())
+            delta = masked[best]
+            j0 = best + 1
+            # Update potentials (tentative costs of used columns are never
+            # read again, so shifting all of them is harmless).
+            tree_u[:size] += delta
+            tree_v[:size] -= delta
+            minv -= delta
+            row = p[j0]
+            if row == 0:
                 break
+            # Column j0 and its row join the tree.
+            free[best] = False
+            tree_cols[size], tree_rows[size] = j0, row
+            tree_u[size], tree_v[size] = u[row], v[j0]
+            size += 1
+        u[tree_rows[:size]] = tree_u[:size]
+        v[tree_cols[:size]] = tree_v[:size]
         # Augment along the alternating path.
+        p[0] = i
         while True:
-            j1 = way[j0]
+            j1 = way[j0 - 1]
             p[j0] = p[j1]
             j0 = j1
             if j0 == 0:

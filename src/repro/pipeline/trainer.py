@@ -195,9 +195,9 @@ class FaultyTrainer:
         #: Epoch-end reaction to the BIST re-scan: ``False`` (paper protocol)
         #: keeps the block → crossbar assignment Π and only refreshes row
         #: permutations; ``True`` re-plans the full mapping against the new
-        #: fault maps via :meth:`Strategy.replan_adjacency` — warm-started
-        #: from the previous plan when the strategy supports delta planning
-        #: (the lifetime experiment's mode).
+        #: fault maps via :meth:`Strategy.plan_adjacency` — warm for FARe,
+        #: whose cost engine caches every pair with an unchanged block and
+        #: fault map (the lifetime experiment's mode).
         self.replan_on_rescan = bool(replan_on_rescan)
         #: Cache the weight-independent first-layer aggregation across steps
         #: (see ``docs/ARCHITECTURE.md``, "Batched multi-graph training").
@@ -478,7 +478,6 @@ class FaultyTrainer:
         order = self._train_rng.permutation(len(buckets))
         for bucket_position in order:
             bucket = buckets[int(bucket_position)]
-            kernels.COUNTERS.batched_train_buckets += 1
             self._batched_train_buckets += 1
             self.optimizer.zero_grad()
             if len(bucket) == 1:
@@ -493,7 +492,6 @@ class FaultyTrainer:
             else:
                 workspace = self._bucket_workspace(bucket, count_plan_hit=True)
                 fused = self._fused_train_inputs(bucket)
-                kernels.COUNTERS.train_fused_forwards += 1
                 self._train_fused_forwards += 1
                 logits = self.model(
                     BatchInputs(features=workspace["features"], adjacency=fused)
@@ -676,14 +674,14 @@ class FaultyTrainer:
         density 0.0 — so the hardware RNG stream advances exactly as it did
         on the pre-factored epoch path (bit-identical histories).  With
         ``replan=True`` the strategy recomputes the complete block → crossbar
-        plan (delta-warm-started when supported) instead of the Π-preserving
+        plan with :meth:`Strategy.plan_adjacency` instead of the Π-preserving
         row-permutation refresh.  Returns the fresh BIST report.
         """
         self.hardware.inject_post_deployment(extra_density)
         report = self.hardware.bist.scan(self._adjacency_mapper.crossbars)
         self._weight_mapper.refresh_fault_masks()
         if replan:
-            self._plans = self.strategy.replan_adjacency(
+            self._plans = self.strategy.plan_adjacency(
                 self._blocks_per_batch,
                 report.fault_maps,
                 self._adjacency_mapper.crossbar_ids,

@@ -65,12 +65,9 @@ class KernelCounters:
     batched_graphs_fused: int = 0
     batched_agg_cache_hits: int = 0
     batched_agg_cache_misses: int = 0
-    #: Fused train-step batching (see ``pipeline.trainer``): buckets stepped
-    #: by the fused train mode, block-diagonal training forwards
-    #: actually fused, and reuse hits of the memoised per-bucket
-    #: ``SegmentPlan`` + block-diag workspace across epochs.
-    batched_train_buckets: int = 0
-    train_fused_forwards: int = 0
+    #: Fused train-step batching (see ``pipeline.trainer``): reuse hits of
+    #: the memoised per-bucket ``SegmentPlan`` + block-diag workspace across
+    #: epochs.  The trainer counts the buckets and fused forwards itself.
     segment_plan_cache_hits: int = 0
 
     def as_dict(self) -> Dict[str, float]:

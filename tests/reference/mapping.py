@@ -6,6 +6,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.cost_engine import CostEngineStats
 from repro.core.mapping import FaultAwareMapper, block_crossbar_cost
 from repro.hardware.faults import FaultMap
 
@@ -17,11 +18,13 @@ class SeedPairLoop:
     :func:`~repro.core.mapping.block_crossbar_cost`: ``B·M`` Python-level
     calls, each with two dense matmuls and a full assignment solve, and all
     ``B·M`` permutations materialised although at most ``B`` are used.
+    Nothing is cached, so its ``stats`` stay zero.
     """
 
     def __init__(self, sa1_weight: float, row_method: str) -> None:
         self.sa1_weight = sa1_weight
         self.row_method = row_method
+        self.stats = CostEngineStats()
 
     def block_crossbar_cost(
         self, block: np.ndarray, fault_map: FaultMap
@@ -30,7 +33,7 @@ class SeedPairLoop:
             block, fault_map, self.sa1_weight, method=self.row_method
         )
 
-    def pairwise_costs(
+    def plan_pairwise(
         self, blocks: Sequence[np.ndarray], fault_maps: Sequence[FaultMap]
     ) -> Tuple[np.ndarray, np.ndarray, Callable[[int, int], np.ndarray]]:
         costs = np.zeros((len(blocks), len(fault_maps)))
@@ -48,8 +51,8 @@ class SeedPairLoop:
 class SeedLoopMapper(FaultAwareMapper):
     """:class:`FaultAwareMapper` whose pair costs come from the seed loop.
 
-    Serves :meth:`map_blocks` and :meth:`update_row_permutations`; the
-    delta-planning entry points need the engine's plan contexts.
+    Serves :meth:`map_blocks` and :meth:`update_row_permutations`, and so
+    every ``FaReStrategy`` entry point, re-plans included.
     """
 
     def __init__(self, **kwargs) -> None:

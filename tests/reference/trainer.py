@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.pipeline.trainer import FaultyTrainer
-from repro.tensor import kernels
 
 
 class AccumulationTrainer(FaultyTrainer):
@@ -27,7 +26,6 @@ class AccumulationTrainer(FaultyTrainer):
         order = self._train_rng.permutation(len(buckets))
         for bucket_position in order:
             bucket = buckets[int(bucket_position)]
-            kernels.COUNTERS.batched_train_buckets += 1
             self._batched_train_buckets += 1
             self.optimizer.zero_grad()
             for index in bucket:

@@ -183,7 +183,7 @@ class TestWorkAvoidance:
         blocks = random_blocks(rng, 3, 8, 0.2)
         fmaps = [FaultMap.empty(8, 8) for _ in range(4)]
         engine = MappingCostEngine()
-        costs, sa1, provider = engine.pairwise_costs(blocks, fmaps)
+        costs, sa1, provider = engine.plan_pairwise(blocks, fmaps)
         assert not costs.any() and not sa1.any()
         assert engine.stats.solver_pairs == 0
         assert engine.stats.fault_free_pairs == 12
@@ -196,7 +196,7 @@ class TestWorkAvoidance:
         fmap = FaultModel(0.3, (1, 1), seed=2).generate(1, 8, 8)[0]
         fmaps = [fmap, fmap.copy(), fmap.copy()]
         engine = MappingCostEngine(row_method="greedy")
-        costs, _, _ = engine.pairwise_costs(blocks, fmaps)
+        costs, _, _ = engine.plan_pairwise(blocks, fmaps)
         # 9 requested pairs, 1 unique (block, map) combination.
         assert engine.stats.pairs_total == 9
         assert engine.stats.duplicate_pairs == 8
@@ -211,7 +211,7 @@ class TestWorkAvoidance:
         block[:, 0] = 1.0
         fmap = FaultMap.from_indices((4, 4), sa1_indices=[(2, 0)])
         engine = MappingCostEngine(row_method="greedy")
-        costs, sa1, provider = engine.pairwise_costs([block], [fmap])
+        costs, sa1, provider = engine.plan_pairwise([block], [fmap])
         assert engine.stats.solver_pairs == 0
         assert engine.stats.zero_cost_pairs == 1
         assert costs[0, 0] == 0.0 and sa1[0, 0] == 0.0
@@ -223,7 +223,8 @@ class TestWorkAvoidance:
 
     def test_cache_eviction_bounds_memory(self):
         rng = np.random.default_rng(9)
-        engine = MappingCostEngine(cache_size=4)
+        engine = MappingCostEngine()
+        engine.CACHE_SIZE = 4
         fmaps = FaultModel(0.3, (1, 1), seed=10).generate(10, 4, 4)
         fmaps = [f for f in fmaps if not f.is_fault_free()]
         block = random_blocks(rng, 1, 4, 0.5)[0]
@@ -240,7 +241,7 @@ class TestWorkAvoidance:
 
         rng = np.random.default_rng(15)
         strategy = FaReStrategy()
-        strategy.mapper.cost_engine.cache_size = 2
+        strategy.mapper.cost_engine.CACHE_SIZE = 2
         blocks = random_blocks(rng, 4, 8, 0.3)
         fmaps = FaultModel(0.2, (1, 1), seed=16).generate(6, 8, 8)
         strategy.plan_adjacency([blocks], fmaps, list(range(6)), 8)
@@ -262,13 +263,11 @@ class TestWorkAvoidance:
         block = np.ones((4, 4))
         fmap = FaultMap.from_indices((8, 8), sa0_indices=[(0, 0)])
         with pytest.raises(ValueError):
-            engine.pairwise_costs([block], [fmap])
+            engine.plan_pairwise([block], [fmap])
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             MappingCostEngine(sa1_weight=-1.0)
-        with pytest.raises(ValueError):
-            MappingCostEngine(cache_size=-1)
         with pytest.raises(ValueError, match="row method"):
             MappingCostEngine(row_method="auction")
 
@@ -321,14 +320,12 @@ class TestStats:
         stats = CostEngineStats(batched_solver_pairs=5)
         assert stats.as_dict()["mapping_batched_solver_pairs"] == 5.0
 
-    def test_eviction_and_delta_counters_exported(self):
-        stats = CostEngineStats(cache_evictions=2, delta_plans=1, warm_start_hits=3)
+    def test_eviction_counter_exported(self):
+        stats = CostEngineStats(cache_evictions=2)
         exported = stats.as_dict()
         assert exported["mapping_cache_evictions"] == 2.0
-        assert exported["mapping_delta_plans"] == 1.0
-        assert exported["mapping_warm_start_hits"] == 3.0
         stats.reset()
-        assert stats.cache_evictions == 0 and stats.delta_plans == 0
+        assert stats.cache_evictions == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -1,15 +1,17 @@
-"""Fuzzed equivalence tests for incremental fault-delta re-planning.
+"""Fuzzed equivalence tests for re-planning after fault-map deltas.
 
-The delta-planning contract is *bit-identical equivalence*: re-planning from
-a :class:`MapperPlanState` after any sequence of fault-map deltas must return
-exactly the mapping a cold :meth:`FaultAwareMapper.map_blocks` computes on
-the final maps — same assignments, permutations, costs, SA1 mismatches and
-pruned/relaxed lists, for all three row methods, including tie-breaking.
-The fuzz suite drives random sequences of the real delta sources (post-
-deployment injection, no-op BIST re-scans, endurance wear-out steps,
-ε-density patches) through the chained re-plan path and checks every step
-against a from-scratch plan, then separately pins down the stats-counter
-accounting and the invalidation (full re-plan) rules.
+A re-plan is another :meth:`FaultAwareMapper.map_blocks` (or
+:meth:`FaReStrategy.plan_adjacency`) call on the same mapper: its cost
+engine serves every (block, crossbar) pair whose block and fault map are
+unchanged from the content-keyed pair cache.  The contract is *bit-identical
+equivalence*: after any sequence of fault-map deltas the re-plan returns
+exactly the mapping a fresh mapper computes on the final maps — same
+assignments, permutations, costs, SA1 mismatches and pruned/relaxed lists,
+for all three row methods, including tie-breaking.  The fuzz suite drives
+random sequences of the real delta sources (post-deployment injection, no-op
+BIST re-scans, endurance wear-out steps, ε-density patches) through chained
+re-plans and checks every step against a from-scratch plan, then pins down
+the cache accounting of a re-plan.
 """
 
 import numpy as np
@@ -17,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mapping import FaultAwareMapper, MapperPlanState
+from repro.core.cost_engine import block_fingerprint
+from repro.core.mapping import FaultAwareMapper
 from repro.core.strategies import FaReStrategy
 from repro.hardware.endurance import EnduranceModel, WearOutSchedule
 from repro.hardware.faults import FaultModel
@@ -84,7 +87,7 @@ class TestDeltaEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_random_delta_chains_identical_to_cold_plans(self, seed):
         """Property: any sequence of injection / re-scan / wear-out / ε-patch
-        deltas re-planned incrementally equals a from-scratch plan at every
+        deltas re-planned on one mapper equals a from-scratch plan at every
         step, for every row method."""
         rng = np.random.default_rng(seed)
         num_blocks = int(rng.integers(1, 7))
@@ -96,26 +99,24 @@ class TestDeltaEquivalence:
         model = FaultModel(0.08, (9.0, 1.0), seed=seed + 1)
         fmaps = model.generate(num_crossbars, size, size)
 
-        delta_mapper = make_mapper(method, sa1_weight)
-        mapping, state = delta_mapper.plan_blocks(blocks, fmaps)
+        warm_mapper = make_mapper(method, sa1_weight)
         assert_mappings_identical(
-            make_mapper(method, sa1_weight).map_blocks(blocks, fmaps), mapping
+            make_mapper(method, sa1_weight).map_blocks(blocks, fmaps),
+            warm_mapper.map_blocks(blocks, fmaps),
         )
         kinds = ["injection", "rescan", "wearout", "epsilon"]
         for step in range(3):
             fmaps = apply_delta(rng, model, fmaps, kinds[int(rng.integers(4))], size)
-            mapping, state = delta_mapper.replan_blocks(
-                blocks, fmaps, prev_state=state
-            )
+            mapping = warm_mapper.map_blocks(blocks, fmaps)
             cold = make_mapper(method, sa1_weight).map_blocks(blocks, fmaps)
             assert_mappings_identical(cold, mapping)
-        assert delta_mapper.cost_engine.stats.delta_plans >= 1
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
     def test_chunked_batches_identical_under_deltas(self, seed):
-        """B > M exercises the time-multiplexed chunk loop: every chunk keeps
-        its own plan context and the merged mapping must still match cold."""
+        """B > M exercises the time-multiplexed chunk loop: every chunk
+        re-plans through the shared cache and the merged mapping must still
+        match cold."""
         rng = np.random.default_rng(seed)
         num_crossbars = int(rng.integers(2, 5))
         num_blocks = num_crossbars * int(rng.integers(2, 4)) + int(rng.integers(0, 2))
@@ -125,18 +126,18 @@ class TestDeltaEquivalence:
         model = FaultModel(0.1, (1.0, 1.0), seed=seed + 3)
         fmaps = model.generate(num_crossbars, size, size)
 
-        delta_mapper = make_mapper(method)
-        _, state = delta_mapper.plan_blocks(blocks, fmaps)
+        warm_mapper = make_mapper(method)
+        warm_mapper.map_blocks(blocks, fmaps)
         for _ in range(2):
             fmaps = apply_delta(rng, model, fmaps, "injection", size)
-            mapping, state = delta_mapper.replan_blocks(blocks, fmaps, prev_state=state)
             assert_mappings_identical(
-                make_mapper(method).map_blocks(blocks, fmaps), mapping
+                make_mapper(method).map_blocks(blocks, fmaps),
+                warm_mapper.map_blocks(blocks, fmaps),
             )
 
     @pytest.mark.parametrize("method", METHODS)
     def test_strategy_replan_identical_to_fresh_plan(self, method):
-        """FaReStrategy.replan_adjacency == a fresh strategy's (cold)
+        """A strategy's second plan_adjacency == a fresh strategy's (cold)
         plan_adjacency on the new maps, across batches."""
         rng = np.random.default_rng(17)
         size, num_crossbars = 8, 6
@@ -145,24 +146,45 @@ class TestDeltaEquivalence:
         fmaps = model.generate(num_crossbars, size, size)
         ids = list(range(num_crossbars))
 
-        delta = FaReStrategy(row_method=method)
-        first = delta.plan_adjacency(blocks_per_batch, fmaps, ids, size)
+        warm = FaReStrategy(row_method=method)
+        first = warm.plan_adjacency(blocks_per_batch, fmaps, ids, size)
         for blocks, got in zip(blocks_per_batch, first):
             assert_mappings_identical(
                 make_mapper(method).map_blocks(blocks, fmaps, crossbar_ids=ids), got
             )
         for _ in range(2):
             fmaps = apply_delta(rng, model, fmaps, "injection", size)
-            replanned = delta.replan_adjacency(blocks_per_batch, fmaps, ids, size)
+            replanned = warm.plan_adjacency(blocks_per_batch, fmaps, ids, size)
             fresh = FaReStrategy(row_method=method).plan_adjacency(
                 blocks_per_batch, fmaps, ids, size
             )
             for ref, got in zip(fresh, replanned):
                 assert_mappings_identical(ref, got)
 
+    @pytest.mark.parametrize("change", ["blocks", "fewer_crossbars", "more_chunks"])
+    def test_replan_after_input_change_identical_to_cold(self, change):
+        """The cache is keyed on content, so a re-plan whose blocks or
+        crossbar set changed is still exactly the cold plan."""
+        rng = np.random.default_rng(21)
+        blocks = random_blocks(rng, 4, 8, 0.25)
+        fmaps = FaultModel(0.1, (9.0, 1.0), seed=22).generate(4, 8, 8)
+        mapper = make_mapper("greedy")
+        mapper.map_blocks(blocks, fmaps)
+        if change == "blocks":
+            blocks = [b.copy() for b in blocks]
+            blocks[0][0, :] = 1.0  # different sparsity pattern
+        elif change == "fewer_crossbars":
+            fmaps = fmaps[:-1]
+        else:
+            blocks = blocks + blocks  # 8 blocks over 4 crossbars: 2 chunks
+        assert_mappings_identical(
+            make_mapper("greedy").map_blocks(blocks, fmaps),
+            mapper.map_blocks(blocks, fmaps),
+        )
+
 
 # --------------------------------------------------------------------------- #
-# Stats-counter consistency
+# Cache accounting of a re-plan
 # --------------------------------------------------------------------------- #
 class TestDeltaCounters:
     def _planned(self, method="greedy", seed=0, num_blocks=4, num_crossbars=6, size=8):
@@ -170,138 +192,56 @@ class TestDeltaCounters:
         blocks = random_blocks(rng, num_blocks, size, 0.25)
         model = FaultModel(0.1, (9.0, 1.0), seed=seed + 1)
         fmaps = model.generate(num_crossbars, size, size)
+        # The counts below assume distinct blocks and distinct faulty maps.
+        assert len({block_fingerprint(b) for b in blocks}) == num_blocks
+        assert len({f.fingerprint for f in fmaps if not f.is_fault_free()}) == (
+            num_crossbars
+        )
         mapper = make_mapper(method)
-        _, state = mapper.plan_blocks(blocks, fmaps)
-        return rng, model, mapper, blocks, fmaps, state
+        mapper.map_blocks(blocks, fmaps)
+        return rng, model, mapper, blocks, fmaps
 
-    def test_reexamined_plus_reused_covers_the_grid(self):
-        rng, model, mapper, blocks, fmaps, state = self._planned()
+    @pytest.mark.parametrize("method", METHODS)
+    def test_reexamined_plus_reused_covers_the_grid(self, method):
+        """With 2 of 6 maps changed, the re-plan misses B×2 pairs (solved
+        again) and hits the other B×4 (served from the cache)."""
+        _, model, mapper, blocks, fmaps = self._planned(method=method)
         stats = mapper.cost_engine.stats
-        num_blocks, num_maps = len(blocks), len(fmaps)
+        num_blocks = len(blocks)
         changed = [1, 4]
         for index in changed:
             fmaps[index] = model.inject_additional([fmaps[index]], 0.05)[0]
-        before_pairs = stats.pairs_total
-        _, state = mapper.replan_blocks(blocks, fmaps, prev_state=state)
-        assert stats.delta_plans == 1
-        assert stats.delta_full_replans == 0
-        assert stats.delta_maps_changed == len(changed)
-        # Only the changed columns are re-examined; the rest splice through.
-        assert stats.pairs_total - before_pairs == num_blocks * len(changed)
-        assert stats.delta_pairs_reused == num_blocks * (num_maps - len(changed))
-        assert (stats.pairs_total - before_pairs) + stats.delta_pairs_reused == (
-            num_blocks * num_maps
-        )
+        hits, misses = stats.cache_hits, stats.cache_misses
+        mapping = mapper.map_blocks(blocks, fmaps)
+        assert stats.cache_misses - misses == num_blocks * len(changed)
+        assert stats.cache_hits - hits == num_blocks * (len(fmaps) - len(changed))
+        assert stats.cache_evictions == 0
+        assert_mappings_identical(make_mapper(method).map_blocks(blocks, fmaps), mapping)
 
     def test_noop_rescan_reuses_everything(self):
-        _, _, mapper, blocks, fmaps, state = self._planned(seed=5)
+        _, _, mapper, blocks, fmaps = self._planned(seed=5)
         stats = mapper.cost_engine.stats
-        before_pairs = stats.pairs_total
-        mapping, _ = mapper.replan_blocks(
-            blocks, [f.copy() for f in fmaps], prev_state=state
-        )
-        assert stats.pairs_total == before_pairs
-        assert stats.delta_maps_changed == 0
-        assert stats.delta_pairs_reused == len(blocks) * len(fmaps)
+        hits, misses, solved = stats.cache_hits, stats.cache_misses, stats.solver_pairs
+        mapping = mapper.map_blocks(blocks, [f.copy() for f in fmaps])
+        assert stats.cache_misses == misses
+        assert stats.solver_pairs == solved
+        assert stats.cache_hits - hits == len(blocks) * len(fmaps)
         assert_mappings_identical(make_mapper("greedy").map_blocks(blocks, fmaps), mapping)
 
-    @pytest.mark.parametrize("method", ["hungarian", "bsuitor"])
-    def test_warm_start_counters_track_exact_methods(self, method):
-        rng, model, mapper, blocks, fmaps, state = self._planned(
-            method=method, seed=9, num_blocks=5, num_crossbars=8, size=8
-        )
-        fmaps[2] = model.inject_additional([fmaps[2]], 0.04)[0]
-        _, state = mapper.replan_blocks(blocks, fmaps, prev_state=state)
+    def test_replan_past_cache_size_is_cold_but_identical(self):
+        """A re-plan is warm only while the previous plan's unique pairs fit
+        in CACHE_SIZE; past it the evicted pairs are solved again."""
+        rng = np.random.default_rng(7)
+        blocks = random_blocks(rng, 4, 8, 0.25)
+        fmaps = FaultModel(0.1, (9.0, 1.0), seed=8).generate(6, 8, 8)
+        mapper = make_mapper("greedy")
+        mapper.cost_engine.CACHE_SIZE = 1
+        mapper.map_blocks(blocks, fmaps)
         stats = mapper.cost_engine.stats
-        # Every warm attempt either lands (hit) or falls back to the cold
-        # solver (fallback) — never disappears.
-        assert stats.warm_start_hits + stats.warm_start_fallbacks > 0
-        if method == "bsuitor":
-            # Cached preference orders are valid whenever the cost column is
-            # unchanged, so offered hints always land.
-            assert stats.warm_start_fallbacks == 0
-
-    def test_greedy_never_warm_starts(self):
-        _, model, mapper, blocks, fmaps, state = self._planned(method="greedy", seed=11)
-        fmaps[0] = model.inject_additional([fmaps[0]], 0.05)[0]
-        mapper.replan_blocks(blocks, fmaps, prev_state=state)
-        stats = mapper.cost_engine.stats
-        assert stats.warm_start_hits == 0 and stats.warm_start_fallbacks == 0
-
-    def test_stats_exported_with_mapping_prefix(self):
-        _, model, mapper, blocks, fmaps, state = self._planned(seed=13)
-        fmaps[1] = model.inject_additional([fmaps[1]], 0.05)[0]
-        mapper.replan_blocks(blocks, fmaps, prev_state=state)
-        exported = mapper.cost_engine.stats.as_dict()
-        for key in (
-            "mapping_delta_plans",
-            "mapping_delta_full_replans",
-            "mapping_delta_maps_changed",
-            "mapping_delta_pairs_reused",
-            "mapping_warm_start_hits",
-            "mapping_warm_start_fallbacks",
-        ):
-            assert key in exported
-        assert exported["mapping_delta_plans"] == 1.0
-
-
-# --------------------------------------------------------------------------- #
-# Invalidation: stale contexts must fall back to a (counted) full re-plan
-# --------------------------------------------------------------------------- #
-class TestDeltaInvalidation:
-    def _planned(self, **kwargs):
-        return TestDeltaCounters()._planned(**kwargs)
-
-    def test_changed_blocks_force_full_replan(self):
-        rng, model, mapper, blocks, fmaps, state = self._planned(seed=21)
-        new_blocks = [b.copy() for b in blocks]
-        new_blocks[0][0, :] = 1.0  # different sparsity pattern
-        mapping, _ = mapper.replan_blocks(new_blocks, fmaps, prev_state=state)
-        stats = mapper.cost_engine.stats
-        assert stats.delta_full_replans == 1
-        assert stats.delta_plans == 0
-        assert_mappings_identical(
-            make_mapper("greedy").map_blocks(new_blocks, fmaps), mapping
-        )
-
-    def test_changed_crossbar_count_forces_full_replan(self):
-        _, model, mapper, blocks, fmaps, state = self._planned(seed=23)
-        fewer = fmaps[:-1]
-        mapping, _ = mapper.replan_blocks(blocks, fewer, prev_state=state)
-        assert mapper.cost_engine.stats.delta_full_replans == 1
-        assert_mappings_identical(
-            make_mapper("greedy").map_blocks(blocks, fewer), mapping
-        )
-
-    def test_foreign_engine_config_forces_full_replan(self):
-        # A plan state captured under one engine configuration must not leak
-        # into an engine with different solver semantics.
-        _, model, donor, blocks, fmaps, state = self._planned(seed=25)
-        other = make_mapper("greedy", sa1_weight=7.0)
-        mapping, _ = other.replan_blocks(blocks, fmaps, prev_state=state)
-        assert other.cost_engine.stats.delta_full_replans == 1
-        assert_mappings_identical(
-            make_mapper("greedy", sa1_weight=7.0).map_blocks(blocks, fmaps), mapping
-        )
-
-    def test_changed_chunk_count_forces_full_replan(self):
-        _, model, mapper, blocks, fmaps, state = self._planned(
-            seed=27, num_blocks=4, num_crossbars=4
-        )
-        more_blocks = blocks + blocks  # 8 blocks over 4 crossbars: 2 chunks
-        mapping, _ = mapper.replan_blocks(more_blocks, fmaps, prev_state=state)
-        assert mapper.cost_engine.stats.delta_full_replans == 1
-        assert_mappings_identical(
-            make_mapper("greedy").map_blocks(more_blocks, fmaps), mapping
-        )
-
-    def test_missing_state_is_a_cold_plan_not_an_invalidation(self):
-        _, _, mapper, blocks, fmaps, _ = self._planned(seed=29)
-        mapper.replan_blocks(blocks, fmaps, prev_state=None)
-        assert mapper.cost_engine.stats.delta_full_replans == 0
-
-    def test_plan_state_shape_recorded(self):
-        _, _, mapper, blocks, fmaps, state = self._planned(seed=31)
-        assert isinstance(state, MapperPlanState)
-        assert state.num_crossbars == len(fmaps)
-        assert len(state.chunk_contexts) == 1
+        hits, misses = stats.cache_hits, stats.cache_misses
+        mapping = mapper.map_blocks(blocks, [f.copy() for f in fmaps])
+        looked_up = (stats.cache_hits - hits) + (stats.cache_misses - misses)
+        assert stats.cache_hits - hits <= mapper.cost_engine.CACHE_SIZE
+        assert stats.cache_misses - misses >= looked_up - 1 > 0
+        assert stats.cache_evictions > 0
+        assert_mappings_identical(make_mapper("greedy").map_blocks(blocks, fmaps), mapping)

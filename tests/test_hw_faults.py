@@ -153,12 +153,12 @@ class TestFaultModel:
 
 
 class TestFaultMapDeltaAlgebra:
-    """Property tests for the delta algebra used by incremental re-planning.
+    """Property tests for the fault-map algebra behind warm re-planning.
 
-    Delta planning diffs fault maps by content fingerprint and splices
-    unchanged columns from retained copies, so ``merge`` precedence,
-    ``permuted_rows`` round-trips, and fingerprint stability/uniqueness under
-    in-place mutation are load-bearing invariants, fuzzed here.
+    A re-plan reuses cost-engine results keyed on fault-map content
+    fingerprints, so ``merge`` precedence, ``permuted_rows`` round-trips,
+    and fingerprint stability/uniqueness under in-place mutation are
+    load-bearing invariants, fuzzed here.
     """
 
     @staticmethod

@@ -16,6 +16,8 @@ from repro.matching.bsuitor import bsuitor_assignment, bsuitor_bmatching
 from repro.matching.greedy import greedy_assignment, greedy_assignment_batch
 from repro.matching.hungarian import hungarian_assignment
 
+from reference.matching import seed_hungarian_assignment
+
 
 def random_cost(rows, cols, seed):
     return np.random.default_rng(seed).random((rows, cols)) * 10
@@ -164,6 +166,27 @@ class TestHungarian:
             _, hung = hungarian_assignment(cost)
             _, greedy = greedy_assignment(cost)
             assert hung <= greedy + 1e-9
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_seed_loop(self, seed):
+        """Same assignment and total as the in-place seed loop, ties included."""
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(1, 20))
+        cols = int(rng.integers(rows, 36))
+        kind = seed % 4
+        if kind == 0:
+            cost = rng.random((rows, cols)) * 10.0
+        elif kind == 1:
+            cost = np.floor(rng.random((rows, cols)) * 3.0)
+        elif kind == 2:
+            cost = np.full((rows, cols), float(rng.integers(0, 3)))
+        else:
+            cost = rng.normal(size=(rows, cols)) * 1e6
+        assignment, total = hungarian_assignment(cost)
+        ref_assignment, ref_total = seed_hungarian_assignment(cost)
+        np.testing.assert_array_equal(assignment, ref_assignment)
+        assert total == ref_total
 
 
 class TestBSuitor:

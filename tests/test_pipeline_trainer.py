@@ -9,6 +9,8 @@ from repro.hardware.faults import FaultModel
 from repro.pipeline.mapping_engine import HardwareEnvironment
 from repro.pipeline.trainer import FaultyTrainer, TrainingConfig, TrainingResult
 
+from reference.mapping import SeedLoopMapper
+
 
 @pytest.fixture
 def trainer_config():
@@ -141,57 +143,93 @@ class TestPostDeployment:
         strategy = build_strategy("fare")
         # Shrink the result cache so evictions actually happen during the run
         # and the counter is proven live end-to-end, not just key-present.
-        strategy.mapper.cost_engine.cache_size = 1
+        strategy.mapper.cost_engine.CACHE_SIZE = 1
         trainer = FaultyTrainer(
             tiny_graph, "gcn", strategy, trainer_config, hardware=hardware
         )
         result = trainer.train()
         assert result.counters["mapping_cache_evictions"] > 0
-        assert "mapping_delta_plans" in result.counters
+        assert result.counters["mapping_cache_misses"] > 0
 
-    def test_replan_on_rescan_matches_pi_refresh_free_accuracy(
-        self, tiny_graph, tiny_config, trainer_config
-    ):
-        """Trainer-level delta equivalence: a warm re-plan after each BIST
-        re-scan must produce exactly the plans a fresh (cold) strategy
-        computes on the same fault maps (same RNG stream on both paths)."""
+    @staticmethod
+    def _run_post_deployment(tiny_graph, tiny_config, trainer_config, strategy, replan):
+        hardware = make_hardware(tiny_config, density=0.02, seed=5)
+        schedule = PostDeploymentSchedule(
+            total_extra_density=0.05, num_epochs=trainer_config.epochs
+        )
+        trainer = FaultyTrainer(
+            tiny_graph,
+            "gcn",
+            strategy,
+            trainer_config,
+            hardware=hardware,
+            post_deployment=schedule,
+            replan_on_rescan=replan,
+        )
+        return trainer, trainer.train()
 
-        class FreshReplanFaRe(FaReStrategy):
-            def replan_adjacency(self, *args):
-                return FaReStrategy().plan_adjacency(*args)
-
-        def run(strategy):
-            hardware = make_hardware(tiny_config, density=0.02, seed=5)
-            schedule = PostDeploymentSchedule(
-                total_extra_density=0.05, num_epochs=trainer_config.epochs
-            )
-            trainer = FaultyTrainer(
-                tiny_graph,
-                "gcn",
-                strategy,
-                trainer_config,
-                hardware=hardware,
-                post_deployment=schedule,
-                replan_on_rescan=True,
-            )
-            result = trainer.train()
-            return trainer, result
-
-        delta_trainer, delta_result = run(FaReStrategy())
-        cold_trainer, cold_result = run(FreshReplanFaRe())
-        assert delta_result.final_test_accuracy == cold_result.final_test_accuracy
-        np.testing.assert_allclose(delta_result.loss_history, cold_result.loss_history)
-        for ref, got in zip(cold_trainer.plans, delta_trainer.plans):
+    @staticmethod
+    def _assert_same_run(ref_trainer, ref_result, trainer, result):
+        assert result.loss_history == ref_result.loss_history
+        assert result.train_accuracy_history == ref_result.train_accuracy_history
+        assert result.test_accuracy_history == ref_result.test_accuracy_history
+        assert len(trainer.plans) == len(ref_trainer.plans)
+        for ref, got in zip(ref_trainer.plans, trainer.plans):
             assert ref.pruned_crossbars == got.pruned_crossbars
             assert ref.relaxed_blocks == got.relaxed_blocks
+            assert len(ref.blocks) == len(got.blocks)
             for a, b in zip(ref.blocks, got.blocks):
                 assert a.block_index == b.block_index
                 assert a.crossbar_index == b.crossbar_index
                 assert a.cost == b.cost
+                assert a.sa1_mismatch == b.sa1_mismatch
                 np.testing.assert_array_equal(a.row_permutation, b.row_permutation)
-        assert (
-            delta_trainer.strategy.mapping_engine_stats()["mapping_delta_plans"] > 0
+
+    def test_replan_on_rescan_matches_pi_refresh_free_accuracy(
+        self, tiny_graph, tiny_config, trainer_config
+    ):
+        """Trainer-level re-plan equivalence: a warm re-plan after each BIST
+        re-scan must produce exactly the plans a fresh (cold) strategy
+        computes on the same fault maps (same RNG stream on both paths)."""
+
+        class FreshPlanFaRe(FaReStrategy):
+            def plan_adjacency(self, *args):
+                return FaReStrategy().plan_adjacency(*args)
+
+        warm_trainer, warm_result = self._run_post_deployment(
+            tiny_graph, tiny_config, trainer_config, FaReStrategy(), replan=True
         )
+        cold_trainer, cold_result = self._run_post_deployment(
+            tiny_graph, tiny_config, trainer_config, FreshPlanFaRe(), replan=True
+        )
+        self._assert_same_run(cold_trainer, cold_result, warm_trainer, warm_result)
+        # The preprocessing plan and every epoch's re-plan ran on the
+        # trainer's own strategy, so its engine saw each plan's pair grid.
+        grid = sum(len(blocks) for blocks in warm_trainer.blocks_per_batch) * len(
+            warm_trainer.adjacency_crossbar_ids
+        )
+        stats = warm_trainer.strategy.mapping_engine_stats()
+        assert stats["mapping_pairs_total"] == (1 + trainer_config.epochs) * grid
+
+    @pytest.mark.parametrize("replan", [False, True], ids=["refresh", "replan"])
+    @pytest.mark.parametrize("method", ["greedy", "hungarian", "bsuitor"])
+    def test_fare_on_seed_loop_reference_matches_engine(
+        self, tiny_graph, tiny_config, trainer_config, method, replan
+    ):
+        """FARe whose mapper runs the seed per-pair loop trains exactly like
+        the engine-backed strategy, through the Π-preserving refresh and
+        through full re-plans after each BIST re-scan."""
+        reference = FaReStrategy(row_method=method)
+        reference.mapper = SeedLoopMapper(row_method=method)
+        ref_trainer, ref_result = self._run_post_deployment(
+            tiny_graph, tiny_config, trainer_config, reference, replan
+        )
+        trainer, result = self._run_post_deployment(
+            tiny_graph, tiny_config, trainer_config, FaReStrategy(row_method=method),
+            replan,
+        )
+        self._assert_same_run(ref_trainer, ref_result, trainer, result)
+        assert result.counters["mapping_solver_pairs"] > 0
 
 
 class TestEvaluation:

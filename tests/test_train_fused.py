@@ -249,13 +249,8 @@ class TestFusedTrainEquivalence:
             ref_trainer.optimizer.param_version
             == trainer.optimizer.param_version
         )
-        # Counters surface through the kernel layer -> mapping_engine_stats.
-        assert fused.counters["kernel_batched_train_buckets"] == (
-            fused.counters["batched_train_buckets"]
-        )
-        assert fused.counters["kernel_train_fused_forwards"] == (
-            fused.counters["train_fused_forwards"]
-        )
+        # The plan-cache counter surfaces through the kernel layer ->
+        # mapping_engine_stats.
         assert fused.counters["kernel_segment_plan_cache_hits"] >= 1
 
     def test_multilabel_bce_fused_vs_accumulation(self):
