@@ -1,12 +1,14 @@
 """Warm re-planning after fault deltas vs from-scratch re-planning.
 
-Progressive fault accumulation is the device-lifetime scenario: plan once,
-then repeatedly inject a small fault delta (here: ε extra density into 2 of
-the crossbars) and re-plan.  The warm path calls the planning mapper's own
-:meth:`FaultAwareMapper.map_blocks` again after each delta — its cost
-engine's pair cache serves every pair against an unchanged fault map, so
-only the changed columns of the cost grid are re-solved — while the
-from-scratch path runs a fresh mapper's cold :meth:`map_blocks` per step.
+Progressive fault accumulation confined to a few crossbars: plan once, then
+repeatedly inject a small fault delta (here: ε extra density into 2 of the
+crossbars) and re-plan.  (The device-lifetime experiment's wear-out steps
+hit every crossbar, so its re-plans reuse no pair.)  The warm path calls
+the planning mapper's own :meth:`FaultAwareMapper.map_blocks` again after
+each delta — its cost engine's pair cache serves every pair against an
+unchanged fault map, so only the changed columns of the cost grid are
+re-solved — while the from-scratch path runs a fresh mapper's cold
+:meth:`map_blocks` per step.
 
 Every warm plan is asserted bit-identical to its cold counterpart (the
 exhaustive fuzz proof lives in ``tests/test_core_delta_planning.py``); the

@@ -30,8 +30,8 @@ work:
 * **Result cache** — every solved pair is cached under
   ``(block fingerprint, fault-map fingerprint, sa1_weight, method)``, making
   the per-epoch ``update_row_permutations`` refresh and repeated batches on
-  unchanged BIST maps near-free.  Hit/miss counters are exported through
-  :mod:`repro.pipeline.timing`.
+  unchanged BIST maps near-free.  Hit/miss counters reach a run's
+  ``TrainingResult.counters`` through ``FaReStrategy.mapping_engine_stats``.
 
 Performance model (``B`` blocks, ``M`` crossbars, ``R × C`` crossbar):
 
@@ -159,11 +159,6 @@ class CostEngineStats:
     #: making cache-size tuning unobservable from the outside).
     cache_evictions: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        looked_up = self.cache_hits + self.cache_misses
-        return self.cache_hits / looked_up if looked_up else 0.0
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "mapping_pairs_total": float(self.pairs_total),
@@ -177,10 +172,6 @@ class CostEngineStats:
             "mapping_batched_solver_pairs": float(self.batched_solver_pairs),
             "mapping_cache_evictions": float(self.cache_evictions),
         }
-
-    def reset(self) -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, 0)
 
 
 @dataclass

@@ -36,16 +36,15 @@ re-programs its blocks every batch regardless of what the simulator
 recomputes), so the endurance counters and the write-event counters feeding
 the Fig. 7 timing model are identical to a run that recomputes every batch.
 That uncached run is the pass-through cache in ``tests/reference/hardware.py``
-(``tests/test_core_hw_state.py`` holds the bit-identity proof).  Hit/miss
-counters surface through :meth:`Strategy.mapping_engine_stats` into the
-trainer counters and the timing components, next to the mapping cost
-engine's counters.
+(``tests/test_core_hw_state.py`` holds the bit-identity proof).  The
+trainer that owns the cache copies its hit/miss counters (``hw_*``) into
+``TrainingResult.counters``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -70,10 +69,6 @@ class HwStateStats:
             "hw_weight_cache_hits": float(self.weight_hits),
             "hw_weight_cache_misses": float(self.weight_misses),
         }
-
-    def reset(self) -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, 0)
 
 
 @dataclass

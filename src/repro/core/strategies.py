@@ -60,13 +60,6 @@ class Strategy:
     reorders_every_batch = False
     #: Whether the one-time Algorithm 1 preprocessing runs (timing model).
     uses_fault_aware_mapping = False
-    #: The trainer's :class:`~repro.core.hw_state.HardwareStateCache`, once
-    #: attached; its hit/miss counters surface via :meth:`mapping_engine_stats`.
-    _hw_state_cache = None
-    #: The trainer's :class:`~repro.tensor.kernels.KernelStatsView`, once
-    #: attached; the segment-reduce kernel call/hit counters of the run
-    #: surface via :meth:`mapping_engine_stats` alongside the cache stats.
-    _kernel_stats = None
 
     # ------------------------------------------------------------------ #
     # Aggregation phase
@@ -153,44 +146,14 @@ class Strategy:
     def on_epoch_end(self) -> None:
         """Hook run at the end of every training epoch."""
 
-    def attach_hw_state_cache(self, cache) -> None:
-        """Attach the trainer's hardware-state cache for stats surfacing.
-
-        The :class:`~repro.pipeline.trainer.FaultyTrainer` calls this during
-        pre-processing so the cache's hit/miss counters flow through the same
-        channel as the mapping cost engine's (:meth:`mapping_engine_stats` →
-        trainer counters → timing components).
-        """
-        self._hw_state_cache = cache
-
-    def attach_kernel_stats(self, view) -> None:
-        """Attach a per-run :class:`~repro.tensor.kernels.KernelStatsView`.
-
-        The trainer attaches one snapshot view per run so the segment-reduce
-        kernel counters (``kernel_*``: reduceat scatter/gather calls,
-        transpose-memo hits) flow through the same channel as the mapping
-        cost engine's and hardware-state cache's counters.
-        """
-        self._kernel_stats = view
-
     def mapping_engine_stats(self) -> Optional[Dict[str, float]]:
-        """Cache/work counters of the mapping machinery, if any is in use.
+        """Work counters of the strategy's own mapping engine, if it has one.
 
-        The base implementation reports the attached hardware-state cache's
-        hit/miss counters (``hw_*``) and the attached segment-reduce kernel
-        counters (``kernel_*``); strategies that run Algorithm 1 (FARe)
-        merge in their cost engine's counters (``mapping_*``).  Returns
-        ``None`` when nothing is attached, e.g. for a freshly built strategy
-        that has not been handed to a trainer.  The timing model and the
-        trainer surface whatever is reported (see
-        :mod:`repro.pipeline.timing`).
+        ``None`` here; FARe reports its cost engine's counters
+        (``mapping_*``).  The trainer adds them to ``TrainingResult.counters``
+        next to the counters of the components it owns.
         """
-        stats: Dict[str, float] = {}
-        if self._hw_state_cache is not None:
-            stats.update(self._hw_state_cache.stats.as_dict())
-        if self._kernel_stats is not None:
-            stats.update(self._kernel_stats.as_dict())
-        return stats or None
+        return None
 
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:
@@ -471,9 +434,7 @@ class FaReStrategy(Strategy):
 
     # -- introspection --------------------------------------------------- #
     def mapping_engine_stats(self) -> Optional[Dict[str, float]]:
-        stats = dict(super().mapping_engine_stats() or {})
-        stats.update(self.mapper.cost_engine.stats.as_dict())
-        return stats
+        return self.mapper.cost_engine.stats.as_dict()
 
 
 #: Registry of strategy builders keyed by the names used in the experiments.

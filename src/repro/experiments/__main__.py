@@ -27,8 +27,8 @@ retries is quarantined: the grid still renders (missing cells marked), a
 failure report prints, and the exit status is 1 so CI catches partial
 sweeps.  A ``Ctrl-C`` exits 130 with a resume hint.
 
-Device-lifetime scenario (endurance wear-out + warm re-planning — see
-:mod:`repro.experiments.lifetime`)::
+Device-lifetime scenario (endurance wear-out + re-planning at each
+checkpoint — see :mod:`repro.experiments.lifetime`)::
 
     python -m repro.experiments lifetime --epochs 2      # accuracy vs writes
     python -m repro.experiments lifetime --grid          # cross-density grid

@@ -8,21 +8,26 @@ cumulative write cycles into population fault density, a
 that curve, and at every checkpoint the accumulated fault delta is injected,
 the BIST re-scans, and the FaRe mapping is **re-planned**
 (:meth:`~repro.pipeline.trainer.FaultyTrainer.apply_fault_delta` with
-``replan=True``).  The re-plan is warm: the strategy's cost engine serves
-every (block, crossbar) pair whose fault map did not change from its pair
-cache.  Recorded per checkpoint: test accuracy on the degraded hardware,
-plan cost/SA1 mismatch, how many fault maps the BIST saw change, the pairs
+``replan=True``).  The strategy's cost engine would serve every (block,
+crossbar) pair whose fault map did not change from its pair cache, but a
+wear-out step injects into every crossbar
+(:meth:`~repro.hardware.tile.CrossbarPool.inject_post_deployment`), so every
+fault map changes and the re-plan re-solves every pair: it costs about as
+much as a from-scratch plan.  Pair reuse needs a fault delta that leaves
+some maps unchanged, as in ``benchmarks/test_bench_delta_remap.py``.
+Recorded per checkpoint: test accuracy on the degraded hardware, plan
+cost/SA1 mismatch, how many fault maps the BIST saw change, the pairs
 re-solved (cache misses) and reused (cache hits), and re-plan wall time
-(optionally alongside a from-scratch re-plan of the same maps for the
-speedup column).
+(optionally alongside a from-scratch re-plan of the same maps).
 
 Two drivers:
 
 * :func:`run_lifetime` — train once at the base density, then walk the
   wear-out schedule (accuracy + cost curves).
 * :func:`run_density_grid` — no training; walk a grid of cumulative fault
-  densities, each level re-planned warm after the previous level's plan
-  (the cross-density figure-grid mode; plan-cost curves only).
+  densities, each level re-planned after the previous level's plan on the
+  same strategy (the cross-density figure-grid mode; plan-cost curves
+  only).
 
 CLI: ``python -m repro.experiments lifetime`` (see ``--help``).
 """
@@ -260,14 +265,15 @@ def run_lifetime(
     schedule: Optional[WearOutSchedule] = None,
     compare_cold: bool = False,
 ) -> LifetimeResult:
-    """Train once, then walk a wear-out schedule with warm re-plans.
+    """Train once, then walk a wear-out schedule, re-planning at each step.
 
     Training runs at ``base_density`` (the pre-deployment fault level).  Each
     subsequent checkpoint injects the endurance model's density increment,
     re-scans, re-plans, and evaluates test accuracy on the degraded
     hardware — producing the accuracy/remap-cost-vs-write-cycles curve.
-    ``compare_cold=True`` additionally times a from-scratch re-plan of the
-    same fault maps at every checkpoint (the speedup denominator): a fresh
+    Every step changes every fault map, so its re-plan reuses no cached
+    pair.  ``compare_cold=True`` additionally times a from-scratch re-plan
+    of the same fault maps at every checkpoint: a fresh
     :class:`FaReStrategy` with an empty pair cache.
     """
     if schedule is None:
@@ -318,8 +324,9 @@ def run_density_grid(
     No training: the trainer is used only for its preprocessing (real
     adjacency blocks + BIST machinery).  Starting from the ``base_density``
     plan, each target density is reached by injecting the difference and
-    re-planning warm — the incremental analogue of planning every density
-    level of a figure grid from scratch.
+    re-planning on the same strategy.  The injection touches every
+    crossbar, so each level re-solves every pair and costs about as much as
+    planning it from scratch (``compare_cold=True`` shows both).
     """
     trainer = _build_trainer(
         dataset, model, scale, seed, epochs=1, base_density=base_density,
@@ -355,7 +362,7 @@ def format_lifetime(result: LifetimeResult) -> str:
 
 def format_density_grid(result: DensityGridResult) -> str:
     title = (
-        f"Cross-density plan grid (warm re-plans) — {result.dataset}, "
+        f"Cross-density plan grid (re-planned level by level) — {result.dataset}, "
         f"row method {result.row_method}"
     )
     return format_table(list(DENSITY_GRID_HEADERS), result.rows(), title=title)
@@ -369,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.experiments lifetime",
         description=(
             "Device-lifetime scenario: wear-out faults accumulate along an "
-            "endurance curve and the FaRe mapping is re-planned (warm, through "
-            "its pair cache) at every checkpoint."
+            "endurance curve and the FaRe mapping is re-planned at every "
+            "checkpoint.  Each wear-out step changes every fault map, so the "
+            "re-plan reuses no cached pair."
         ),
     )
     parser.add_argument("--dataset", default="ppi")

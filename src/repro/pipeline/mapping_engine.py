@@ -30,12 +30,12 @@ weight pipeline they replace live in ``tests/reference/hardware.py``; both
 fast paths are bit-identical to them (enforced by
 ``tests/test_core_hw_state.py``).
 
-How these mappers sit between the strategy layer (which plans the mappings
-and reports the cost engine's / hardware-state cache's work counters through
-:meth:`~repro.core.strategies.Strategy.mapping_engine_stats` into the trainer
-counters and :attr:`~repro.pipeline.timing.TimingBreakdown.components`) and
-the crossbar layer below is documented in ``docs/ARCHITECTURE.md``, together
-with the two cache-invalidation protocols that keep the fast paths honest.
+How these mappers sit between the strategy layer (which plans the mappings)
+and the crossbar layer below is documented in ``docs/ARCHITECTURE.md``,
+together with the two cache-invalidation protocols that keep the fast paths
+honest.  Their work counters (``block_write_events``,
+``weight_write_events``) reach ``TrainingResult.counters`` through the
+trainer that owns them.
 """
 
 from __future__ import annotations

@@ -20,15 +20,10 @@ All Fig. 7 numbers are reported normalised to fault-free training, so only
 the ratios between these terms matter; the absolute constants come from
 :class:`~repro.hardware.energy.TileCostModel`.
 
-When the strategy runs Algorithm 1 through the batched
-:class:`~repro.core.cost_engine.MappingCostEngine`, the engine's cache
-hit/miss and skipped-work counters are surfaced on
-:attr:`TimingBreakdown.components` (``mapping_cache_hits`` etc.), so the
-per-run timing record also documents how much mapping work was avoided.
-The same channel carries the hardware-state cache counters (``hw_*``) and
-the segment-reduce kernel counters (``kernel_*`` — reduceat scatter/gather
-calls, CSR transpose-memo hits) whenever a trainer has attached them to the
-strategy, for *every* strategy, not just FARe.
+Everything here is *simulated* accelerator time: :class:`TimingBreakdown`
+and its ``components`` hold simulated seconds only.  The host's work
+counters of a training run (cache hits, kernel calls) are on
+``TrainingResult.counters``.
 """
 
 from __future__ import annotations
@@ -100,7 +95,7 @@ class TimingInputs:
 
 @dataclass
 class TimingBreakdown:
-    """Execution-time components of one training run (seconds)."""
+    """Execution-time components of one training run (simulated seconds)."""
 
     strategy: str
     pipeline_time: float
@@ -148,12 +143,6 @@ def estimate_execution_time(
 
     breakdown = TimingBreakdown(strategy=strategy.name, pipeline_time=pipeline_time)
     breakdown.components["stage_delay_s"] = stage_delay
-    # Cache/kernel counters flow for every strategy that has any attached
-    # (mapping_* from the cost engine, hw_* from the hardware-state cache,
-    # kernel_* from the segment-reduce kernel layer).
-    engine_stats = strategy.mapping_engine_stats()
-    if engine_stats:
-        breakdown.components.update(engine_stats)
 
     if strategy.uses_clipping:
         # One extra pipeline stage per epoch (depth N + S instead of N + S - 1).

@@ -36,8 +36,9 @@ accumulation that ``train_mode="fused"`` must match in
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,11 +66,10 @@ from repro.pipeline.mapping_engine import (
     WeightCrossbarMapper,
 )
 from repro.tensor import kernels
-from repro.tensor.kernels import KernelStatsView
 from repro.tensor.optim import Adam, SGD
 from repro.tensor.tensor import no_grad
 from repro.utils.logging import get_logger
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import spawn_rngs
 
 logger = get_logger("pipeline.trainer")
 
@@ -87,26 +87,12 @@ class TrainingConfig:
     batch_clusters: int = 4
     eval_every: int = 1
     seed: int = 0
-    #: Node budget of one batched-eval bucket: consecutive mini-batches are
-    #: fused into one block-diagonal forward until adding the next batch
-    #: would exceed this many nodes (a bucket always holds ≥ 1 batch).
-    eval_bucket_nodes: int = 4096
-    #: Node budget of one *training* bucket (``FaultyTrainer`` train mode
-    #: ``"fused"``): consecutive mini-batches fused into one block-diagonal
-    #: forward and one optimizer step.  Same layout rule as
-    #: ``eval_bucket_nodes``; ``train_bucket_nodes=1`` degenerates every
-    #: bucket to a single batch (the seed step granularity).
-    train_bucket_nodes: int = 4096
 
     def __post_init__(self) -> None:
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
-        if self.eval_bucket_nodes <= 0:
-            raise ValueError("eval_bucket_nodes must be positive")
-        if self.train_bucket_nodes <= 0:
-            raise ValueError("train_bucket_nodes must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_clusters > self.num_parts:
@@ -172,6 +158,16 @@ class TrainingResult:
 class FaultyTrainer:
     """Trains one GNN on one graph under one fault-handling strategy."""
 
+    #: Node budget of one batched-eval bucket: consecutive mini-batches are
+    #: fused into one block-diagonal forward until adding the next batch
+    #: would exceed this many nodes (a bucket always holds ≥ 1 batch).
+    EVAL_BUCKET_NODES = 4096
+    #: Node budget of one *training* bucket (train mode ``"fused"``): the
+    #: same layout rule, one block-diagonal forward and one optimizer step
+    #: per bucket; a budget of 1 makes every bucket a single batch (the seed
+    #: step granularity).  Both layouts are built on first use.
+    TRAIN_BUCKET_NODES = 4096
+
     def __init__(
         self,
         graph: Graph,
@@ -195,9 +191,10 @@ class FaultyTrainer:
         #: Epoch-end reaction to the BIST re-scan: ``False`` (paper protocol)
         #: keeps the block → crossbar assignment Π and only refreshes row
         #: permutations; ``True`` re-plans the full mapping against the new
-        #: fault maps via :meth:`Strategy.plan_adjacency` — warm for FARe,
-        #: whose cost engine caches every pair with an unchanged block and
-        #: fault map (the lifetime experiment's mode).
+        #: fault maps via :meth:`Strategy.plan_adjacency` (the lifetime
+        #: experiment's mode).  FARe's cost engine reuses the cached pairs of
+        #: fault maps the delta left unchanged; a delta that touches every
+        #: crossbar, like a wear-out step, leaves none to reuse.
         self.replan_on_rescan = bool(replan_on_rescan)
         #: Cache the weight-independent first-layer aggregation across steps
         #: (see ``docs/ARCHITECTURE.md``, "Batched multi-graph training").
@@ -208,7 +205,7 @@ class FaultyTrainer:
         #: * ``"per_batch"`` (default) — the seed loop: one forward/backward/
         #:   optimizer step per mini-batch.
         #: * ``"fused"`` — consecutive batches are grouped into buckets
-        #:   capped at ``config.train_bucket_nodes`` nodes; each bucket runs
+        #:   capped at :attr:`TRAIN_BUCKET_NODES` nodes; each bucket runs
         #:   one block-diagonal forward, a segmented per-member loss and one
         #:   optimizer step.  Gradients are the sum of the per-member
         #:   gradients of the accumulation reference in
@@ -275,22 +272,14 @@ class FaultyTrainer:
         # the per-bucket workspace shared with eval (member offsets, fused
         # features/labels, loss segment plan — all hardware-independent,
         # built once per bucket), and the fused train-input memo keyed on
-        # the hardware state like the eval one.  All invalidated together
-        # when ``self.batches`` is replaced (see ``_check_bucket_staleness``).
+        # the hardware state like the eval one.  All of it, like the plans
+        # and block views, is derived from the fixed batch list.
         self._train_buckets: Optional[List[List[int]]] = None
         self._bucket_workspaces: Dict[tuple, dict] = {}
         self._fused_train_cache: Dict[tuple, tuple] = {}
         self._batched_train_buckets = 0
         self._train_fused_forwards = 0
-        self._buckets_for = self.batches
         self.model.set_agg_precompute(self.use_agg_precompute)
-        # Delta view of the process-wide segment-reduce kernel counters;
-        # surfaces through Strategy.mapping_engine_stats() -> trainer
-        # counters -> timing components, like the cost-engine and hw-state
-        # cache stats.  train() re-baselines it so the reported numbers
-        # cover exactly that run even when several trainers are constructed
-        # up front.
-        self.strategy.attach_kernel_stats(KernelStatsView())
         self._preprocess()
 
     # ------------------------------------------------------------------ #
@@ -307,7 +296,6 @@ class FaultyTrainer:
             hw.adjacency_crossbars, hw.config
         )
         self._hw_cache = HardwareStateCache(self._adjacency_mapper, self._weight_mapper)
-        self.strategy.attach_hw_state_cache(self._hw_cache)
         # The views hold O(nnz) cell indices and build each block when it is
         # read, so every batch keeps one for the run: planning, FARe's
         # refresh and re-planning after a BIST re-scan all read them.
@@ -370,6 +358,25 @@ class FaultyTrainer:
             name, key, compute, count_hit_write=training
         )
 
+    @contextmanager
+    def _weights_on_hardware(self) -> Iterator[None]:
+        """Read the model's weights through the crossbars inside the block.
+
+        The transform is a bound method of this trainer, so leaving it
+        installed would keep the trainer, its hardware, caches and plans
+        alive in a reference cycle through the model after the run.  The
+        previous transform comes back on exit, so an :meth:`evaluate` called
+        inside :meth:`train` leaves training on the hardware.
+        """
+        previous = self.model.weight_transform
+        self.model.set_weight_transform(
+            self._weight_transform if self.strategy.requires_hardware else None
+        )
+        try:
+            yield
+        finally:
+            self.model.set_weight_transform(previous)
+
     def _batch_inputs(self, batch_index: int) -> BatchInputs:
         batch = self.batches[batch_index]
         adjacency = batch.subgraph.adjacency
@@ -400,43 +407,39 @@ class FaultyTrainer:
                 self.hardware.overall_fault_density() if self.hardware else 0.0
             ),
         )
-        if self.strategy.requires_hardware:
-            self.model.set_weight_transform(self._weight_transform)
-        else:
-            self.model.set_weight_transform(None)
-        # Re-baseline the kernel-counter view: anything another trainer (or
-        # this one's pre-processing) did since construction must not be
-        # attributed to this run.
-        self.strategy.attach_kernel_stats(KernelStatsView())
+        # The kernel counters are process-wide: only what happens from here
+        # on (not another trainer's run, not pre-processing) is this run's.
+        kernel_baseline = kernels.COUNTERS.as_dict()
 
-        for epoch in range(config.epochs):
-            self.model.train()
-            if self.train_mode == "fused":
-                epoch_losses = self._train_epoch_fused()
-            else:
-                epoch_losses = self._train_epoch_per_batch()
+        with self._weights_on_hardware():
+            for epoch in range(config.epochs):
+                self.model.train()
+                if self.train_mode == "fused":
+                    epoch_losses = self._train_epoch_fused()
+                else:
+                    epoch_losses = self._train_epoch_per_batch()
 
-            self._end_of_epoch(epoch)
-            result.loss_history.append(float(np.mean(epoch_losses)))
-            if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
-                train_acc, test_acc = self._evaluate_epoch()
-            elif result.train_accuracy_history:
-                train_acc = result.train_accuracy_history[-1]
-                test_acc = result.test_accuracy_history[-1]
-            else:
-                # Epochs before the first eval_every boundary: evaluate once
-                # at the first recorded epoch and carry that value forward
-                # instead of padding with 0.0, which would poison mean±std
-                # aggregation across seeds.  Histories at and after the first
-                # boundary are unchanged.
-                train_acc, test_acc = self._evaluate_epoch()
-            result.train_accuracy_history.append(train_acc)
-            result.test_accuracy_history.append(test_acc)
-            result.epochs_run = epoch + 1
+                self._end_of_epoch(epoch)
+                result.loss_history.append(float(np.mean(epoch_losses)))
+                if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
+                    train_acc, test_acc = self._evaluate_epoch()
+                elif result.train_accuracy_history:
+                    train_acc = result.train_accuracy_history[-1]
+                    test_acc = result.test_accuracy_history[-1]
+                else:
+                    # Epochs before the first eval_every boundary: evaluate
+                    # once at the first recorded epoch and carry that value
+                    # forward instead of padding with 0.0, which would poison
+                    # mean±std aggregation across seeds.  Histories at and
+                    # after the first boundary are unchanged.
+                    train_acc, test_acc = self._evaluate_epoch()
+                result.train_accuracy_history.append(train_acc)
+                result.test_accuracy_history.append(test_acc)
+                result.epochs_run = epoch + 1
 
         result.final_train_accuracy = result.train_accuracy_history[-1]
         result.final_test_accuracy = result.test_accuracy_history[-1]
-        result.counters = self._counters()
+        result.counters = self._counters(kernel_baseline)
         return result
 
     def _train_epoch_per_batch(self) -> List[float]:
@@ -528,34 +531,15 @@ class FaultyTrainer:
             self.strategy.after_optimizer_step(self.model)
         return epoch_losses
 
-    def _check_bucket_staleness(self) -> None:
-        """Invalidate bucket-derived state when ``self.batches`` is replaced.
-
-        The bucket layouts, per-bucket workspaces and fused input memos are
-        all derived from the batch list; callers that swap ``self.batches``
-        after construction (sweep harnesses re-using a trainer shell) would
-        otherwise keep serving buckets of the old composition.
-        """
-        if self._buckets_for is not self.batches:
-            self._buckets_for = self.batches
-            self._eval_buckets = None
-            self._train_buckets = None
-            self._fused_eval_cache.clear()
-            self._fused_train_cache.clear()
-            self._bucket_workspaces.clear()
-
     def _train_bucket_layout(self) -> List[List[int]]:
-        """Consecutive-batch buckets capped at ``config.train_bucket_nodes``.
+        """Consecutive-batch buckets capped at :attr:`TRAIN_BUCKET_NODES`.
 
         Mirrors :meth:`_eval_bucket_layout` (a bucket always holds at least
         one batch); the train and eval caps are independent so the two
         layouts may differ.
         """
-        self._check_bucket_staleness()
         if self._train_buckets is None:
-            self._train_buckets = self._bucket_layout(
-                int(self.config.train_bucket_nodes)
-            )
+            self._train_buckets = self._bucket_layout(self.TRAIN_BUCKET_NODES)
         return self._train_buckets
 
     def _bucket_layout(self, cap: int) -> List[List[int]]:
@@ -584,7 +568,6 @@ class FaultyTrainer:
         scatter.  ``count_plan_hit`` counts reuse (the fused train path) in
         ``kernel_segment_plan_cache_hits``.
         """
-        self._check_bucket_staleness()
         key = tuple(bucket)
         workspace = self._bucket_workspaces.get(key)
         if workspace is not None:
@@ -732,7 +715,7 @@ class FaultyTrainer:
         self.model.eval()
         logits_chunks: List[np.ndarray] = []
         labels_chunks: List[np.ndarray] = []
-        with no_grad():
+        with self._weights_on_hardware(), no_grad():
             for batch_index, batch in enumerate(self.batches):
                 mask = getattr(batch.subgraph, mask_name)
                 if not mask.any():
@@ -806,18 +789,13 @@ class FaultyTrainer:
             labels_chunks.append(sub.labels[mask])
 
     def _eval_bucket_layout(self) -> List[List[int]]:
-        """Consecutive-batch buckets capped at ``config.eval_bucket_nodes``.
+        """Consecutive-batch buckets capped at :attr:`EVAL_BUCKET_NODES`.
 
-        Cached per batch-list: a bucket always holds at least one batch, so
-        an oversized batch forms its own (B=1, unfused) bucket.  Replacing
-        ``self.batches`` after construction invalidates the cached layout
-        (and every bucket-derived memo) via :meth:`_check_bucket_staleness`.
+        Built once per run: a bucket always holds at least one batch, so an
+        oversized batch forms its own (B=1, unfused) bucket.
         """
-        self._check_bucket_staleness()
         if self._eval_buckets is None:
-            self._eval_buckets = self._bucket_layout(
-                int(self.config.eval_bucket_nodes)
-            )
+            self._eval_buckets = self._bucket_layout(self.EVAL_BUCKET_NODES)
         return self._eval_buckets
 
     def _bucket_forward(self, bucket: List[int]) -> List[np.ndarray]:
@@ -867,9 +845,17 @@ class FaultyTrainer:
         ]
 
     # ------------------------------------------------------------------ #
-    # Counters for the timing model
+    # Counters
     # ------------------------------------------------------------------ #
-    def _counters(self) -> Dict[str, float]:
+    def _counters(self, kernel_baseline: Dict[str, float]) -> Dict[str, float]:
+        """The run's counters, each read from the component that owns it.
+
+        The trainer's own counts (the Fig. 7 timing inputs among them), the
+        hardware-state cache's ``hw_*``, the change in the process-wide
+        ``kernel_*`` counters since ``kernel_baseline`` (taken when
+        :meth:`train` began) and the strategy's ``mapping_*`` engine
+        counters, if it has an engine.
+        """
         counters: Dict[str, float] = {
             "num_batches": float(len(self.batches)),
             "epochs": float(self.config.epochs),
@@ -900,6 +886,12 @@ class FaultyTrainer:
         counters["train_fused_forwards"] = float(self._train_fused_forwards)
         counters["train_bucket_layout"] = float(
             len(self._train_bucket_layout()) if self.train_mode == "fused" else 0
+        )
+        if self._hw_cache is not None:
+            counters.update(self._hw_cache.stats.as_dict())
+        counters.update(
+            (key, value - kernel_baseline[key])
+            for key, value in kernels.COUNTERS.as_dict().items()
         )
         engine_stats = self.strategy.mapping_engine_stats()
         if engine_stats:

@@ -28,11 +28,9 @@ the in-segment entry order, so the set of values reduced per segment is
 identical; equivalence is enforced to tight tolerances by
 ``tests/test_tensor_kernels.py``.
 
-Call counters accumulate in the module-level :data:`COUNTERS`;
-:class:`KernelStatsView` snapshots them so a training run can report the
-delta through ``Strategy.mapping_engine_stats()`` →
-:mod:`repro.pipeline.timing` components, mirroring the mapping cost engine
-and hardware-state cache plumbing.
+Call counters accumulate in the process-wide :data:`COUNTERS`.  A training
+run reports the change since its ``train()`` began as its ``kernel_*``
+counters (``FaultyTrainer._counters``).
 """
 
 from __future__ import annotations
@@ -76,35 +74,9 @@ class KernelCounters:
             for name in self.__dataclass_fields__
         }
 
-    def reset(self) -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, 0)
-
 
 #: Module-level counter instance every kernel increments.
 COUNTERS = KernelCounters()
-
-
-def kernel_counters() -> KernelCounters:
-    """Return the live module-level counter instance."""
-    return COUNTERS
-
-
-class KernelStatsView:
-    """Delta view of :data:`COUNTERS` since construction.
-
-    The trainer attaches one per run to its strategy
-    (:meth:`~repro.core.strategies.Strategy.attach_kernel_stats`), so the
-    counters it reports cover exactly that run even though the underlying
-    counters are process-wide.
-    """
-
-    def __init__(self) -> None:
-        self._baseline = COUNTERS.as_dict()
-
-    def as_dict(self) -> Dict[str, float]:
-        current = COUNTERS.as_dict()
-        return {key: current[key] - self._baseline[key] for key in current}
 
 
 # --------------------------------------------------------------------------- #

@@ -14,7 +14,7 @@ class AccumulationTrainer(FaultyTrainer):
     accumulates into the shared parameter gradients, and the optimizer
     steps once per bucket.  The bucket layout and the epoch permutation
     (one RNG draw over buckets) are the fused mode's, so with
-    ``train_bucket_nodes=1`` both degenerate to the seed per-batch loop.
+    ``TRAIN_BUCKET_NODES = 1`` both degenerate to the seed per-batch loop.
     """
 
     def __init__(self, *args, **kwargs) -> None:

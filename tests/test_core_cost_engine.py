@@ -307,14 +307,11 @@ class TestFingerprints:
 
 
 class TestStats:
-    def test_as_dict_and_reset(self):
+    def test_as_dict(self):
         stats = CostEngineStats(cache_hits=3, cache_misses=1, solver_pairs=2)
         exported = stats.as_dict()
         assert exported["mapping_cache_hits"] == 3.0
         assert exported["mapping_cache_misses"] == 1.0
-        assert stats.hit_rate == pytest.approx(0.75)
-        stats.reset()
-        assert stats.cache_hits == 0 and stats.hit_rate == 0.0
 
     def test_batched_solver_pairs_exported(self):
         stats = CostEngineStats(batched_solver_pairs=5)
@@ -324,8 +321,6 @@ class TestStats:
         stats = CostEngineStats(cache_evictions=2)
         exported = stats.as_dict()
         assert exported["mapping_cache_evictions"] == 2.0
-        stats.reset()
-        assert stats.cache_evictions == 0
 
 
 # --------------------------------------------------------------------------- #

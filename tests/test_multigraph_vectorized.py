@@ -256,9 +256,10 @@ def _train(model, strategy_name, graph, trainer_cls=FaultyTrainer, **flags):
         batch_clusters=1,
         eval_every=1,
         seed=0,
-        eval_bucket_nodes=flags.pop("eval_bucket_nodes", 4096),
     )
+    bucket_nodes = flags.pop("bucket_nodes", FaultyTrainer.EVAL_BUCKET_NODES)
     trainer = trainer_cls(graph, model, strategy, config, hardware=hardware, **flags)
+    trainer.EVAL_BUCKET_NODES = bucket_nodes
     result = trainer.train()
     params = {n: p.data.copy() for n, p in trainer.model.named_parameters()}
     return result, params, trainer
@@ -316,13 +317,13 @@ class TestVectorisedEquivalence:
 
     @pytest.mark.parametrize("model", ["gcn", "sage"])
     def test_ragged_b1_buckets_match_per_split_eval(self, model):
-        """eval_bucket_nodes=1 forces one batch per bucket (no fusion)."""
+        """An eval bucket cap of 1 forces one batch per bucket (no fusion)."""
         graph = _graph(5)
         base, base_params, _ = _train(
             model, "fare", graph, trainer_cls=PerSplitEvalTrainer
         )
         ragged, ragged_params, trainer = _train(
-            model, "fare", graph, eval_bucket_nodes=1
+            model, "fare", graph, bucket_nodes=1
         )
         assert base.loss_history == ragged.loss_history
         assert base.train_accuracy_history == ragged.train_accuracy_history

@@ -1,5 +1,8 @@
 """Tests for the faulty training loop (FaultyTrainer)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.hardware.endurance import PostDeploymentSchedule
 from repro.hardware.faults import FaultModel
 from repro.pipeline.mapping_engine import HardwareEnvironment
 from repro.pipeline.trainer import FaultyTrainer, TrainingConfig, TrainingResult
+from repro.tensor import kernels
 
 from reference.mapping import SeedLoopMapper
 
@@ -248,6 +252,77 @@ class TestEvaluation:
         trainer = FaultyTrainer(tiny_graph, "gcn", build_strategy("fault_free"), trainer_config)
         trainer.evaluate("test")
         assert trainer.model.training
+
+    def test_evaluate_before_train_reads_faulty_weights(
+        self, tiny_graph, tiny_config, trainer_config
+    ):
+        hardware = make_hardware(tiny_config)
+        trainer = FaultyTrainer(
+            tiny_graph, "gcn", build_strategy("clipping"), trainer_config, hardware=hardware
+        )
+        trainer.evaluate("test")
+        # Every mapped weight went through the crossbar read-back once ...
+        assert trainer._hw_cache.stats.weight_misses == len(trainer._weight_mapper.layouts)
+        # ... and the model no longer holds the trainer's transform.
+        assert trainer.model.weight_transform is None
+
+
+class TestRunLifetime:
+    def test_finished_trainer_is_freed_by_reference_counting(
+        self, tiny_graph, tiny_config, trainer_config
+    ):
+        """No reference cycle keeps a trainer, its hardware and caches alive."""
+        hardware = make_hardware(tiny_config)
+        gc.collect()
+        gc.disable()
+        try:
+            trainer = FaultyTrainer(
+                tiny_graph, "gcn", build_strategy("fare"), trainer_config, hardware=hardware
+            )
+            result = trainer.train()
+            trainer.evaluate("test")
+            alive = weakref.ref(trainer)
+            del trainer
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert result.epochs_run == trainer_config.epochs
+
+
+class TestCounters:
+    def test_each_trainer_reports_only_its_own_kernel_work(
+        self, tiny_graph, tiny_config, trainer_config
+    ):
+        """The kernel counters are process-wide; a run reports its own delta."""
+        trainers = [
+            FaultyTrainer(
+                tiny_graph,
+                model,
+                build_strategy(name),
+                trainer_config,
+                hardware=make_hardware(tiny_config) if name != "fault_free" else None,
+            )
+            for model, name in (("gcn", "fare"), ("gat", "fault_free"))
+        ]
+        stray = np.array([0, 1, 1])
+        reported, measured = [], []
+        for trainer in trainers:
+            # Kernel work outside train() belongs to no run.
+            kernels.segment_sum(np.ones(3), stray, 2)
+            before = kernels.COUNTERS.as_dict()
+            result = trainer.train()
+            after = kernels.COUNTERS.as_dict()
+            kernels.segment_sum(np.ones(3), stray, 2)
+            reported.append(
+                {k: v for k, v in result.counters.items() if k.startswith("kernel_")}
+            )
+            measured.append({key: after[key] - before[key] for key in after})
+        assert reported == measured
+        # Both runs did kernel work, and not the same work: GAT's attention
+        # runs edge softmaxes, GCN's aggregation none.
+        assert reported[0]["kernel_csr_matmat_calls"] > 0
+        assert reported[0]["kernel_edge_softmax_calls"] == 0
+        assert reported[1]["kernel_edge_softmax_calls"] > 0
 
 
 class TestAccuracyHistoryPadding:

@@ -339,22 +339,3 @@ class TestSpmmLaziness:
         assert mat._transpose is first
         assert kernels.COUNTERS.transpose_cache_hits > hits
 
-
-class TestCountersPlumbing:
-    def test_stats_view_reports_deltas(self):
-        view = kernels.KernelStatsView()
-        kernels.segment_sum(np.ones(3), np.array([0, 1, 1]), 2)
-        delta = view.as_dict()
-        assert delta["kernel_segment_sum_calls"] == 1.0
-        assert set(delta) == set(kernels.COUNTERS.as_dict())
-
-    def test_strategy_merges_kernel_stats(self):
-        from repro.core.strategies import build_strategy
-
-        strategy = build_strategy("fault_unaware")
-        assert strategy.mapping_engine_stats() is None
-        strategy.attach_kernel_stats(kernels.KernelStatsView())
-        kernels.gather_rows(np.ones((2, 2)), np.array([0, 1]))
-        stats = strategy.mapping_engine_stats()
-        assert stats is not None
-        assert stats["kernel_gather_rows_calls"] >= 1.0
