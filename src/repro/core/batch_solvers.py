@@ -3,7 +3,7 @@
 :class:`~repro.core.cost_engine.MappingCostEngine` stacks every uncached
 (block, fault-map) pair of Algorithm 1's inner loop into one ``(B, R, C)``
 cost tensor.  For the ``greedy`` row method the whole stack has long been
-solved by one vectorised sweep (:func:`repro.matching.greedy.
+solved by one batched call (:func:`repro.matching.greedy.
 greedy_assignment_batch`); the exact methods, however, still dropped back to
 ``B`` independent Python solves — ~8 ms per 32×32 Hungarian call, which is
 where all the cold-start time of the exact configurations went.  This module

@@ -41,9 +41,8 @@ stage                  seed loop                                       cost engi
 row-cost matrices      ``B·M`` Python calls, 2 matmuls each            2 batched matmuls over unique pairs
 inner assignments      ``B·M`` solver calls                            one vectorised stack solve over
                                                                        non-zero, non-duplicate, uncached
-                                                                       pairs: the batched-greedy sweep
-                                                                       (``R`` argmins total) or a lockstep
-                                                                       exact solver from
+                                                                       pairs: the two-phase batch greedy
+                                                                       or a lockstep exact solver from
                                                                        :mod:`repro.core.batch_solvers`
 permutations           ``B·M`` materialised                            ≤ ``B`` materialised (lazy)
 repeated batches       full recompute                                  cache hits, no tensor work
@@ -124,7 +123,11 @@ def block_fingerprint(block: np.ndarray) -> str:
     packed boolean mask plus the shape — two float blocks with the same
     sparsity pattern share a fingerprint.
     """
-    ones = np.asarray(block) > 0
+    return _mask_fingerprint(np.asarray(block) > 0)
+
+
+def _mask_fingerprint(ones: np.ndarray) -> str:
+    """:func:`block_fingerprint` of the block whose ``block > 0`` is ``ones``."""
     digest = hashlib.blake2b(digest_size=16)
     digest.update(np.asarray(ones.shape, dtype=np.int64).tobytes())
     digest.update(np.packbits(ones).tobytes())
@@ -152,7 +155,7 @@ class CostEngineStats:
     solver_pairs: int = 0
     lazy_permutations: int = 0
     #: Of ``solver_pairs``, how many were solved by a batched stack solve
-    #: (the greedy sweep or a :mod:`repro.core.batch_solvers` exact solver)
+    #: (the batch greedy or a :mod:`repro.core.batch_solvers` exact solver)
     #: rather than one scalar Python call.
     batched_solver_pairs: int = 0
     #: Entries dropped from the LRU result cache (it used to evict silently,
@@ -201,7 +204,7 @@ class MappingCostEngine:
         Multiplier applied to SA1 mismatches (part of every cache key).
     row_method:
         Assignment solver for the inner row matching.  All three methods run
-        fully batched: ``'greedy'`` through the vectorised sweep in
+        fully batched: ``'greedy'`` through the two-phase batch solve in
         :mod:`repro.matching.greedy`, ``'hungarian'``/``'bsuitor'`` through
         the lockstep exact solvers in :mod:`repro.core.batch_solvers`.
     """
@@ -339,7 +342,10 @@ class MappingCostEngine:
         self.stats.pairs_total += num_blocks * num_maps
 
         # -- fingerprint + dedupe the two axes --------------------------- #
-        block_fps = [block_fingerprint(b) for b in blocks]
+        # The cost depends on ``block > 0`` only: each mask is built once and
+        # serves both the fingerprint and the stacked contraction.
+        block_masks = [np.asarray(block) > 0 for block in blocks]
+        block_fps = [_mask_fingerprint(ones) for ones in block_masks]
         unique_block_of: Dict[str, int] = {}
         block_rep: List[int] = []  # unique block id -> representative index
         block_uid = np.empty(num_blocks, dtype=np.int64)
@@ -392,7 +398,7 @@ class MappingCostEngine:
         self.stats.cache_misses += len(to_solve)
 
         if to_solve:
-            self._solve_pairs_batched(blocks, fault_maps, block_rep, map_rep,
+            self._solve_pairs_batched(block_masks, fault_maps, block_rep, map_rep,
                                       block_fps, map_fps, to_solve, entries)
 
         # -- scatter the unique results to the full (B, M) grids ---------- #
@@ -421,7 +427,7 @@ class MappingCostEngine:
     # ------------------------------------------------------------------ #
     def _solve_pairs_batched(
         self,
-        blocks: Sequence[np.ndarray],
+        block_masks: Sequence[np.ndarray],
         fault_maps: Sequence[FaultMap],
         block_rep: List[int],
         map_rep: List[int],
@@ -430,7 +436,10 @@ class MappingCostEngine:
         to_solve: List[Tuple[int, int]],
         entries: List[List[Optional[_PairEntry]]],
     ) -> None:
-        """Solve the uncached unique pairs with batched tensor work."""
+        """Solve the uncached unique pairs with batched tensor work.
+
+        ``block_masks`` holds ``block > 0`` of every block of the call.
+        """
         shape = fault_maps[map_rep[0]].shape
         for fmap in fault_maps:
             if fmap.shape != shape:
@@ -444,14 +453,7 @@ class MappingCostEngine:
         solve_ums = sorted({um for _, um in to_solve})
         compact_ub = {ub: k for k, ub in enumerate(solve_ubs)}
         compact_um = {um: k for k, um in enumerate(solve_ums)}
-        ones_stack = np.stack(
-            [
-                (np.asarray(blocks[block_rep[ub]], dtype=np.float64) > 0).astype(
-                    np.float64
-                )
-                for ub in solve_ubs
-            ]
-        )
+        ones_stack = np.stack([block_masks[block_rep[ub]] for ub in solve_ubs])
         if ones_stack.shape[1:] != shape:
             raise ValueError(
                 f"block shape {ones_stack.shape[1:]} does not match fault map "
@@ -562,15 +564,20 @@ class MappingCostEngine:
         live = np.flatnonzero(nonzero)
         if not live.size:
             return
-        sa0_live = sa0_sel[live]
-        sa1_live = sa1_sel[live]
-        live_pairs = [batch[k] for k in live]
+        if live.size == len(batch):
+            sa0_live, sa1_live, live_pairs = sa0_sel, sa1_sel, batch
+        else:
+            sa0_live = sa0_sel[live]
+            sa1_live = sa1_sel[live]
+            live_pairs = [batch[k] for k in live]
         if self.row_method == "greedy":
             if integral_weight:
-                # Exact int32 work stack: same integers, half the traffic.
-                total = sa0_live.astype(np.int32) + int(
-                    self.sa1_weight
-                ) * sa1_live.astype(np.int32)
+                # One exact int32 stack for the solver: the components are
+                # float32 integers and sa1·w + sa0 < 2²⁴, so the float32
+                # arithmetic is exact and a single cast gives the integers.
+                total = sa1_live * np.float32(self.sa1_weight)
+                total += sa0_live
+                total = total.astype(np.int32)
             else:
                 total = sa0_live.astype(np.float64) + self.sa1_weight * (
                     sa1_live.astype(np.float64)

@@ -30,7 +30,7 @@ pre-processing phase.  Every pair cost goes through
 :class:`~repro.core.cost_engine.MappingCostEngine`, which batches the cost
 tensors, dedupes identical blocks/fault maps, skips fault-free and
 provably-zero pairs, solves the remaining inner assignments in one vectorised
-stack solve (the batched-greedy sweep or a lockstep exact solver from
+stack solve (the two-phase batch greedy or a lockstep exact solver from
 :mod:`repro.core.batch_solvers`, per the row method), materialises only the
 ≤ ``B`` selected permutations, and caches every pair result by content
 fingerprint so per-epoch refreshes on unchanged BIST maps are near-free.

@@ -2,25 +2,42 @@
 
 Repeatedly selects the globally cheapest remaining (row, column) pair and
 commits it.  This is the classic greedy heuristic for the assignment problem;
-it is not optimal, but it is extremely fast (a handful of numpy reductions per
-committed pair) and — because adjacency blocks are very sparse and fault maps
-are mostly empty — it almost always finds a zero-cost or near-zero-cost
-row permutation in the FARe use case.  The ablation benchmark
-(`benchmarks/test_bench_ablation_matching.py`) quantifies the gap to the exact
-Hungarian solution and to b-Suitor.
+it is not optimal, but it is extremely fast and — because adjacency blocks are
+very sparse and fault maps are mostly empty — it almost always finds a
+zero-cost or near-zero-cost row permutation in the FARe use case.  The
+ablation benchmark (`benchmarks/test_bench_ablation_matching.py`) quantifies
+the gap to the exact Hungarian solution and to b-Suitor.
 
-Performance model: the historical implementation copied the full matrix once
-and then ran every argmin over all ``n_rows × n_cols`` entries with committed
-rows/columns overwritten by ``inf`` — Θ(n·n·m) element visits plus the copy
-churn.  The current implementation keeps index arrays of the still-unassigned
-rows and columns and scans only that shrinking submatrix, ~Σ(n-k)(m-k) ≈ n·n·m/3
-visits with no full-matrix writes.  Selection order is unchanged: a
-row-major argmin over the remaining submatrix picks the same first-minimum as
-a row-major argmin over the ``inf``-masked full matrix, because dropping rows
-and columns preserves the relative row-major order of the surviving entries.
-``greedy_assignment_batch`` applies the same schedule to a whole stack of
-cost matrices at once (one vectorised argmin per committed pair across all
-problems) and is the engine behind the batched mapping cost computation.
+:func:`greedy_assignment` is the per-problem definition.  It keeps index
+arrays of the still-unassigned rows and columns and runs one row-major argmin
+over that shrinking submatrix per committed pair.  Dropping committed rows
+and columns preserves the relative row-major order of the surviving entries,
+so each argmin picks the same first minimum as an argmin over the full matrix
+with committed rows and columns masked out.
+
+:func:`greedy_assignment_batch` solves a whole ``(P, R, C)`` stack, the
+engine behind the batched mapping cost computation.  It makes the same picks
+in two phases instead of ``R`` argmins over the whole stack:
+
+1. **Minimum row pass.**  Let ``m`` be a problem's minimum entry.  Rows are
+   visited in increasing order, and each takes its first still-free column
+   whose cost equals ``m`` — vectorised across the stack, ``R`` steps of
+   ``O(P·C)`` that only read the input.  These are exactly the greedy's first
+   picks: while a free entry at ``m`` remains, the row-major first minimum
+   lies in the lowest live row that still has one, at that row's lowest such
+   free column; and a row with no free entry at ``m`` at its turn never gains
+   one later, because columns only die.  Mapping cost matrices are mostly
+   zeros with minimum 0, so this pass commits most rows.
+2. **Remainder loop.**  The surviving rows and columns of each problem are
+   gathered in their original relative order (so, as above, the selection
+   order is unchanged) and solved by the one-argmin-per-commit loop.
+   Problems are sorted by remainder size and solved in chunks of
+   :data:`_REMAINDER_CHUNK`, each padded with the masked sentinel; padded rows
+   and columns count as committed from the start.
+
+Totals are accumulated in selection order — the phase-1 picks, then the
+remainder picks step by step — so they are bit-identical to the scalar
+function's, float inputs included.
 """
 
 from __future__ import annotations
@@ -28,6 +45,12 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+
+#: Problems per remainder-loop chunk.  Each chunk's work array is padded to
+#: its largest remainder and scanned once per commit, so chunks of similarly
+#: sized remainders stay small enough to sit in cache and waste little on
+#: padding.
+_REMAINDER_CHUNK = 32
 
 
 def greedy_assignment(cost: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -79,6 +102,8 @@ def greedy_assignment_batch(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ----------
     cost:
         ``(num_problems, n_rows, n_cols)`` stack with ``n_rows <= n_cols``.
+        It is only read; it is copied only when it must be cast to float64
+        (see below).
 
     Returns
     -------
@@ -90,15 +115,12 @@ def greedy_assignment_batch(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         the same per-pair selection order as the scalar function (so the
         results are bit-identical, not merely close).
 
-    Every iteration commits one (row, column) pair *per problem* with a single
-    vectorised argmin over the stack; ``np.argmin`` returns the first minimum
-    in row-major order, matching the scalar function's tie-breaking.
-
-    An integer-dtype ``cost`` (the engine passes one whenever ``sa1_weight``
-    is integral, making every entry an exact small integer) is solved on an
-    ``int32`` work array with an ``INT32_MAX`` sentinel — half the memory
-    traffic of float64 with bit-identical selection, since the values are the
-    same integers under either representation.
+    See the module docstring for the two phases and why they make the same
+    picks.  An integer-dtype ``cost`` whose values fit ``int32`` (the engine
+    passes one whenever ``sa1_weight`` is integral, making every entry an
+    exact small integer) keeps its exact values and runs the remainder loop on
+    ``int32`` work arrays with an ``INT32_MAX`` sentinel; any other input is
+    cast to float64, as the scalar function does, and masked with ``inf``.
     """
     cost = np.asarray(cost)
     if cost.ndim != 3:
@@ -113,52 +135,122 @@ def greedy_assignment_batch(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             np.empty((num_problems, n_rows), dtype=np.int64),
             np.zeros(num_problems, dtype=np.float64),
         )
+    minima = cost.reshape(num_problems, -1).min(axis=1)
     int32_info = np.iinfo(np.int32)
     if (
         np.issubdtype(cost.dtype, np.integer)
-        and cost.size
-        and cost.min() >= int32_info.min
+        and minima.min() >= int32_info.min
         and cost.max() < int32_info.max  # strict: the sentinel must dominate
     ):
-        work = cost.astype(np.int32)
-        masked_value = int32_info.max
+        work_dtype, masked_value = np.int32, int32_info.max
     else:
         # The scalar function casts to float64 unconditionally, so this is
-        # the equivalence-preserving fallback for any other input.
+        # the equivalence-preserving path for any other input (the cast is
+        # monotonic, so the minima carry over).
         cost = cost.astype(np.float64, copy=False)
-        work = cost.copy()
-        masked_value = np.inf
-    assignments = -np.ones((num_problems, n_rows), dtype=np.int64)
+        minima = minima.astype(np.float64)
+        work_dtype, masked_value = np.float64, np.inf
+    assignments = np.full((num_problems, n_rows), -1, dtype=np.int64)
     totals = np.zeros(num_problems, dtype=np.float64)
+
+    # Phase 1: the row pass at each problem's minimum.  Adding ``minima`` in
+    # place of the picked entry is exact: an entry equal to it can differ only
+    # in the sign of a zero, and a running total starting at +0.0 never
+    # becomes -0.0.
     problem_ids = np.arange(num_problems)
+    col_free = np.ones((num_problems, n_cols), dtype=bool)
+    for row in range(n_rows):
+        hit = cost[:, row, :] == minima[:, None]
+        hit &= col_free
+        cols = hit.argmax(axis=1)
+        took = hit[problem_ids, cols]
+        taken = problem_ids[took]
+        cols = cols[taken]
+        assignments[taken, row] = cols
+        col_free[taken, cols] = False
+        np.add(totals, minima, out=totals, where=took)
+
+    # Phase 2: the argmin loop over each problem's compacted remainder.
+    remainder = (assignments < 0).sum(axis=1)
+    order = np.argsort(-remainder, kind="stable")
+    order = order[: np.count_nonzero(remainder)]
+    for start in range(0, order.size, _REMAINDER_CHUNK):
+        chunk = order[start : start + _REMAINDER_CHUNK]
+        _solve_remainders(
+            cost,
+            chunk,
+            remainder[chunk],
+            assignments,
+            col_free,
+            totals,
+            work_dtype,
+            masked_value,
+        )
+    return assignments, totals
+
+
+def _solve_remainders(
+    cost: np.ndarray,
+    chunk: np.ndarray,
+    sizes: np.ndarray,
+    assignments: np.ndarray,
+    col_free: np.ndarray,
+    totals: np.ndarray,
+    work_dtype: type,
+    masked_value: float,
+) -> None:
+    """Finish the problems ``chunk`` (remainder ``sizes``, non-increasing).
+
+    Gathers each problem's live rows and columns in their original order into
+    one padded work array and commits one pair per problem per step with a
+    row-major argmin, writing into ``assignments`` and ``totals``.
+    """
+    n_rows, n_cols = cost.shape[1:]
+    num = chunk.size
+    rows_left = int(sizes[0])
+    cols_left = rows_left + n_cols - n_rows
+    # A stable sort of the "committed" flags lists the live indices first,
+    # in their original order; the tail past each problem's own size is
+    # padding.
+    row_index = np.argsort(assignments[chunk] >= 0, axis=1, kind="stable")
+    row_index = row_index[:, :rows_left]
+    col_index = np.argsort(~col_free[chunk], axis=1, kind="stable")
+    col_index = col_index[:, :cols_left]
+    work = cost[chunk[:, None, None], row_index[:, :, None], col_index[:, None, :]]
+    work = work.astype(work_dtype, copy=False)
+    row_dead = np.arange(rows_left) >= sizes[:, None]
+    col_dead = np.arange(cols_left) >= (sizes + (n_cols - n_rows))[:, None]
+    work[row_dead] = masked_value
+    work.transpose(0, 2, 1)[col_dead] = masked_value
     # On the int32 path every live entry is below the sentinel, so argmin
     # always lands on a live cell; only float costs can tie with it.
     sentinel_can_tie = masked_value == np.inf
-    row_dead = np.zeros((num_problems, n_rows), dtype=bool)
-    col_dead = np.zeros((num_problems, n_cols), dtype=bool)
-    for _ in range(n_rows):
-        flat = work.reshape(num_problems, -1).argmin(axis=1)
-        rows = flat // n_cols
-        cols = flat % n_cols
+    active = num
+    for step in range(rows_left):
+        while sizes[active - 1] <= step:
+            active -= 1
+        live = work[:active]
+        ids = np.arange(active)
+        flat = live.reshape(active, -1).argmin(axis=1)
+        rows = flat // cols_left
+        cols = flat % cols_left
         if sentinel_can_tie:
             # With real inf costs the sentinel no longer dominates and argmin
-            # can land on an already-committed cell; the scalar function
+            # can land on a committed or padded cell; the scalar function
             # would pick the first *remaining* cell instead (everything left
             # ties at inf).
-            invalid = np.flatnonzero(
-                row_dead[problem_ids, rows] | col_dead[problem_ids, cols]
-            )
+            invalid = np.flatnonzero(row_dead[ids, rows] | col_dead[ids, cols])
             if invalid.size:
                 alive = (
                     ~row_dead[invalid, :, None] & ~col_dead[invalid, None, :]
                 ).reshape(invalid.size, -1)
                 first_alive = alive.argmax(axis=1)
-                rows[invalid] = first_alive // n_cols
-                cols[invalid] = first_alive % n_cols
-            row_dead[problem_ids, rows] = True
-            col_dead[problem_ids, cols] = True
-        totals += cost[problem_ids, rows, cols]
-        assignments[problem_ids, rows] = cols
-        work[problem_ids, rows, :] = masked_value
-        work[problem_ids, :, cols] = masked_value
-    return assignments, totals
+                rows[invalid] = first_alive // cols_left
+                cols[invalid] = first_alive % cols_left
+            row_dead[ids, rows] = True
+            col_dead[ids, cols] = True
+        problems = chunk[:active]
+        totals[problems] += live[ids, rows, cols]
+        assignments[problems, row_index[ids, rows]] = col_index[ids, cols]
+        live[ids, rows, :] = masked_value
+        live[ids, :, cols] = masked_value

@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graph.datasets import synthetic_graph
 from repro.hardware.config import ReRAMConfig
 from repro.hardware.faults import FaultMap, FaultModel
 from repro.hardware.quantization import FixedPointFormat
+
+# Every run draws the same hypothesis examples and neither reads nor writes an
+# example database, so a pass or a failure repeats from one run to the next.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -7,7 +7,10 @@ throughput benchmarks use them as their baselines:
 * :mod:`reference.mapping` — the per-pair loop behind Algorithm 1 (for the
   batched mapping cost engine);
 * :mod:`reference.matching` — the scalar Hungarian loop that updates every
-  dual potential in place (for the compact-tree ``hungarian_assignment``);
+  dual potential in place (for the compact-tree ``hungarian_assignment``),
+  the copy-and-mask scalar greedy (for the submatrix ``greedy_assignment``)
+  and the one-argmin-per-row batch greedy (for the two-phase
+  ``greedy_assignment_batch``);
 * :mod:`reference.hardware` — the eager dense block decomposition (for the
   lazy block views), the per-block adjacency read-back, the bit-sliced
   weight pipeline and the uncached hardware-state view (for the

@@ -62,7 +62,7 @@ def assert_slicewise_identical(method, stack):
 
 
 class TestBatchedEquivalence:
-    @pytest.mark.parametrize("method", ["hungarian", "bsuitor"])
+    @pytest.mark.parametrize("method", ["hungarian", "bsuitor", "greedy"])
     @pytest.mark.parametrize("kind", ["float", "tied", "all_ties", "structured"])
     def test_bit_identical_to_scalar(self, method, kind):
         rng = np.random.default_rng(zlib.crc32(f"{method}/{kind}".encode()))

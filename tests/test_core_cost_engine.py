@@ -113,6 +113,20 @@ class TestEngineEquivalence:
         # unchanged BIST maps it must be pure cache hits, zero solver calls.
         assert engine_mapper.cost_engine.stats.solver_pairs == solver_before
 
+    @pytest.mark.parametrize("sa1_weight", [4.0, 7.5])
+    def test_greedy_identical_at_crossbar_size(self, sa1_weight):
+        """64×64 crossbars, as the paper-scale runs plan.  Every pair leaves
+        the batch greedy a remainder after its minimum-cost row pass, on the
+        int32 stack (integral weight) and the float64 one (7.5)."""
+        rng = np.random.default_rng(64)
+        blocks = random_blocks(rng, 4, 64, 0.1)
+        fmaps = FaultModel(0.05, (9, 1), seed=65).generate(6, 64, 64)
+        seed_mapper, engine_mapper = make_mappers("greedy", sa1_weight=sa1_weight)
+        assert_mappings_identical(
+            seed_mapper.map_blocks(blocks, fmaps),
+            engine_mapper.map_blocks(blocks, fmaps),
+        )
+
     def test_more_blocks_than_crossbars_chunking(self):
         rng = np.random.default_rng(11)
         blocks = random_blocks(rng, 9, 8, 0.15)

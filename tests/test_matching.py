@@ -13,30 +13,19 @@ from repro.matching.bipartite import (
     validate_assignment,
 )
 from repro.matching.bsuitor import bsuitor_assignment, bsuitor_bmatching
+from repro.matching import greedy as greedy_module
 from repro.matching.greedy import greedy_assignment, greedy_assignment_batch
 from repro.matching.hungarian import hungarian_assignment
 
-from reference.matching import seed_hungarian_assignment
+from reference.matching import (
+    seed_greedy_assignment,
+    seed_greedy_assignment_batch,
+    seed_hungarian_assignment,
+)
 
 
 def random_cost(rows, cols, seed):
     return np.random.default_rng(seed).random((rows, cols)) * 10
-
-
-def reference_greedy(cost):
-    """The seed implementation: full-matrix copy + inf-masked argmin."""
-    cost = np.asarray(cost, dtype=np.float64)
-    n_rows, n_cols = cost.shape
-    work = cost.copy()
-    assignment = -np.ones(n_rows, dtype=np.int64)
-    total = 0.0
-    for _ in range(n_rows):
-        row, col = divmod(int(np.argmin(work)), n_cols)
-        total += cost[row, col]
-        assignment[row] = col
-        work[row, :] = np.inf
-        work[:, col] = np.inf
-    return assignment, float(total)
 
 
 class TestGreedy:
@@ -70,7 +59,7 @@ class TestGreedy:
         # Heavily quantised costs force plenty of ties.
         cost = np.floor(rng.random((rows, cols)) * 4.0)
         assignment, total = greedy_assignment(cost)
-        ref_assignment, ref_total = reference_greedy(cost)
+        ref_assignment, ref_total = seed_greedy_assignment(cost)
         np.testing.assert_array_equal(assignment, ref_assignment)
         assert total == ref_total
 
@@ -80,7 +69,75 @@ class TestGreedy:
         assert total == 0.0
 
 
+def greedy_fuzz_stack(rng, kind):
+    """One cost stack of a :class:`TestGreedyBatch` fuzz family."""
+    if kind == "engine_shape":
+        # The mapping engine's int32 stacks: mostly zeros, ties everywhere.
+        size = int(rng.choice([64, 128]))
+        shape = (int(rng.integers(1, 4)), size, size)
+        values = rng.integers(0, 6, shape)
+        return np.where(rng.random(shape) < rng.uniform(0.1, 0.6), values, 0).astype(
+            np.int32
+        )
+    num = int(rng.integers(1, 8))
+    if kind == "many_problems":
+        # More problems than one remainder chunk; sparse, so remainders
+        # come out uneven.
+        num = int(rng.integers(greedy_module._REMAINDER_CHUNK + 1, 90))
+    rows = int(rng.integers(1, 12))
+    cols = int(rng.integers(rows, 16))
+    if kind == "non_square":
+        cols = int(rng.integers(rows + 1, rows + 8))
+    shape = (num, rows, cols)
+    if kind in ("tied_int32", "non_square", "many_problems"):
+        values = rng.integers(0, 6, shape)
+        return np.where(rng.random(shape) < 0.4, values, 0).astype(np.int32)
+    if kind == "positive_minimum":
+        return rng.integers(0, 4, shape).astype(np.int64) + int(rng.integers(1, 5))
+    if kind == "float":
+        # Non-integral float64: totals depend on the summation order.
+        return rng.integers(0, 5, shape) * 0.3
+    if kind == "inf_heavy":
+        stack = np.floor(rng.random(shape) * 3.0) * 0.3
+        stack[rng.random(shape) < 0.6] = np.inf
+        return stack
+    assert kind == "all_ties"
+    return np.full(shape, float(rng.integers(0, 3)))
+
+
 class TestGreedyBatch:
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "engine_shape",
+            "tied_int32",
+            "positive_minimum",
+            "non_square",
+            "float",
+            "inf_heavy",
+            "all_ties",
+            "many_problems",
+        ],
+    )
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=12, deadline=None)
+    def test_two_phase_identical_to_seed_loop_and_scalar(self, kind, seed):
+        """Same assignments, totals and dtypes as the one-argmin-per-row seed
+        loop and the per-problem scalar, and the input is left untouched."""
+        stack = greedy_fuzz_stack(np.random.default_rng(seed), kind)
+        before = stack.copy()
+        assignments, totals = greedy_assignment_batch(stack)
+        np.testing.assert_array_equal(stack, before)
+        seed_assignments, seed_totals = seed_greedy_assignment_batch(stack)
+        assert assignments.dtype == seed_assignments.dtype
+        assert totals.dtype == seed_totals.dtype
+        np.testing.assert_array_equal(assignments, seed_assignments)
+        np.testing.assert_array_equal(totals, seed_totals)
+        for p in range(stack.shape[0]):
+            ref_assignment, ref_total = greedy_assignment(stack[p])
+            np.testing.assert_array_equal(assignments[p], ref_assignment)
+            assert totals[p] == ref_total
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_scalar_per_problem(self, seed):
         rng = np.random.default_rng(seed + 200)
