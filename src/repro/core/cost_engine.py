@@ -27,11 +27,14 @@ work:
   the cost *values*; the engine therefore returns a permutation *provider*
   and the exact row permutation is materialised only for the ≤ ``B`` pairs
   the outer assignment actually selects.
-* **Result cache** — every solved pair is cached under
-  ``(block fingerprint, fault-map fingerprint, sa1_weight, method)``, making
+* **Result cache** — every solved pair is cached under its fault map's
+  ``(fingerprint, sa1_weight, method)`` and its block's fingerprint, making
   the per-epoch ``update_row_permutations`` refresh and repeated batches on
-  unchanged BIST maps near-free.  Hit/miss counters reach a run's
-  ``TrainingResult.counters`` through ``FaReStrategy.mapping_engine_stats``.
+  unchanged BIST maps near-free.  A plan looks each fault map up once and
+  all of its blocks in one pass; when the cache is full, the results of the
+  least recently used fault maps are dropped first.  Hit/miss counters
+  reach a run's ``TrainingResult.counters`` through
+  ``FaReStrategy.mapping_engine_stats``.
 
 Performance model (``B`` blocks, ``M`` crossbars, ``R × C`` crossbar):
 
@@ -58,26 +61,27 @@ Re-planning after a fault delta
 -------------------------------
 A post-deployment re-plan is an ordinary
 :meth:`MappingCostEngine.plan_pairwise` call on the new fault maps.  Every
-pair whose block and fault map are unchanged has the same cache key as
+pair whose block and fault map are unchanged has the same cache keys as
 before, so it is a cache hit; only the pairs against changed maps reach the
 solvers.  The result is bit-identical to planning the new maps from scratch
 because a hit returns exactly what the solve returned.  The re-plan is warm
 only while the previous plan's unique pairs still fit in
 :attr:`MappingCostEngine.CACHE_SIZE` (``fare_paper`` plans 5 511 of them);
-beyond that the LRU has evicted some and they are re-solved.
+beyond that some have been evicted and they are re-solved.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.batch_solvers import BATCH_SOLVERS, solve_assignment_batch
-from repro.hardware.faults import FaultMap
+from repro.hardware.faults import FaultMap, pattern_fingerprints
 from repro.matching.bipartite import solve_assignment
 from repro.matching.greedy import greedy_assignment_batch
 
@@ -123,15 +127,7 @@ def block_fingerprint(block: np.ndarray) -> str:
     packed boolean mask plus the shape — two float blocks with the same
     sparsity pattern share a fingerprint.
     """
-    return _mask_fingerprint(np.asarray(block) > 0)
-
-
-def _mask_fingerprint(ones: np.ndarray) -> str:
-    """:func:`block_fingerprint` of the block whose ``block > 0`` is ``ones``."""
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(np.asarray(ones.shape, dtype=np.int64).tobytes())
-    digest.update(np.packbits(ones).tobytes())
-    return digest.hexdigest()
+    return pattern_fingerprints((np.asarray(block) > 0)[None, None])[0]
 
 
 @dataclass
@@ -177,19 +173,23 @@ class CostEngineStats:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class _PairEntry:
     """Cached result for one (block pattern, fault pattern) pair.
 
     ``permutation`` is ``None`` while the pair's solve has been skipped by the
     zero-cost early-exit; it is filled in lazily the first time the pair is
-    actually selected by the outer assignment.
+    actually selected by the outer assignment.  Entries compare by identity,
+    so scanning a list of them for ``None`` stays a C-level loop.
     """
 
     cost: float
     sa1_mismatch: float
     permutation: Optional[np.ndarray] = None
 
+
+_COST = attrgetter("cost")
+_SA1_MISMATCH = attrgetter("sa1_mismatch")
 
 #: A provider returning the (solver-exact) row permutation for pair ``(i, j)``.
 PermutationProvider = Callable[[int, int], np.ndarray]
@@ -214,9 +214,10 @@ class MappingCostEngine:
     #: budget on large batches.
     MAX_CHUNK_CELLS = 16_000_000
 
-    #: Maximum number of pair results kept (LRU eviction).  A re-plan after a
-    #: fault delta is warm only while the previous plan's unique pairs fit
-    #: here; ``fare_paper`` plans 5 511.
+    #: Maximum number of pair results kept.  Results are grouped by fault
+    #: map; past this many, the groups of the least recently used fault maps
+    #: are dropped whole.  A re-plan after a fault delta is warm only while
+    #: the previous plan's unique pairs fit here; ``fare_paper`` plans 5 511.
     CACHE_SIZE = 65_536
 
     def __init__(self, sa1_weight: float = 4.0, row_method: str = "greedy") -> None:
@@ -230,36 +231,53 @@ class MappingCostEngine:
         self.sa1_weight = float(sa1_weight)
         self.row_method = row_method
         self.stats = CostEngineStats()
-        self._cache: "OrderedDict[Tuple, _PairEntry]" = OrderedDict()
+        # Pair results grouped by fault map, in LRU order of the maps:
+        # ``_cache[self._column_key(map_fp)][block_fp]``.  A plan looks each
+        # fault map up once (one LRU touch per map, not per pair) and then
+        # all of its blocks in one pass.
+        self._cache: "OrderedDict[Tuple, Dict[str, _PairEntry]]" = OrderedDict()
+        self._cached_pairs = 0
 
     # ------------------------------------------------------------------ #
     # Cache plumbing
     # ------------------------------------------------------------------ #
-    def _key(self, block_fp: str, map_fp: str) -> Tuple:
-        return (block_fp, map_fp, self.sa1_weight, self.row_method)
+    def _column_key(self, map_fp: str) -> Tuple:
+        """Cache key of one fault map's results (with the solver settings)."""
+        return (map_fp, self.sa1_weight, self.row_method)
 
-    def _cache_lookup(self, key: Tuple) -> Optional[_PairEntry]:
-        entry = self._cache.get(key)
-        if entry is not None:
+    def _column(self, map_fp: str) -> Optional[Dict[str, _PairEntry]]:
+        """The cached results against ``map_fp``, touched as most recent."""
+        key = self._column_key(map_fp)
+        column = self._cache.get(key)
+        if column is not None:
             self._cache.move_to_end(key)
-            self.stats.cache_hits += 1
-        else:
-            self.stats.cache_misses += 1
+        return column
+
+    def _cache_store(
+        self, map_fp: str, block_fp: str, entry: _PairEntry
+    ) -> _PairEntry:
+        key = self._column_key(map_fp)
+        column = self._cache.get(key)
+        if column is None:
+            column = self._cache[key] = {}
+        if block_fp not in column:
+            self._cached_pairs += 1
+        column[block_fp] = entry
         return entry
 
-    def _cache_store(self, key: Tuple, entry: _PairEntry) -> _PairEntry:
-        self._cache[key] = entry
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.CACHE_SIZE:
-            self._cache.popitem(last=False)
-            self.stats.cache_evictions += 1
-        return entry
+    def _evict(self) -> None:
+        """Drop least recently used fault maps' results down to ``CACHE_SIZE``."""
+        while self._cached_pairs > self.CACHE_SIZE:
+            _, column = self._cache.popitem(last=False)
+            self._cached_pairs -= len(column)
+            self.stats.cache_evictions += len(column)
 
     def clear_cache(self) -> None:
         self._cache.clear()
+        self._cached_pairs = 0
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return self._cached_pairs
 
     # ------------------------------------------------------------------ #
     # Exact per-pair arithmetic (shared with the seed formulation)
@@ -307,15 +325,20 @@ class MappingCostEngine:
             self.stats.fault_free_pairs += 1
             n = np.asarray(block).shape[0]
             return 0.0, np.arange(n, dtype=np.int64), 0.0
-        key = self._key(block_fingerprint(block), fault_map.fingerprint)
-        entry = self._cache_lookup(key)
+        block_fp, map_fp = block_fingerprint(block), fault_map.fingerprint
+        column = self._column(map_fp)
+        entry = None if column is None else column.get(block_fp)
         if entry is None:
+            self.stats.cache_misses += 1
             # The caller always needs the permutation here, so the zero-cost
             # lazy skip would only defer (and duplicate) work — solve eagerly.
             total, _, sa1_cost = self._pair_cost_matrices(block, fault_map)
             cost, permutation, sa1 = self._solve_pair(total, sa1_cost)
             entry = _PairEntry(cost=cost, sa1_mismatch=sa1, permutation=permutation)
-            self._cache_store(key, entry)
+            self._cache_store(map_fp, block_fp, entry)
+            self._evict()
+        else:
+            self.stats.cache_hits += 1
         permutation = self._materialise_permutation(entry, block, fault_map)
         return entry.cost, permutation, entry.sa1_mismatch
 
@@ -341,85 +364,90 @@ class MappingCostEngine:
             return costs, sa1_mismatches, lambda i, j: np.arange(0, dtype=np.int64)
         self.stats.pairs_total += num_blocks * num_maps
 
-        # -- fingerprint + dedupe the two axes --------------------------- #
-        # The cost depends on ``block > 0`` only: each mask is built once and
-        # serves both the fingerprint and the stacked contraction.
-        block_masks = [np.asarray(block) > 0 for block in blocks]
-        block_fps = [_mask_fingerprint(ones) for ones in block_masks]
+        # -- stack, fingerprint and dedupe the two axes ------------------- #
+        # The cost depends on ``block > 0`` and the fault masks only: one
+        # stack of each serves the fingerprints, the fault-free test and the
+        # contraction.
+        shape = fault_maps[0].shape
+        for fmap in fault_maps:
+            if fmap.shape != shape:
+                raise ValueError(
+                    f"fault map shape {fmap.shape} does not match {shape}"
+                )
+        masks = np.array([np.asarray(block) > 0 for block in blocks])
+        if masks.shape[1:] != shape:
+            raise ValueError(
+                f"block shape {masks.shape[1:]} does not match fault map {shape}"
+            )
+        planes = np.array(
+            [plane for fmap in fault_maps for plane in (fmap.sa0, fmap.sa1)]
+        ).reshape(num_maps, 2, *shape)
+        fault_free = ~planes.reshape(num_maps, -1).any(axis=1)
+        faulty_cols = np.flatnonzero(~fault_free)
+
         unique_block_of: Dict[str, int] = {}
         block_rep: List[int] = []  # unique block id -> representative index
         block_uid = np.empty(num_blocks, dtype=np.int64)
-        for i, fp in enumerate(block_fps):
+        for i, fp in enumerate(pattern_fingerprints(masks[:, None])):
             uid = unique_block_of.setdefault(fp, len(block_rep))
             if uid == len(block_rep):
                 block_rep.append(i)
             block_uid[i] = uid
 
-        map_fps = [fmap.fingerprint for fmap in fault_maps]
-        fault_free = np.array([fmap.is_fault_free() for fmap in fault_maps])
         unique_map_of: Dict[str, int] = {}
         map_rep: List[int] = []
         map_uid = np.full(num_maps, -1, dtype=np.int64)
-        for j in range(num_maps):
-            if fault_free[j]:
-                continue
-            uid = unique_map_of.setdefault(map_fps[j], len(map_rep))
+        faulty_fps = pattern_fingerprints(planes[faulty_cols])
+        for j, fp in zip(faulty_cols.tolist(), faulty_fps):
+            uid = unique_map_of.setdefault(fp, len(map_rep))
             if uid == len(map_rep):
                 map_rep.append(j)
             map_uid[j] = uid
 
         num_ub, num_um = len(block_rep), len(map_rep)
-        self.stats.fault_free_pairs += num_blocks * int(fault_free.sum())
-        self.stats.duplicate_pairs += (
-            num_blocks * (num_maps - int(fault_free.sum())) - num_ub * num_um
-        )
+        self.stats.fault_free_pairs += num_blocks * (num_maps - faulty_cols.size)
+        self.stats.duplicate_pairs += num_blocks * faulty_cols.size - num_ub * num_um
 
         # -- resolve unique pairs through the cache ----------------------- #
-        # One dict lookup per pair plus one LRU touch per hit; the counters
-        # move once per call.
-        cache = self._cache
-        weight, method = self.sa1_weight, self.row_method
-        unique_map_fps = [map_fps[j] for j in map_rep]
-        entries: List[List[Optional[_PairEntry]]] = []
+        # One lookup per unique fault map, then its unique blocks in one pass:
+        # ``found[um][ub]`` is the entry of unique block ``ub`` against unique
+        # map ``um``, ``None`` until solved.  The counters move once per call.
+        block_fps = list(unique_block_of)
+        map_fps = list(unique_map_of)
+        found: List[List[Optional[_PairEntry]]] = []
         to_solve: List[Tuple[int, int]] = []
-        for ub in range(num_ub):
-            bfp = block_fps[block_rep[ub]]
-            row: List[Optional[_PairEntry]] = []
-            for um, mfp in enumerate(unique_map_fps):
-                key = (bfp, mfp, weight, method)  # == self._key(bfp, mfp)
-                entry = cache.get(key)
-                if entry is None:
-                    to_solve.append((ub, um))
-                else:
-                    cache.move_to_end(key)
-                row.append(entry)
-            entries.append(row)
+        for um, map_fp in enumerate(map_fps):
+            column = self._column(map_fp)
+            entries = (
+                [None] * num_ub if column is None else list(map(column.get, block_fps))
+            )
+            if None in entries:
+                to_solve.extend(
+                    (ub, um) for ub, entry in enumerate(entries) if entry is None
+                )
+            found.append(entries)
         self.stats.cache_hits += num_ub * num_um - len(to_solve)
         self.stats.cache_misses += len(to_solve)
 
         if to_solve:
-            self._solve_pairs_batched(block_masks, fault_maps, block_rep, map_rep,
-                                      block_fps, map_fps, to_solve, entries)
+            self._solve_pairs_batched(
+                masks, planes, block_rep, map_rep, block_fps, map_fps, to_solve,
+                found,
+            )
+            self._evict()
 
         # -- scatter the unique results to the full (B, M) grids ---------- #
-        faulty_cols = np.flatnonzero(~fault_free)
         if faulty_cols.size:
-            unique_costs = np.array(
-                [[entry.cost for entry in row] for row in entries], dtype=np.float64
-            )
-            unique_sa1 = np.array(
-                [[entry.sa1_mismatch for entry in row] for row in entries],
-                dtype=np.float64,
-            )
-            col_uid = map_uid[faulty_cols]
-            costs[:, faulty_cols] = unique_costs[np.ix_(block_uid, col_uid)]
-            sa1_mismatches[:, faulty_cols] = unique_sa1[np.ix_(block_uid, col_uid)]
+            flat = list(chain.from_iterable(found))
+            grid = np.ix_(map_uid[faulty_cols], block_uid)
+            for out, field in ((costs, _COST), (sa1_mismatches, _SA1_MISMATCH)):
+                unique = np.fromiter(map(field, flat), np.float64, len(flat))
+                out[:, faulty_cols] = unique.reshape(num_um, num_ub)[grid].T
 
         def permutation_for(i: int, j: int) -> np.ndarray:
             if fault_free[j]:
-                n = np.asarray(blocks[i]).shape[0]
-                return np.arange(n, dtype=np.int64)
-            entry = entries[block_uid[i]][map_uid[j]]
+                return np.arange(shape[0], dtype=np.int64)
+            entry = found[map_uid[j]][block_uid[i]]
             return self._materialise_permutation(entry, blocks[i], fault_maps[j])
 
         return costs, sa1_mismatches, permutation_for
@@ -427,25 +455,21 @@ class MappingCostEngine:
     # ------------------------------------------------------------------ #
     def _solve_pairs_batched(
         self,
-        block_masks: Sequence[np.ndarray],
-        fault_maps: Sequence[FaultMap],
+        masks: np.ndarray,
+        planes: np.ndarray,
         block_rep: List[int],
         map_rep: List[int],
         block_fps: List[str],
         map_fps: List[str],
         to_solve: List[Tuple[int, int]],
-        entries: List[List[Optional[_PairEntry]]],
+        found: List[List[Optional[_PairEntry]]],
     ) -> None:
         """Solve the uncached unique pairs with batched tensor work.
 
-        ``block_masks`` holds ``block > 0`` of every block of the call.
+        ``masks`` stacks ``block > 0`` of every block of the call and
+        ``planes`` the ``(sa0, sa1)`` masks of every fault map.  The result
+        of unique pair ``(ub, um)`` is cached and stored in ``found[um][ub]``.
         """
-        shape = fault_maps[map_rep[0]].shape
-        for fmap in fault_maps:
-            if fmap.shape != shape:
-                raise ValueError(
-                    f"fault map shape {fmap.shape} does not match {shape}"
-                )
         # Stack only the blocks/maps that actually have pending pairs, so a
         # mostly-warm call (e.g. one new block against a cached pool) pays
         # tensor cost proportional to the new work, not to the full batch.
@@ -453,12 +477,7 @@ class MappingCostEngine:
         solve_ums = sorted({um for _, um in to_solve})
         compact_ub = {ub: k for k, ub in enumerate(solve_ubs)}
         compact_um = {um: k for k, um in enumerate(solve_ums)}
-        ones_stack = np.stack([block_masks[block_rep[ub]] for ub in solve_ubs])
-        if ones_stack.shape[1:] != shape:
-            raise ValueError(
-                f"block shape {ones_stack.shape[1:]} does not match fault map "
-                f"{shape}"
-            )
+        shape = masks.shape[1:]
         rows, cols = shape
         # Cost entries are counts ≤ cols (SA1-weighted: ≤ (1 + w)·cols).  When
         # they all fit exactly in float32 (< 2²⁴) the big contraction can run
@@ -468,19 +487,14 @@ class MappingCostEngine:
         exact_f32 = (1.0 + self.sa1_weight) * cols < 2**24
         compute_dtype = np.float32 if exact_f32 else np.float64
         integral_weight = exact_f32 and float(self.sa1_weight).is_integer()
-        ones_stack = ones_stack.astype(compute_dtype)
+        ones_stack = masks[[block_rep[ub] for ub in solve_ubs]].astype(compute_dtype)
         zeros_stack = 1.0 - ones_stack
-        sa0_stack = np.stack(
-            [fault_maps[map_rep[um]].sa0.astype(compute_dtype) for um in solve_ums]
-        )
-        sa1_stack = np.stack(
-            [fault_maps[map_rep[um]].sa1.astype(compute_dtype) for um in solve_ums]
-        )
+        map_index = [map_rep[um] for um in solve_ums]
+        sa0_stack = planes[map_index, 0].astype(compute_dtype)
+        sa1_stack = planes[map_index, 1].astype(compute_dtype)
 
         def record(ub: int, um: int, entry: _PairEntry) -> None:
-            entries[ub][um] = self._cache_store(
-                self._key(block_fps[block_rep[ub]], map_fps[map_rep[um]]), entry
-            )
+            found[um][ub] = self._cache_store(map_fps[um], block_fps[ub], entry)
 
         pair_density = len(to_solve) / max(len(solve_ubs) * len(solve_ums), 1)
         if pair_density >= 0.5:

@@ -19,6 +19,7 @@ positions within a crossbar are uniform, and the SA0:SA1 ratio is configurable
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -127,13 +128,9 @@ class FaultMap:
         cache and its duplicate-crossbar detection on.  The digest is
         recomputed on every access (hashing a crossbar-sized boolean pair is
         micro-seconds), so mutating the masks in place never yields a stale
-        key.
+        key.  It is ``pattern_fingerprints`` of the stacked ``(sa0, sa1)``.
         """
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(np.asarray(self.shape, dtype=np.int64).tobytes())
-        digest.update(np.packbits(self.sa0).tobytes())
-        digest.update(np.packbits(self.sa1).tobytes())
-        return digest.hexdigest()
+        return pattern_fingerprints(np.array((self.sa0, self.sa1))[None])[0]
 
     def copy(self) -> "FaultMap":
         return FaultMap(self.sa0.copy(), self.sa1.copy())
@@ -159,6 +156,35 @@ class FaultMap:
         sa1 = self.sa1 | other.sa1
         sa0 = (self.sa0 | other.sa0) & ~sa1
         return FaultMap(sa0, sa1)
+
+
+def pattern_fingerprints(patterns: np.ndarray) -> List[str]:
+    """Content hashes of a stack of boolean patterns, one per leading index.
+
+    ``patterns`` has shape ``(N, K, *shape)``: pattern ``n`` is ``K`` boolean
+    planes of ``shape``, and its fingerprint hashes ``shape`` and the packed
+    bits of each plane in turn.  A fault map is the two planes ``(sa0, sa1)``
+    (:attr:`FaultMap.fingerprint`) and a mapping block the one plane
+    ``block > 0`` (:func:`repro.core.cost_engine.block_fingerprint`); the
+    cost engine hashes all blocks or all fault maps of a plan in one call.
+    """
+    patterns = np.asarray(patterns, dtype=bool)
+    count, planes = patterns.shape[:2]
+    plane_shape = patterns.shape[2:]
+    head = hashlib.blake2b(
+        np.asarray(plane_shape, dtype=np.int64).tobytes(), digest_size=16
+    )
+    packed = np.packbits(
+        patterns.reshape(count, planes, math.prod(plane_shape)), axis=-1
+    )
+    data = packed.tobytes()
+    width = planes * packed.shape[-1]
+    fingerprints = []
+    for n in range(count):
+        digest = head.copy()
+        digest.update(data[n * width : (n + 1) * width])
+        fingerprints.append(digest.hexdigest())
+    return fingerprints
 
 
 # --------------------------------------------------------------------------- #

@@ -150,28 +150,38 @@ def greedy_assignment_batch(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         cost = cost.astype(np.float64, copy=False)
         minima = minima.astype(np.float64)
         work_dtype, masked_value = np.float64, np.inf
-    assignments = np.full((num_problems, n_rows), -1, dtype=np.int64)
-    totals = np.zeros(num_problems, dtype=np.float64)
 
-    # Phase 1: the row pass at each problem's minimum.  Adding ``minima`` in
-    # place of the picked entry is exact: an entry equal to it can differ only
-    # in the sign of a zero, and a running total starting at +0.0 never
-    # becomes -0.0.
+    # Phase 1: the row pass at each problem's minimum.  ``n_rows`` spare
+    # columns, equal to the minimum everywhere, follow the real ones: a row
+    # with no free real column at the minimum takes the first free spare
+    # instead, so every row commits exactly one column and the pass is three
+    # array operations per row.
     problem_ids = np.arange(num_problems)
-    col_free = np.ones((num_problems, n_cols), dtype=bool)
+    is_min = np.ones((num_problems, n_rows, n_cols + n_rows), dtype=bool)
+    np.equal(cost, minima[:, None, None], out=is_min[:, :, :n_cols])
+    col_free = np.ones((num_problems, n_cols + n_rows), dtype=bool)
+    hit = np.empty_like(col_free)
+    picks = np.empty((n_rows, num_problems), dtype=np.intp)
     for row in range(n_rows):
-        hit = cost[:, row, :] == minima[:, None]
-        hit &= col_free
-        cols = hit.argmax(axis=1)
-        took = hit[problem_ids, cols]
-        taken = problem_ids[took]
-        cols = cols[taken]
-        assignments[taken, row] = cols
-        col_free[taken, cols] = False
-        np.add(totals, minima, out=totals, where=took)
+        np.logical_and(is_min[:, row], col_free, out=hit)
+        hit.argmax(axis=1, out=picks[row])
+        col_free[problem_ids, picks[row]] = False
+    took = picks < n_cols
+    assignments = np.where(took.T, picks.T, -1).astype(np.int64, copy=False)
+    col_free = col_free[:, :n_cols]
+    # Each phase-1 pick adds ``m`` to the problem's total.  ``running[k]`` is
+    # 0.0 plus ``m`` added ``k`` times in sequence, the scalar function's
+    # running total after ``k`` such picks (an entry equal to ``m`` can differ
+    # from it only in the sign of a zero, which a sum starting at +0.0 never
+    # takes).
+    picked = took.sum(axis=0)
+    running = np.zeros((n_rows + 1, num_problems), dtype=np.float64)
+    running[1:] = minima
+    np.add.accumulate(running, axis=0, out=running)
+    totals = running[picked, problem_ids]
 
     # Phase 2: the argmin loop over each problem's compacted remainder.
-    remainder = (assignments < 0).sum(axis=1)
+    remainder = n_rows - picked
     order = np.argsort(-remainder, kind="stable")
     order = order[: np.count_nonzero(remainder)]
     for start in range(0, order.size, _REMAINDER_CHUNK):

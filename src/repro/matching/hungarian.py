@@ -52,67 +52,65 @@ def hungarian_assignment(cost: np.ndarray) -> Tuple[np.ndarray, float]:
         raise ValueError("cost matrix must contain only finite values")
 
     INF = np.inf
-    # Dual potentials, the row ones stored negated (``neg_u = -u``); column 0
-    # is a virtual column simplifying the algorithm.
-    neg_u = np.zeros(n_rows + 1)
+    # Dual potentials; column 0 is a virtual column simplifying the algorithm.
+    u = np.zeros(n_rows + 1)
     v = np.zeros(n_cols + 1)
     p = np.zeros(n_cols + 1, dtype=np.int64)  # p[j] = row assigned to column j (1-based)
     v_real = v[1:]  # view: the potentials of the real columns
     way = np.zeros(n_cols, dtype=np.int64)  # way[j - 1]: predecessor of column j
     # The alternating tree of the current search: its columns (virtual
-    # column 0 first) and rows.  Only tree members have their potentials
-    # shifted during a search, so their ``(-u, v)`` pairs sit in ``tree``,
-    # right after the tentative costs ``minv`` in one buffer: one subtraction
-    # of ``delta`` shifts all three (``u += delta`` is ``-u -= delta``), and
-    # the pairs are written back to ``neg_u``/``v`` when the search ends.
-    # Every value is the one an in-place update of ``u``/``v`` gives, bit for
-    # bit: negation is exact and rounding is symmetric in the sign, and
-    # ``c + (-u)`` is ``c - u``.
+    # column 0 first), their rows, and the rows'/columns' potentials.  Only
+    # tree members have their potentials shifted during a search, so they
+    # are updated here with one slice operation each and written back to
+    # ``u``/``v`` when the search ends — the same additions in the same
+    # order as updating ``u``/``v`` in place.
     tree_cols = np.zeros(n_rows + 1, dtype=np.int64)
     tree_rows = np.zeros(n_rows + 1, dtype=np.int64)
-    buffer = np.empty(n_cols + 2 * (n_rows + 1))
-    minv = buffer[:n_cols]
-    tree = buffer[n_cols:].reshape(n_rows + 1, 2)
-    # ``v`` of the columns still outside the tree and ``-inf`` for the tree
-    # columns: their reduced cost is then ``inf``, so they never update the
-    # tentative costs, and a tree column's own tentative cost is ``inf`` too,
-    # so the argmin sees the free columns only.
-    v_free = np.empty(n_cols)
+    tree_u = np.zeros(n_rows + 1)
+    tree_v = np.zeros(n_rows + 1)
+    # Per-search state, reset for every row: the columns outside the tree
+    # and their tentative costs.
+    free = np.empty(n_cols, dtype=bool)
+    minv = np.empty(n_cols)
 
     for i in range(1, n_rows + 1):
         j0 = 0
         i0 = i  # the newest tree row
+        free.fill(True)
         minv.fill(INF)
-        v_free[:] = v_real
-        tree_rows[0] = i
-        tree[0] = neg_u[i], v[0]
+        tree_rows[0], tree_u[0], tree_v[0] = i, u[i], v[0]
         size = 1
         while True:
-            # Reduced costs from the newest tree row to all columns.
-            cur = cost[i0 - 1] + tree[size - 1, 0]
-            cur -= v_free
+            # Reduced costs from the newest tree row to all columns (only the
+            # free ones may update the tentative costs).
+            cur = cost[i0 - 1] - tree_u[size - 1]
+            cur -= v_real
             better = cur < minv
+            better &= free
             np.copyto(minv, cur, where=better)
             way[better] = j0
-            # Pick the first free column with the smallest tentative cost.
+            # Pick the first free column with the smallest tentative cost
+            # (a tree column's tentative cost is ``inf``, see below).
             best = int(minv.argmin())
             delta = minv[best]
             j0 = best + 1
-            # Update potentials and tentative costs (``inf - delta`` keeps the
-            # tree columns out).
-            buffer[: n_cols + 2 * size] -= delta
+            # Update potentials and tentative costs.
+            tree_u[:size] += delta
+            tree_v[:size] -= delta
+            minv -= delta
             row = p[j0]
             if row == 0:
                 break
-            # Column j0 and its row join the tree.
+            # Column j0 and its row join the tree; the column's tentative
+            # cost is never read again, and ``inf`` keeps it out of argmin.
+            free[best] = False
             minv[best] = INF
-            v_free[best] = -INF
             i0 = row
             tree_cols[size], tree_rows[size] = j0, row
-            tree[size] = neg_u[row], v[j0]
+            tree_u[size], tree_v[size] = u[row], v[j0]
             size += 1
-        neg_u[tree_rows[:size]] = tree[:size, 0]
-        v[tree_cols[:size]] = tree[:size, 1]
+        u[tree_rows[:size]] = tree_u[:size]
+        v[tree_cols[:size]] = tree_v[:size]
         # Augment along the alternating path.
         p[0] = i
         while True:

@@ -12,10 +12,9 @@ def seed_hungarian_assignment(cost: np.ndarray) -> Tuple[np.ndarray, float]:
 
     Each step rebuilds the free-column index list and shifts the potentials
     of every used column and its row through fancy indexing.  The production
-    :func:`repro.matching.hungarian.hungarian_assignment` computes the same
-    values in the same order, on the alternating tree's potentials packed
-    next to the tentative costs (row potentials negated), and must return
-    the same assignment and total bit for bit.
+    :func:`repro.matching.hungarian.hungarian_assignment` does the same
+    additions in the same order, on compact copies of the alternating tree's
+    potentials, and must return the same assignment and total bit for bit.
     """
     cost = np.asarray(cost, dtype=np.float64)
     n_rows, n_cols = cost.shape
