@@ -5,7 +5,8 @@
   bit-identical to the scalar solvers in :mod:`repro.matching`.
 * :mod:`~repro.core.clipping` — weight clipping for the combination phase.
 * :mod:`~repro.core.cost_engine` — batched, cached computation of Algorithm
-  1's inner-loop costs (fingerprint dedupe, lazy permutations, result cache).
+  1's inner-loop costs (fingerprint dedupe, result cache, one batched pair
+  path for plans and the post-deployment refresh).
 * :mod:`~repro.core.hw_state` — versioned effective-state cache: per-batch
   faulty adjacency read-backs and effective weights are derived once per
   state change (fault injection, plan refresh, optimiser step) instead of

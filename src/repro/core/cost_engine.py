@@ -21,20 +21,20 @@ work:
   permutation) without touching the tensors, and duplicate blocks/fault maps
   (detected by cheap content fingerprints) are solved once and shared.
 * **Vectorial zero-cost early-exit** — a pair whose ``sa0`` *and* ``sa1``
-  cost matrices are identically zero has solver cost 0 and SA1 mismatch 0
-  under *any* permutation, so no solver call is made at all.
-* **Lazy permutations** — the outer block → crossbar assignment only needs
-  the cost *values*; the engine therefore returns a permutation *provider*
-  and the exact row permutation is materialised only for the ≤ ``B`` pairs
-  the outer assignment actually selects.
+  cost matrices are identically zero has cost 0 and SA1 mismatch 0 under
+  *any* permutation, and its cost matrix is the all-zero matrix, so every
+  such pair gets the solver's permutation of that one matrix: one solve per
+  batch serves all of them.
 * **Result cache** — every solved pair is cached under its fault map's
-  ``(fingerprint, sa1_weight, method)`` and its block's fingerprint, making
-  the per-epoch ``update_row_permutations`` refresh and repeated batches on
-  unchanged BIST maps near-free.  A plan looks each fault map up once and
-  all of its blocks in one pass; when the cache is full, the results of the
-  least recently used fault maps are dropped first.  Hit/miss counters
-  reach a run's ``TrainingResult.counters`` through
-  ``FaReStrategy.mapping_engine_stats``.
+  ``(fingerprint, sa1_weight, method)`` and its block's fingerprint.  A
+  plan looks each fault map up once and all of its blocks in one pass;
+  when the cache is full, the results of the least recently used fault
+  maps are dropped first.  Hit/miss counters reach a run's
+  ``TrainingResult.counters`` through ``FaReStrategy.mapping_engine_stats``.
+* **Batched refresh** — the per-epoch ``update_row_permutations`` refresh
+  resolves a plan's (block, crossbar) pairs in one :meth:`pair_results`
+  call, through the same stacks, dedupe, cache and batched solve as a plan,
+  so a refresh against unchanged BIST maps is all cache hits.
 
 Performance model (``B`` blocks, ``M`` crossbars, ``R × C`` crossbar):
 
@@ -47,7 +47,8 @@ inner assignments      ``B·M`` solver calls                            one vect
                                                                        pairs: the two-phase batch greedy
                                                                        or a lockstep exact solver from
                                                                        :mod:`repro.core.batch_solvers`
-permutations           ``B·M`` materialised                            ≤ ``B`` materialised (lazy)
+permutations           ``B·M`` materialised                            kept from the stack solve, copied out
+                                                                       only for the pairs a plan selects
 repeated batches       full recompute                                  cache hits, no tensor work
 =====================  ==============================================  =========================================
 
@@ -76,47 +77,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.batch_solvers import BATCH_SOLVERS, solve_assignment_batch
 from repro.hardware.faults import FaultMap, pattern_fingerprints
-from repro.matching.bipartite import solve_assignment
 from repro.matching.greedy import greedy_assignment_batch
-
-
-def block_row_cost_matrix(
-    block: np.ndarray, fault_map: FaultMap, sa1_weight: float = 1.0
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mismatch cost of mapping every block row onto every crossbar row.
-
-    Returns ``(total_cost, sa0_cost, sa1_cost)`` where each matrix has shape
-    ``(block_rows, crossbar_rows)``:
-
-    * ``sa0_cost[r, s]`` — ones of block row ``r`` that would land on SA0
-      cells of crossbar row ``s`` (deleted edges),
-    * ``sa1_cost[r, s]`` — zeros of block row ``r`` that would land on SA1
-      cells of crossbar row ``s`` (spurious edges),
-    * ``total_cost = sa0_cost + sa1_weight * sa1_cost``.
-
-    This is the single definition of the per-pair cost arithmetic: both the
-    seed per-pair loop (via :mod:`repro.core.mapping`, which re-exports it)
-    and the batched engine's scalar solves call it, so the two cannot drift
-    apart.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape != fault_map.shape:
-        raise ValueError(
-            f"block shape {block.shape} does not match fault map {fault_map.shape}"
-        )
-    if sa1_weight < 0:
-        raise ValueError(f"sa1_weight must be non-negative, got {sa1_weight}")
-    ones = (block > 0).astype(np.float64)
-    zeros = 1.0 - ones
-    sa0_cost = ones @ fault_map.sa0.astype(np.float64).T
-    sa1_cost = zeros @ fault_map.sa1.astype(np.float64).T
-    return sa0_cost + sa1_weight * sa1_cost, sa0_cost, sa1_cost
 
 
 def block_fingerprint(block: np.ndarray) -> str:
@@ -136,10 +103,8 @@ class CostEngineStats:
 
     ``pairs_total`` counts every (block, crossbar) pair requested;
     ``fault_free_pairs``, ``duplicate_pairs``, ``cache_hits`` and
-    ``zero_cost_pairs`` count pairs resolved without a solver call, and
-    ``solver_pairs`` the pairs that did reach a solver (batched or scalar).
-    ``lazy_permutations`` counts permutations materialised on demand for
-    pairs whose solve had been skipped by the zero-cost early-exit.
+    ``zero_cost_pairs`` count pairs resolved without a solve of their own,
+    and ``solver_pairs`` the pairs that did reach a stack solve.
     """
 
     pairs_total: int = 0
@@ -149,11 +114,6 @@ class CostEngineStats:
     cache_misses: int = 0
     zero_cost_pairs: int = 0
     solver_pairs: int = 0
-    lazy_permutations: int = 0
-    #: Of ``solver_pairs``, how many were solved by a batched stack solve
-    #: (the batch greedy or a :mod:`repro.core.batch_solvers` exact solver)
-    #: rather than one scalar Python call.
-    batched_solver_pairs: int = 0
     #: Entries dropped from the LRU result cache (it used to evict silently,
     #: making cache-size tuning unobservable from the outside).
     cache_evictions: int = 0
@@ -167,8 +127,6 @@ class CostEngineStats:
             "mapping_cache_misses": float(self.cache_misses),
             "mapping_zero_cost_pairs": float(self.zero_cost_pairs),
             "mapping_solver_pairs": float(self.solver_pairs),
-            "mapping_lazy_permutations": float(self.lazy_permutations),
-            "mapping_batched_solver_pairs": float(self.batched_solver_pairs),
             "mapping_cache_evictions": float(self.cache_evictions),
         }
 
@@ -177,15 +135,13 @@ class CostEngineStats:
 class _PairEntry:
     """Cached result for one (block pattern, fault pattern) pair.
 
-    ``permutation`` is ``None`` while the pair's solve has been skipped by the
-    zero-cost early-exit; it is filled in lazily the first time the pair is
-    actually selected by the outer assignment.  Entries compare by identity,
-    so scanning a list of them for ``None`` stays a C-level loop.
+    Entries compare by identity, so scanning a list of them for ``None``
+    stays a C-level loop.
     """
 
     cost: float
     sa1_mismatch: float
-    permutation: Optional[np.ndarray] = None
+    permutation: np.ndarray
 
 
 _COST = attrgetter("cost")
@@ -193,6 +149,73 @@ _SA1_MISMATCH = attrgetter("sa1_mismatch")
 
 #: A provider returning the (solver-exact) row permutation for pair ``(i, j)``.
 PermutationProvider = Callable[[int, int], np.ndarray]
+
+
+class _Stacks(NamedTuple):
+    """One call's blocks and fault maps, stacked once and deduplicated.
+
+    ``masks`` holds ``block > 0`` of every block and ``planes`` the
+    ``(sa0, sa1)`` masks of every fault map; they serve the fingerprints, the
+    fault-free test and the contraction.  Block ``i`` has the unique pattern
+    ``block_uid[i]``; unique pattern ``ub`` was first seen at block
+    ``block_rep[ub]`` and has fingerprint ``block_fps[ub]``.  The ``map_*``
+    fields do the same for the fault maps listed in ``faulty``, the ones with
+    at least one fault (``map_uid`` is -1 for a fault-free map).
+    """
+
+    masks: np.ndarray
+    planes: np.ndarray
+    faulty: np.ndarray
+    block_uid: np.ndarray
+    block_rep: np.ndarray
+    block_fps: List[str]
+    map_uid: np.ndarray
+    map_rep: np.ndarray
+    map_fps: List[str]
+
+
+def _dedupe(fingerprints: List[str]) -> Tuple[np.ndarray, np.ndarray, List[str]]:
+    """Number distinct fingerprints in order of first appearance.
+
+    Returns each fingerprint's number, the position where each number first
+    appears, and the distinct fingerprints.
+    """
+    unique_of: Dict[str, int] = {}
+    numbers = [unique_of.setdefault(fp, len(unique_of)) for fp in fingerprints]
+    first = np.unique(numbers, return_index=True)[1]
+    return np.array(numbers, dtype=np.int64), first, list(unique_of)
+
+
+def _stack_and_dedupe(
+    blocks: Sequence[np.ndarray], fault_maps: Sequence[FaultMap]
+) -> _Stacks:
+    """Stack, fingerprint and dedupe a call's blocks and fault maps.
+
+    The cost depends on ``block > 0`` and the fault masks only, so one stack
+    of each is all the engine reads.
+    """
+    shape = fault_maps[0].shape
+    for fmap in fault_maps:
+        if fmap.shape != shape:
+            raise ValueError(f"fault map shape {fmap.shape} does not match {shape}")
+    masks = np.array([np.asarray(block) > 0 for block in blocks])
+    if masks.shape[1:] != shape:
+        raise ValueError(
+            f"block shape {masks.shape[1:]} does not match fault map {shape}"
+        )
+    num_maps = len(fault_maps)
+    planes = np.array(
+        [plane for fmap in fault_maps for plane in (fmap.sa0, fmap.sa1)]
+    ).reshape(num_maps, 2, *shape)
+    faulty = np.flatnonzero(planes.reshape(num_maps, -1).any(axis=1))
+    block_uid, block_rep, block_fps = _dedupe(pattern_fingerprints(masks[:, None]))
+    map_numbers, map_first, map_fps = _dedupe(pattern_fingerprints(planes[faulty]))
+    map_uid = np.full(num_maps, -1, dtype=np.int64)
+    map_uid[faulty] = map_numbers
+    return _Stacks(
+        masks, planes, faulty, block_uid, block_rep, block_fps, map_uid,
+        faulty[map_first], map_fps,
+    )
 
 
 class MappingCostEngine:
@@ -232,9 +255,9 @@ class MappingCostEngine:
         self.row_method = row_method
         self.stats = CostEngineStats()
         # Pair results grouped by fault map, in LRU order of the maps:
-        # ``_cache[self._column_key(map_fp)][block_fp]``.  A plan looks each
+        # ``_cache[self._column_key(map_fp)][block_fp]``.  A call looks each
         # fault map up once (one LRU touch per map, not per pair) and then
-        # all of its blocks in one pass.
+        # its blocks.
         self._cache: "OrderedDict[Tuple, Dict[str, _PairEntry]]" = OrderedDict()
         self._cached_pairs = 0
 
@@ -280,81 +303,18 @@ class MappingCostEngine:
         return self._cached_pairs
 
     # ------------------------------------------------------------------ #
-    # Exact per-pair arithmetic (shared with the seed formulation)
-    # ------------------------------------------------------------------ #
-    def _pair_cost_matrices(
-        self, block: np.ndarray, fault_map: FaultMap
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(total, sa0_cost, sa1_cost)`` for one pair, seed-identical."""
-        return block_row_cost_matrix(block, fault_map, self.sa1_weight)
-
-    def _solve_pair(
-        self, total: np.ndarray, sa1_cost: np.ndarray
-    ) -> Tuple[float, np.ndarray, float]:
-        """Solve one pair with the scalar solver (seed-identical)."""
-        self.stats.solver_pairs += 1
-        permutation, cost = solve_assignment(total, method=self.row_method)
-        permutation = permutation.astype(np.int64)
-        sa1 = float(sa1_cost[np.arange(len(permutation)), permutation].sum())
-        return float(cost), permutation, sa1
-
-    def _materialise_permutation(
-        self, entry: _PairEntry, block: np.ndarray, fault_map: FaultMap
-    ) -> np.ndarray:
-        """Fill in a lazily skipped permutation by running the real solver."""
-        if entry.permutation is None:
-            total, _, sa1_cost = self._pair_cost_matrices(block, fault_map)
-            _, entry.permutation, _ = self._solve_pair(total, sa1_cost)
-            self.stats.lazy_permutations += 1
-        return entry.permutation.copy()
-
-    # ------------------------------------------------------------------ #
-    # Single-pair front-end (update_row_permutations path)
-    # ------------------------------------------------------------------ #
-    def block_crossbar_cost(
-        self, block: np.ndarray, fault_map: FaultMap
-    ) -> Tuple[float, np.ndarray, float]:
-        """Cached equivalent of :func:`repro.core.mapping.block_crossbar_cost`.
-
-        Returns ``(total_cost, row_permutation, sa1_mismatch)``; repeated
-        calls with an unchanged block/fault pattern are cache hits and do no
-        tensor or solver work.
-        """
-        self.stats.pairs_total += 1
-        if fault_map.is_fault_free():
-            self.stats.fault_free_pairs += 1
-            n = np.asarray(block).shape[0]
-            return 0.0, np.arange(n, dtype=np.int64), 0.0
-        block_fp, map_fp = block_fingerprint(block), fault_map.fingerprint
-        column = self._column(map_fp)
-        entry = None if column is None else column.get(block_fp)
-        if entry is None:
-            self.stats.cache_misses += 1
-            # The caller always needs the permutation here, so the zero-cost
-            # lazy skip would only defer (and duplicate) work — solve eagerly.
-            total, _, sa1_cost = self._pair_cost_matrices(block, fault_map)
-            cost, permutation, sa1 = self._solve_pair(total, sa1_cost)
-            entry = _PairEntry(cost=cost, sa1_mismatch=sa1, permutation=permutation)
-            self._cache_store(map_fp, block_fp, entry)
-            self._evict()
-        else:
-            self.stats.cache_hits += 1
-        permutation = self._materialise_permutation(entry, block, fault_map)
-        return entry.cost, permutation, entry.sa1_mismatch
-
-    # ------------------------------------------------------------------ #
-    # Batched front-end (map_blocks path)
+    # Front-ends
     # ------------------------------------------------------------------ #
     def plan_pairwise(
         self, blocks: Sequence[np.ndarray], fault_maps: Sequence[FaultMap]
     ) -> Tuple[np.ndarray, np.ndarray, PermutationProvider]:
-        """Costs and SA1 mismatches for all pairs, permutations lazy.
+        """Costs, SA1 mismatches and row permutations of all pairs.
 
         Returns ``(costs, sa1_mismatches, permutation_for)`` where the two
         arrays have shape ``(len(blocks), len(fault_maps))`` and
-        ``permutation_for(i, j)`` materialises the solver-exact row
-        permutation of pair ``(i, j)`` on demand.  Every value is
-        bit-identical to what the seed per-pair loop produces.
+        ``permutation_for(i, j)`` returns a copy of the solver-exact row
+        permutation of pair ``(i, j)``.  Every value is bit-identical to what
+        the seed per-pair loop produces.
         """
         num_blocks = len(blocks)
         num_maps = len(fault_maps)
@@ -363,48 +323,10 @@ class MappingCostEngine:
         if num_blocks == 0 or num_maps == 0:
             return costs, sa1_mismatches, lambda i, j: np.arange(0, dtype=np.int64)
         self.stats.pairs_total += num_blocks * num_maps
-
-        # -- stack, fingerprint and dedupe the two axes ------------------- #
-        # The cost depends on ``block > 0`` and the fault masks only: one
-        # stack of each serves the fingerprints, the fault-free test and the
-        # contraction.
-        shape = fault_maps[0].shape
-        for fmap in fault_maps:
-            if fmap.shape != shape:
-                raise ValueError(
-                    f"fault map shape {fmap.shape} does not match {shape}"
-                )
-        masks = np.array([np.asarray(block) > 0 for block in blocks])
-        if masks.shape[1:] != shape:
-            raise ValueError(
-                f"block shape {masks.shape[1:]} does not match fault map {shape}"
-            )
-        planes = np.array(
-            [plane for fmap in fault_maps for plane in (fmap.sa0, fmap.sa1)]
-        ).reshape(num_maps, 2, *shape)
-        fault_free = ~planes.reshape(num_maps, -1).any(axis=1)
-        faulty_cols = np.flatnonzero(~fault_free)
-
-        unique_block_of: Dict[str, int] = {}
-        block_rep: List[int] = []  # unique block id -> representative index
-        block_uid = np.empty(num_blocks, dtype=np.int64)
-        for i, fp in enumerate(pattern_fingerprints(masks[:, None])):
-            uid = unique_block_of.setdefault(fp, len(block_rep))
-            if uid == len(block_rep):
-                block_rep.append(i)
-            block_uid[i] = uid
-
-        unique_map_of: Dict[str, int] = {}
-        map_rep: List[int] = []
-        map_uid = np.full(num_maps, -1, dtype=np.int64)
-        faulty_fps = pattern_fingerprints(planes[faulty_cols])
-        for j, fp in zip(faulty_cols.tolist(), faulty_fps):
-            uid = unique_map_of.setdefault(fp, len(map_rep))
-            if uid == len(map_rep):
-                map_rep.append(j)
-            map_uid[j] = uid
-
-        num_ub, num_um = len(block_rep), len(map_rep)
+        stacks = _stack_and_dedupe(blocks, fault_maps)
+        faulty_cols, block_fps = stacks.faulty, stacks.block_fps
+        block_uid, map_uid = stacks.block_uid, stacks.map_uid
+        num_ub, num_um = len(block_fps), len(stacks.map_fps)
         self.stats.fault_free_pairs += num_blocks * (num_maps - faulty_cols.size)
         self.stats.duplicate_pairs += num_blocks * faulty_cols.size - num_ub * num_um
 
@@ -412,11 +334,9 @@ class MappingCostEngine:
         # One lookup per unique fault map, then its unique blocks in one pass:
         # ``found[um][ub]`` is the entry of unique block ``ub`` against unique
         # map ``um``, ``None`` until solved.  The counters move once per call.
-        block_fps = list(unique_block_of)
-        map_fps = list(unique_map_of)
         found: List[List[Optional[_PairEntry]]] = []
         to_solve: List[Tuple[int, int]] = []
-        for um, map_fp in enumerate(map_fps):
+        for um, map_fp in enumerate(stacks.map_fps):
             column = self._column(map_fp)
             entries = (
                 [None] * num_ub if column is None else list(map(column.get, block_fps))
@@ -430,10 +350,8 @@ class MappingCostEngine:
         self.stats.cache_misses += len(to_solve)
 
         if to_solve:
-            self._solve_pairs_batched(
-                masks, planes, block_rep, map_rep, block_fps, map_fps, to_solve,
-                found,
-            )
+            for (ub, um), entry in self._solve_pairs_batched(stacks, to_solve).items():
+                found[um][ub] = entry
             self._evict()
 
         # -- scatter the unique results to the full (B, M) grids ---------- #
@@ -444,31 +362,81 @@ class MappingCostEngine:
                 unique = np.fromiter(map(field, flat), np.float64, len(flat))
                 out[:, faulty_cols] = unique.reshape(num_um, num_ub)[grid].T
 
+        rows = fault_maps[0].shape[0]
+
         def permutation_for(i: int, j: int) -> np.ndarray:
-            if fault_free[j]:
-                return np.arange(shape[0], dtype=np.int64)
-            entry = found[map_uid[j]][block_uid[i]]
-            return self._materialise_permutation(entry, blocks[i], fault_maps[j])
+            um = map_uid[j]
+            if um < 0:
+                return np.arange(rows, dtype=np.int64)
+            return found[um][block_uid[i]].permutation.copy()
 
         return costs, sa1_mismatches, permutation_for
 
+    def pair_results(
+        self, blocks: Sequence[np.ndarray], fault_maps: Sequence[FaultMap]
+    ) -> List[Tuple[float, np.ndarray, float]]:
+        """``(cost, row permutation, SA1 mismatch)`` of each zipped pair.
+
+        Pair ``k`` is ``(blocks[k], fault_maps[k])``: the (block, crossbar)
+        pairs of one plan, whose row permutations the post-deployment refresh
+        recomputes.  They go through the stacks, dedupe, pair cache and
+        batched solve :meth:`plan_pairwise` uses, so a pair against an
+        unchanged fault map is a cache hit, and every value is bit-identical
+        to the seed per-pair solve.
+        """
+        if len(blocks) != len(fault_maps):
+            raise ValueError(
+                f"{len(blocks)} blocks do not pair with {len(fault_maps)} fault maps"
+            )
+        if not len(blocks):
+            return []
+        self.stats.pairs_total += len(blocks)
+        stacks = _stack_and_dedupe(blocks, fault_maps)
+        block_uid = stacks.block_uid.tolist()
+        map_uid = stacks.map_uid.tolist()
+
+        # Unique faulty pairs grouped by fault map: one lookup per map.
+        blocks_of_map: Dict[int, Dict[int, None]] = {}
+        for ub, um in zip(block_uid, map_uid):
+            if um >= 0:
+                blocks_of_map.setdefault(um, {})[ub] = None
+        num_unique = sum(map(len, blocks_of_map.values()))
+        self.stats.fault_free_pairs += len(blocks) - stacks.faulty.size
+        self.stats.duplicate_pairs += stacks.faulty.size - num_unique
+
+        found: Dict[Tuple[int, int], _PairEntry] = {}
+        to_solve: List[Tuple[int, int]] = []
+        for um, ubs in blocks_of_map.items():
+            column = self._column(stacks.map_fps[um]) or {}
+            for ub in ubs:
+                entry = column.get(stacks.block_fps[ub])
+                if entry is None:
+                    to_solve.append((ub, um))
+                else:
+                    found[ub, um] = entry
+        self.stats.cache_hits += num_unique - len(to_solve)
+        self.stats.cache_misses += len(to_solve)
+        if to_solve:
+            found.update(self._solve_pairs_batched(stacks, to_solve))
+            self._evict()
+
+        identity = np.arange(stacks.masks.shape[1], dtype=np.int64)
+        fault_free = _PairEntry(0.0, 0.0, identity)
+        entries = [
+            found[ub, um] if um >= 0 else fault_free
+            for ub, um in zip(block_uid, map_uid)
+        ]
+        return [(e.cost, e.permutation.copy(), e.sa1_mismatch) for e in entries]
+
+    # ------------------------------------------------------------------ #
+    # Batched solve
     # ------------------------------------------------------------------ #
     def _solve_pairs_batched(
-        self,
-        masks: np.ndarray,
-        planes: np.ndarray,
-        block_rep: List[int],
-        map_rep: List[int],
-        block_fps: List[str],
-        map_fps: List[str],
-        to_solve: List[Tuple[int, int]],
-        found: List[List[Optional[_PairEntry]]],
-    ) -> None:
-        """Solve the uncached unique pairs with batched tensor work.
+        self, stacks: _Stacks, to_solve: List[Tuple[int, int]]
+    ) -> Dict[Tuple[int, int], _PairEntry]:
+        """Solve and cache the uncached unique pairs ``(ub, um)`` of a call.
 
-        ``masks`` stacks ``block > 0`` of every block of the call and
-        ``planes`` the ``(sa0, sa1)`` masks of every fault map.  The result
-        of unique pair ``(ub, um)`` is cached and stored in ``found[um][ub]``.
+        Returns each pair's entry, keyed by ``(ub, um)``.
         """
         # Stack only the blocks/maps that actually have pending pairs, so a
         # mostly-warm call (e.g. one new block against a cached pool) pays
@@ -477,25 +445,22 @@ class MappingCostEngine:
         solve_ums = sorted({um for _, um in to_solve})
         compact_ub = {ub: k for k, ub in enumerate(solve_ubs)}
         compact_um = {um: k for k, um in enumerate(solve_ums)}
-        shape = masks.shape[1:]
-        rows, cols = shape
+        rows, cols = stacks.masks.shape[1:]
         # Cost entries are counts ≤ cols (SA1-weighted: ≤ (1 + w)·cols).  When
         # they all fit exactly in float32 (< 2²⁴) the big contraction can run
         # in float32 — half the memory traffic — and still produce the exact
         # same integers as the seed's float64 matmuls; likewise an integral
-        # sa1_weight allows the greedy solve to run on an exact int32 stack.
+        # sa1_weight allows the solve to run on an exact int32 stack.
         exact_f32 = (1.0 + self.sa1_weight) * cols < 2**24
         compute_dtype = np.float32 if exact_f32 else np.float64
         integral_weight = exact_f32 and float(self.sa1_weight).is_integer()
-        ones_stack = masks[[block_rep[ub] for ub in solve_ubs]].astype(compute_dtype)
+        ones_stack = stacks.masks[stacks.block_rep[solve_ubs]].astype(compute_dtype)
         zeros_stack = 1.0 - ones_stack
-        map_index = [map_rep[um] for um in solve_ums]
-        sa0_stack = planes[map_index, 0].astype(compute_dtype)
-        sa1_stack = planes[map_index, 1].astype(compute_dtype)
+        map_index = stacks.map_rep[solve_ums]
+        sa0_stack = stacks.planes[map_index, 0].astype(compute_dtype)
+        sa1_stack = stacks.planes[map_index, 1].astype(compute_dtype)
 
-        def record(ub: int, um: int, entry: _PairEntry) -> None:
-            found[um][ub] = self._cache_store(map_fps[um], block_fps[ub], entry)
-
+        solved: Dict[Tuple[int, int], _PairEntry] = {}
         pair_density = len(to_solve) / max(len(solve_ubs) * len(solve_ums), 1)
         if pair_density >= 0.5:
             # Dense pending set (the cold-start shape): one big contraction
@@ -525,17 +490,19 @@ class MappingCostEngine:
                 um_idx = np.array(
                     [compact_um[um] - cm_lo for _, um in batch], dtype=np.int64
                 )
-                self._finish_pair_batch(
-                    batch,
-                    sa0_grid[ub_idx, um_idx],
-                    sa1_grid[ub_idx, um_idx],
-                    integral_weight,
-                    record,
+                solved.update(
+                    self._finish_pair_batch(
+                        batch,
+                        sa0_grid[ub_idx, um_idx],
+                        sa1_grid[ub_idx, um_idx],
+                        integral_weight,
+                    )
                 )
         else:
-            # Sparse pending set (e.g. one new block against a warm pool plus
-            # one refreshed map): batched per-pair matmuls over just the
-            # pending pairs, so the cost stays proportional to the new work.
+            # Sparse pending set (a refresh's pairs, or one new block against
+            # a warm pool plus one refreshed map): batched per-pair matmuls
+            # over just the pending pairs, so the cost stays proportional to
+            # the new work.
             pair_chunk = max(1, self.MAX_CHUNK_CELLS // max(rows * cols * 6, 1))
             for start in range(0, len(to_solve), pair_chunk):
                 batch = to_solve[start : start + pair_chunk]
@@ -547,9 +514,21 @@ class MappingCostEngine:
                 )
                 sa0_sel = ones_stack[ub_idx] @ sa0_stack[um_idx].transpose(0, 2, 1)
                 sa1_sel = zeros_stack[ub_idx] @ sa1_stack[um_idx].transpose(0, 2, 1)
-                self._finish_pair_batch(
-                    batch, sa0_sel, sa1_sel, integral_weight, record
+                solved.update(
+                    self._finish_pair_batch(batch, sa0_sel, sa1_sel, integral_weight)
                 )
+        for (ub, um), entry in solved.items():
+            self._cache_store(stacks.map_fps[um], stacks.block_fps[ub], entry)
+        return solved
+
+    def _solve_stack(self, total: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Row assignments and totals of a ``(P, R, S)`` cost stack.
+
+        Row ``p`` is bit-identical to one scalar solve of ``total[p]``.
+        """
+        if self.row_method == "greedy":
+            return greedy_assignment_batch(total)
+        return solve_assignment_batch(total, method=self.row_method)
 
     def _finish_pair_batch(
         self,
@@ -557,86 +536,54 @@ class MappingCostEngine:
         sa0_sel: np.ndarray,
         sa1_sel: np.ndarray,
         integral_weight: bool,
-        record: Callable[[int, int, _PairEntry], None],
-    ) -> None:
-        """Zero-detect, solve and cache one batch of gathered pair matrices.
+    ) -> Dict[Tuple[int, int], _PairEntry]:
+        """Zero-detect and solve one batch of gathered pair matrices.
 
         ``sa0_sel``/``sa1_sel`` are ``(len(batch), R, S)`` stacks of exact
-        integer-valued cost components; ``record(ub, um, entry)`` persists a
-        result under the pair's cache key and result table.
+        integer-valued cost components.  Returns each pair's entry.
         """
+        entries: Dict[Tuple[int, int], _PairEntry] = {}
         # Vectorial zero-cost early-exit: both component matrices all-zero
-        # means any permutation is optimal at cost 0 with zero SA1 mismatch —
-        # no solver call needed, the permutation stays lazy.
+        # means cost 0 and no SA1 mismatch under any permutation.  Such a
+        # pair's cost matrix is the all-zero matrix, so one solve of it gives
+        # every zero-cost pair its solver-exact permutation.
         nonzero = np.logical_or(
             sa0_sel.any(axis=(1, 2)), sa1_sel.any(axis=(1, 2))
         )
-        for k in np.flatnonzero(~nonzero):
-            ub, um = batch[k]
-            self.stats.zero_cost_pairs += 1
-            record(ub, um, _PairEntry(cost=0.0, sa1_mismatch=0.0))
-        live = np.flatnonzero(nonzero)
-        if not live.size:
-            return
-        if live.size == len(batch):
-            sa0_live, sa1_live, live_pairs = sa0_sel, sa1_sel, batch
+        zero = np.flatnonzero(~nonzero)
+        if zero.size:
+            assignments, _ = self._solve_stack(np.zeros((1, *sa0_sel.shape[1:])))
+            self.stats.zero_cost_pairs += int(zero.size)
+            for k in zero.tolist():
+                entries[batch[k]] = _PairEntry(0.0, 0.0, assignments[0])
+            if zero.size == len(batch):
+                return entries
+            live = np.flatnonzero(nonzero)
+            sa0_sel = sa0_sel[live]
+            sa1_sel = sa1_sel[live]
+            batch = [batch[k] for k in live.tolist()]
+        if integral_weight:
+            # One exact int32 stack for the solver: the components are
+            # float32 integers and sa1·w + sa0 < 2²⁴, so the float32
+            # arithmetic is exact and a single cast gives the integers.
+            total = sa1_sel * np.float32(self.sa1_weight)
+            total += sa0_sel
+            total = total.astype(np.int32)
         else:
-            sa0_live = sa0_sel[live]
-            sa1_live = sa1_sel[live]
-            live_pairs = [batch[k] for k in live]
-        if self.row_method == "greedy":
-            if integral_weight:
-                # One exact int32 stack for the solver: the components are
-                # float32 integers and sa1·w + sa0 < 2²⁴, so the float32
-                # arithmetic is exact and a single cast gives the integers.
-                total = sa1_live * np.float32(self.sa1_weight)
-                total += sa0_live
-                total = total.astype(np.int32)
-            else:
-                total = sa0_live.astype(np.float64) + self.sa1_weight * (
-                    sa1_live.astype(np.float64)
-                )
-            assignments, totals = greedy_assignment_batch(total)
-            self.stats.solver_pairs += len(live_pairs)
-            self.stats.batched_solver_pairs += len(live_pairs)
-            # Vectorised SA1 gather: per pair the same values in the same
-            # order as the seed's fancy-indexed row sum (exact integers).
-            sa1_totals = (
-                np.take_along_axis(sa1_live, assignments[:, :, None], axis=2)[
-                    :, :, 0
-                ]
-                .astype(np.float64)
-                .sum(axis=1)
+            total = sa0_sel.astype(np.float64) + self.sa1_weight * (
+                sa1_sel.astype(np.float64)
             )
-            for k, (ub, um) in enumerate(live_pairs):
-                record(
-                    ub,
-                    um,
-                    _PairEntry(
-                        cost=float(totals[k]),
-                        sa1_mismatch=float(sa1_totals[k]),
-                        permutation=assignments[k],
-                    ),
-                )
-        else:
-            # Lockstep exact solve of the whole pair stack (bit-identical to
-            # one scalar solver call per pair, the seed formulation).
-            sa1_f64 = sa1_live.astype(np.float64)
-            total = sa0_live.astype(np.float64) + self.sa1_weight * sa1_f64
-            assignments, totals = solve_assignment_batch(
-                total, method=self.row_method
-            )
-            self.stats.solver_pairs += len(live_pairs)
-            self.stats.batched_solver_pairs += len(live_pairs)
-            rows = np.arange(assignments.shape[1])
-            for k, (ub, um) in enumerate(live_pairs):
-                permutation = assignments[k]
-                record(
-                    ub,
-                    um,
-                    _PairEntry(
-                        cost=float(totals[k]),
-                        sa1_mismatch=float(sa1_f64[k, rows, permutation].sum()),
-                        permutation=permutation,
-                    ),
-                )
+        assignments, totals = self._solve_stack(total)
+        self.stats.solver_pairs += len(batch)
+        # Vectorised SA1 gather: per pair the seed's row sum of exact
+        # integers, so the summation order cannot change it.
+        sa1_totals = (
+            np.take_along_axis(sa1_sel, assignments[:, :, None], axis=2)[:, :, 0]
+            .astype(np.float64)
+            .sum(axis=1)
+        )
+        for pair, cost, sa1, permutation in zip(
+            batch, totals.tolist(), sa1_totals.tolist(), assignments
+        ):
+            entries[pair] = _PairEntry(cost, sa1, permutation)
+        return entries

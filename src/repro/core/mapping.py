@@ -31,12 +31,14 @@ pre-processing phase.  Every pair cost goes through
 tensors, dedupes identical blocks/fault maps, skips fault-free and
 provably-zero pairs, solves the remaining inner assignments in one vectorised
 stack solve (the two-phase batch greedy or a lockstep exact solver from
-:mod:`repro.core.batch_solvers`, per the row method), materialises only the
-≤ ``B`` selected permutations, and caches every pair result by content
-fingerprint so per-epoch refreshes on unchanged BIST maps are near-free.
-A full re-plan after a fault delta is just another ``map_blocks`` call on
-the same mapper: the cache serves every pair whose block and fault map are
-unchanged, and only the pairs against changed maps are solved again.
+:mod:`repro.core.batch_solvers`, per the row method), and caches every pair
+result by content fingerprint.  The post-deployment refresh
+(:meth:`FaultAwareMapper.update_row_permutations`) resolves a plan's pairs in
+one engine call through the same stacks, cache and batched solve, so pairs
+against unchanged BIST maps are cache hits.  A full re-plan after a fault
+delta is just another ``map_blocks`` call on the same mapper: the cache
+serves every pair whose block and fault map are unchanged, and only the
+pairs against changed maps are solved again.
 
 The seed per-pair loop — ``B·M`` independent calls of
 :func:`block_crossbar_cost`, every permutation materialised — lives in
@@ -54,7 +56,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cost_engine import MappingCostEngine, block_row_cost_matrix
+from repro.core.cost_engine import MappingCostEngine
 from repro.hardware.faults import FaultMap
 from repro.matching.bipartite import solve_assignment
 from repro.matching.hungarian import hungarian_assignment
@@ -64,10 +66,42 @@ __all__ = [
     "BlockMapping",
     "FaultAwareMapper",
     "block_crossbar_cost",
-    "block_row_cost_matrix",  # re-exported single source: core.cost_engine
+    "block_row_cost_matrix",
     "permutation_mismatch_cost",
     "sequential_mapping",
 ]
+
+
+def block_row_cost_matrix(
+    block: np.ndarray, fault_map: FaultMap, sa1_weight: float = 1.0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mismatch cost of mapping every block row onto every crossbar row.
+
+    Returns ``(total_cost, sa0_cost, sa1_cost)`` where each matrix has shape
+    ``(block_rows, crossbar_rows)``:
+
+    * ``sa0_cost[r, s]`` — ones of block row ``r`` that would land on SA0
+      cells of crossbar row ``s`` (deleted edges),
+    * ``sa1_cost[r, s]`` — zeros of block row ``r`` that would land on SA1
+      cells of crossbar row ``s`` (spurious edges),
+    * ``total_cost = sa0_cost + sa1_weight * sa1_cost``.
+
+    This is the per-pair arithmetic of the seed formulation
+    (:func:`block_crossbar_cost`); the cost engine computes the same
+    integers for whole stacks of pairs.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    if block.shape != fault_map.shape:
+        raise ValueError(
+            f"block shape {block.shape} does not match fault map {fault_map.shape}"
+        )
+    if sa1_weight < 0:
+        raise ValueError(f"sa1_weight must be non-negative, got {sa1_weight}")
+    ones = (block > 0).astype(np.float64)
+    zeros = 1.0 - ones
+    sa0_cost = ones @ fault_map.sa0.astype(np.float64).T
+    sa1_cost = zeros @ fault_map.sa1.astype(np.float64).T
+    return sa0_cost + sa1_weight * sa1_cost, sa0_cost, sa1_cost
 
 
 def block_crossbar_cost(
@@ -433,24 +467,28 @@ class FaultAwareMapper:
         epoch do not justify recomputing it — and only the within-crossbar row
         permutations are recomputed against the latest BIST fault maps.  The
         matching is linear-time work per block and is overlapped with ReRAM
-        execution on the host, so it adds no pipeline time.  Refreshes
-        against an *unchanged* fault map are cost-engine cache hits and do no
-        tensor or solver work at all.
+        execution on the host, so it adds no pipeline time.
+
+        The plan's (block, crossbar) pairs are resolved in one cost-engine
+        call (:meth:`~repro.core.cost_engine.MappingCostEngine.pair_results`).
+        A pair against an unchanged fault map is a cache hit and costs no
+        solver work, though its block and map are still stacked and
+        fingerprinted.
         """
-        updated: List[BlockMapping] = []
-        for block_mapping in mapping.blocks:
-            block = blocks[block_mapping.block_index]
-            fmap = fault_maps_by_id[block_mapping.crossbar_index]
-            cost, perm, sa1 = self.cost_engine.block_crossbar_cost(block, fmap)
-            updated.append(
-                BlockMapping(
-                    block_index=block_mapping.block_index,
-                    crossbar_index=block_mapping.crossbar_index,
-                    row_permutation=perm,
-                    cost=cost,
-                    sa1_mismatch=sa1,
-                )
+        results = self.cost_engine.pair_results(
+            [blocks[m.block_index] for m in mapping.blocks],
+            [fault_maps_by_id[m.crossbar_index] for m in mapping.blocks],
+        )
+        updated = [
+            BlockMapping(
+                block_index=m.block_index,
+                crossbar_index=m.crossbar_index,
+                row_permutation=permutation,
+                cost=cost,
+                sa1_mismatch=sa1,
             )
+            for m, (cost, permutation, sa1) in zip(mapping.blocks, results)
+        ]
         return BatchMapping(
             blocks=updated,
             pruned_crossbars=list(mapping.pruned_crossbars),

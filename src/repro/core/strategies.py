@@ -249,19 +249,30 @@ class NeuronReorderingStrategy(Strategy):
         plans: List[BatchMapping] = []
         for blocks in blocks_per_batch:
             plan = sequential_mapping(len(blocks), crossbar_rows, len(crossbar_ids))
-            for mapping in plan.blocks:
-                local = mapping.crossbar_index % len(crossbar_ids)
-                mapping.crossbar_index = crossbar_ids[local]
-                mapping.row_permutation = self._group_permutation(
-                    blocks[mapping.block_index], fault_maps[local]
+            plan.blocks = [
+                self._reordered_mapping(
+                    blocks,
+                    m.block_index,
+                    crossbar_ids[m.crossbar_index],
+                    fault_maps[m.crossbar_index],
                 )
-                mapping.cost, mapping.sa1_mismatch = permutation_mismatch_cost(
-                    blocks[mapping.block_index],
-                    fault_maps[local],
-                    mapping.row_permutation,
-                )
+                for m in plan.blocks
+            ]
             plans.append(plan)
         return plans
+
+    def _reordered_mapping(
+        self,
+        blocks: Sequence[np.ndarray],
+        block_index: int,
+        crossbar_index: int,
+        fault_map: FaultMap,
+    ) -> BlockMapping:
+        """Block ``block_index`` on its crossbar, row groups reordered."""
+        block = blocks[block_index]
+        permutation = self._group_permutation(block, fault_map)
+        cost, sa1 = permutation_mismatch_cost(block, fault_map, permutation)
+        return BlockMapping(block_index, crossbar_index, permutation, cost, sa1)
 
     def _group_permutation(self, block: np.ndarray, fault_map: FaultMap) -> np.ndarray:
         """Permute groups of ``group_size`` rows to reduce (unweighted) mismatch."""
@@ -330,28 +341,20 @@ class NeuronReorderingStrategy(Strategy):
         fault_maps_by_id: Dict[int, FaultMap],
     ) -> List[BatchMapping]:
         """Recompute the coarse row-group permutations against new fault maps."""
-        refreshed: List[BatchMapping] = []
-        for plan, blocks in zip(plans, blocks_per_batch):
-            updated = BatchMapping(blocks=[])
-            for mapping in plan.blocks:
-                fmap = fault_maps_by_id[mapping.crossbar_index]
-                permutation = self._group_permutation(
-                    blocks[mapping.block_index], fmap
-                )
-                cost, sa1 = permutation_mismatch_cost(
-                    blocks[mapping.block_index], fmap, permutation
-                )
-                updated.blocks.append(
-                    BlockMapping(
-                        block_index=mapping.block_index,
-                        crossbar_index=mapping.crossbar_index,
-                        row_permutation=permutation,
-                        cost=cost,
-                        sa1_mismatch=sa1,
+        return [
+            BatchMapping(
+                blocks=[
+                    self._reordered_mapping(
+                        blocks,
+                        m.block_index,
+                        m.crossbar_index,
+                        fault_maps_by_id[m.crossbar_index],
                     )
-                )
-            refreshed.append(updated)
-        return refreshed
+                    for m in plan.blocks
+                ]
+            )
+            for plan, blocks in zip(plans, blocks_per_batch)
+        ]
 
 
 class FaReStrategy(Strategy):

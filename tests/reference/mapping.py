@@ -26,12 +26,17 @@ class SeedPairLoop:
         self.row_method = row_method
         self.stats = CostEngineStats()
 
-    def block_crossbar_cost(
+    def _pair(
         self, block: np.ndarray, fault_map: FaultMap
     ) -> Tuple[float, np.ndarray, float]:
         return block_crossbar_cost(
             block, fault_map, self.sa1_weight, method=self.row_method
         )
+
+    def pair_results(
+        self, blocks: Sequence[np.ndarray], fault_maps: Sequence[FaultMap]
+    ) -> List[Tuple[float, np.ndarray, float]]:
+        return [self._pair(block, fmap) for block, fmap in zip(blocks, fault_maps)]
 
     def plan_pairwise(
         self, blocks: Sequence[np.ndarray], fault_maps: Sequence[FaultMap]
@@ -41,7 +46,7 @@ class SeedPairLoop:
         permutations: List[List[np.ndarray]] = [[None] * len(fault_maps) for _ in blocks]
         for j, fmap in enumerate(fault_maps):
             for i, block in enumerate(blocks):
-                cost, perm, sa1 = self.block_crossbar_cost(block, fmap)
+                cost, perm, sa1 = self._pair(block, fmap)
                 costs[i, j] = cost
                 sa1_mismatches[i, j] = sa1
                 permutations[i][j] = perm

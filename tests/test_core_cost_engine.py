@@ -20,6 +20,7 @@ from repro.core.cost_engine import (
 )
 from repro.core.mapping import FaultAwareMapper, block_crossbar_cost
 from repro.hardware.faults import FaultMap, FaultModel
+from repro.matching import bipartite
 
 from reference.mapping import SeedLoopMapper
 
@@ -40,6 +41,24 @@ def assert_mappings_identical(reference, candidate):
         assert ref.cost == got.cost
         assert ref.sa1_mismatch == got.sa1_mismatch
         np.testing.assert_array_equal(ref.row_permutation, got.row_permutation)
+
+
+METHODS = ["greedy", "hungarian", "bsuitor"]
+
+
+def zero_cost_pair():
+    """A pair whose sa0 and sa1 cost matrices are identically zero.
+
+    The block's ones fill column 0, which no SA0 fault touches, and the only
+    SA1 fault sits in that column, where every block row has a one.
+    """
+    block = np.zeros((4, 4))
+    block[:, 0] = 1.0
+    return block, FaultMap.from_indices((4, 4), sa1_indices=[(2, 0)])
+
+
+def refresh_by_id(mapping, fmaps):
+    return {m.crossbar_index: fmaps[m.crossbar_index] for m in mapping.blocks}
 
 
 def make_mappers(method, sa1_weight=4.0, prune=True, relax=True):
@@ -114,6 +133,55 @@ class TestEngineEquivalence:
         assert engine_mapper.cost_engine.stats.solver_pairs == solver_before
 
     @pytest.mark.parametrize("sa1_weight", [4.0, 7.5])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_refresh_after_fault_delta_at_crossbar_size(self, method, sa1_weight):
+        """The post-deployment refresh at 64×64: every map gains 1 % faults,
+        so every pair of the kept plan is solved again in one batched call,
+        on the int32 stack (integral weight) and the float64 one (7.5)."""
+        rng = np.random.default_rng(640)
+        blocks = random_blocks(rng, 5, 64, 0.1)
+        model = FaultModel(0.05, (9, 1), seed=641)
+        fmaps = model.generate(7, 64, 64)
+        seed_mapper, engine_mapper = make_mappers(method, sa1_weight=sa1_weight)
+        reference = seed_mapper.map_blocks(blocks, fmaps)
+        mapping = engine_mapper.map_blocks(blocks, fmaps)
+        assert_mappings_identical(reference, mapping)
+
+        by_id = refresh_by_id(mapping, model.inject_additional(fmaps, 0.01))
+        stats = engine_mapper.cost_engine.stats
+        solver_before = stats.solver_pairs
+        refreshed = engine_mapper.update_row_permutations(mapping, blocks, by_id)
+        assert_mappings_identical(
+            seed_mapper.update_row_permutations(reference, blocks, by_id), refreshed
+        )
+        assert stats.solver_pairs == solver_before + len(mapping)
+        # A second refresh on the unchanged maps is all cache hits.
+        solver_after = stats.solver_pairs
+        assert_mappings_identical(
+            refreshed, engine_mapper.update_row_permutations(mapping, blocks, by_id)
+        )
+        assert stats.solver_pairs == solver_after
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_chunked_solves_identical(self, method):
+        """One fault map per dense contraction chunk and one pair per sparse
+        chunk: the plan and the refresh after a delta stay bit-identical."""
+        rng = np.random.default_rng(17)
+        blocks = random_blocks(rng, 4, 8, 0.2)
+        model = FaultModel(0.15, (1, 1), seed=18)
+        fmaps = model.generate(6, 8, 8)
+        seed_mapper, engine_mapper = make_mappers(method)
+        engine_mapper.cost_engine.MAX_CHUNK_CELLS = 1
+        reference = seed_mapper.map_blocks(blocks, fmaps)
+        mapping = engine_mapper.map_blocks(blocks, fmaps)
+        assert_mappings_identical(reference, mapping)
+        by_id = refresh_by_id(mapping, model.inject_additional(fmaps, 0.05))
+        assert_mappings_identical(
+            seed_mapper.update_row_permutations(reference, blocks, by_id),
+            engine_mapper.update_row_permutations(mapping, blocks, by_id),
+        )
+
+    @pytest.mark.parametrize("sa1_weight", [4.0, 7.5])
     def test_greedy_identical_at_crossbar_size(self, sa1_weight):
         """64×64 crossbars, as the paper-scale runs plan.  Every pair leaves
         the batch greedy a remainder after its minimum-cost row pass, on the
@@ -163,17 +231,44 @@ class TestEngineEquivalence:
             seed_mapper.map_blocks(blocks, fmaps), engine_mapper.map_blocks(blocks, fmaps)
         )
 
-    @pytest.mark.parametrize("method", ["hungarian", "bsuitor"])
-    def test_batched_exact_counter_tracks_path(self, method):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_scalar_solver_on_any_engine_path(self, method, monkeypatch):
+        """Plans, the refresh after a fault delta and zero-cost pairs all
+        resolve through the batched stack solve: with every scalar row
+        solver made to raise, both front-ends still match the seed loop."""
         rng = np.random.default_rng(21)
         blocks = random_blocks(rng, 4, 8, 0.3)
-        fmaps = FaultModel(0.2, (1, 1), seed=22).generate(6, 8, 8)
-        _, batched = make_mappers(method)
-        batched.map_blocks(blocks, fmaps)
-        assert batched.cost_engine.stats.batched_solver_pairs > 0
-        assert batched.cost_engine.stats.batched_solver_pairs == (
-            batched.cost_engine.stats.solver_pairs
+        model = FaultModel(0.2, (1, 1), seed=22)
+        fmaps = model.generate(6, 8, 8)
+        new_maps = model.inject_additional(fmaps, 0.05)
+        zero_block, zero_map = zero_cost_pair()
+        seed_mapper, engine_mapper = make_mappers(method)
+        reference = seed_mapper.map_blocks(blocks, fmaps)
+        by_id = refresh_by_id(reference, new_maps)
+        refreshed_ref = seed_mapper.update_row_permutations(reference, blocks, by_id)
+        zero_ref = block_crossbar_cost(zero_block, zero_map, 4.0, method=method)
+
+        def scalar_solver(cost):
+            raise AssertionError("the cost engine called a scalar row solver")
+
+        for name in list(bipartite.SOLVERS):
+            monkeypatch.setitem(bipartite.SOLVERS, name, scalar_solver)
+
+        mapping = engine_mapper.map_blocks(blocks, fmaps)
+        assert_mappings_identical(reference, mapping)
+        assert_mappings_identical(
+            refreshed_ref,
+            engine_mapper.update_row_permutations(mapping, blocks, by_id),
         )
+        _, _, provider = MappingCostEngine(row_method=method).plan_pairwise(
+            [zero_block], [zero_map]
+        )
+        np.testing.assert_array_equal(provider(0, 0), zero_ref[1])
+        [(cost, perm, sa1)] = MappingCostEngine(row_method=method).pair_results(
+            [zero_block], [zero_map]
+        )
+        assert (cost, sa1) == (zero_ref[0], zero_ref[2])
+        np.testing.assert_array_equal(perm, zero_ref[1])
 
     def test_single_pair_matches_module_function(self):
         rng = np.random.default_rng(5)
@@ -183,7 +278,7 @@ class TestEngineEquivalence:
         ref_cost, ref_perm, ref_sa1 = block_crossbar_cost(
             block, fmap, 4.0, method="greedy"
         )
-        cost, perm, sa1 = engine.block_crossbar_cost(block, fmap)
+        [(cost, perm, sa1)] = engine.pair_results([block], [fmap])
         assert cost == ref_cost and sa1 == ref_sa1
         np.testing.assert_array_equal(perm, ref_perm)
 
@@ -217,23 +312,25 @@ class TestWorkAvoidance:
         assert engine.stats.solver_pairs <= 1
         assert np.unique(costs).size == 1
 
-    def test_zero_cost_pairs_skip_the_solver(self):
-        # The block's single one sits in a column no fault touches, and the
-        # only SA1 fault is in a column where every block row has a one —
-        # sa0 and sa1 cost matrices are identically zero.
-        block = np.zeros((4, 4))
-        block[:, 0] = 1.0
-        fmap = FaultMap.from_indices((4, 4), sa1_indices=[(2, 0)])
-        engine = MappingCostEngine(row_method="greedy")
+    @pytest.mark.parametrize("method", METHODS)
+    def test_zero_cost_pairs_skip_the_solver(self, method):
+        block, fmap = zero_cost_pair()
+        engine = MappingCostEngine(row_method=method)
         costs, sa1, provider = engine.plan_pairwise([block], [fmap])
         assert engine.stats.solver_pairs == 0
         assert engine.stats.zero_cost_pairs == 1
         assert costs[0, 0] == 0.0 and sa1[0, 0] == 0.0
-        # Materialising the permutation runs the real solver lazily and must
-        # match the never-skipped seed result.
-        _, ref_perm, _ = block_crossbar_cost(block, fmap, 4.0, method="greedy")
+        # The permutation is the solver's on the all-zero cost matrix, as
+        # the never-skipped seed solve returns it (b-Suitor's is not the
+        # identity), from both front-ends.
+        _, ref_perm, _ = block_crossbar_cost(block, fmap, 4.0, method=method)
         np.testing.assert_array_equal(provider(0, 0), ref_perm)
-        assert engine.stats.lazy_permutations == 1
+        pair_engine = MappingCostEngine(row_method=method)
+        [(cost, perm, sa1_mismatch)] = pair_engine.pair_results([block], [fmap])
+        assert (cost, sa1_mismatch) == (0.0, 0.0)
+        assert pair_engine.stats.zero_cost_pairs == 1
+        assert pair_engine.stats.solver_pairs == 0
+        np.testing.assert_array_equal(perm, ref_perm)
 
     def test_cache_eviction_bounds_memory(self):
         rng = np.random.default_rng(9)
@@ -243,7 +340,7 @@ class TestWorkAvoidance:
         fmaps = [f for f in fmaps if not f.is_fault_free()]
         block = random_blocks(rng, 1, 4, 0.5)[0]
         for fmap in fmaps:
-            engine.block_crossbar_cost(block, fmap)
+            engine.pair_results([block], [fmap])
         assert len(engine) <= 4
         # Every entry beyond the capacity was dropped — and counted, so cache
         # sizing is observable from the stats instead of silent.
@@ -267,7 +364,7 @@ class TestWorkAvoidance:
         engine = MappingCostEngine()
         block = random_blocks(rng, 1, 8, 0.3)[0]
         fmap = FaultMap.from_indices((8, 8), sa0_indices=[(0, 0)])
-        engine.block_crossbar_cost(block, fmap)
+        engine.pair_results([block], [fmap])
         assert len(engine) > 0
         engine.clear_cache()
         assert len(engine) == 0
@@ -327,10 +424,6 @@ class TestStats:
         assert exported["mapping_cache_hits"] == 3.0
         assert exported["mapping_cache_misses"] == 1.0
 
-    def test_batched_solver_pairs_exported(self):
-        stats = CostEngineStats(batched_solver_pairs=5)
-        assert stats.as_dict()["mapping_batched_solver_pairs"] == 5.0
-
     def test_eviction_counter_exported(self):
         stats = CostEngineStats(cache_evictions=2)
         exported = stats.as_dict()
@@ -348,8 +441,6 @@ class TestSolverEdgeCases:
     (b) structurally valid row permutations
     (:func:`repro.utils.validation.check_permutation`).
     """
-
-    METHODS = ["greedy", "hungarian", "bsuitor"]
 
     def _check_all_paths(self, blocks, fmaps, method):
         from repro.utils.validation import check_permutation
