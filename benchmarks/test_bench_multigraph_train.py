@@ -23,8 +23,8 @@ per second; the acceptance gate is a ≥2× end-to-end speedup at CI scale.
 **Streaming** — a fresh subprocess generates a large synthetic graph in
 chunks, partitions it with the sampling-based streaming matcher, and trains
 one epoch.  Every batch keeps a lazy ``AdjacencyBlocks`` view (O(nnz) cell
-indices; planning builds each block when it reads it), and the faulty
-read-back is sparse and builds no blocks.  The child reports its own peak
+indices; the fault-unaware plan counts its costs over those coordinates and
+builds no block), and the faulty read-back is sparse and builds no blocks.  The child reports its own peak
 RSS; the gate asserts the peak stays under the documented ceiling and that
 the dense size of the planned blocks exceeds it — the proof that those
 blocks were never all resident.
@@ -309,6 +309,6 @@ def test_bench_streaming_million_nodes(run_once):
     assert peak_mib <= ceiling_mib, (
         f"streaming peak RSS {peak_mib:.0f} MiB exceeds ceiling {ceiling_mib} MiB"
     )
-    # Built on demand, not retained: the planned blocks, kept dense, would
-    # not fit in the process's resident peak.
+    # Never all resident: the planned blocks, kept dense, would not fit in
+    # the process's resident peak.
     assert dense_bytes > data["peak_rss_bytes"]

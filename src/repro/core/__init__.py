@@ -34,6 +34,7 @@ from repro.core.mapping import (
     block_row_cost_matrix,
     permutation_mismatch_cost,
     sequential_mapping,
+    sequential_plans,
 )
 from repro.core.strategies import (
     STRATEGY_REGISTRY,
@@ -59,6 +60,7 @@ __all__ = [
     "block_row_cost_matrix",
     "permutation_mismatch_cost",
     "sequential_mapping",
+    "sequential_plans",
     "STRATEGY_REGISTRY",
     "Strategy",
     "FaultUnawareStrategy",

@@ -46,7 +46,16 @@ The seed per-pair loop — ``B·M`` independent calls of
 both return identical :class:`BatchMapping` outputs;
 ``benchmarks/test_bench_mapping_throughput.py`` (greedy) and
 ``benchmarks/test_bench_exact_matching.py`` (exact methods) time the engine
-against it.  The overall layering is documented in ``docs/ARCHITECTURE.md``.
+against it.
+
+The fault-unaware plan (:func:`sequential_plans`, behind
+:func:`sequential_mapping` and the fault-unaware and clipping strategies)
+solves nothing: its identity-placement cost is a count over each block's
+stored edges against its crossbar's stacked fault planes, one pass per
+batch with no dense block.  Its seed, one :func:`permutation_mismatch_cost`
+call per dense block, is ``tests/reference/mapping.py``'s
+``seed_sequential_mapping`` (``tests/test_core_sequential_plan.py``).  The
+overall layering is documented in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -69,6 +78,7 @@ __all__ = [
     "block_row_cost_matrix",
     "permutation_mismatch_cost",
     "sequential_mapping",
+    "sequential_plans",
 ]
 
 
@@ -136,8 +146,9 @@ def permutation_mismatch_cost(
 
     ``permutation[i]`` is the crossbar row block row ``i`` is written to
     (identity when ``None``).  Returns ``(total_cost, sa1_mismatch)`` — the
-    cost a mapping that did **not** optimise the permutation actually incurs,
-    which is what the fault-unaware baselines should report instead of NaN.
+    cost a mapping that did **not** optimise the permutation actually incurs
+    (NR's row-group reordering).  :func:`sequential_plans` counts the same
+    quantity for the identity over edge coordinates.
     """
     if fault_map.is_fault_free():
         return 0.0, 0.0
@@ -199,6 +210,115 @@ class BatchMapping:
         return len(self.blocks)
 
 
+def _fault_planes(
+    fault_maps: Sequence[FaultMap],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]]:
+    """``(sa0, sa1, sa1_counts, shape)`` of a crossbar list, stacked once.
+
+    ``sa0``/``sa1`` hold one flattened ``rows * cols`` plane per crossbar;
+    ``sa1_counts`` is each crossbar's number of SA1 cells.
+    """
+    shapes = {fault_map.shape for fault_map in fault_maps}
+    if len(shapes) != 1:
+        raise ValueError(f"fault maps must share one shape, got {sorted(shapes)}")
+    sa0 = np.stack([fault_map.sa0.ravel() for fault_map in fault_maps])
+    sa1 = np.stack([fault_map.sa1.ravel() for fault_map in fault_maps])
+    return sa0, sa1, np.count_nonzero(sa1, axis=1), shapes.pop()
+
+
+def _stored_cells(
+    blocks: Sequence[np.ndarray], shape: Tuple[int, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(cells, bounds)``: block ``k`` stores ones at ``cells[bounds[k]:bounds[k + 1]]``.
+
+    Cells are flat ``row * cols + col`` indices of the ``> 0`` entries.  A
+    lazy block view hands over the layout it keeps (its ``cell_layout()``,
+    see :class:`~repro.pipeline.mapping_engine.AdjacencyBlocks`); dense
+    blocks are read once each.
+    """
+    cell_layout = getattr(blocks, "cell_layout", None)
+    if cell_layout is not None:
+        if (blocks.rows, blocks.cols) != shape:
+            raise ValueError(
+                f"block shape {(blocks.rows, blocks.cols)} does not match fault map {shape}"
+            )
+        return cell_layout()
+    cells = []
+    for block in blocks:
+        block = np.asarray(block, dtype=np.float64)
+        if block.shape != shape:
+            raise ValueError(
+                f"block shape {block.shape} does not match fault map {shape}"
+            )
+        cells.append(np.flatnonzero(block > 0))
+    bounds = np.zeros(len(cells) + 1, dtype=np.int64)
+    np.cumsum([len(block_cells) for block_cells in cells], out=bounds[1:])
+    return np.concatenate(cells) if cells else np.zeros(0, dtype=np.int64), bounds
+
+
+def _round_robin(
+    costs: List[float], sa1: List[float], ids: Sequence[int], crossbar_rows: int
+) -> BatchMapping:
+    """Block ``i`` on crossbar ``ids[i % len(ids)]`` with identity rows.
+
+    Each block gets its own identity permutation: one row of a tiled table.
+    """
+    identities = np.tile(np.arange(crossbar_rows, dtype=np.int64), (len(costs), 1))
+    return BatchMapping(
+        blocks=[
+            BlockMapping(i, ids[i % len(ids)], identity, cost, sa1_mismatch)
+            for i, (identity, cost, sa1_mismatch) in enumerate(
+                zip(identities, costs, sa1)
+            )
+        ]
+    )
+
+
+def sequential_plans(
+    blocks_per_batch: Sequence[Sequence[np.ndarray]],
+    fault_maps: Sequence[FaultMap],
+    crossbar_ids: Sequence[int],
+    crossbar_rows: int,
+    sa1_weight: float = 1.0,
+) -> List[BatchMapping]:
+    """The fault-unaware plan of every batch: block ``i`` → ``crossbar_ids[i % m]``.
+
+    Each :class:`BlockMapping` carries the identity-permutation mismatch of
+    its placement, counted over the block's stored edges: the edges on SA0
+    cells of its crossbar, plus ``sa1_weight`` times the crossbar's SA1
+    cells that hold no edge.  The fault maps are stacked once for all
+    batches and each batch costs one pass over its edges, with no dense
+    block built; lazy :class:`~repro.pipeline.mapping_engine.AdjacencyBlocks`
+    views are read through their cell layout.  The per-block loop over
+    :func:`permutation_mismatch_cost` it replaces lives in
+    ``tests/reference/mapping.py``; the plans are bit-identical to it.
+    """
+    ids = list(crossbar_ids)
+    if not ids:
+        raise ValueError("num_crossbars must be positive")
+    if len(fault_maps) != len(ids):
+        raise ValueError(
+            f"fault_maps length {len(fault_maps)} does not match "
+            f"num_crossbars {len(ids)}"
+        )
+    sa0, sa1, sa1_counts, shape = _fault_planes(fault_maps)
+    plans = []
+    for blocks in blocks_per_batch:
+        cells, bounds = _stored_cells(blocks, shape)
+        crossbar = np.arange(bounds.size - 1) % len(ids)
+        at = np.repeat(crossbar * sa0.shape[1], np.diff(bounds)) + cells
+        # Per-block counts of the edges on faulty cells: differences of a
+        # running count at the block bounds.
+        sa0_hits = np.diff(np.r_[0, np.cumsum(sa0.ravel()[at])][bounds])
+        sa1_hits = np.diff(np.r_[0, np.cumsum(sa1.ravel()[at])][bounds])
+        sa1_mismatch = (sa1_counts[crossbar] - sa1_hits).astype(np.float64)
+        costs = sa0_hits.astype(np.float64) + sa1_weight * sa1_mismatch
+        plans.append(
+            _round_robin(costs.tolist(), sa1_mismatch.tolist(), ids, crossbar_rows)
+        )
+    return plans
+
+
 def sequential_mapping(
     num_blocks: int,
     crossbar_rows: int,
@@ -211,8 +331,9 @@ def sequential_mapping(
 
     When ``blocks`` and ``fault_maps`` are provided, each
     :class:`BlockMapping` carries the *true* identity-permutation mismatch
-    cost of its placement (0.0 on fault-free crossbars).  Without them the
-    cost is 0.0 — historically it was ``NaN``, which silently poisoned
+    cost of its placement (0.0 on fault-free crossbars), as
+    :func:`sequential_plans` counts it.  Without them the cost is 0.0 —
+    historically it was ``NaN``, which silently poisoned
     :attr:`BatchMapping.total_cost` for every baseline run.
     """
     if num_crossbars <= 0:
@@ -222,34 +343,16 @@ def sequential_mapping(
             "blocks and fault_maps must be supplied together (a half-specified "
             "call would silently report cost 0.0 for a faulty placement)"
         )
-    if fault_maps is not None and len(fault_maps) != num_crossbars:
-        raise ValueError(
-            f"fault_maps length {len(fault_maps)} does not match "
-            f"num_crossbars {num_crossbars}"
-        )
     if blocks is not None and len(blocks) != num_blocks:
         raise ValueError(
             f"blocks length {len(blocks)} does not match num_blocks {num_blocks}"
         )
-    identity = np.arange(crossbar_rows, dtype=np.int64)
-    mappings = []
-    for i in range(num_blocks):
-        crossbar = i % num_crossbars
-        cost, sa1 = 0.0, 0.0
-        if blocks is not None and fault_maps is not None:
-            cost, sa1 = permutation_mismatch_cost(
-                blocks[i], fault_maps[crossbar], sa1_weight=sa1_weight
-            )
-        mappings.append(
-            BlockMapping(
-                block_index=i,
-                crossbar_index=crossbar,
-                row_permutation=identity.copy(),
-                cost=cost,
-                sa1_mismatch=sa1,
-            )
-        )
-    return BatchMapping(blocks=mappings)
+    if blocks is None:
+        zeros = [0.0] * num_blocks
+        return _round_robin(zeros, zeros, range(num_crossbars), crossbar_rows)
+    return sequential_plans(
+        [blocks], fault_maps, range(num_crossbars), crossbar_rows, sa1_weight
+    )[0]
 
 
 # --------------------------------------------------------------------------- #

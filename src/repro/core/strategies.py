@@ -41,6 +41,7 @@ from repro.core.mapping import (
     FaultAwareMapper,
     permutation_mismatch_cost,
     sequential_mapping,
+    sequential_plans,
 )
 from repro.hardware.faults import FaultMap
 from repro.matching.bipartite import solve_assignment
@@ -72,22 +73,7 @@ class Strategy:
         crossbar_rows: int,
     ) -> List[BatchMapping]:
         """Return one :class:`BatchMapping` per mini-batch (naive by default)."""
-        plans = []
-        for blocks in blocks_per_batch:
-            plans.append(
-                sequential_mapping(
-                    len(blocks),
-                    crossbar_rows,
-                    len(crossbar_ids),
-                    blocks=blocks,
-                    fault_maps=fault_maps,
-                )
-            )
-            for mapping in plans[-1].blocks:
-                mapping.crossbar_index = crossbar_ids[
-                    mapping.crossbar_index % len(crossbar_ids)
-                ]
-        return plans
+        return sequential_plans(blocks_per_batch, fault_maps, crossbar_ids, crossbar_rows)
 
     def refresh_adjacency(
         self,

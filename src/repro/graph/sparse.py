@@ -92,17 +92,16 @@ class CSRMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
+        # One stable sort by the row-major key; duplicates end up adjacent in
+        # input order.
+        keys = rows * n_cols + cols
+        order = np.argsort(keys, kind="stable")
         if sum_duplicates and rows.size:
-            keys = rows * n_cols + cols
-            order = np.argsort(keys, kind="stable")
-            keys, rows, cols, values = keys[order], rows[order], cols[order], values[order]
-            unique_keys, starts = np.unique(keys, return_index=True)
-            summed = np.add.reduceat(values, starts)
-            rows = (unique_keys // n_cols).astype(np.int64)
-            cols = (unique_keys % n_cols).astype(np.int64)
-            values = summed
+            keys = keys[order]
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            values = np.add.reduceat(values[order], starts)
+            rows, cols = np.divmod(keys[starts], n_cols)
         else:
-            order = np.lexsort((cols, rows))
             rows, cols, values = rows[order], cols[order], values[order]
         counts = np.bincount(rows, minlength=n_rows)
         indptr = np.concatenate(([0], np.cumsum(counts)))

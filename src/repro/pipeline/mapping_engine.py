@@ -363,6 +363,18 @@ class AdjacencyBlocks(abc.Sequence):
         self._cells = cell.astype(np.int32)
         self._bounds[1:] = np.cumsum(np.bincount(block, minlength=len(self)))
 
+    def cell_layout(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cells, bounds)``: block ``k``'s ones are ``cells[bounds[k]:bounds[k + 1]]``.
+
+        Cells are flat ``local_row * cols + local_col`` indices, ascending
+        within a block.  The arrays are the view's own (do not modify them);
+        :func:`repro.core.mapping.sequential_plans` counts the fault-unaware
+        plan's costs from them without building a block.
+        """
+        if self._adjacency is not None:
+            self._layout()
+        return self._cells, self._bounds
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[k] for k in range(*index.indices(len(self)))]
@@ -371,10 +383,9 @@ class AdjacencyBlocks(abc.Sequence):
             k += len(self)
         if not 0 <= k < len(self):
             raise IndexError(f"block index {index} out of range for {len(self)} blocks")
-        if self._adjacency is not None:
-            self._layout()
+        cells, bounds = self.cell_layout()
         block = np.zeros(self.rows * self.cols, dtype=np.float64)
-        block[self._cells[self._bounds[k] : self._bounds[k + 1]]] = 1.0
+        block[cells[bounds[k] : bounds[k + 1]]] = 1.0
         return block.reshape(self.rows, self.cols)
 
 

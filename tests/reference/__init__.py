@@ -5,7 +5,10 @@ replaced live here, next to the tests that compare against them, and the
 throughput benchmarks use them as their baselines:
 
 * :mod:`reference.mapping` — the per-pair loop behind Algorithm 1 (for the
-  batched mapping cost engine);
+  batched mapping cost engine) and the per-block loop of the fault-unaware
+  plan (for its edge-coordinate count);
+* :mod:`reference.graph` — the lexsort heavy-edge matcher of the streaming
+  partitioner (for its segment maxima) and the double-sort ``from_coo``;
 * :mod:`reference.matching` — the scalar Hungarian loop that updates every
   dual potential in place (for the compact-tree ``hungarian_assignment``),
   the copy-and-mask scalar greedy (for the submatrix ``greedy_assignment``)

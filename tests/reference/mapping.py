@@ -1,14 +1,65 @@
-"""The seed per-pair loop behind Algorithm 1 (reference for the cost engine)."""
+"""Seed mapping loops: references for the cost engine and the sequential plan.
+
+* :class:`SeedPairLoop` / :class:`SeedLoopMapper` — the per-pair loop behind
+  Algorithm 1 (for :class:`~repro.core.cost_engine.MappingCostEngine`);
+* :func:`seed_sequential_mapping` — the fault-unaware plan with one
+  :func:`~repro.core.mapping.permutation_mismatch_cost` call per dense block
+  (for the edge-coordinate count of
+  :func:`~repro.core.mapping.sequential_plans`).
+"""
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cost_engine import CostEngineStats
-from repro.core.mapping import FaultAwareMapper, block_crossbar_cost
+from repro.core.mapping import (
+    BatchMapping,
+    BlockMapping,
+    FaultAwareMapper,
+    block_crossbar_cost,
+    permutation_mismatch_cost,
+)
 from repro.hardware.faults import FaultMap
+
+
+def seed_sequential_mapping(
+    num_blocks: int,
+    crossbar_rows: int,
+    num_crossbars: int,
+    blocks: Optional[Sequence[np.ndarray]] = None,
+    fault_maps: Optional[Sequence[FaultMap]] = None,
+    sa1_weight: float = 1.0,
+) -> BatchMapping:
+    """Block ``i`` → crossbar ``i % m``, identity rows, costed block by block.
+
+    Every block is read dense and compared cell by cell with its crossbar's
+    fault map (``permutation_mismatch_cost`` with the identity permutation;
+    a fault-free map costs 0.0 without a look at the block).
+    """
+    if num_crossbars <= 0:
+        raise ValueError("num_crossbars must be positive")
+    identity = np.arange(crossbar_rows, dtype=np.int64)
+    mappings = []
+    for i in range(num_blocks):
+        crossbar = i % num_crossbars
+        cost, sa1 = 0.0, 0.0
+        if blocks is not None and fault_maps is not None:
+            cost, sa1 = permutation_mismatch_cost(
+                blocks[i], fault_maps[crossbar], sa1_weight=sa1_weight
+            )
+        mappings.append(
+            BlockMapping(
+                block_index=i,
+                crossbar_index=crossbar,
+                row_permutation=identity.copy(),
+                cost=cost,
+                sa1_mismatch=sa1,
+            )
+        )
+    return BatchMapping(blocks=mappings)
 
 
 class SeedPairLoop:

@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.graph.sparse import CSRMatrix
 
+from reference.graph import seed_from_coo
+
 
 def random_sparse_dense(rows=6, cols=5, density=0.4, seed=0):
     rng = np.random.default_rng(seed)
@@ -35,6 +37,24 @@ class TestConstruction:
     def test_from_coo_without_summing(self):
         mat = CSRMatrix.from_coo([0, 0], [1, 1], [1.0, 2.0], (2, 2), sum_duplicates=False)
         assert mat.nnz == 2
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("sum_duplicates", [True, False])
+    def test_from_coo_equals_the_double_sort_seed(self, seed, sum_duplicates):
+        """One key sort gives the seed's CSR bit for bit, duplicates included."""
+        rng = np.random.default_rng(seed)
+        n_rows, n_cols = (int(x) for x in rng.integers(1, 40, 2))
+        nnz = int(rng.integers(0, 4 * n_rows * n_cols))
+        rows = rng.integers(0, n_rows, nnz)
+        cols = rng.integers(0, n_cols, nnz)
+        values = rng.choice([-2.0, -0.0, 0.0, 0.1, 0.7, 1e16, 3.0], nnz)
+        reference = seed_from_coo(rows, cols, values, (n_rows, n_cols), sum_duplicates)
+        candidate = CSRMatrix.from_coo(rows, cols, values, (n_rows, n_cols), sum_duplicates)
+        assert candidate.shape == reference.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(candidate, name), getattr(reference, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
 
     def test_identity(self):
         np.testing.assert_array_equal(CSRMatrix.identity(4).to_dense(), np.eye(4))
