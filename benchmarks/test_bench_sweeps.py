@@ -8,7 +8,8 @@ scan from scratch.  This benchmark times a **Fig. 4-shaped
 (strategy × fault-density × seed) grid** both ways:
 
 * **seed loop** — the pre-refactor behaviour: one cold ``run_single``
-  (``execute_spec`` with no artifacts) per cell, serially;
+  (``tests/reference/sweeps.py::seed_execute_spec``, every input rebuilt
+  from scratch) per cell, serially;
 * **sweep engine** — the same grid as one :class:`SweepPlan` through a cold
   :class:`SweepEngine`: preprocessing artifacts are content-keyed and shared
   across cells, results keyed by spec.
@@ -34,9 +35,10 @@ draw keep machine noise from flaking the gate (same margin discipline as
 
 import time
 
-from repro.experiments.sweeps import SweepEngine, SweepPlan, execute_spec
+from repro.experiments.sweeps import SweepEngine, SweepPlan
 
 from _bench_utils import bench_epochs, bench_scale, bench_seed, record_result
+from reference.sweeps import seed_execute_spec
 from repro.utils.tabulate import format_table
 
 MIN_SPEEDUP = 2.5
@@ -82,7 +84,7 @@ def _time_paths(plan, repetitions=3):
     summaries = {}
     for _ in range(repetitions):
         start = time.perf_counter()
-        results["loop"] = {spec: execute_spec(spec) for spec in plan}
+        results["loop"] = {spec: seed_execute_spec(spec) for spec in plan}
         best["loop"] = min(best["loop"], time.perf_counter() - start)
 
         engine = SweepEngine()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.mapping import block_crossbar_cost
+from repro.core.cost_engine import MappingCostEngine
 from repro.hardware.crossbar import Crossbar
 from repro.hardware.faults import FaultMap
 from repro.hardware.quantization import (
@@ -74,7 +74,8 @@ def adjacency_corruption_demo() -> None:
     crossbar.program_binary(block)
     naive = crossbar.read_binary()
 
-    cost, permutation, _ = block_crossbar_cost(block, fault_map, sa1_weight=4.0, method="hungarian")
+    engine = MappingCostEngine(sa1_weight=4.0, row_method="hungarian")
+    [(cost, permutation, _)] = engine.pair_results([block], [fault_map])
     crossbar.program_binary(block, row_permutation=permutation)
     remapped = crossbar.read_binary(row_permutation=permutation)
 

@@ -30,8 +30,6 @@ from repro.core.mapping import (
     BlockMapping,
     BatchMapping,
     FaultAwareMapper,
-    block_crossbar_cost,
-    block_row_cost_matrix,
     permutation_mismatch_cost,
     sequential_mapping,
     sequential_plans,
@@ -56,8 +54,6 @@ __all__ = [
     "BlockMapping",
     "BatchMapping",
     "FaultAwareMapper",
-    "block_crossbar_cost",
-    "block_row_cost_matrix",
     "permutation_mismatch_cost",
     "sequential_mapping",
     "sequential_plans",

@@ -40,10 +40,10 @@ delta is just another ``map_blocks`` call on the same mapper: the cache
 serves every pair whose block and fault map are unchanged, and only the
 pairs against changed maps are solved again.
 
-The seed per-pair loop — ``B·M`` independent calls of
-:func:`block_crossbar_cost`, every permutation materialised — lives in
-``tests/reference/mapping.py``.  ``tests/test_core_cost_engine.py`` proves
-both return identical :class:`BatchMapping` outputs;
+The seed per-pair loop — ``B·M`` independent single-pair solves, every
+permutation materialised — lives in ``tests/reference/mapping.py``.
+``tests/test_core_cost_engine.py`` proves both return identical
+:class:`BatchMapping` outputs;
 ``benchmarks/test_bench_mapping_throughput.py`` (greedy) and
 ``benchmarks/test_bench_exact_matching.py`` (exact methods) time the engine
 against it.
@@ -67,73 +67,16 @@ import numpy as np
 
 from repro.core.cost_engine import MappingCostEngine
 from repro.hardware.faults import FaultMap
-from repro.matching.bipartite import solve_assignment
 from repro.matching.hungarian import hungarian_assignment
 
 __all__ = [
     "BatchMapping",
     "BlockMapping",
     "FaultAwareMapper",
-    "block_crossbar_cost",
-    "block_row_cost_matrix",
     "permutation_mismatch_cost",
     "sequential_mapping",
     "sequential_plans",
 ]
-
-
-def block_row_cost_matrix(
-    block: np.ndarray, fault_map: FaultMap, sa1_weight: float = 1.0
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mismatch cost of mapping every block row onto every crossbar row.
-
-    Returns ``(total_cost, sa0_cost, sa1_cost)`` where each matrix has shape
-    ``(block_rows, crossbar_rows)``:
-
-    * ``sa0_cost[r, s]`` — ones of block row ``r`` that would land on SA0
-      cells of crossbar row ``s`` (deleted edges),
-    * ``sa1_cost[r, s]`` — zeros of block row ``r`` that would land on SA1
-      cells of crossbar row ``s`` (spurious edges),
-    * ``total_cost = sa0_cost + sa1_weight * sa1_cost``.
-
-    This is the per-pair arithmetic of the seed formulation
-    (:func:`block_crossbar_cost`); the cost engine computes the same
-    integers for whole stacks of pairs.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape != fault_map.shape:
-        raise ValueError(
-            f"block shape {block.shape} does not match fault map {fault_map.shape}"
-        )
-    if sa1_weight < 0:
-        raise ValueError(f"sa1_weight must be non-negative, got {sa1_weight}")
-    ones = (block > 0).astype(np.float64)
-    zeros = 1.0 - ones
-    sa0_cost = ones @ fault_map.sa0.astype(np.float64).T
-    sa1_cost = zeros @ fault_map.sa1.astype(np.float64).T
-    return sa0_cost + sa1_weight * sa1_cost, sa0_cost, sa1_cost
-
-
-def block_crossbar_cost(
-    block: np.ndarray,
-    fault_map: FaultMap,
-    sa1_weight: float = 1.0,
-    method: str = "greedy",
-) -> Tuple[float, np.ndarray, float]:
-    """Best achievable (weighted) mismatch of a block on a crossbar.
-
-    Returns ``(total_cost, row_permutation, sa1_mismatch)`` where
-    ``row_permutation[i]`` is the crossbar row that block row ``i`` should be
-    written to, and ``sa1_mismatch`` is the (unweighted) number of spurious
-    edges the chosen permutation still incurs.
-    """
-    if fault_map.is_fault_free():
-        n = block.shape[0]
-        return 0.0, np.arange(n, dtype=np.int64), 0.0
-    total, _, sa1_cost = block_row_cost_matrix(block, fault_map, sa1_weight)
-    permutation, cost = solve_assignment(total, method=method)
-    sa1_mismatch = float(sa1_cost[np.arange(len(permutation)), permutation].sum())
-    return float(cost), permutation.astype(np.int64), sa1_mismatch
 
 
 def permutation_mismatch_cost(
@@ -369,10 +312,8 @@ class FaultAwareMapper:
     row_method:
         Assignment solver used for the inner row-to-row matching
         (``'bsuitor'`` as in the paper, ``'hungarian'`` for exact,
-        ``'greedy'`` for speed).
-    assignment_method:
-        Solver for the outer block → crossbar assignment (default exact
-        Hungarian; the problem is small).
+        ``'greedy'`` for speed).  The outer block → crossbar assignment is
+        always solved exactly (:func:`hungarian_assignment`, Algorithm 1).
     prune_crossbars:
         Enable the crossbar-pruning heuristic (Algorithm 1, line 12).
     relax_sparsest_block:
@@ -383,7 +324,6 @@ class FaultAwareMapper:
         self,
         sa1_weight: float = 4.0,
         row_method: str = "greedy",
-        assignment_method: str = "hungarian",
         prune_crossbars: bool = True,
         relax_sparsest_block: bool = True,
     ) -> None:
@@ -394,7 +334,6 @@ class FaultAwareMapper:
             )
         self.sa1_weight = float(sa1_weight)
         self.row_method = row_method
-        self.assignment_method = assignment_method
         self.prune_crossbars = bool(prune_crossbars)
         self.relax_sparsest_block = bool(relax_sparsest_block)
         self.cost_engine = MappingCostEngine(
@@ -514,10 +453,7 @@ class FaultAwareMapper:
 
         # --- outer assignment (line 18) ---------------------------------
         sub_cost = costs[np.ix_(active_blocks, candidate_crossbars)]
-        if self.assignment_method == "hungarian":
-            assignment, _ = hungarian_assignment(sub_cost)
-        else:
-            assignment, _ = solve_assignment(sub_cost, method=self.assignment_method)
+        assignment, _ = hungarian_assignment(sub_cost)
 
         block_mappings: List[BlockMapping] = []
         used_crossbars = set()

@@ -44,7 +44,7 @@ from repro.core.mapping import (
     sequential_plans,
 )
 from repro.hardware.faults import FaultMap
-from repro.matching.bipartite import solve_assignment
+from repro.matching.greedy import greedy_assignment
 from repro.tensor.module import Module
 
 
@@ -129,9 +129,6 @@ class Strategy:
     def after_optimizer_step(self, model: Module) -> None:
         """Hook run after every digital weight update."""
 
-    def on_epoch_end(self) -> None:
-        """Hook run at the end of every training epoch."""
-
     def mapping_engine_stats(self) -> Optional[Dict[str, float]]:
         """Work counters of the strategy's own mapping engine, if it has one.
 
@@ -200,17 +197,17 @@ class NeuronReorderingStrategy(Strategy):
     for NR [7].  The kept permutation reproduces NR's reported accuracy
     shape — better than fault-unaware, clearly worse than FARe, and markedly
     worse under the 1:1 SA0:SA1 ratio because the matching ignores SA1
-    criticality.
+    criticality.  Both reorderings (row groups and weight rows) are solved
+    with :func:`~repro.matching.greedy.greedy_assignment`.
     """
 
     name = "nr"
     reorders_every_batch = True
 
-    def __init__(self, group_size: int = 8, method: str = "greedy") -> None:
+    def __init__(self, group_size: int = 8) -> None:
         if group_size <= 0:
             raise ValueError(f"group_size must be positive, got {group_size}")
         self.group_size = int(group_size)
-        self.method = method
         self._weight_permutations: Dict[str, np.ndarray] = {}
 
     def plan_signature(self) -> Optional[Tuple]:
@@ -222,7 +219,7 @@ class NeuronReorderingStrategy(Strategy):
             is not NeuronReorderingStrategy._group_permutation
         ):
             return None
-        return ("nr", self.group_size, self.method)
+        return ("nr", self.group_size)
 
     # -- aggregation ---------------------------------------------------- #
     def plan_adjacency(
@@ -279,7 +276,7 @@ class NeuronReorderingStrategy(Strategy):
         sa0_flat = sa0.reshape(num_groups, -1).astype(np.float64)
         sa1_flat = sa1.reshape(num_groups, -1).astype(np.float64)
         cost = ones_flat @ sa0_flat.T + zeros_flat @ sa1_flat.T
-        group_assignment, _ = solve_assignment(cost, method=self.method)
+        group_assignment, _ = greedy_assignment(cost)
         permutation = np.arange(n, dtype=np.int64)
         for g in range(num_groups):
             target = int(group_assignment[g])
@@ -311,14 +308,10 @@ class NeuronReorderingStrategy(Strategy):
             raise ValueError("mismatch cost rows must match the weight's row count")
         if not cost.any():
             return None
-        assignment, _ = solve_assignment(cost, method=self.method)
+        assignment, _ = greedy_assignment(cost)
         permutation = assignment.astype(np.int64)
         self._weight_permutations[name] = permutation
         return permutation
-
-    def reset_weight_permutations(self) -> None:
-        """Drop the cached permutations (used when re-planning from scratch)."""
-        self._weight_permutations.clear()
 
     def refresh_adjacency(
         self,
@@ -355,7 +348,6 @@ class FaReStrategy(Strategy):
         clipping_threshold: float = 1.0,
         sa1_weight: float = 4.0,
         row_method: str = "greedy",
-        assignment_method: str = "hungarian",
         prune_crossbars: bool = True,
         relax_sparsest_block: bool = True,
     ) -> None:
@@ -363,7 +355,6 @@ class FaReStrategy(Strategy):
         self.mapper = FaultAwareMapper(
             sa1_weight=sa1_weight,
             row_method=row_method,
-            assignment_method=assignment_method,
             prune_crossbars=prune_crossbars,
             relax_sparsest_block=relax_sparsest_block,
         )
@@ -379,7 +370,6 @@ class FaReStrategy(Strategy):
             "fare",
             mapper.sa1_weight,
             mapper.row_method,
-            mapper.assignment_method,
             mapper.prune_crossbars,
             mapper.relax_sparsest_block,
         )

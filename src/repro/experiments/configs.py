@@ -181,7 +181,7 @@ def strategy_kwargs_for(strategy_name: str, scale: str) -> Dict[str, object]:
     if strategy_name == "clipping":
         return {"threshold": settings.clipping_threshold}
     if strategy_name == "nr":
-        return {"group_size": 8, "method": "greedy"}
+        return {"group_size": 8}
     return {}
 
 

@@ -20,6 +20,11 @@ cost/SA1 mismatch, how many fault maps the BIST saw change, the pairs
 re-solved (cache misses) and reused (cache hits), and re-plan wall time
 (optionally alongside a from-scratch re-plan of the same maps).
 
+The trainer is built from scratch, as
+``tests/reference/sweeps.py::seed_execute_spec`` builds a sweep run, but
+without a post-deployment schedule: its epoch loop never re-scans, and
+every re-plan is a wear-out step driven from here.
+
 Two drivers:
 
 * :func:`run_lifetime` — train once at the base density, then walk the
@@ -186,8 +191,6 @@ def _build_trainer(
         strategy=strategy,
         config=config,
         hardware=hardware,
-        post_deployment=None,
-        replan_on_rescan=True,
     )
 
 
@@ -217,7 +220,6 @@ def _wear_step(
         cold = FaReStrategy(
             sa1_weight=mapper.sa1_weight,
             row_method=mapper.row_method,
-            assignment_method=mapper.assignment_method,
             prune_crossbars=mapper.prune_crossbars,
             relax_sparsest_block=mapper.relax_sparsest_block,
         )

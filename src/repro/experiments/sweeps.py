@@ -86,7 +86,7 @@ from repro.experiments.failures import (
     format_failure_report,
 )
 from repro.graph.datasets import load_dataset
-from repro.graph.partition import PartitionResult, partition_graph
+from repro.graph.partition import partition_graph
 from repro.graph.sampling import ClusterBatch, ClusterBatchSampler
 from repro.hardware.bist import BISTReport
 from repro.hardware.endurance import PostDeploymentSchedule
@@ -104,7 +104,8 @@ from repro.utils.rng import spawn_rngs
 logger = get_logger("experiments.sweeps")
 
 #: Bump on any semantic change that invalidates previously stored results.
-SIGNATURE_VERSION = 1
+#: Version 2: NR specs no longer carry ``method`` in their strategy kwargs.
+SIGNATURE_VERSION = 2
 
 #: Canonical SA0:SA1 ratio used when the ratio cannot affect the outcome.
 DEFAULT_SA_RATIO: Tuple[float, float] = (9.0, 1.0)
@@ -457,7 +458,6 @@ class ArtifactCache:
     artifact         key
     ===============  =====================================================
     graph            (dataset, scale, seed)
-    partition        (dataset, scale, seed, num_parts)
     batches          (dataset, scale, seed, num_parts, batch_clusters)
     decomposition    batches key + (crossbar_rows, crossbar_cols)
     hardware         (scale, density, sa_ratio, seed, fault_region)
@@ -474,7 +474,6 @@ class ArtifactCache:
     #: the big ones, a handful of groups in flight is plenty.
     CAPACITIES = {
         "graph": 4,
-        "partition": 8,
         "batches": 4,
         "decomposition": 4,
         "hardware": 8,
@@ -500,30 +499,23 @@ class ArtifactCache:
             key, lambda: load_dataset(spec.dataset, scale=spec.scale, seed=spec.seed)
         )
 
-    def partition(self, spec: RunSpec) -> PartitionResult:
-        num_parts, _ = self._batch_shape(spec)
-        key = spec.artifact_group() + (num_parts,)
-
-        def compute() -> PartitionResult:
-            graph = self.graph(spec)
-            # Replay the trainer's RNG derivation: the sampler stream is the
-            # second of the three children spawned from the training seed.
-            _, rng_sampler, _ = spawn_rngs(spec.seed, 3)
-            return partition_graph(graph.adjacency, num_parts, seed=rng_sampler)
-
-        return self._caches["partition"].get(key, compute)
-
     def batches(self, spec: RunSpec) -> List[ClusterBatch]:
         num_parts, batch_clusters = self._batch_shape(spec)
         key = spec.artifact_group() + (num_parts, batch_clusters)
 
         def compute() -> List[ClusterBatch]:
+            graph = self.graph(spec)
+            # Replay the trainer's RNG derivation: the sampler stream is the
+            # second of the three children spawned from the training seed.
+            _, rng_sampler, _ = spawn_rngs(spec.seed, 3)
             sampler = ClusterBatchSampler(
-                self.graph(spec),
+                graph,
                 num_parts=num_parts,
                 batch_clusters=batch_clusters,
                 seed=None,
-                partition=self.partition(spec),
+                partition=partition_graph(
+                    graph.adjacency, num_parts, seed=rng_sampler
+                ),
             )
             return list(sampler.epoch(shuffle=False))
 
@@ -640,11 +632,12 @@ def execute_spec(
 ) -> TrainingResult:
     """Train one spec and return its result.
 
-    With ``artifacts=None`` every input is rebuilt from scratch — byte-for-byte
-    the seed ``run_single`` behaviour, kept as the reference path for the
-    equivalence tests and the sweep benchmark baseline.  With an
-    :class:`ArtifactCache`, shared preprocessing is reused as described in the
-    module docstring; the training outcome is bit-identical either way.
+    Shared preprocessing comes from ``artifacts`` as described in the module
+    docstring; with ``artifacts=None`` the run builds its inputs through a
+    fresh :class:`ArtifactCache`.  The training outcome is bit-identical to
+    a run that rebuilds every input from scratch, the seed ``run_single``
+    behaviour kept as ``tests/reference/sweeps.py::seed_execute_spec`` for
+    the equivalence tests and the sweep benchmark baseline.
 
     ``injector``/``attempt`` are the deterministic fault-injection hook used
     by the chaos tests: a scheduled per-spec failure raises before any work
@@ -652,6 +645,8 @@ def execute_spec(
     """
     if injector is not None:
         injector.on_spec_start(spec.signature(), attempt)
+    if artifacts is None:
+        artifacts = ArtifactCache()
     strategy_kwargs = dict(spec.strategy_kwargs)
     training_config = configs.training_config(
         spec.dataset, spec.scale, seed=spec.seed, epochs=spec.epochs
@@ -660,46 +655,31 @@ def execute_spec(
 
     hardware = None
     post_deployment = None
-    trainer_artifacts = None
-    if artifacts is None:
-        graph = load_dataset(spec.dataset, scale=spec.scale, seed=spec.seed)
-        if strategy.requires_hardware:
-            hardware = build_hardware(
-                spec.scale,
-                spec.fault_density,
-                spec.sa_ratio,
-                seed=spec.seed,
-                fault_region=spec.fault_region,
-            )
-    else:
-        graph = artifacts.graph(spec)
-        trainer_artifacts = TrainerArtifacts(
-            partition=artifacts.partition(spec),
-            batches=artifacts.batches(spec),
+    graph = artifacts.graph(spec)
+    trainer_artifacts = TrainerArtifacts(batches=artifacts.batches(spec))
+    if strategy.requires_hardware:
+        hardware = artifacts.hardware(spec)
+        blocks_per_batch = artifacts.decomposition(spec)
+        report = artifacts.bist_report(spec, hardware)
+        crossbar_ids = [x.crossbar_id for x in hardware.adjacency_crossbars]
+        trainer_artifacts = replace(
+            trainer_artifacts,
+            blocks_per_batch=blocks_per_batch,
+            bist_report=report,
+            plans=artifacts.plans(
+                spec,
+                strategy,
+                blocks_per_batch,
+                report,
+                crossbar_ids,
+                hardware.config.crossbar_rows,
+            ),
         )
-        if strategy.requires_hardware:
-            hardware = artifacts.hardware(spec)
-            blocks_per_batch = artifacts.decomposition(spec)
-            report = artifacts.bist_report(spec, hardware)
-            crossbar_ids = [x.crossbar_id for x in hardware.adjacency_crossbars]
-            trainer_artifacts = replace(
-                trainer_artifacts,
-                blocks_per_batch=blocks_per_batch,
-                bist_report=report,
-                plans=artifacts.plans(
-                    spec,
-                    strategy,
-                    blocks_per_batch,
-                    report,
-                    crossbar_ids,
-                    hardware.config.crossbar_rows,
-                ),
+        if spec.post_deployment_extra:
+            post_deployment = PostDeploymentSchedule(
+                total_extra_density=spec.post_deployment_extra,
+                num_epochs=training_config.epochs,
             )
-    if strategy.requires_hardware and spec.post_deployment_extra:
-        post_deployment = PostDeploymentSchedule(
-            total_extra_density=spec.post_deployment_extra,
-            num_epochs=training_config.epochs,
-        )
 
     trainer = FaultyTrainer(
         graph=graph,

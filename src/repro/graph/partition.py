@@ -299,13 +299,20 @@ def _edge_cut(adjacency: CSRMatrix, assignment: np.ndarray) -> int:
 #: (the per-vertex Python loops of the multilevel path stop being practical).
 STREAMING_NODE_THRESHOLD = 50_000
 
+#: Coarsening stops once the graph has at most ``max(COARSEN_UNTIL,
+#: per_part * num_parts)`` vertices (``per_part`` is 4, or 16 when streaming).
+COARSEN_UNTIL = 200
+
+#: Safety bound on the number of coarsening levels, per method.  Streaming's
+#: mutual matching contracts more slowly per level than sequential matching,
+#: and large graphs need the extra levels to reach the stop size.
+MAX_LEVELS = {"multilevel": 10, "streaming": 16}
+
 
 def partition_graph(
     adjacency: CSRMatrix,
     num_parts: int,
     seed: Optional[int] = 0,
-    coarsen_until: int = 200,
-    max_levels: int = 10,
     method: str = "auto",
 ) -> PartitionResult:
     """Partition ``adjacency`` into ``num_parts`` balanced clusters.
@@ -318,14 +325,6 @@ def partition_graph(
         Number of clusters (the paper's "Partitions" column of Table II).
     seed:
         RNG seed controlling matching/growing tie-breaks.
-    coarsen_until:
-        Stop coarsening once the graph has at most ``max(coarsen_until,
-        4 * num_parts)`` vertices.
-    max_levels:
-        Safety bound on the number of coarsening levels (the streaming
-        method raises this floor to 16: its mutual matching contracts more
-        slowly per level than sequential matching, and large graphs need the
-        extra levels to reach the stop size).
     method:
         ``"multilevel"`` — the original three-phase scheme with per-level
         KL refinement (per-vertex Python loops; right for the CI-scale
@@ -356,8 +355,6 @@ def partition_graph(
         return PartitionResult(assignment, 1, 0, 1.0)
 
     streaming = method == "streaming"
-    if streaming:
-        max_levels = max(max_levels, 16)
 
     # Coarsening phase.  The streaming path stops at a finer coarsest graph
     # (16 coarse vertices per part instead of 4): it refines only there, so
@@ -367,8 +364,8 @@ def partition_graph(
     weights: List[np.ndarray] = [np.ones(n)]
     matches: List[np.ndarray] = []
     per_part = 16 if streaming else 4
-    stop_size = max(coarsen_until, per_part * num_parts)
-    for _ in range(max_levels):
+    stop_size = max(COARSEN_UNTIL, per_part * num_parts)
+    for _ in range(MAX_LEVELS[method]):
         current = graphs[-1]
         if current.shape[0] <= stop_size:
             break

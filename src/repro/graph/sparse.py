@@ -176,10 +176,6 @@ class CSRMatrix:
         total = self.shape[0] * self.shape[1]
         return self.nnz / total if total else 0.0
 
-    def row_nnz(self) -> np.ndarray:
-        """Number of stored entries per row."""
-        return np.diff(self.indptr)
-
     def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return (column indices, values) of row ``i``."""
         if not 0 <= i < self.shape[0]:

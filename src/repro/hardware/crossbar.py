@@ -111,24 +111,6 @@ class Crossbar:
             self._stored, self.fault_map.sa0, self.fault_map.sa1, self.cell_levels
         )
 
-    def read_region(self, rows: int, cols: int, row_offset: int = 0, col_offset: int = 0) -> np.ndarray:
-        """Read a sub-region of the crossbar with faults applied.
-
-        Only the requested region is materialised — faults are applied to the
-        slice, not to the whole array followed by a slice.
-        """
-        r0, c0 = int(row_offset), int(col_offset)
-        if r0 + rows > self.rows or c0 + cols > self.cols:
-            raise ValueError("read region exceeds crossbar bounds")
-        row_slice = slice(r0, r0 + rows)
-        col_slice = slice(c0, c0 + cols)
-        return apply_faults_to_cells(
-            self._stored[row_slice, col_slice],
-            self.fault_map.sa0[row_slice, col_slice],
-            self.fault_map.sa1[row_slice, col_slice],
-            self.cell_levels,
-        )
-
     def read_ideal(self) -> np.ndarray:
         """Read the stored values ignoring faults (for analysis/tests only)."""
         return self._stored.copy()

@@ -105,10 +105,6 @@ class TileCostModel:
         pairs = max(num_blocks, 1) * max(num_crossbars, 1)
         return pairs * self.host_matching_time_per_block_s
 
-    def row_permutation_time_s(self, num_blocks: int) -> float:
-        """Per-epoch host cost of re-running row permutations (overlapped)."""
-        return num_blocks * self.host_matching_time_per_block_s
-
     def neuron_reorder_time_s(self, num_units: int) -> float:
         """Per-batch host cost of the NR baseline's reordering."""
         return num_units * self.host_reorder_time_per_unit_s

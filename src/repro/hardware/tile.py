@@ -35,14 +35,6 @@ class Tile:
     def __repr__(self) -> str:
         return f"Tile(id={self.tile_id}, crossbars={len(self.crossbars)})"
 
-    @property
-    def area_mm2(self) -> float:
-        return self.config.tile_area_mm2
-
-    @property
-    def power_w(self) -> float:
-        return self.config.tile_power_w
-
     def total_writes(self) -> int:
         return sum(xbar.total_writes for xbar in self.crossbars)
 

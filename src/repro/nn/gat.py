@@ -120,11 +120,6 @@ def attention_edges_cached(adjacency: CSRMatrix) -> AttentionEdges:
     return edges
 
 
-def clear_edge_cache() -> None:
-    """Release all memoised attention edge lists (and their pinned keys)."""
-    _EDGE_CACHE.clear()
-
-
 class GATLayer(GNNModel):
     """Multi-head graph attention layer (sparse edge-wise attention)."""
 

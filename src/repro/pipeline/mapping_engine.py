@@ -176,24 +176,6 @@ class WeightCrossbarMapper:
         return self.crossbars_used
 
     # ------------------------------------------------------------------ #
-    def row_fault_severity(self, name: str) -> np.ndarray:
-        """Per-(logical row, cell column) fault severity for NR's reordering.
-
-        The severity of a faulty cell is the magnitude of the value range it
-        controls (``cell_levels ** position`` counted from the LSB cell), so
-        MSB-cell faults dominate the sum — matching the weight-explosion
-        asymmetry.
-        """
-        layout = self.layout(name)
-        sa0, sa1 = self._fault_cache[name]
-        any_fault = (sa0 | sa1).astype(np.float64)
-        num_cells = self.fmt.num_cells
-        significance = np.array(
-            [float(self.fmt.cell_levels ** (num_cells - 1 - i)) for i in range(num_cells)]
-        )
-        weights = np.tile(significance, layout.shape[1])
-        return any_fault * weights[None, :]
-
     def row_mismatch_cost(self, name: str, values: np.ndarray) -> np.ndarray:
         """Cell-mismatch cost of storing each logical row at each physical row.
 
@@ -589,7 +571,6 @@ class HardwareEnvironment:
         weight_fraction: float = 0.5,
         fmt: Optional[FixedPointFormat] = None,
         num_crossbars: Optional[int] = None,
-        bist_coverage: float = 1.0,
     ) -> None:
         if not 0.0 < weight_fraction < 1.0:
             raise ValueError(f"weight_fraction must be in (0, 1), got {weight_fraction}")
@@ -605,7 +586,7 @@ class HardwareEnvironment:
         )
         split_point = max(1, min(len(self.pool) - 1, int(len(self.pool) * weight_fraction)))
         self.weight_crossbars, self.adjacency_crossbars = self.pool.split(split_point)
-        self.bist = BISTController(config=config, coverage=bist_coverage)
+        self.bist = BISTController(config=config)
 
     def overall_fault_density(self) -> float:
         return self.pool.overall_density()

@@ -46,7 +46,6 @@ from repro.core.hw_state import HardwareStateCache
 from repro.core.mapping import BatchMapping
 from repro.core.strategies import Strategy
 from repro.graph.graph import Graph
-from repro.graph.partition import PartitionResult
 from repro.graph.sampling import ClusterBatch, ClusterBatchSampler
 from repro.graph.sparse import CSRMatrix
 from repro.hardware.bist import BISTReport
@@ -115,9 +114,7 @@ class TrainerArtifacts:
     ``tests/test_experiments_sweeps.py``).
     """
 
-    #: Cluster partition for the sampler (skips ``partition_graph``).
-    partition: Optional[PartitionResult] = None
-    #: The fixed mini-batch list (skips sampler construction entirely).
+    #: The fixed mini-batch list (skips partitioning and the sampler).
     batches: Optional[List[ClusterBatch]] = None
     #: Per-batch adjacency blocks (skips ``decompose``): one sequence of
     #: crossbar-sized blocks per batch, e.g. the ``AdjacencyBlocks`` views.
@@ -156,7 +153,16 @@ class TrainingResult:
 
 
 class FaultyTrainer:
-    """Trains one GNN on one graph under one fault-handling strategy."""
+    """Trains one GNN on one graph under one fault-handling strategy.
+
+    The trainer builds every pre-processing input that ``artifacts`` does
+    not supply.  The sweep engine supplies the inputs it shares across runs;
+    ``tests/reference/sweeps.py`` builds trainers with none, the reference
+    that sharing is proved against.  After each epoch of a post-deployment
+    schedule the BIST re-scans and the strategy refreshes its mapping with
+    Π kept (Section IV-A); a full re-plan is :meth:`apply_fault_delta` with
+    ``replan=True``, which the lifetime experiment calls.
+    """
 
     #: Node budget of one batched-eval bucket: consecutive mini-batches are
     #: fused into one block-diagonal forward until adding the next batch
@@ -177,7 +183,6 @@ class FaultyTrainer:
         hardware: Optional[HardwareEnvironment] = None,
         post_deployment: Optional[PostDeploymentSchedule] = None,
         artifacts: Optional[TrainerArtifacts] = None,
-        replan_on_rescan: bool = False,
         use_agg_precompute: bool = True,
         train_mode: str = "per_batch",
     ) -> None:
@@ -188,14 +193,6 @@ class FaultyTrainer:
         self.hardware = hardware
         self.post_deployment = post_deployment
         self.artifacts = artifacts or TrainerArtifacts()
-        #: Epoch-end reaction to the BIST re-scan: ``False`` (paper protocol)
-        #: keeps the block → crossbar assignment Π and only refreshes row
-        #: permutations; ``True`` re-plans the full mapping against the new
-        #: fault maps via :meth:`Strategy.plan_adjacency` (the lifetime
-        #: experiment's mode).  FARe's cost engine reuses the cached pairs of
-        #: fault maps the delta left unchanged; a delta that touches every
-        #: crossbar, like a wear-out step, leaves none to reuse.
-        self.replan_on_rescan = bool(replan_on_rescan)
         #: Cache the weight-independent first-layer aggregation across steps
         #: (see ``docs/ARCHITECTURE.md``, "Batched multi-graph training").
         self.use_agg_precompute = bool(use_agg_precompute)
@@ -227,20 +224,18 @@ class FaultyTrainer:
         # Batch composition is fixed across epochs: the adjacency mapping is
         # computed once in pre-processing (Section IV-A).  The sampler stream
         # (`rng_sampler`) only feeds partitioning tie-breaks and the (unused
-        # here) epoch shuffle, so injecting a precomputed partition or batch
-        # list leaves the model/training streams — and the outcome — intact.
+        # here) epoch shuffle, so injecting a precomputed batch list leaves
+        # the model/training streams — and the outcome — intact.
         if self.artifacts.batches is not None:
-            self.sampler = None
             self.batches = list(self.artifacts.batches)
         else:
-            self.sampler = ClusterBatchSampler(
+            sampler = ClusterBatchSampler(
                 graph,
                 num_parts=config.num_parts,
                 batch_clusters=config.batch_clusters,
                 seed=rng_sampler,
-                partition=self.artifacts.partition,
             )
-            self.batches = list(self.sampler.epoch(shuffle=False))
+            self.batches = list(sampler.epoch(shuffle=False))
 
         self.model: GNNModel = build_model(
             self.model_name,
@@ -419,7 +414,7 @@ class FaultyTrainer:
                 else:
                     epoch_losses = self._train_epoch_per_batch()
 
-                self._end_of_epoch(epoch)
+                self._end_of_epoch()
                 result.loss_history.append(float(np.mean(epoch_losses)))
                 if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
                     train_acc, test_acc = self._evaluate_epoch()
@@ -635,16 +630,10 @@ class FaultyTrainer:
         self._fused_train_cache[cache_key] = (key, fused)
         return fused
 
-    def _end_of_epoch(self, epoch: int) -> None:
+    def _end_of_epoch(self) -> None:
         """Post-deployment fault injection, BIST re-scan, mapping refresh."""
-        self.strategy.on_epoch_end()
-        if not self.strategy.requires_hardware:
-            return
-        if self.post_deployment is None:
-            return
-        self.apply_fault_delta(
-            self.post_deployment.per_epoch_density, replan=self.replan_on_rescan
-        )
+        if self.strategy.requires_hardware and self.post_deployment is not None:
+            self.apply_fault_delta(self.post_deployment.per_epoch_density)
 
     def apply_fault_delta(
         self, extra_density: float, replan: bool = False

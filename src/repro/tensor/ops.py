@@ -388,17 +388,3 @@ def edge_softmax(
     out = _wrap(alpha, (scores,), _backward, scores.requires_grad)
     return out
 
-
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a 1-D bias to every row of a 2-D tensor (explicit broadcast)."""
-    return x + bias
-
-
-def mean_rows(x: Tensor) -> Tensor:
-    """Mean over rows, returning a 1-D tensor."""
-    return x.mean(axis=0)
-
-
-def where_constant(condition: np.ndarray, x: Tensor, constant: float) -> Tensor:
-    """``out = condition ? x : constant`` with gradient flowing only through x."""
-    return masked_fill(x, ~np.asarray(condition, dtype=bool), constant)

@@ -35,9 +35,3 @@ def get_logger(name: Optional[str] = None) -> logging.Logger:
     if name.startswith(_ROOT_NAME):
         return logging.getLogger(name)
     return logging.getLogger(f"{_ROOT_NAME}.{name}")
-
-
-def set_verbosity(level: int) -> None:
-    """Set the verbosity of the whole library (e.g. ``logging.INFO``)."""
-    _configure_root()
-    logging.getLogger(_ROOT_NAME).setLevel(level)

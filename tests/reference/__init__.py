@@ -4,9 +4,10 @@ Every feature in ``src/`` has one production path.  The slower loops it
 replaced live here, next to the tests that compare against them, and the
 throughput benchmarks use them as their baselines:
 
-* :mod:`reference.mapping` — the per-pair loop behind Algorithm 1 (for the
-  batched mapping cost engine) and the per-block loop of the fault-unaware
-  plan (for its edge-coordinate count);
+* :mod:`reference.mapping` — the per-pair loop behind Algorithm 1 with its
+  single-pair ``block_crossbar_cost`` (for the batched mapping cost engine)
+  and the per-block loop of the fault-unaware plan (for its edge-coordinate
+  count);
 * :mod:`reference.graph` — the lexsort heavy-edge matcher of the streaming
   partitioner (for its segment maxima) and the double-sort ``from_coo``;
 * :mod:`reference.matching` — the scalar Hungarian loop that updates every
@@ -19,7 +20,11 @@ throughput benchmarks use them as their baselines:
   weight pipeline and the uncached hardware-state view (for the
   batched/fused read-back and the epoch cache);
 * :mod:`reference.trainer` — per-member gradient accumulation (for
-  ``train_mode="fused"``) and per-split evaluation (for the bucketed eval);
+  ``train_mode="fused"``), per-split evaluation (for the bucketed eval) and
+  a trainer that re-plans after every epoch's BIST re-scan (a test seam for
+  re-plan equivalence);
+* :mod:`reference.sweeps` — one sweep spec trained with every input rebuilt
+  from scratch (for ``execute_spec`` on shared artifacts);
 * :mod:`reference.gat` — dense ``N × N`` masked attention (for the sparse
   edge-wise GAT).
 

@@ -1,5 +1,8 @@
 """Seed mapping loops: references for the cost engine and the sequential plan.
 
+* :func:`block_row_cost_matrix` / :func:`block_crossbar_cost` — one
+  (block, crossbar) pair's row-cost matrices and its best row permutation,
+  solved on its own;
 * :class:`SeedPairLoop` / :class:`SeedLoopMapper` — the per-pair loop behind
   Algorithm 1 (for :class:`~repro.core.cost_engine.MappingCostEngine`);
 * :func:`seed_sequential_mapping` — the fault-unaware plan with one
@@ -19,10 +22,63 @@ from repro.core.mapping import (
     BatchMapping,
     BlockMapping,
     FaultAwareMapper,
-    block_crossbar_cost,
     permutation_mismatch_cost,
 )
 from repro.hardware.faults import FaultMap
+from repro.matching.bipartite import solve_assignment
+
+
+def block_row_cost_matrix(
+    block: np.ndarray, fault_map: FaultMap, sa1_weight: float = 1.0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mismatch cost of mapping every block row onto every crossbar row.
+
+    Returns ``(total_cost, sa0_cost, sa1_cost)`` where each matrix has shape
+    ``(block_rows, crossbar_rows)``:
+
+    * ``sa0_cost[r, s]`` — ones of block row ``r`` that would land on SA0
+      cells of crossbar row ``s`` (deleted edges),
+    * ``sa1_cost[r, s]`` — zeros of block row ``r`` that would land on SA1
+      cells of crossbar row ``s`` (spurious edges),
+    * ``total_cost = sa0_cost + sa1_weight * sa1_cost``.
+
+    The cost engine computes the same integers for whole stacks of pairs.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    if block.shape != fault_map.shape:
+        raise ValueError(
+            f"block shape {block.shape} does not match fault map {fault_map.shape}"
+        )
+    if sa1_weight < 0:
+        raise ValueError(f"sa1_weight must be non-negative, got {sa1_weight}")
+    ones = (block > 0).astype(np.float64)
+    zeros = 1.0 - ones
+    sa0_cost = ones @ fault_map.sa0.astype(np.float64).T
+    sa1_cost = zeros @ fault_map.sa1.astype(np.float64).T
+    return sa0_cost + sa1_weight * sa1_cost, sa0_cost, sa1_cost
+
+
+def block_crossbar_cost(
+    block: np.ndarray,
+    fault_map: FaultMap,
+    sa1_weight: float = 1.0,
+    method: str = "greedy",
+) -> Tuple[float, np.ndarray, float]:
+    """Best achievable (weighted) mismatch of a block on a crossbar.
+
+    Returns ``(total_cost, row_permutation, sa1_mismatch)`` where
+    ``row_permutation[i]`` is the crossbar row that block row ``i`` should be
+    written to, and ``sa1_mismatch`` is the (unweighted) number of spurious
+    edges the chosen permutation still incurs.  The production path is
+    :meth:`~repro.core.cost_engine.MappingCostEngine.pair_results`.
+    """
+    if fault_map.is_fault_free():
+        n = block.shape[0]
+        return 0.0, np.arange(n, dtype=np.int64), 0.0
+    total, _, sa1_cost = block_row_cost_matrix(block, fault_map, sa1_weight)
+    permutation, cost = solve_assignment(total, method=method)
+    sa1_mismatch = float(sa1_cost[np.arange(len(permutation)), permutation].sum())
+    return float(cost), permutation.astype(np.int64), sa1_mismatch
 
 
 def seed_sequential_mapping(
@@ -66,7 +122,7 @@ class SeedPairLoop:
     """Per-pair mapping costs behind the cost engine's call interface.
 
     Every (block, crossbar) pair is solved on its own with
-    :func:`~repro.core.mapping.block_crossbar_cost`: ``B·M`` Python-level
+    :func:`block_crossbar_cost`: ``B·M`` Python-level
     calls, each with two dense matmuls and a full assignment solve, and all
     ``B·M`` permutations materialised although at most ``B`` are used.
     Nothing is cached, so its ``stats`` stay zero.

@@ -1,4 +1,4 @@
-"""Reference training and evaluation loops of :class:`FaultyTrainer`."""
+"""Reference training loops of :class:`FaultyTrainer`: accumulation, eval, re-plan."""
 
 from __future__ import annotations
 
@@ -50,3 +50,16 @@ class PerSplitEvalTrainer(FaultyTrainer):
 
     def _evaluate_epoch(self) -> Tuple[float, float]:
         return self.evaluate(split="train"), self.evaluate(split="test")
+
+
+class ReplanEveryEpochTrainer(FaultyTrainer):
+    """Re-plans the whole mapping after every epoch's BIST re-scan.
+
+    The production epoch loop refreshes row permutations with Π kept
+    (Section IV-A); this seam swaps in a full
+    :meth:`~FaultyTrainer.apply_fault_delta` re-plan, so tests can check
+    that re-plans stay bit-identical across planning paths.
+    """
+
+    def _end_of_epoch(self) -> None:
+        self.apply_fault_delta(self.post_deployment.per_epoch_density, replan=True)

@@ -10,12 +10,12 @@ from repro.core.mapping import (
     BatchMapping,
     BlockMapping,
     FaultAwareMapper,
-    block_crossbar_cost,
-    block_row_cost_matrix,
     sequential_mapping,
 )
 from repro.hardware.faults import FaultMap, FaultModel, apply_faults_to_binary
 from repro.nn.gcn import GCN
+
+from reference.mapping import block_crossbar_cost, block_row_cost_matrix
 
 
 class TestWeightClipper:

@@ -18,11 +18,11 @@ from repro.core.cost_engine import (
     MappingCostEngine,
     block_fingerprint,
 )
-from repro.core.mapping import FaultAwareMapper, block_crossbar_cost
+from repro.core.mapping import FaultAwareMapper
 from repro.hardware.faults import FaultMap, FaultModel
 from repro.matching import bipartite
 
-from reference.mapping import SeedLoopMapper
+from reference.mapping import SeedLoopMapper, block_crossbar_cost
 
 
 def random_blocks(rng, num_blocks, size, density):

@@ -106,9 +106,6 @@ class TestNeuronReordering:
         second = strategy.weight_storage_permutation("w", values, cost_fn)
         np.testing.assert_array_equal(first, second)
         assert len(calls) == 1
-        strategy.reset_weight_permutations()
-        strategy.weight_storage_permutation("w", values, cost_fn)
-        assert len(calls) == 2
 
     def test_no_permutation_when_no_faults(self):
         strategy = NeuronReorderingStrategy()

@@ -3,7 +3,8 @@
 The contract under test:
 
 * artifact sharing and process-parallel execution never change a run's
-  outcome (histories and accuracies bit-identical with the seed path),
+  outcome (histories and accuracies bit-identical with the seed path,
+  ``reference.sweeps.seed_execute_spec``),
 * the on-disk store round-trips results exactly, invalidates on
   signature changes, and stays consistent when processes share it,
 * ``run_single`` remains a faithful shim (figure tables byte-identical with
@@ -34,6 +35,8 @@ from repro.experiments.sweeps import (
     execute_spec,
 )
 from repro.experiments.tables import aggregate_seed_rows, format_seed_table, mean_std
+
+from reference.sweeps import seed_execute_spec
 
 
 def comparable(result):
@@ -125,8 +128,14 @@ class TestRunSpec:
         # Sequential planners share one key; custom planners must declare.
         assert FaultUnawareStrategy().plan_signature() == ("sequential",)
         assert WeightClippingStrategy().plan_signature() == ("sequential",)
-        assert build_strategy("nr").plan_signature()[0] == "nr"
-        assert build_strategy("fare").plan_signature()[0] == "fare"
+        assert build_strategy("nr").plan_signature() == ("nr", 8)
+        assert build_strategy("fare").plan_signature() == (
+            "fare",
+            4.0,
+            "greedy",
+            True,
+            True,
+        )
 
         class CustomPlanner(Strategy):
             def plan_adjacency(self, *args, **kwargs):  # pragma: no cover
@@ -195,7 +204,9 @@ class TestSharedArtifactsEquivalence:
         engine = SweepEngine()
         shared = engine.run(SMALL_GRID)
         for spec in SMALL_GRID:
-            assert comparable(execute_spec(spec)) == comparable(shared[spec]), spec
+            assert comparable(seed_execute_spec(spec)) == comparable(
+                shared[spec]
+            ), spec
 
     def test_post_deployment_matches_seed_path(self):
         spec = RunSpec.make(
@@ -210,7 +221,7 @@ class TestSharedArtifactsEquivalence:
         )
         engine.run(SweepPlan([sibling]))
         shared = engine.run(SweepPlan([spec]))
-        assert comparable(execute_spec(spec)) == comparable(shared[spec])
+        assert comparable(seed_execute_spec(spec)) == comparable(shared[spec])
 
     def test_fault_region_matches_seed_path(self):
         spec = RunSpec.make(
@@ -218,7 +229,7 @@ class TestSharedArtifactsEquivalence:
             fault_region="adjacency",
         )
         shared = SweepEngine().run(SweepPlan([spec]))
-        assert comparable(execute_spec(spec)) == comparable(shared[spec])
+        assert comparable(seed_execute_spec(spec)) == comparable(shared[spec])
 
     def test_hardware_snapshot_restores_exactly(self):
         spec = RunSpec.make("ppi", "gcn", "fault_unaware", 0.05, scale="ci", seed=3)
@@ -250,7 +261,7 @@ class TestSharedArtifactsEquivalence:
         # The reusing run's *outcome* is bit-identical to the seed path; its
         # mapping_* counters legitimately differ (the Algorithm 1 work was
         # done once, by the run that computed the shared plan).
-        seed_path = execute_spec(sage)
+        seed_path = seed_execute_spec(sage)
         shared = results[sage]
         assert seed_path.loss_history == shared.loss_history
         assert seed_path.train_accuracy_history == shared.train_accuracy_history
@@ -406,7 +417,9 @@ class TestResultStore:
             )
         assert len({pid for pid, _, _ in reports}) == 2
 
-        expected = {spec: comparable(execute_spec(spec)) for spec in TWO_SPEC_PLAN}
+        expected = {
+            spec: comparable(seed_execute_spec(spec)) for spec in TWO_SPEC_PLAN
+        }
         for _, summary, results in reports:
             assert {spec: comparable(r) for spec, r in results.items()} == expected
             assert summary["store_hits"] + summary["runs_executed"] == 2
@@ -442,7 +455,7 @@ class TestRunSingleShim:
         via_shim = runner.run_single(
             "ppi", "gat", "clipping", 0.03, scale="ci", epochs=1
         )
-        assert comparable(execute_spec(spec)) == comparable(via_shim)
+        assert comparable(seed_execute_spec(spec)) == comparable(via_shim)
         # Memoised: same object, stats counted.
         again = runner.run_single("ppi", "gat", "clipping", 0.03, scale="ci", epochs=1)
         assert again is via_shim
@@ -456,7 +469,7 @@ class TestFigureDriverEquivalence:
         memo = {}
         for key, spec in specs.items():
             if spec not in memo:
-                memo[spec] = execute_spec(spec)
+                memo[spec] = seed_execute_spec(spec)
         return {key: memo[spec] for key, spec in specs.items()}
 
     def test_fig3_table_byte_identical(self):

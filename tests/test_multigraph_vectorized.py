@@ -49,7 +49,7 @@ from repro.tensor import kernels, ops
 from repro.tensor.tensor import Tensor
 
 from reference.hardware import dense_decompose_adjacency
-from reference.trainer import PerSplitEvalTrainer
+from reference.trainer import PerSplitEvalTrainer, ReplanEveryEpochTrainer
 
 
 def _random_csr(rng, n, m, density=0.08):
@@ -448,8 +448,9 @@ class TestPostDeploymentViews:
         the dense reference blocks."""
         graph = _graph(13)
         post = PostDeploymentSchedule(total_extra_density=0.02, num_epochs=3)
+        trainer_cls = ReplanEveryEpochTrainer if replan else FaultyTrainer
         views, view_params, vt = _train(
-            "gcn", strategy, graph, post_deployment=post, replan_on_rescan=replan
+            "gcn", strategy, graph, trainer_cls=trainer_cls, post_deployment=post
         )
         dense = [
             dense_decompose_adjacency(batch.subgraph.adjacency, 16, 16)[0]
@@ -459,8 +460,8 @@ class TestPostDeploymentViews:
             "gcn",
             strategy,
             graph,
+            trainer_cls=trainer_cls,
             post_deployment=post,
-            replan_on_rescan=replan,
             artifacts=TrainerArtifacts(blocks_per_batch=dense),
         )
         assert all(isinstance(b, AdjacencyBlocks) for b in vt.blocks_per_batch)

@@ -1,15 +1,21 @@
-"""The benchmark's hooks into the program still resolve.
+"""The benchmark's hooks into the program still resolve and are still called.
 
 ``perfbench/tracing.py`` wraps named functions and methods for the traced
 run, and ``perfbench/run.py`` reads named counters off
 ``TrainingResult.counters``.  Both find them by name, so a rename in the
 program would silently drop a span or zero a metric; these tests fail
-instead.
+instead.  A wrapped name can also resolve and yet no longer be called (a
+module global imported but unused after a refactor): the sweep test below
+fails on that too.
 """
 
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.core.strategies import STRATEGY_REGISTRY, Strategy, build_strategy
@@ -18,6 +24,33 @@ from repro.pipeline.mapping_engine import HardwareEnvironment
 from repro.pipeline.trainer import FaultyTrainer, TrainingConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
+
+#: Installs the tracer, runs a two-spec sweep that reaches every traced layer
+#: (FARe plans, solves and refreshes after post-deployment faults; the
+#: fault-unaware run takes the sequential plan) and prints the span names.
+_SWEEP_UNDER_TRACE = """
+import importlib.util, json, sys
+
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+
+from repro.experiments.sweeps import RunSpec, SweepEngine, SweepPlan
+
+plan = SweepPlan([
+    RunSpec.make("ppi", "gcn", "fault_unaware", 0.05, scale="ci", epochs=1),
+    RunSpec.make(
+        "ppi", "gcn", "fare", 0.05, scale="ci", epochs=1,
+        post_deployment_extra=0.01,
+    ),
+])
+sweep = SweepEngine(store=None).run(plan)
+assert sweep.complete and len(sweep) == 2
+print(json.dumps(sorted({span[0] for span in tracer.spans})))
+"""
 
 
 def _load_tracing():
@@ -74,4 +107,26 @@ def test_counters_read_by_the_benchmark_exist(tiny_graph, tiny_config):
         tiny_graph, "gcn", build_strategy("fare"), config, hardware=hardware
     ).train()
     missing = sorted(name for name in names if name not in result.counters)
+    assert not missing, missing
+
+
+def test_every_traced_call_is_reached():
+    """Each span name the traced run reports is recorded by a real sweep.
+
+    Runs in a fresh interpreter because ``tracing.install`` wraps the
+    program for the rest of its process.
+    """
+    tracing = _load_tracing()
+    completed = subprocess.run(
+        [sys.executable, "-c", _SWEEP_UNDER_TRACE, str(PERFBENCH / "tracing.py")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    recorded = set(json.loads(completed.stdout.splitlines()[-1]))
+    expected = {name for name, _, _ in tracing.LAYER_CALLS}
+    expected |= {tracing.FORWARD_TRAIN, tracing.FORWARD_EVAL}
+    missing = sorted(expected - recorded)
     assert not missing, missing

@@ -14,6 +14,7 @@ from repro.pipeline.trainer import FaultyTrainer, TrainingConfig, TrainingResult
 from repro.tensor import kernels
 
 from reference.mapping import SeedLoopMapper
+from reference.trainer import ReplanEveryEpochTrainer
 
 
 @pytest.fixture
@@ -161,14 +162,14 @@ class TestPostDeployment:
         schedule = PostDeploymentSchedule(
             total_extra_density=0.05, num_epochs=trainer_config.epochs
         )
-        trainer = FaultyTrainer(
+        trainer_cls = ReplanEveryEpochTrainer if replan else FaultyTrainer
+        trainer = trainer_cls(
             tiny_graph,
             "gcn",
             strategy,
             trainer_config,
             hardware=hardware,
             post_deployment=schedule,
-            replan_on_rescan=replan,
         )
         return trainer, trainer.train()
 
@@ -189,7 +190,7 @@ class TestPostDeployment:
                 assert a.sa1_mismatch == b.sa1_mismatch
                 np.testing.assert_array_equal(a.row_permutation, b.row_permutation)
 
-    def test_replan_on_rescan_matches_pi_refresh_free_accuracy(
+    def test_replan_every_epoch_matches_fresh_strategy_plans(
         self, tiny_graph, tiny_config, trainer_config
     ):
         """Trainer-level re-plan equivalence: a warm re-plan after each BIST
