@@ -61,7 +61,7 @@ overall layering is documented in ``docs/ARCHITECTURE.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,20 +153,50 @@ class BatchMapping:
         return len(self.blocks)
 
 
-def _fault_planes(
-    fault_maps: Sequence[FaultMap],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]]:
-    """``(sa0, sa1, sa1_counts, shape)`` of a crossbar list, stacked once.
+class _FaultPlanes(NamedTuple):
+    """The fault maps of a crossbar list, stacked once.
 
     ``sa0``/``sa1`` hold one flattened ``rows * cols`` plane per crossbar;
     ``sa1_counts`` is each crossbar's number of SA1 cells.
     """
+
+    sa0: np.ndarray
+    sa1: np.ndarray
+    sa1_counts: np.ndarray
+    shape: Tuple[int, int]
+
+
+def _fault_planes(fault_maps: Sequence[FaultMap]) -> _FaultPlanes:
+    """Stack ``fault_maps``, which must share one shape."""
     shapes = {fault_map.shape for fault_map in fault_maps}
     if len(shapes) != 1:
         raise ValueError(f"fault maps must share one shape, got {sorted(shapes)}")
     sa0 = np.stack([fault_map.sa0.ravel() for fault_map in fault_maps])
     sa1 = np.stack([fault_map.sa1.ravel() for fault_map in fault_maps])
-    return sa0, sa1, np.count_nonzero(sa1, axis=1), shapes.pop()
+    return _FaultPlanes(sa0, sa1, np.count_nonzero(sa1, axis=1), shapes.pop())
+
+
+def _placement_costs(
+    planes: _FaultPlanes,
+    at: np.ndarray,
+    bounds: np.ndarray,
+    crossbar: np.ndarray,
+    sa1_weight: float,
+) -> Tuple[List[float], List[float]]:
+    """``(costs, sa1_mismatches)`` of placements from their edges' cells.
+
+    Placement ``k`` stores its edges at positions ``at[bounds[k]:bounds[k +
+    1]]`` of the flattened planes, on crossbar ``crossbar[k]``: its cost is
+    the edges on SA0 cells plus ``sa1_weight`` times the crossbar's SA1
+    cells that hold no edge.
+    """
+    # Per-placement counts of the edges on faulty cells: differences of a
+    # running count at the placement bounds.
+    sa0_hits = np.diff(np.r_[0, np.cumsum(planes.sa0.ravel()[at])][bounds])
+    sa1_hits = np.diff(np.r_[0, np.cumsum(planes.sa1.ravel()[at])][bounds])
+    sa1_mismatch = (planes.sa1_counts[crossbar] - sa1_hits).astype(np.float64)
+    costs = sa0_hits.astype(np.float64) + sa1_weight * sa1_mismatch
+    return costs.tolist(), sa1_mismatch.tolist()
 
 
 def _stored_cells(
@@ -244,21 +274,14 @@ def sequential_plans(
             f"fault_maps length {len(fault_maps)} does not match "
             f"num_crossbars {len(ids)}"
         )
-    sa0, sa1, sa1_counts, shape = _fault_planes(fault_maps)
+    planes = _fault_planes(fault_maps)
     plans = []
     for blocks in blocks_per_batch:
-        cells, bounds = _stored_cells(blocks, shape)
+        cells, bounds = _stored_cells(blocks, planes.shape)
         crossbar = np.arange(bounds.size - 1) % len(ids)
-        at = np.repeat(crossbar * sa0.shape[1], np.diff(bounds)) + cells
-        # Per-block counts of the edges on faulty cells: differences of a
-        # running count at the block bounds.
-        sa0_hits = np.diff(np.r_[0, np.cumsum(sa0.ravel()[at])][bounds])
-        sa1_hits = np.diff(np.r_[0, np.cumsum(sa1.ravel()[at])][bounds])
-        sa1_mismatch = (sa1_counts[crossbar] - sa1_hits).astype(np.float64)
-        costs = sa0_hits.astype(np.float64) + sa1_weight * sa1_mismatch
-        plans.append(
-            _round_robin(costs.tolist(), sa1_mismatch.tolist(), ids, crossbar_rows)
-        )
+        at = np.repeat(crossbar * planes.sa0.shape[1], np.diff(bounds)) + cells
+        costs, sa1_mismatch = _placement_costs(planes, at, bounds, crossbar, sa1_weight)
+        plans.append(_round_robin(costs, sa1_mismatch, ids, crossbar_rows))
     return plans
 
 

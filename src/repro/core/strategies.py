@@ -39,12 +39,14 @@ from repro.core.mapping import (
     BatchMapping,
     BlockMapping,
     FaultAwareMapper,
-    permutation_mismatch_cost,
-    sequential_mapping,
+    _FaultPlanes,
+    _fault_planes,
+    _placement_costs,
+    _stored_cells,
     sequential_plans,
 )
 from repro.hardware.faults import FaultMap
-from repro.matching.greedy import greedy_assignment
+from repro.matching.greedy import greedy_assignment, greedy_assignment_batch
 from repro.tensor.module import Module
 
 
@@ -198,7 +200,10 @@ class NeuronReorderingStrategy(Strategy):
     shape — better than fault-unaware, clearly worse than FARe, and markedly
     worse under the 1:1 SA0:SA1 ratio because the matching ignores SA1
     criticality.  Both reorderings (row groups and weight rows) are solved
-    with :func:`~repro.matching.greedy.greedy_assignment`.
+    with the greedy matcher: one :func:`~repro.matching.greedy.
+    greedy_assignment` per weight matrix, and one
+    :func:`~repro.matching.greedy.greedy_assignment_batch` call per batch for
+    the row groups of all its blocks.
     """
 
     name = "nr"
@@ -215,8 +220,8 @@ class NeuronReorderingStrategy(Strategy):
         # must declare its own signature before its plans may be shared.
         if (
             type(self).plan_adjacency is not NeuronReorderingStrategy.plan_adjacency
-            or type(self)._group_permutation
-            is not NeuronReorderingStrategy._group_permutation
+            or type(self)._reordered_blocks
+            is not NeuronReorderingStrategy._reordered_blocks
         ):
             return None
         return ("nr", self.group_size)
@@ -229,61 +234,94 @@ class NeuronReorderingStrategy(Strategy):
         crossbar_ids: Sequence[int],
         crossbar_rows: int,
     ) -> List[BatchMapping]:
-        plans: List[BatchMapping] = []
+        """Block ``i`` on crossbar ``crossbar_ids[i % m]``, row groups reordered."""
+        planes = _fault_planes(fault_maps)
+        plans = []
         for blocks in blocks_per_batch:
-            plan = sequential_mapping(len(blocks), crossbar_rows, len(crossbar_ids))
-            plan.blocks = [
-                self._reordered_mapping(
-                    blocks,
-                    m.block_index,
-                    crossbar_ids[m.crossbar_index],
-                    fault_maps[m.crossbar_index],
+            block_index = np.arange(len(blocks))
+            placements = zip(
+                *self._reordered_blocks(
+                    blocks, block_index, block_index % len(crossbar_ids), planes
                 )
-                for m in plan.blocks
-            ]
-            plans.append(plan)
+            )
+            plans.append(
+                BatchMapping(
+                    blocks=[
+                        BlockMapping(k, crossbar_ids[k % len(crossbar_ids)], *placement)
+                        for k, placement in enumerate(placements)
+                    ]
+                )
+            )
         return plans
 
-    def _reordered_mapping(
+    def _reordered_blocks(
         self,
         blocks: Sequence[np.ndarray],
-        block_index: int,
-        crossbar_index: int,
-        fault_map: FaultMap,
-    ) -> BlockMapping:
-        """Block ``block_index`` on its crossbar, row groups reordered."""
-        block = blocks[block_index]
-        permutation = self._group_permutation(block, fault_map)
-        cost, sa1 = permutation_mismatch_cost(block, fault_map, permutation)
-        return BlockMapping(block_index, crossbar_index, permutation, cost, sa1)
+        block_index: np.ndarray,
+        crossbar: np.ndarray,
+        planes: _FaultPlanes,
+    ) -> Tuple[np.ndarray, List[float], List[float]]:
+        """Row-group reordering of every placement of one batch at once.
 
-    def _group_permutation(self, block: np.ndarray, fault_map: FaultMap) -> np.ndarray:
-        """Permute groups of ``group_size`` rows to reduce (unweighted) mismatch."""
-        block = np.asarray(block, dtype=np.float64)
-        n = block.shape[0]
-        group = min(self.group_size, n)
-        num_groups = n // group
-        if num_groups <= 1:
-            return np.arange(n, dtype=np.int64)
-        usable = num_groups * group
-        ones = (block[:usable] > 0).reshape(num_groups, group, -1)
-        sa0 = fault_map.sa0[:usable].reshape(num_groups, group, -1)
-        sa1 = fault_map.sa1[:usable].reshape(num_groups, group, -1)
-        # cost[g, h] = mismatches when block group g is stored in crossbar
-        # group h, keeping the within-group row order (coarse unit).
-        ones_flat = ones.reshape(num_groups, -1)
-        zeros_flat = 1.0 - ones_flat
-        sa0_flat = sa0.reshape(num_groups, -1).astype(np.float64)
-        sa1_flat = sa1.reshape(num_groups, -1).astype(np.float64)
-        cost = ones_flat @ sa0_flat.T + zeros_flat @ sa1_flat.T
-        group_assignment, _ = greedy_assignment(cost)
-        permutation = np.arange(n, dtype=np.int64)
-        for g in range(num_groups):
-            target = int(group_assignment[g])
-            permutation[g * group : (g + 1) * group] = np.arange(
-                target * group, (target + 1) * group, dtype=np.int64
+        Placement ``k`` stores block ``block_index[k]`` on the crossbar of
+        row ``crossbar[k]`` of ``planes``.  Each placement's groups of
+        ``group_size`` rows are assigned to the crossbar's row groups by
+        :func:`~repro.matching.greedy.greedy_assignment` on the (unweighted)
+        mismatch counts, keeping the order inside a group (NR's coarse
+        unit); rows past the last whole group keep their place.  The group
+        costs of all placements are counted from the blocks' stored edges,
+        as :func:`~repro.core.mapping.sequential_plans` counts its costs, and
+        solved in one :func:`~repro.matching.greedy.greedy_assignment_batch`
+        call.  Returns ``(permutations, costs, sa1_mismatches)``: one
+        permutation row per placement, and the unweighted mismatch of
+        storing the block under it.
+        """
+        rows, cols = planes.shape
+        cells, bounds = _stored_cells(blocks, planes.shape)
+        # The edges of every placement, placement after placement.
+        lengths = bounds[block_index + 1] - bounds[block_index]
+        edge_bounds = np.zeros(len(block_index) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=edge_bounds[1:])
+        owner = np.repeat(np.arange(len(block_index)), lengths)
+        edge_cells = cells[
+            np.arange(edge_bounds[-1]) + (bounds[block_index] - edge_bounds[:-1])[owner]
+        ]
+        edge_rows, edge_cols = np.divmod(edge_cells, cols)
+        plane_start = crossbar[owner] * (rows * cols)
+
+        group = min(self.group_size, rows)
+        num_groups = rows // group
+        permutations = np.tile(np.arange(rows, dtype=np.int64), (len(block_index), 1))
+        if num_groups > 1:
+            usable = num_groups * group
+            span = group * cols
+            # cost[k, g, h] = mismatches when block group g of placement k
+            # sits on crossbar group h: the group's SA1 cells, plus, per
+            # edge of block group g, +1 on an SA0 and -1 on an SA1 cell at
+            # the same place in group h.
+            in_group = edge_rows < usable
+            at = (plane_start + edge_cells % span)[in_group, None] + np.arange(
+                num_groups
+            ) * span
+            slot = (
+                owner[in_group] * num_groups + edge_rows[in_group] // group
+            )[:, None] * num_groups + np.arange(num_groups)
+            size = len(block_index) * num_groups * num_groups
+            cost = np.bincount(
+                slot[planes.sa0.ravel()[at]], minlength=size
+            ) - np.bincount(slot[planes.sa1.ravel()[at]], minlength=size)
+            group_sa1 = np.count_nonzero(
+                planes.sa1[crossbar, : usable * cols].reshape(-1, num_groups, span),
+                axis=2,
             )
-        return permutation
+            cost = cost.reshape(-1, num_groups, num_groups) + group_sa1[:, None]
+            assignment, _ = greedy_assignment_batch(cost)
+            permutations[:, :usable] = (
+                assignment[:, :, None] * group + np.arange(group)
+            ).reshape(-1, usable)
+        at = plane_start + permutations[owner, edge_rows] * cols + edge_cols
+        costs, sa1 = _placement_costs(planes, at, edge_bounds, crossbar, 1.0)
+        return permutations, costs, sa1
 
     # -- combination ---------------------------------------------------- #
     def weight_storage_permutation(
@@ -320,20 +358,26 @@ class NeuronReorderingStrategy(Strategy):
         fault_maps_by_id: Dict[int, FaultMap],
     ) -> List[BatchMapping]:
         """Recompute the coarse row-group permutations against new fault maps."""
-        return [
-            BatchMapping(
-                blocks=[
-                    self._reordered_mapping(
-                        blocks,
-                        m.block_index,
-                        m.crossbar_index,
-                        fault_maps_by_id[m.crossbar_index],
-                    )
-                    for m in plan.blocks
-                ]
+        position = {crossbar_id: k for k, crossbar_id in enumerate(fault_maps_by_id)}
+        planes = _fault_planes(list(fault_maps_by_id.values()))
+        refreshed = []
+        for plan, blocks in zip(plans, blocks_per_batch):
+            block_index = np.array([m.block_index for m in plan.blocks], dtype=np.int64)
+            crossbar = np.array(
+                [position[m.crossbar_index] for m in plan.blocks], dtype=np.int64
             )
-            for plan, blocks in zip(plans, blocks_per_batch)
-        ]
+            placements = zip(
+                *self._reordered_blocks(blocks, block_index, crossbar, planes)
+            )
+            refreshed.append(
+                BatchMapping(
+                    blocks=[
+                        BlockMapping(m.block_index, m.crossbar_index, *placement)
+                        for m, placement in zip(plan.blocks, placements)
+                    ]
+                )
+            )
+        return refreshed
 
 
 class FaReStrategy(Strategy):

@@ -71,8 +71,6 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.strategies import Strategy, build_strategy
 from repro.experiments import configs
 from repro.experiments.failures import (
@@ -362,7 +360,10 @@ class HardwareSnapshot:
     ``fault_maps`` are the post-injection (and post region-clearing) maps of
     the whole pool; ``rng_state`` is the fault model's generator state *after*
     pre-deployment sampling, so a rebuilt environment's post-deployment
-    injection continues the exact random stream of a freshly built one.
+    injection continues the exact random stream of a freshly built one.  The
+    snapshot and every environment restored from it share the map objects:
+    a map is never edited after it is made (an injection replaces a
+    crossbar's map), so no environment sees another's faults.
     """
 
     fault_maps: List[FaultMap]
@@ -374,7 +375,7 @@ class HardwareSnapshot:
     def capture(cls, hardware: HardwareEnvironment, spec: RunSpec) -> "HardwareSnapshot":
         model = hardware.pool.fault_model
         return cls(
-            fault_maps=[fmap.copy() for fmap in hardware.pool.fault_maps()],
+            fault_maps=hardware.pool.fault_maps(),
             fault_density=spec.fault_density,
             sa_ratio=spec.sa_ratio,
             rng_state=None if model is None else copy.deepcopy(model.rng_state),
@@ -388,7 +389,7 @@ class HardwareSnapshot:
                 f"pool has {len(hardware.pool)} crossbars"
             )
         for crossbar, fmap in zip(hardware.pool.crossbars, self.fault_maps):
-            crossbar.set_fault_map(fmap.copy())
+            crossbar.set_fault_map(fmap)
         if self.rng_state is not None:
             model = FaultModel(self.fault_density, sa0_sa1_ratio=self.sa_ratio)
             model.rng_state = copy.deepcopy(self.rng_state)

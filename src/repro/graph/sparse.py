@@ -95,7 +95,7 @@ class CSRMatrix:
         # One stable sort by the row-major key; duplicates end up adjacent in
         # input order.
         keys = rows * n_cols + cols
-        order = np.argsort(keys, kind="stable")
+        order = kernels.stable_argsort(keys, n_rows * n_cols)
         if sum_duplicates and rows.size:
             keys = keys[order]
             starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])

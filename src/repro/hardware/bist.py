@@ -3,23 +3,19 @@
 The FARe mapping algorithm consumes the fault distribution reported by a BIST
 circuit (reference [7] of the paper).  The BIST adds ~0.13 % area and, when it
 is re-run at the end of each epoch to capture post-deployment faults, ~0.13 %
-of execution time.  This module models the *functional* interface — producing
-(possibly imperfect) fault maps from the true crossbar state — plus those
-overhead constants, which the timing model consumes.
+of execution time.  This module models the *functional* interface — reporting
+the fault maps of the true crossbar state, as the paper's ideal March-test
+BIST does — plus those overhead constants, which the timing model consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.hardware.config import DEFAULT_CONFIG, ReRAMConfig
 from repro.hardware.crossbar import Crossbar
-from repro.hardware.faults import FaultMap
-from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_fraction
+from repro.hardware.faults import FaultMap, population_counts
 
 
 @dataclass
@@ -30,7 +26,6 @@ class BISTReport:
     scan_index: int
     detected_faults: int
     missed_faults: int
-    coverage: float
     time_overhead_fraction: float
 
     def density(self) -> float:
@@ -46,56 +41,26 @@ class BISTController:
     ----------
     config:
         Architecture configuration (provides the overhead constants).
-    coverage:
-        Probability that an individual fault is detected; 1.0 models the
-        paper's assumption of an ideal March-test based BIST.
-    seed:
-        RNG seed used only when ``coverage < 1``.
     """
 
-    def __init__(
-        self,
-        config: ReRAMConfig = DEFAULT_CONFIG,
-        coverage: float = 1.0,
-        seed: Optional[int] = None,
-    ) -> None:
+    def __init__(self, config: ReRAMConfig = DEFAULT_CONFIG) -> None:
         self.config = config
-        self.coverage = check_fraction(coverage, "coverage")
-        self._rng = ensure_rng(seed)
         self.scan_count = 0
         self.history: List[BISTReport] = []
 
     def scan(self, crossbars: Sequence[Crossbar]) -> BISTReport:
         """Scan ``crossbars`` and return the detected fault maps.
 
-        With full coverage the detected maps equal the true maps; with partial
-        coverage each fault is independently missed with probability
-        ``1 - coverage`` (missed faults simply do not appear in the report).
+        Every fault is detected, so the report holds the crossbars' own maps:
+        a map is never edited after it is made (fault injection replaces it),
+        so the report needs no copy and later injections leave it as it was.
         """
-        detected_maps: List[FaultMap] = []
-        detected = 0
-        missed = 0
-        for crossbar in crossbars:
-            true_map = crossbar.fault_map
-            if self.coverage >= 1.0:
-                found = true_map.copy()
-            else:
-                keep_sa0 = true_map.sa0 & (
-                    self._rng.random(true_map.shape) < self.coverage
-                )
-                keep_sa1 = true_map.sa1 & (
-                    self._rng.random(true_map.shape) < self.coverage
-                )
-                found = FaultMap(keep_sa0, keep_sa1)
-            detected += found.num_faults
-            missed += true_map.num_faults - found.num_faults
-            detected_maps.append(found)
+        fault_maps = [crossbar.fault_map for crossbar in crossbars]
         report = BISTReport(
-            fault_maps=detected_maps,
+            fault_maps=fault_maps,
             scan_index=self.scan_count,
-            detected_faults=detected,
-            missed_faults=missed,
-            coverage=self.coverage,
+            detected_faults=sum(population_counts(fault_maps)),
+            missed_faults=0,
             time_overhead_fraction=self.config.bist_time_overhead,
         )
         self.scan_count += 1

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.hardware.faults import FaultMap, apply_faults_to_binary, apply_faults_to_cells
+from repro.hardware.faults import FaultMap, apply_faults_to_cells
 from repro.utils.validation import check_permutation, check_positive_int
 
 

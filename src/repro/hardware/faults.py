@@ -127,8 +127,10 @@ class FaultMap:
         fingerprint, which is what the mapping cost engine keys its result
         cache and its duplicate-crossbar detection on.  The digest is
         recomputed on every access (hashing a crossbar-sized boolean pair is
-        micro-seconds), so mutating the masks in place never yields a stale
-        key.  It is ``pattern_fingerprints`` of the stacked ``(sa0, sa1)``.
+        micro-seconds), so a map built by hand and edited in place never
+        yields a stale key; the maps a :class:`FaultModel` returns are
+        read-only views and are never edited.  It is
+        ``pattern_fingerprints`` of the stacked ``(sa0, sa1)``.
         """
         return pattern_fingerprints(np.array((self.sa0, self.sa1))[None])[0]
 
@@ -279,21 +281,37 @@ class FaultModel:
         self._rng.bit_generator.state = state
 
     # ------------------------------------------------------------------ #
-    def _sample_fault_map(
-        self, rows: int, cols: int, num_faults: int, rng: np.random.Generator
-    ) -> FaultMap:
+    def _draw_stack(
+        self,
+        num_crossbars: int,
+        rows: int,
+        cols: int,
+        density: float,
+        rng: np.random.Generator,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat ``(N, rows, cols)`` stack positions ``(sa0, sa1)`` of new faults.
+
+        Crossbar ``n`` draws, in turn, its fault count (Poisson when
+        clustered, else the rounded mean), that many distinct uniform cells,
+        and each cell's type (SA1 with probability ``sa1_fraction``); a
+        count of zero draws nothing more.  This per-map order is the random
+        stream every seed has always produced.  The cells of crossbar ``n``
+        are offset by ``n * rows * cols``.
+        """
         cells = rows * cols
-        num_faults = min(num_faults, cells)
-        fmap = FaultMap.empty(rows, cols)
-        if num_faults == 0:
-            return fmap
-        flat = rng.choice(cells, size=num_faults, replace=False)
-        is_sa1 = rng.random(num_faults) < self.sa1_fraction
-        sa1_flat = flat[is_sa1]
-        sa0_flat = flat[~is_sa1]
-        fmap.sa0.flat[sa0_flat] = True
-        fmap.sa1.flat[sa1_flat] = True
-        return fmap
+        mean = density * rows * cols
+        flats = [np.zeros(0, dtype=np.int64)]
+        types = [np.zeros(0, dtype=bool)]
+        for n in range(num_crossbars):
+            count = int(rng.poisson(mean)) if self.clustered else int(round(mean))
+            count = min(count, cells)
+            if count == 0:
+                continue
+            flats.append(rng.choice(cells, size=count, replace=False) + n * cells)
+            types.append(rng.random(count) < self.sa1_fraction)
+        flat = np.concatenate(flats)
+        is_sa1 = np.concatenate(types)
+        return flat[~is_sa1], flat[is_sa1]
 
     def generate(
         self,
@@ -302,20 +320,23 @@ class FaultModel:
         cols: int,
         rng: Optional[np.random.Generator] = None,
     ) -> List[FaultMap]:
-        """Generate pre-deployment fault maps for ``num_crossbars`` crossbars."""
+        """Generate pre-deployment fault maps for ``num_crossbars`` crossbars.
+
+        The maps are read-only views of one ``(num_crossbars, rows, cols)``
+        pair of planes (see :func:`stacked_fault_maps`).
+        """
         num_crossbars = check_positive_int(num_crossbars, "num_crossbars")
         rows = check_positive_int(rows, "rows")
         cols = check_positive_int(cols, "cols")
         rng = rng if rng is not None else self._rng
-        mean_per_crossbar = self.fault_density * rows * cols
-        maps: List[FaultMap] = []
-        for _ in range(num_crossbars):
-            if self.clustered:
-                count = int(rng.poisson(mean_per_crossbar))
-            else:
-                count = int(round(mean_per_crossbar))
-            maps.append(self._sample_fault_map(rows, cols, count, rng))
-        return maps
+        sa0_at, sa1_at = self._draw_stack(
+            num_crossbars, rows, cols, self.fault_density, rng
+        )
+        sa0 = np.zeros((num_crossbars, rows, cols), dtype=bool)
+        sa1 = np.zeros((num_crossbars, rows, cols), dtype=bool)
+        sa0.reshape(-1)[sa0_at] = True
+        sa1.reshape(-1)[sa1_at] = True
+        return stacked_fault_maps(sa0, sa1)
 
     def inject_additional(
         self,
@@ -325,24 +346,59 @@ class FaultModel:
     ) -> List[FaultMap]:
         """Overlay post-deployment faults of density ``extra_density``.
 
-        Returns new fault maps; the inputs are not modified.  Newly drawn
-        fault positions that collide with existing faults keep the existing
-        fault type.
+        Returns new fault maps, read-only views of one stacked pair of
+        planes; the inputs are not modified.  Newly drawn fault positions
+        that collide with existing faults keep the existing fault type.
         """
         extra_density = check_fraction(extra_density, "extra_density")
         rng = rng if rng is not None else self._rng
-        result: List[FaultMap] = []
-        for fmap in fault_maps:
-            rows, cols = fmap.shape
-            mean = extra_density * rows * cols
-            count = int(rng.poisson(mean)) if self.clustered else int(round(mean))
-            extra = self._sample_fault_map(rows, cols, count, rng)
-            # Existing faults take precedence over newly emerged ones.
-            extra.sa0 &= ~fmap.any_fault
-            extra.sa1 &= ~fmap.any_fault
-            merged = FaultMap(fmap.sa0 | extra.sa0, fmap.sa1 | extra.sa1)
-            result.append(merged)
-        return result
+        shapes = {fmap.shape for fmap in fault_maps}
+        if len(shapes) > 1:
+            raise ValueError(f"fault maps must share one shape, got {sorted(shapes)}")
+        if not shapes:
+            return []
+        rows, cols = shapes.pop()
+        sa0_at, sa1_at = self._draw_stack(
+            len(fault_maps), rows, cols, extra_density, rng
+        )
+        sa0 = np.array([fmap.sa0 for fmap in fault_maps])
+        sa1 = np.array([fmap.sa1 for fmap in fault_maps])
+        flat0 = sa0.reshape(-1)
+        flat1 = sa1.reshape(-1)
+        # Existing faults take precedence over newly emerged ones.  Drawn
+        # cells are distinct, so a new SA0 only has to miss an old SA1 (an
+        # old SA0 there leaves the cell as it was) and vice versa.
+        new_sa0 = sa0_at[~flat1[sa0_at]]
+        new_sa1 = sa1_at[~flat0[sa1_at]]
+        flat0[new_sa0] = True
+        flat1[new_sa1] = True
+        return stacked_fault_maps(sa0, sa1)
+
+
+def stacked_fault_maps(sa0: np.ndarray, sa1: np.ndarray) -> List[FaultMap]:
+    """One :class:`FaultMap` per leading index of an ``(N, rows, cols)`` pair.
+
+    The maps are views: the planes are made read-only and validated once
+    (no cell both SA0 and SA1), instead of copied and re-validated per map.
+    Nothing edits a map after it is made, so crossbars, BIST reports and
+    hardware snapshots share them.
+    """
+    if sa0.shape != sa1.shape or sa0.ndim != 3:
+        raise ValueError(
+            f"fault planes must be one (N, rows, cols) pair, got {sa0.shape} "
+            f"and {sa1.shape}"
+        )
+    if np.any(sa0 & sa1):
+        raise ValueError("a cell cannot be both SA0 and SA1")
+    sa0.flags.writeable = False
+    sa1.flags.writeable = False
+    maps = []
+    for plane0, plane1 in zip(sa0, sa1):
+        fmap = object.__new__(FaultMap)
+        fmap.sa0 = plane0
+        fmap.sa1 = plane1
+        maps.append(fmap)
+    return maps
 
 
 def population_density(fault_maps: Sequence[FaultMap]) -> float:
@@ -350,13 +406,12 @@ def population_density(fault_maps: Sequence[FaultMap]) -> float:
     total_cells = sum(f.sa0.size for f in fault_maps)
     if total_cells == 0:
         return 0.0
-    total_faults = sum(f.num_faults for f in fault_maps)
-    return total_faults / total_cells
+    return sum(population_counts(fault_maps)) / total_cells
 
 
 def population_counts(fault_maps: Sequence[FaultMap]) -> Tuple[int, int]:
     """Return (total SA0, total SA1) counts across a collection of maps."""
     return (
-        int(sum(f.num_sa0 for f in fault_maps)),
-        int(sum(f.num_sa1 for f in fault_maps)),
+        sum(map(np.count_nonzero, (f.sa0 for f in fault_maps))),
+        sum(map(np.count_nonzero, (f.sa1 for f in fault_maps))),
     )

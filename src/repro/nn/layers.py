@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.nn.base import GNNModel
 from repro.tensor import init
 from repro.tensor.tensor import Tensor

@@ -110,6 +110,24 @@ _WORKSPACE = _Workspace()
 # --------------------------------------------------------------------------- #
 # Segment reductions
 # --------------------------------------------------------------------------- #
+def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer ``keys`` in ``[0, bound)``.
+
+    numpy's default argsort of integers is a vectorised quicksort, several
+    times faster than its stable merge sort.  The composites ``key * n +
+    position`` are distinct, so sorting them with it gives exactly the
+    stable order of the keys.  Keys whose composites could overflow int64
+    take the merge sort.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    n = keys.size
+    if n < 2 or int(bound) * n > 2**63:
+        return np.argsort(keys, kind="stable")
+    composite = keys * n
+    composite += np.arange(n)
+    return np.argsort(composite)
+
+
 def _is_sorted(ids: np.ndarray) -> bool:
     return bool(ids.size <= 1 or np.all(ids[1:] >= ids[:-1]))
 
@@ -127,12 +145,20 @@ def _segment_reduce_2d(
     the natural ``(entries, features)`` layout, and the gather/transpose
     lands in the reused workspace instead of a fresh allocation.
     Returns the reduced block in natural ``(segments, features)`` layout.
+
+    The gathers here and in :func:`csr_matmat` pass ``mode="clip"``: their
+    indices are in range by construction (a sort permutation, or the column
+    indices a :class:`~repro.graph.sparse.CSRMatrix` validated against the
+    dense operand's rows), and with ``out=`` numpy's default
+    ``mode="raise"`` gathers into a temporary copy of ``out`` first, which
+    doubles the gather's cost.  Clipping never moves an in-range index, so
+    the values and their reduction order are unchanged.
     """
     contrib = _WORKSPACE.matrix(values.shape[1], values.shape[0])
     if order is None:
         np.copyto(contrib, values.T)
     else:
-        np.take(values.T, order, axis=1, out=contrib)
+        np.take(values.T, order, axis=1, out=contrib, mode="clip")
     return np.add.reduceat(contrib, starts, axis=1).T
 
 
@@ -275,7 +301,7 @@ def csr_matmat(
     starts = indptr[nonempty]
     if dense.shape[1] > 1:
         contrib = _WORKSPACE.matrix(dense.shape[1], data.shape[0])
-        np.take(dense.T, indices, axis=1, out=contrib)
+        np.take(dense.T, indices, axis=1, out=contrib, mode="clip")
         contrib *= data
         out[nonempty] = np.add.reduceat(contrib, starts, axis=1).T
     else:
@@ -348,15 +374,15 @@ def csr_transpose(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transpose a CSR matrix, returning ``(indptr_T, indices_T, data_T)``.
 
-    A stable argsort on the column indices is exactly the
-    ``lexsort((rows, cols))`` the seed ``from_coo`` round-trip performed
-    (entries are already row-sorted), so the output arrays are bit-identical
-    to the seed transpose — without materialising coordinates or re-running
-    the constructor's duplicate handling.
+    A stable argsort on the column indices (:func:`stable_argsort`) is
+    exactly the ``lexsort((rows, cols))`` the seed ``from_coo`` round-trip
+    performed (entries are already row-sorted), so the output arrays are
+    bit-identical to the seed transpose — without materialising coordinates
+    or re-running the constructor's duplicate handling.
     """
     rows, cols = int(shape[0]), int(shape[1])
     entry_rows = csr_row_ids(indptr)
-    order = np.argsort(indices, kind="stable")
+    order = stable_argsort(indices, cols)
     indices_t = entry_rows[order]
     data_t = np.asarray(data)[order]
     counts = np.bincount(indices, minlength=cols)

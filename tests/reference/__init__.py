@@ -5,9 +5,13 @@ replaced live here, next to the tests that compare against them, and the
 throughput benchmarks use them as their baselines:
 
 * :mod:`reference.mapping` — the per-pair loop behind Algorithm 1 with its
-  single-pair ``block_crossbar_cost`` (for the batched mapping cost engine)
-  and the per-block loop of the fault-unaware plan (for its edge-coordinate
-  count);
+  single-pair ``block_crossbar_cost`` (for the batched mapping cost engine),
+  the per-block loop of the fault-unaware plan (for its edge-coordinate
+  count) and NR's per-block group reordering (for its one batched solve per
+  plan);
+* :mod:`reference.faults` — the per-map sample-and-merge loop of fault
+  generation and post-deployment injection, and the copying BIST scan (for
+  the stacked fault planes and the shared maps);
 * :mod:`reference.graph` — the lexsort heavy-edge matcher of the streaming
   partitioner (for its segment maxima) and the double-sort ``from_coo``;
 * :mod:`reference.matching` — the scalar Hungarian loop that updates every

@@ -8,7 +8,11 @@
 * :func:`seed_sequential_mapping` — the fault-unaware plan with one
   :func:`~repro.core.mapping.permutation_mismatch_cost` call per dense block
   (for the edge-coordinate count of
-  :func:`~repro.core.mapping.sequential_plans`).
+  :func:`~repro.core.mapping.sequential_plans`);
+* :class:`SeedNeuronReordering` — NR's plan and refresh with one dense
+  group-cost matrix and one scalar greedy solve per block (for the batched
+  group reordering of
+  :class:`~repro.core.strategies.NeuronReorderingStrategy`).
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from repro.core.mapping import (
     FaultAwareMapper,
     permutation_mismatch_cost,
 )
+from repro.core.strategies import NeuronReorderingStrategy
 from repro.hardware.faults import FaultMap
 from repro.matching.bipartite import solve_assignment
+from repro.matching.greedy import greedy_assignment
 
 
 def block_row_cost_matrix(
@@ -116,6 +122,92 @@ def seed_sequential_mapping(
             )
         )
     return BatchMapping(blocks=mappings)
+
+
+class SeedNeuronReordering(NeuronReorderingStrategy):
+    """NR with the per-block loop: each block read dense, costed and solved alone."""
+
+    def plan_adjacency(
+        self,
+        blocks_per_batch: Sequence[Sequence[np.ndarray]],
+        fault_maps: Sequence[FaultMap],
+        crossbar_ids: Sequence[int],
+        crossbar_rows: int,
+    ) -> List[BatchMapping]:
+        plans: List[BatchMapping] = []
+        for blocks in blocks_per_batch:
+            plan = seed_sequential_mapping(len(blocks), crossbar_rows, len(crossbar_ids))
+            plan.blocks = [
+                self._reordered_mapping(
+                    blocks,
+                    m.block_index,
+                    crossbar_ids[m.crossbar_index],
+                    fault_maps[m.crossbar_index],
+                )
+                for m in plan.blocks
+            ]
+            plans.append(plan)
+        return plans
+
+    def refresh_adjacency(
+        self,
+        plans: List[BatchMapping],
+        blocks_per_batch: Sequence[Sequence[np.ndarray]],
+        fault_maps_by_id,
+    ) -> List[BatchMapping]:
+        return [
+            BatchMapping(
+                blocks=[
+                    self._reordered_mapping(
+                        blocks,
+                        m.block_index,
+                        m.crossbar_index,
+                        fault_maps_by_id[m.crossbar_index],
+                    )
+                    for m in plan.blocks
+                ]
+            )
+            for plan, blocks in zip(plans, blocks_per_batch)
+        ]
+
+    def _reordered_mapping(
+        self,
+        blocks: Sequence[np.ndarray],
+        block_index: int,
+        crossbar_index: int,
+        fault_map: FaultMap,
+    ) -> BlockMapping:
+        block = blocks[block_index]
+        permutation = self._group_permutation(block, fault_map)
+        cost, sa1 = permutation_mismatch_cost(block, fault_map, permutation)
+        return BlockMapping(block_index, crossbar_index, permutation, cost, sa1)
+
+    def _group_permutation(self, block: np.ndarray, fault_map: FaultMap) -> np.ndarray:
+        block = np.asarray(block, dtype=np.float64)
+        n = block.shape[0]
+        group = min(self.group_size, n)
+        num_groups = n // group
+        if num_groups <= 1:
+            return np.arange(n, dtype=np.int64)
+        usable = num_groups * group
+        ones = (block[:usable] > 0).reshape(num_groups, group, -1)
+        sa0 = fault_map.sa0[:usable].reshape(num_groups, group, -1)
+        sa1 = fault_map.sa1[:usable].reshape(num_groups, group, -1)
+        # cost[g, h] = mismatches when block group g is stored in crossbar
+        # group h, keeping the within-group row order (coarse unit).
+        ones_flat = ones.reshape(num_groups, -1)
+        zeros_flat = 1.0 - ones_flat
+        sa0_flat = sa0.reshape(num_groups, -1).astype(np.float64)
+        sa1_flat = sa1.reshape(num_groups, -1).astype(np.float64)
+        cost = ones_flat @ sa0_flat.T + zeros_flat @ sa1_flat.T
+        group_assignment, _ = greedy_assignment(cost)
+        permutation = np.arange(n, dtype=np.int64)
+        for g in range(num_groups):
+            target = int(group_assignment[g])
+            permutation[g * group : (g + 1) * group] = np.arange(
+                target * group, (target + 1) * group, dtype=np.int64
+            )
+        return permutation
 
 
 class SeedPairLoop:

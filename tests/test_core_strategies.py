@@ -13,8 +13,12 @@ from repro.core.strategies import (
     WeightClippingStrategy,
     build_strategy,
 )
+from repro.graph.sparse import CSRMatrix
 from repro.hardware.faults import FaultMap, FaultModel
 from repro.nn.gcn import GCN
+from repro.pipeline.mapping_engine import decompose_adjacency
+
+from reference.mapping import SeedNeuronReordering
 
 
 def make_blocks_and_maps(num_blocks=3, num_crossbars=5, size=16, seed=0):
@@ -128,6 +132,59 @@ class TestNeuronReordering:
         assert [m.crossbar_index for m in refreshed[0].blocks] == [
             m.crossbar_index for m in plans[0].blocks
         ]
+
+    @staticmethod
+    def _assert_same_plans(got, want):
+        assert len(got) == len(want)
+        for plan, reference in zip(got, want):
+            assert plan.pruned_crossbars == reference.pruned_crossbars
+            assert plan.relaxed_blocks == reference.relaxed_blocks
+            assert len(plan.blocks) == len(reference.blocks)
+            for m, r in zip(plan.blocks, reference.blocks):
+                assert (m.block_index, m.crossbar_index) == (r.block_index, r.crossbar_index)
+                assert m.row_permutation.dtype == r.row_permutation.dtype
+                np.testing.assert_array_equal(m.row_permutation, r.row_permutation)
+                assert type(m.cost) is type(r.cost) and m.cost == r.cost
+                assert type(m.sa1_mismatch) is type(r.sa1_mismatch)
+                assert m.sa1_mismatch == r.sa1_mismatch
+
+    # (6, 8) and (8, 16): fewer rows than group_size; (18, 4) and (20, 3):
+    # rows not divisible by it.  Density 0 makes every map fault-free.
+    @pytest.mark.parametrize("size,group_size", [(16, 4), (6, 8), (8, 16), (18, 4), (20, 3), (16, 1)])
+    @pytest.mark.parametrize("density", [0.0, 0.15])
+    @pytest.mark.parametrize("as_view", [True, False])
+    def test_plan_and_refresh_match_per_block_loop(self, size, group_size, density, as_view):
+        rng = np.random.default_rng(size * 31 + group_size)
+        batches = []
+        for n in (3 * size - 1, size, 2 * size):
+            adjacency = CSRMatrix.from_dense((rng.random((n, n)) < 0.2).astype(float))
+            view = decompose_adjacency(adjacency, size, size)[0]
+            batches.append(view if as_view else list(view))
+        model = FaultModel(density, (1, 1), seed=size)
+        fmaps = model.generate(5, size, size)
+        ids = [20, 21, 22, 23, 24]
+        strategy = NeuronReorderingStrategy(group_size=group_size)
+        reference = SeedNeuronReordering(group_size=group_size)
+        plans = strategy.plan_adjacency(batches, fmaps, ids, size)
+        self._assert_same_plans(plans, reference.plan_adjacency(batches, fmaps, ids, size))
+        by_id = dict(zip(ids, model.inject_additional(fmaps, 0.1)))
+        self._assert_same_plans(
+            strategy.refresh_adjacency(plans, batches, by_id),
+            reference.refresh_adjacency(plans, batches, by_id),
+        )
+
+    def test_refresh_follows_plan_order(self):
+        blocks, fmaps = make_blocks_and_maps(num_blocks=4, num_crossbars=4)
+        strategy = NeuronReorderingStrategy(group_size=4)
+        plan = strategy.plan_adjacency([blocks], fmaps, [3, 5, 7, 9], 16)[0]
+        plan = BatchMapping(blocks=plan.blocks[::-1])
+        by_id = dict(zip([9, 7, 5, 3], fmaps[::-1]))
+        refreshed = strategy.refresh_adjacency([plan], [blocks], by_id)
+        self._assert_same_plans(
+            refreshed,
+            SeedNeuronReordering(group_size=4).refresh_adjacency([plan], [blocks], by_id),
+        )
+        assert [m.block_index for m in refreshed[0].blocks] == [3, 2, 1, 0]
 
     def test_group_size_validation(self):
         with pytest.raises(ValueError):

@@ -251,6 +251,32 @@ class TestSharedArtifactsEquivalence:
             np.testing.assert_array_equal(a.fault_map.sa0, c.fault_map.sa0)
             np.testing.assert_array_equal(a.fault_map.sa1, c.fault_map.sa1)
 
+    def test_restored_environments_do_not_share_injections(self):
+        spec = RunSpec.make("ppi", "gcn", "fault_unaware", 0.05, scale="ci", seed=3)
+        cache = ArtifactCache()
+        cache.hardware(spec)            # miss: builds + captures
+        first = cache.hardware(spec)    # hit: restored from the snapshot
+        second = cache.hardware(spec)   # hit: restored from the same snapshot
+        before = [
+            (x.fault_map.sa0.copy(), x.fault_map.sa1.copy())
+            for x in second.pool.crossbars
+        ]
+        first.inject_post_deployment(0.05)
+        first.inject_post_deployment(0.05)
+        third = cache.hardware(spec)
+        changed = 0
+        for a, b, c, (sa0, sa1) in zip(
+            first.pool.crossbars,
+            second.pool.crossbars,
+            third.pool.crossbars,
+            before,
+        ):
+            for crossbar in (b, c):
+                np.testing.assert_array_equal(crossbar.fault_map.sa0, sa0)
+                np.testing.assert_array_equal(crossbar.fault_map.sa1, sa1)
+            changed += a.fault_map.num_faults > int(sa0.sum() + sa1.sum())
+        assert changed > 0
+
     def test_plan_shared_across_models(self):
         """FaRe adjacency plans are model-independent and shared as such."""
         engine = SweepEngine()

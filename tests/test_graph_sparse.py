@@ -56,6 +56,23 @@ class TestConstruction:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), name
 
+    @pytest.mark.parametrize("distinct", [1, 3, 50])
+    @pytest.mark.parametrize("sum_duplicates", [True, False])
+    def test_from_coo_long_duplicate_runs_equal_the_seed(self, distinct, sum_duplicates):
+        """Runs of thousands of equal keys keep input order (summation order)."""
+        rng = np.random.default_rng(distinct)
+        n_rows, n_cols = 9, 7
+        coords = rng.integers(0, n_rows * n_cols, distinct)
+        keys = coords[rng.integers(0, distinct, 6000)]
+        rows, cols = np.divmod(keys, n_cols)
+        values = rng.choice([1e16, -1e16, 1.0, 0.1, -0.0, 3.0], keys.size)
+        reference = seed_from_coo(rows, cols, values, (n_rows, n_cols), sum_duplicates)
+        candidate = CSRMatrix.from_coo(rows, cols, values, (n_rows, n_cols), sum_duplicates)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(candidate, name), getattr(reference, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+
     def test_identity(self):
         np.testing.assert_array_equal(CSRMatrix.identity(4).to_dense(), np.eye(4))
 

@@ -11,6 +11,8 @@ from repro.hardware.energy import TileCostModel
 from repro.hardware.faults import FaultMap, FaultModel
 from repro.hardware.tile import CrossbarPool, Tile
 
+from reference.faults import seed_bist_scan
+
 
 class TestConfig:
     def test_table3_defaults(self):
@@ -136,19 +138,38 @@ class TestTileAndPool:
 class TestBIST:
     def test_full_coverage_reports_truth(self, tiny_config):
         pool = CrossbarPool(tiny_config, fault_model=FaultModel(0.05, seed=0), num_crossbars=6)
-        bist = BISTController(tiny_config, coverage=1.0)
+        bist = BISTController(tiny_config)
         report = bist.scan(pool.crossbars)
         assert report.missed_faults == 0
         for crossbar, detected in zip(pool.crossbars, report.fault_maps):
             np.testing.assert_array_equal(detected.sa0, crossbar.fault_map.sa0)
             np.testing.assert_array_equal(detected.sa1, crossbar.fault_map.sa1)
 
-    def test_partial_coverage_misses_faults(self, tiny_config):
-        pool = CrossbarPool(tiny_config, fault_model=FaultModel(0.2, seed=1), num_crossbars=8)
-        bist = BISTController(tiny_config, coverage=0.5, seed=0)
-        report = bist.scan(pool.crossbars)
-        assert report.missed_faults > 0
-        assert report.detected_faults > 0
+    def test_scan_matches_copying_seed(self, tiny_config):
+        pool = CrossbarPool(tiny_config, fault_model=FaultModel(0.1, seed=4), num_crossbars=9)
+        pool.inject_post_deployment(0.05)
+        report = BISTController(tiny_config).scan(pool.crossbars[2:])
+        maps, detected = seed_bist_scan(pool.crossbars[2:])
+        assert report.detected_faults == detected
+        assert report.density() == detected / sum(m.sa0.size for m in maps)
+        for got, want in zip(report.fault_maps, maps):
+            np.testing.assert_array_equal(got.sa0, want.sa0)
+            np.testing.assert_array_equal(got.sa1, want.sa1)
+
+    def test_later_injection_leaves_earlier_report(self, tiny_config):
+        pool = CrossbarPool(tiny_config, fault_model=FaultModel(0.05, seed=2), num_crossbars=6)
+        bist = BISTController(tiny_config)
+        first = bist.scan(pool.crossbars)
+        copies = [(m.sa0.copy(), m.sa1.copy()) for m in first.fault_maps]
+        detected = first.detected_faults
+        for _ in range(3):
+            pool.inject_post_deployment(0.2)
+        second = bist.scan(pool.crossbars)
+        assert second.detected_faults > detected
+        assert first.detected_faults == detected
+        for fmap, (sa0, sa1) in zip(first.fault_maps, copies):
+            np.testing.assert_array_equal(fmap.sa0, sa0)
+            np.testing.assert_array_equal(fmap.sa1, sa1)
 
     def test_overheads_match_paper(self, tiny_config):
         bist = BISTController(tiny_config)

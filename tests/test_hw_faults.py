@@ -12,7 +12,10 @@ from repro.hardware.faults import (
     apply_faults_to_cells,
     population_counts,
     population_density,
+    stacked_fault_maps,
 )
+
+from reference.faults import seed_generate, seed_inject_additional
 
 
 class TestFaultMap:
@@ -195,7 +198,8 @@ class TestFaultMapDeltaAlgebra:
     @settings(max_examples=25, deadline=None)
     def test_fingerprint_stable_across_copies_unique_across_mutations(self, seed):
         rng = np.random.default_rng(seed)
-        fmap = self._random_map(rng)
+        # A generated map is a read-only view; edit a copy of it.
+        fmap = self._random_map(rng).copy()
         original = fmap.fingerprint
         assert fmap.copy().fingerprint == original  # stability
         r, c = int(rng.integers(16)), int(rng.integers(16))
@@ -244,3 +248,97 @@ class TestFaultProperties:
         once = apply_faults_to_binary(block, fmap)
         twice = apply_faults_to_binary(once, fmap)
         np.testing.assert_array_equal(once, twice)
+
+
+def _assert_same_maps(got, want):
+    assert len(got) == len(want)
+    for candidate, reference in zip(got, want):
+        assert candidate.shape == reference.shape
+        assert candidate.sa0.dtype == bool and candidate.sa1.dtype == bool
+        np.testing.assert_array_equal(candidate.sa0, reference.sa0)
+        np.testing.assert_array_equal(candidate.sa1, reference.sa1)
+
+
+class TestStackedSampling:
+    """``generate`` and ``inject_additional`` against the per-map seed loop.
+
+    Same random draws in the same order, merged into one stacked pair of
+    planes: maps and the generator state must match after every step of a
+    chain of injections.
+    """
+
+    @pytest.mark.parametrize("clustered", [True, False])
+    @pytest.mark.parametrize("ratio", [(9, 1), (1, 1), (0, 1), (1, 0)])
+    @pytest.mark.parametrize("num_crossbars", [1, 7])
+    def test_chain_matches_seed_loop(self, clustered, ratio, num_crossbars):
+        # Density 0 and a tiny extra density make maps that draw no new
+        # fault; the dense steps make collisions with existing faults.
+        densities = (0.0, 0.002, 0.3, 0.0, 0.6, 0.05)
+        model = FaultModel(0.08, ratio, clustered=clustered, seed=11)
+        seed = FaultModel(0.08, ratio, clustered=clustered, seed=11)
+        maps = model.generate(num_crossbars, 12, 10)
+        reference = seed_generate(seed, num_crossbars, 12, 10)
+        _assert_same_maps(maps, reference)
+        assert model.rng_state == seed.rng_state
+        for density in densities:
+            before = [(m.sa0.copy(), m.sa1.copy()) for m in maps]
+            maps_in = maps
+            maps = model.inject_additional(maps_in, density)
+            reference = seed_inject_additional(seed, reference, density)
+            _assert_same_maps(maps, reference)
+            assert model.rng_state == seed.rng_state
+            for fmap, (sa0, sa1) in zip(maps_in, before):
+                np.testing.assert_array_equal(fmap.sa0, sa0)
+                np.testing.assert_array_equal(fmap.sa1, sa1)
+
+    @pytest.mark.parametrize("density", [0.0, 0.05, 1.0])
+    def test_generate_matches_seed_with_explicit_rng(self, density):
+        model = FaultModel(density, (1, 1), seed=0)
+        got = model.generate(5, 8, 8, rng=np.random.default_rng(3))
+        want = seed_generate(model, 5, 8, 8, rng=np.random.default_rng(3))
+        _assert_same_maps(got, want)
+
+    def test_collisions_keep_existing_types(self):
+        # Every cell faulty before, every cell drawn again: nothing changes.
+        model = FaultModel(1.0, (1, 1), seed=5)
+        maps = model.generate(3, 6, 6)
+        updated = model.inject_additional(maps, 1.0)
+        _assert_same_maps(updated, maps)
+
+    def test_maps_are_read_only_views_of_one_stack(self):
+        model = FaultModel(0.1, (9, 1), seed=2)
+        maps = model.inject_additional(model.generate(4, 8, 8), 0.05)
+        base = maps[0].sa0.base
+        assert base is not None and all(m.sa0.base is base for m in maps)
+        with pytest.raises(ValueError):
+            maps[1].sa0[0, 0] = True
+        edited = maps[1].copy()
+        edited.sa0[0, 0] = not edited.sa0[0, 0]
+        assert maps[1].fingerprint != edited.fingerprint
+
+    def test_stack_is_validated_once(self):
+        sa0 = np.zeros((2, 3, 3), dtype=bool)
+        sa1 = np.zeros((2, 3, 3), dtype=bool)
+        sa0[1, 2, 2] = sa1[1, 2, 2] = True
+        with pytest.raises(ValueError, match="both SA0 and SA1"):
+            stacked_fault_maps(sa0, sa1)
+        with pytest.raises(ValueError):
+            stacked_fault_maps(sa0, sa1[:, :2])
+
+    def test_mixed_shapes_rejected(self):
+        model = FaultModel(0.1, seed=1)
+        with pytest.raises(ValueError):
+            model.inject_additional([FaultMap.empty(4, 4), FaultMap.empty(4, 5)], 0.1)
+
+    def test_empty_list(self):
+        model = FaultModel(0.1, seed=1)
+        state = model.rng_state
+        assert model.inject_additional([], 0.5) == []
+        assert model.rng_state == state
+
+    def test_population_counts(self):
+        maps = FaultModel(0.2, (1, 1), seed=9).generate(6, 8, 8)
+        sa0, sa1 = population_counts(maps)
+        assert sa0 == sum(int(m.sa0.sum()) for m in maps)
+        assert sa1 == sum(int(m.sa1.sum()) for m in maps)
+        assert population_density(maps) == (sa0 + sa1) / (6 * 64)

@@ -174,6 +174,54 @@ class TestCSRKernels:
         np.testing.assert_array_equal(transposed.indices, seed_t.indices)
         np.testing.assert_array_equal(transposed.data, seed_t.data)
 
+    @pytest.mark.parametrize("cols", [1, 4, 300])
+    def test_transpose_long_column_runs_bit_identical_to_seed(self, cols):
+        rng = np.random.default_rng(cols)
+        rows = 400
+        dense = (rng.random((rows, cols)) < 0.6) * rng.normal(size=(rows, cols))
+        mat = CSRMatrix.from_dense(dense)
+        entry_rows = np.repeat(np.arange(rows), np.diff(mat.indptr))
+        seed_t = CSRMatrix.from_coo(
+            mat.indices, entry_rows, mat.data, (cols, rows), sum_duplicates=False
+        )
+        transposed = mat.transpose()
+        for name in ("indptr", "indices", "data"):
+            assert getattr(transposed, name).tobytes() == getattr(seed_t, name).tobytes()
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.zeros(0, dtype=np.int64),
+            np.array([5]),
+            np.arange(1000)[::-1],
+            np.random.default_rng(0).integers(0, 3, 5000),
+            np.random.default_rng(1).integers(0, 10**12, 5000),
+            np.random.default_rng(2).integers(0, 100, 5000),
+            np.sort(np.random.default_rng(3).integers(0, 40, 5000)),
+        ],
+    )
+    def test_stable_argsort_equals_numpy_stable(self, keys):
+        want = np.argsort(keys, kind="stable")
+        bound = int(keys.max()) + 1 if keys.size else 1
+        np.testing.assert_array_equal(kernels.stable_argsort(keys, bound), want)
+        # A bound whose composite keys would overflow int64 takes the merge sort.
+        np.testing.assert_array_equal(kernels.stable_argsort(keys, 2**62), want)
+
+    @pytest.mark.parametrize("shape", [(600, 64), (300, 12), (50, 1)])
+    def test_matmat_gather_bit_identical(self, shape):
+        """The clipped gather reads the same values as a plain row gather."""
+        rows, features = shape
+        rng = np.random.default_rng(rows)
+        mat = CSRMatrix.from_dense(
+            (rng.random((rows, rows)) < 0.03) * rng.normal(size=(rows, rows))
+        )
+        x = rng.normal(size=(rows, features))
+        nonempty = np.flatnonzero(np.diff(mat.indptr) > 0)
+        contrib = np.ascontiguousarray((x[mat.indices] * mat.data[:, None]).T)
+        want = np.zeros((rows, features))
+        want[nonempty] = np.add.reduceat(contrib, mat.indptr[nonempty], axis=1).T
+        assert mat.dot(x).tobytes() == want.tobytes()
+
     def test_transpose_memoised_and_symmetric(self):
         mat, dense = random_csr(seed=7)
         misses = kernels.COUNTERS.transpose_cache_misses
