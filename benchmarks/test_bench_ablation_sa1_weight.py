@@ -26,7 +26,7 @@ def _setup(scale, seed):
     hw_config = configs.hardware_config(scale)
     graph = load_dataset("reddit", scale=scale, seed=seed)
     sampler = ClusterBatchSampler(graph, settings.num_parts, settings.batch_clusters, seed=seed)
-    batch = next(iter(sampler.epoch(shuffle=False)))
+    batch = next(iter(sampler.epoch()))
     hardware = HardwareEnvironment(
         config=hw_config,
         fault_model=FaultModel(0.05, (1.0, 1.0), seed=seed),

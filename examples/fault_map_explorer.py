@@ -54,7 +54,7 @@ def main() -> None:
     sampler = ClusterBatchSampler(
         graph, settings.num_parts, settings.batch_clusters, seed=args.seed
     )
-    batch = next(iter(sampler.epoch(shuffle=False)))
+    batch = next(iter(sampler.epoch()))
 
     hardware = HardwareEnvironment(
         config=hw_config,

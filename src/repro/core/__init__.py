@@ -30,7 +30,6 @@ from repro.core.mapping import (
     BlockMapping,
     BatchMapping,
     FaultAwareMapper,
-    permutation_mismatch_cost,
     sequential_mapping,
     sequential_plans,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "BlockMapping",
     "BatchMapping",
     "FaultAwareMapper",
-    "permutation_mismatch_cost",
     "sequential_mapping",
     "sequential_plans",
     "STRATEGY_REGISTRY",

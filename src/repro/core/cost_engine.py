@@ -9,22 +9,35 @@ results **bit-identical** to it (the equivalence is enforced by
 ``tests/test_core_cost_engine.py``) while doing orders of magnitude less
 work:
 
-* **Batched costs** — all distinct blocks are stacked into a ``(B, R, C)``
-  tensor and all distinct faulty maps into ``(M, R, C)`` tensors; every
-  ``sa0``/``sa1`` row-cost matrix is produced by two batched matmuls instead
-  of ``B × M`` small ones.  Because blocks and fault masks are 0/1 valued,
-  the matrix entries are exact small integers in float64, so the batched
-  contraction is *exactly* equal to the per-pair product — summation order
-  cannot change the result, which is what makes bit-identical tie-breaking
-  downstream possible.
+* **One product per chunk** — the row-cost matrix of block ``B`` on fault
+  map ``(SA0, SA1)`` is ``B·SA0ᵀ + w·(1 − B)·SA1ᵀ = B·(SA0 − w·SA1)ᵀ +
+  w·n1``, where ``n1[s]`` counts the SA1 cells of crossbar row ``s``.  All
+  pending blocks are stacked into one ``(B·R, C + 1)`` matrix (a column of
+  ones carries the ``w·n1`` term) and every pending map into one signed
+  ``(C + 1, S)`` plane, so a single float32 ``matmul`` per map chunk writes
+  the solver stack pair by pair in map order: a cold plan's stack is the
+  product itself, with no transpose or gather.  Every partial sum is a
+  multiple of ``2^-q`` no larger than ``(1 + w)·C`` (``w·2^q`` integral), so
+  the float32 product is exact whenever ``(1 + w)·C·2^q < 2²⁴`` — every
+  weight in use — and the values equal the seed's float64 ones; summation
+  order cannot change them, which is what makes bit-identical tie-breaking
+  downstream possible.  Any other weight puts a power of two ``K > C`` in
+  its place, reads both counts apart from ``sa0 + K·sa1`` and combines them
+  with the seed's float64 formula.  A refresh's sparse pending set
+  multiplies operands gathered per pair.
 * **Skip + dedupe** — fault-free crossbars short-circuit (cost 0, identity
   permutation) without touching the tensors, and duplicate blocks/fault maps
   (detected by cheap content fingerprints) are solved once and shared.
-* **Vectorial zero-cost early-exit** — a pair whose ``sa0`` *and* ``sa1``
-  cost matrices are identically zero has cost 0 and SA1 mismatch 0 under
-  *any* permutation, and its cost matrix is the all-zero matrix, so every
-  such pair gets the solver's permutation of that one matrix: one solve per
-  batch serves all of them.
+* **Zero-cost pairs from column occupancy** — a pair whose ``sa0`` *and*
+  ``sa1`` matrices are identically zero has cost 0 and SA1 mismatch 0 under
+  *any* permutation.  That is known before any product: no column holds
+  both a one of the block and an SA0 cell, and every column holding an SA1
+  cell is all ones in the block.  Its cost matrix is the all-zero matrix,
+  so every such pair gets the solver's permutation of that one matrix: one
+  solve per call serves all of them.
+* **SA1 mismatch from the chosen rows** — a solved pair's SA1 mismatch is
+  ``Σ_r (n1[perm r] − B[r]·SA1[perm r])`` over its assignment only, counted
+  over packed bits.
 * **Result cache** — every solved pair is cached under its fault map's
   ``(fingerprint, sa1_weight, method)`` and its block's fingerprint.  A
   plan looks each fault map up once and all of its blocks in one pass;
@@ -41,7 +54,11 @@ Performance model (``B`` blocks, ``M`` crossbars, ``R × C`` crossbar):
 =====================  ==============================================  =========================================
 stage                  seed loop                                       cost engine
 =====================  ==============================================  =========================================
-row-cost matrices      ``B·M`` Python calls, 2 matmuls each            2 batched matmuls over unique pairs
+row-cost matrices      ``B·M`` Python calls, 2 matmuls each            one float32 matmul per map chunk over
+                                                                       the pending blocks (per-pair matmuls
+                                                                       for a sparse pending set)
+zero-cost pairs        solved like any other                           found from column occupancy, no
+                                                                       product; one all-zero solve per call
 inner assignments      ``B·M`` solver calls                            one vectorised stack solve over
                                                                        non-zero, non-duplicate, uncached
                                                                        pairs: the two-phase batch greedy
@@ -56,7 +73,7 @@ A note on the equivalence guarantee: the outer assignment consumes the exact
 per-pair solver costs (a single differing entry could flip a tie in the outer
 Hungarian solve), so cost entries can only be *skipped*, never approximated —
 lower bounds are used exactly where they are provably tight (the zero-cost
-early-exit above).  Everything else is restructuring of identical arithmetic.
+pairs above).  Everything else is restructuring of identical arithmetic.
 
 Re-planning after a fault delta
 -------------------------------
@@ -73,10 +90,11 @@ beyond that some have been evicted and they are re-solved.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -131,21 +149,16 @@ class CostEngineStats:
         }
 
 
-@dataclass(eq=False)
-class _PairEntry:
-    """Cached result for one (block pattern, fault pattern) pair.
-
-    Entries compare by identity, so scanning a list of them for ``None``
-    stays a C-level loop.
-    """
+class _PairEntry(NamedTuple):
+    """Cached result for one (block pattern, fault pattern) pair."""
 
     cost: float
     sa1_mismatch: float
     permutation: np.ndarray
 
 
-_COST = attrgetter("cost")
-_SA1_MISMATCH = attrgetter("sa1_mismatch")
+_COST = itemgetter(0)
+_SA1_MISMATCH = itemgetter(1)
 
 #: A provider returning the (solver-exact) row permutation for pair ``(i, j)``.
 PermutationProvider = Callable[[int, int], np.ndarray]
@@ -181,9 +194,18 @@ def _dedupe(fingerprints: List[str]) -> Tuple[np.ndarray, np.ndarray, List[str]]
     appears, and the distinct fingerprints.
     """
     unique_of: Dict[str, int] = {}
-    numbers = [unique_of.setdefault(fp, len(unique_of)) for fp in fingerprints]
-    first = np.unique(numbers, return_index=True)[1]
-    return np.array(numbers, dtype=np.int64), first, list(unique_of)
+    numbers = []
+    first = []
+    for position, fp in enumerate(fingerprints):
+        number = unique_of.setdefault(fp, len(first))
+        if number == len(first):
+            first.append(position)
+        numbers.append(number)
+    return (
+        np.array(numbers, dtype=np.int64),
+        np.array(first, dtype=np.int64),
+        list(unique_of),
+    )
 
 
 def _stack_and_dedupe(
@@ -198,7 +220,9 @@ def _stack_and_dedupe(
     for fmap in fault_maps:
         if fmap.shape != shape:
             raise ValueError(f"fault map shape {fmap.shape} does not match {shape}")
-    masks = np.array([np.asarray(block) > 0 for block in blocks])
+    masks = np.asarray(blocks)
+    if masks.dtype != bool:
+        masks = masks > 0
     if masks.shape[1:] != shape:
         raise ValueError(
             f"block shape {masks.shape[1:]} does not match fault map {shape}"
@@ -216,6 +240,118 @@ def _stack_and_dedupe(
         masks, planes, faulty, block_uid, block_rep, block_fps, map_uid,
         faulty[map_first], map_fps,
     )
+
+
+def _float32_exact(weight: float, cols: int) -> bool:
+    """Whether float32 holds every partial sum of the pair product exactly.
+
+    Each term of ``B·(SA0 − w·SA1)ᵀ + w·n1`` is 0, 1, −w or w, so with
+    ``w·2^q`` integral every partial sum is a multiple of ``2^-q`` of
+    magnitude at most ``(1 + w)·C``: exact while ``(1 + w)·C·2^q < 2²⁴``.
+    """
+    numerator, denominator = weight.as_integer_ratio()
+    return (denominator + numerator) * cols < 2**24
+
+
+class _PairOperands:
+    """Factors of the row-cost matrices of a call's pending pairs.
+
+    Block ``B`` on fault map ``(SA0, SA1)`` costs ``sa0 + w·sa1`` per (block
+    row, crossbar row), with ``sa0 = B·SA0ᵀ`` (ones on SA0 cells) and
+    ``sa1 = (1 − B)·SA1ᵀ = n1 − B·SA1ᵀ`` (zeros on SA1 cells), ``n1[s]``
+    being the SA1 cells of crossbar row ``s``.  So one product gives the
+    whole matrix, ``[B, 1]·[SA0 − w·SA1, w·n1]ᵀ``: exact integers (or dyadic
+    values) in float32 whenever :func:`_float32_exact` allows.  Outside that
+    range the same product, with a power of two ``K > C`` in place of ``w``,
+    reads ``sa0 + K·sa1`` with ``sa0 ≤ C < K``, and both counts come apart
+    exactly for the seed's float64 formula.
+    """
+
+    def __init__(self, masks: np.ndarray, planes: np.ndarray, weight: float) -> None:
+        num_blocks, rows, cols = masks.shape
+        self.rows = rows
+        self.weight = weight
+        self.exact = _float32_exact(weight, cols)
+        self.gemm_weight = weight if self.exact else float(1 << cols.bit_length())
+        dtype = (
+            np.float32 if _float32_exact(self.gemm_weight, cols) else np.float64
+        )
+        self.lhs = np.ones((num_blocks, rows, cols + 1), dtype=dtype)
+        self.lhs[:, :, :cols] = masks
+        # Rows packed to bits for the SA1 counts and the SA1 mismatch.
+        self.packed_masks = np.packbits(masks, axis=2)
+        self.packed_sa1 = np.packbits(planes[:, 1], axis=2)
+        sa1_rows = np.bitwise_count(self.packed_sa1).sum(axis=2, dtype=np.int64)
+        self.sa1_cells = sa1_rows.sum(axis=1)
+        # SA0 and SA1 cells are disjoint, so the signed plane is SA0 with
+        # ``−w`` on the SA1 cells; it is stored transposed, one ``(C + 1, S)``
+        # matrix per map, the layout the product reads fastest.
+        self.rhs = np.empty((len(planes), cols + 1, rows), dtype=dtype)
+        signed = self.rhs[:, :cols]
+        signed[...] = planes[:, 0].transpose(0, 2, 1)
+        np.copyto(signed, -self.gemm_weight, where=planes[:, 1].transpose(0, 2, 1))
+        self.rhs[:, cols] = self.gemm_weight * sa1_rows
+        # Column occupancy for the zero-cost test: each block column's count
+        # of ones (exact in either dtype), each fault class's columns.
+        self.block_ones = np.matmul(np.ones(rows, dtype=dtype), self.lhs)[:, :cols]
+        self.fault_cols = planes.any(axis=2)
+
+    def zero_cost(self, pair_ub: np.ndarray, pair_um: np.ndarray) -> np.ndarray:
+        """Which pairs have identically zero ``sa0`` and ``sa1`` matrices.
+
+        ``sa0`` is zero when no column holds both a one of the block and an
+        SA0 cell; ``sa1`` when every column holding an SA1 cell is all ones
+        in the block.  Either way no product is needed.
+        """
+        ones = self.block_ones[pair_ub]
+        clash = (ones > 0) & self.fault_cols[pair_um, 0]
+        clash |= (ones < self.rows) & self.fault_cols[pair_um, 1]
+        return ~clash.any(axis=1)
+
+    def map_product(self, lo: int, hi: int) -> np.ndarray:
+        """The product of every block with maps ``lo:hi``.
+
+        Pair ``(ub, lo + m)`` is entry ``m * len(blocks) + ub``: one matmul
+        writes the stack map by map, with no transpose or gather.
+        """
+        num_blocks, rows, width = self.lhs.shape
+        product = np.matmul(self.lhs.reshape(num_blocks * rows, width), self.rhs[lo:hi])
+        return product.reshape(-1, rows, product.shape[-1])
+
+    def pair_product(self, pair_ub: np.ndarray, pair_um: np.ndarray) -> np.ndarray:
+        """The product of the listed pairs, from gathered operands."""
+        return np.matmul(self.lhs[pair_ub], self.rhs[pair_um])
+
+    def cost_stack(self, product: np.ndarray) -> np.ndarray:
+        """The solver's stack from a product: the seed's row-cost values.
+
+        int32 for an integral weight, float64 otherwise.  An exact product
+        is the values already; outside the exact range its two counts are
+        read apart and combined as the seed does, ``sa0 + w·sa1`` in
+        float64.
+        """
+        if self.exact:
+            return product.astype(
+                np.int32 if self.weight.is_integer() else np.float64
+            )
+        sa1 = np.floor(product / self.gemm_weight)
+        product -= self.gemm_weight * sa1
+        return product.astype(np.float64) + self.weight * sa1.astype(np.float64)
+
+    def sa1_mismatches(
+        self, pair_ub: np.ndarray, pair_um: np.ndarray, assignments: np.ndarray
+    ) -> np.ndarray:
+        """Each pair's unweighted SA1 mismatch under its row assignment.
+
+        ``Σ_r (n1[perm r] − B[r]·SA1[perm r])`` over the chosen rows only;
+        the permutation covers every crossbar row, so the first term is the
+        map's SA1 cell count.  The row dot products are counts over packed
+        bits.
+        """
+        chosen = self.packed_sa1[pair_um[:, None], assignments]
+        chosen &= self.packed_masks[pair_ub]
+        hits = np.bitwise_count(chosen).sum(axis=(1, 2), dtype=np.int64)
+        return (self.sa1_cells[pair_um] - hits).astype(np.float64)
 
 
 class MappingCostEngine:
@@ -244,8 +380,10 @@ class MappingCostEngine:
     CACHE_SIZE = 65_536
 
     def __init__(self, sa1_weight: float = 4.0, row_method: str = "greedy") -> None:
-        if sa1_weight < 0:
-            raise ValueError(f"sa1_weight must be non-negative, got {sa1_weight}")
+        if not math.isfinite(sa1_weight) or sa1_weight < 0:
+            raise ValueError(
+                f"sa1_weight must be finite and non-negative, got {sa1_weight}"
+            )
         if row_method not in BATCH_SOLVERS:
             raise ValueError(
                 f"unknown row method {row_method!r}; available: "
@@ -277,16 +415,19 @@ class MappingCostEngine:
         return column
 
     def _cache_store(
-        self, map_fp: str, block_fp: str, entry: _PairEntry
-    ) -> _PairEntry:
-        key = self._column_key(map_fp)
-        column = self._cache.get(key)
-        if column is None:
-            column = self._cache[key] = {}
-        if block_fp not in column:
-            self._cached_pairs += 1
-        column[block_fp] = entry
-        return entry
+        self, stacks: _Stacks, solved: Dict[Tuple[int, int], _PairEntry]
+    ) -> None:
+        """Cache newly solved pairs in their order, one lookup per run of a map."""
+        column_um, column = None, None
+        for (ub, um), entry in solved.items():
+            if um != column_um:
+                column_um = um
+                key = self._column_key(stacks.map_fps[um])
+                column = self._cache.setdefault(key, {})
+            block_fp = stacks.block_fps[ub]
+            if block_fp not in column:
+                self._cached_pairs += 1
+            column[block_fp] = entry
 
     def _evict(self) -> None:
         """Drop least recently used fault maps' results down to ``CACHE_SIZE``."""
@@ -336,11 +477,15 @@ class MappingCostEngine:
         # map ``um``, ``None`` until solved.  The counters move once per call.
         found: List[List[Optional[_PairEntry]]] = []
         to_solve: List[Tuple[int, int]] = []
+        cache = self._cache
         for um, map_fp in enumerate(stacks.map_fps):
-            column = self._column(map_fp)
-            entries = (
-                [None] * num_ub if column is None else list(map(column.get, block_fps))
-            )
+            key = self._column_key(map_fp)
+            column = cache.get(key)
+            if column is None:
+                entries = [None] * num_ub
+            else:
+                cache.move_to_end(key)
+                entries = list(map(column.get, block_fps))
             if None in entries:
                 to_solve.extend(
                     (ub, um) for ub, entry in enumerate(entries) if entry is None
@@ -445,80 +590,74 @@ class MappingCostEngine:
         solve_ums = sorted({um for _, um in to_solve})
         compact_ub = {ub: k for k, ub in enumerate(solve_ubs)}
         compact_um = {um: k for k, um in enumerate(solve_ums)}
+        pair_ub = np.array([compact_ub[ub] for ub, _ in to_solve], dtype=np.int64)
+        pair_um = np.array([compact_um[um] for _, um in to_solve], dtype=np.int64)
+        operands = _PairOperands(
+            stacks.masks[stacks.block_rep[solve_ubs]],
+            stacks.planes[stacks.map_rep[solve_ums]],
+            self.sa1_weight,
+        )
+        # Zero-cost pairs are known before any product.  Such a pair's cost
+        # matrix is the all-zero matrix, so one solve of it gives every
+        # zero-cost pair its solver-exact permutation.
+        zero = operands.zero_cost(pair_ub, pair_um)
+        num_zero = int(np.count_nonzero(zero))
+        self.stats.zero_cost_pairs += num_zero
+        self.stats.solver_pairs += len(to_solve) - num_zero
         rows, cols = stacks.masks.shape[1:]
-        # Cost entries are counts ≤ cols (SA1-weighted: ≤ (1 + w)·cols).  When
-        # they all fit exactly in float32 (< 2²⁴) the big contraction can run
-        # in float32 — half the memory traffic — and still produce the exact
-        # same integers as the seed's float64 matmuls; likewise an integral
-        # sa1_weight allows the solve to run on an exact int32 stack.
-        exact_f32 = (1.0 + self.sa1_weight) * cols < 2**24
-        compute_dtype = np.float32 if exact_f32 else np.float64
-        integral_weight = exact_f32 and float(self.sa1_weight).is_integer()
-        ones_stack = stacks.masks[stacks.block_rep[solve_ubs]].astype(compute_dtype)
-        zeros_stack = 1.0 - ones_stack
-        map_index = stacks.map_rep[solve_ums]
-        sa0_stack = stacks.planes[map_index, 0].astype(compute_dtype)
-        sa1_stack = stacks.planes[map_index, 1].astype(compute_dtype)
+        zero_entry = None
+        if num_zero:
+            assignments, _ = self._solve_stack(np.zeros((1, rows, rows)))
+            zero_entry = _PairEntry(0.0, 0.0, assignments[0])
 
         solved: Dict[Tuple[int, int], _PairEntry] = {}
-        pair_density = len(to_solve) / max(len(solve_ubs) * len(solve_ums), 1)
-        if pair_density >= 0.5:
-            # Dense pending set (the cold-start shape): one big contraction
-            # per fault class over the (pending block × pending map) grid —
-            # exact integer-valued results, identical to the seed's per-pair
-            # products.  Chunked over maps to bound the grid size.
-            grid_cells = max(len(solve_ubs) * rows * rows * 6, 1)
-            map_chunk = max(1, self.MAX_CHUNK_CELLS // grid_cells)
-            by_um = sorted(to_solve, key=lambda pair: compact_um[pair[1]])
-            cursor = 0
-            while cursor < len(by_um):
-                cm_lo = compact_um[by_um[cursor][1]]
-                cm_hi = min(cm_lo + map_chunk, len(solve_ums))
-                batch = []
-                while cursor < len(by_um) and compact_um[by_um[cursor][1]] < cm_hi:
-                    batch.append(by_um[cursor])
-                    cursor += 1
-                sa0_grid = np.tensordot(
-                    ones_stack, sa0_stack[cm_lo:cm_hi], axes=([2], [2])
-                ).transpose(0, 2, 1, 3)
-                sa1_grid = np.tensordot(
-                    zeros_stack, sa1_stack[cm_lo:cm_hi], axes=([2], [2])
-                ).transpose(0, 2, 1, 3)
-                ub_idx = np.array(
-                    [compact_ub[ub] for ub, _ in batch], dtype=np.int64
-                )
-                um_idx = np.array(
-                    [compact_um[um] - cm_lo for _, um in batch], dtype=np.int64
-                )
-                solved.update(
-                    self._finish_pair_batch(
-                        batch,
-                        sa0_grid[ub_idx, um_idx],
-                        sa1_grid[ub_idx, um_idx],
-                        integral_weight,
-                    )
-                )
+
+        def enter(batch: np.ndarray, live: np.ndarray, product: np.ndarray) -> None:
+            """Enter a chunk's zero-cost pairs, then solve and enter its live ones."""
+            for k in batch[zero[batch]].tolist():
+                solved[to_solve[k]] = zero_entry
+            if not live.size:
+                return
+            assignments, totals = self._solve_stack(operands.cost_stack(product))
+            sa1 = operands.sa1_mismatches(pair_ub[live], pair_um[live], assignments)
+            for k, cost, mismatch, permutation in zip(
+                live.tolist(), totals.tolist(), sa1.tolist(), assignments
+            ):
+                solved[to_solve[k]] = _PairEntry(cost, mismatch, permutation)
+
+        num_ub = len(solve_ubs)
+        if len(to_solve) >= 0.5 * num_ub * len(solve_ums):
+            # Dense pending set (the cold-start shape): one product of every
+            # pending block with a chunk of pending maps, pair-major in map
+            # order, so a cold plan's stack is the product itself.
+            map_chunk = max(1, self.MAX_CHUNK_CELLS // max(num_ub * rows * rows * 6, 1))
+            order = np.argsort(pair_um, kind="stable")
+            bounds = np.searchsorted(
+                pair_um[order], np.arange(0, len(solve_ums) + map_chunk, map_chunk)
+            )
+            for lo, start, stop in zip(
+                range(0, len(solve_ums), map_chunk), bounds, bounds[1:]
+            ):
+                batch = order[start:stop]
+                live = batch[~zero[batch]]
+                product = None
+                if live.size:
+                    product = operands.map_product(lo, lo + map_chunk)
+                    at = (pair_um[live] - lo) * num_ub + pair_ub[live]
+                    if at.size != len(product) or (at != np.arange(at.size)).any():
+                        product = product[at]
+                enter(batch, live, product)
         else:
             # Sparse pending set (a refresh's pairs, or one new block against
-            # a warm pool plus one refreshed map): batched per-pair matmuls
-            # over just the pending pairs, so the cost stays proportional to
+            # a warm pool plus one refreshed map): one product per pending
+            # pair from gathered operands, so the cost stays proportional to
             # the new work.
             pair_chunk = max(1, self.MAX_CHUNK_CELLS // max(rows * cols * 6, 1))
             for start in range(0, len(to_solve), pair_chunk):
-                batch = to_solve[start : start + pair_chunk]
-                ub_idx = np.array(
-                    [compact_ub[ub] for ub, _ in batch], dtype=np.int64
-                )
-                um_idx = np.array(
-                    [compact_um[um] for _, um in batch], dtype=np.int64
-                )
-                sa0_sel = ones_stack[ub_idx] @ sa0_stack[um_idx].transpose(0, 2, 1)
-                sa1_sel = zeros_stack[ub_idx] @ sa1_stack[um_idx].transpose(0, 2, 1)
-                solved.update(
-                    self._finish_pair_batch(batch, sa0_sel, sa1_sel, integral_weight)
-                )
-        for (ub, um), entry in solved.items():
-            self._cache_store(stacks.map_fps[um], stacks.block_fps[ub], entry)
+                batch = np.arange(start, min(start + pair_chunk, len(to_solve)))
+                live = batch[~zero[batch]]
+                enter(batch, live, operands.pair_product(pair_ub[live], pair_um[live]))
+        self._cache_store(stacks, solved)
         return solved
 
     def _solve_stack(self, total: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -529,61 +668,3 @@ class MappingCostEngine:
         if self.row_method == "greedy":
             return greedy_assignment_batch(total)
         return solve_assignment_batch(total, method=self.row_method)
-
-    def _finish_pair_batch(
-        self,
-        batch: List[Tuple[int, int]],
-        sa0_sel: np.ndarray,
-        sa1_sel: np.ndarray,
-        integral_weight: bool,
-    ) -> Dict[Tuple[int, int], _PairEntry]:
-        """Zero-detect and solve one batch of gathered pair matrices.
-
-        ``sa0_sel``/``sa1_sel`` are ``(len(batch), R, S)`` stacks of exact
-        integer-valued cost components.  Returns each pair's entry.
-        """
-        entries: Dict[Tuple[int, int], _PairEntry] = {}
-        # Vectorial zero-cost early-exit: both component matrices all-zero
-        # means cost 0 and no SA1 mismatch under any permutation.  Such a
-        # pair's cost matrix is the all-zero matrix, so one solve of it gives
-        # every zero-cost pair its solver-exact permutation.
-        nonzero = np.logical_or(
-            sa0_sel.any(axis=(1, 2)), sa1_sel.any(axis=(1, 2))
-        )
-        zero = np.flatnonzero(~nonzero)
-        if zero.size:
-            assignments, _ = self._solve_stack(np.zeros((1, *sa0_sel.shape[1:])))
-            self.stats.zero_cost_pairs += int(zero.size)
-            for k in zero.tolist():
-                entries[batch[k]] = _PairEntry(0.0, 0.0, assignments[0])
-            if zero.size == len(batch):
-                return entries
-            live = np.flatnonzero(nonzero)
-            sa0_sel = sa0_sel[live]
-            sa1_sel = sa1_sel[live]
-            batch = [batch[k] for k in live.tolist()]
-        if integral_weight:
-            # One exact int32 stack for the solver: the components are
-            # float32 integers and sa1·w + sa0 < 2²⁴, so the float32
-            # arithmetic is exact and a single cast gives the integers.
-            total = sa1_sel * np.float32(self.sa1_weight)
-            total += sa0_sel
-            total = total.astype(np.int32)
-        else:
-            total = sa0_sel.astype(np.float64) + self.sa1_weight * (
-                sa1_sel.astype(np.float64)
-            )
-        assignments, totals = self._solve_stack(total)
-        self.stats.solver_pairs += len(batch)
-        # Vectorised SA1 gather: per pair the seed's row sum of exact
-        # integers, so the summation order cannot change it.
-        sa1_totals = (
-            np.take_along_axis(sa1_sel, assignments[:, :, None], axis=2)[:, :, 0]
-            .astype(np.float64)
-            .sum(axis=1)
-        )
-        for pair, cost, sa1, permutation in zip(
-            batch, totals.tolist(), sa1_totals.tolist(), assignments
-        ):
-            entries[pair] = _PairEntry(cost, sa1, permutation)
-        return entries

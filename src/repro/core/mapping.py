@@ -52,14 +52,15 @@ The fault-unaware plan (:func:`sequential_plans`, behind
 :func:`sequential_mapping` and the fault-unaware and clipping strategies)
 solves nothing: its identity-placement cost is a count over each block's
 stored edges against its crossbar's stacked fault planes, one pass per
-batch with no dense block.  Its seed, one :func:`permutation_mismatch_cost`
-call per dense block, is ``tests/reference/mapping.py``'s
-``seed_sequential_mapping`` (``tests/test_core_sequential_plan.py``).  The
+batch with no dense block.  Its seed, one dense mismatch count per block,
+is ``tests/reference/mapping.py``'s ``seed_sequential_mapping``
+(``tests/test_core_sequential_plan.py``).  The
 overall layering is documented in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -73,44 +74,9 @@ __all__ = [
     "BatchMapping",
     "BlockMapping",
     "FaultAwareMapper",
-    "permutation_mismatch_cost",
     "sequential_mapping",
     "sequential_plans",
 ]
-
-
-def permutation_mismatch_cost(
-    block: np.ndarray,
-    fault_map: FaultMap,
-    permutation: Optional[np.ndarray] = None,
-    sa1_weight: float = 1.0,
-) -> Tuple[float, float]:
-    """Weighted mismatch of storing ``block`` under a *given* row permutation.
-
-    ``permutation[i]`` is the crossbar row block row ``i`` is written to
-    (identity when ``None``).  Returns ``(total_cost, sa1_mismatch)`` — the
-    cost a mapping that did **not** optimise the permutation actually incurs
-    (NR's row-group reordering).  :func:`sequential_plans` counts the same
-    quantity for the identity over edge coordinates.
-    """
-    if fault_map.is_fault_free():
-        return 0.0, 0.0
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape != fault_map.shape:
-        raise ValueError(
-            f"block shape {block.shape} does not match fault map {fault_map.shape}"
-        )
-    ones = block > 0
-    if permutation is None:
-        sa0_rows = fault_map.sa0
-        sa1_rows = fault_map.sa1
-    else:
-        permutation = np.asarray(permutation, dtype=np.int64)
-        sa0_rows = fault_map.sa0[permutation]
-        sa1_rows = fault_map.sa1[permutation]
-    sa0_mismatch = float(np.count_nonzero(ones & sa0_rows))
-    sa1_mismatch = float(np.count_nonzero(~ones & sa1_rows))
-    return sa0_mismatch + sa1_weight * sa1_mismatch, sa1_mismatch
 
 
 # --------------------------------------------------------------------------- #
@@ -262,9 +228,9 @@ def sequential_plans(
     cells that hold no edge.  The fault maps are stacked once for all
     batches and each batch costs one pass over its edges, with no dense
     block built; lazy :class:`~repro.pipeline.mapping_engine.AdjacencyBlocks`
-    views are read through their cell layout.  The per-block loop over
-    :func:`permutation_mismatch_cost` it replaces lives in
-    ``tests/reference/mapping.py``; the plans are bit-identical to it.
+    views are read through their cell layout.  The per-block loop of dense
+    mismatch counts it replaces lives in ``tests/reference/mapping.py``;
+    the plans are bit-identical to it.
     """
     ids = list(crossbar_ids)
     if not ids:
@@ -350,6 +316,8 @@ class FaultAwareMapper:
         prune_crossbars: bool = True,
         relax_sparsest_block: bool = True,
     ) -> None:
+        if not math.isfinite(sa1_weight):
+            raise ValueError(f"sa1_weight must be finite, got {sa1_weight}")
         if sa1_weight < 1.0:
             raise ValueError(
                 f"sa1_weight should be >= 1 (SA1 faults are at least as bad as "
@@ -362,17 +330,6 @@ class FaultAwareMapper:
         self.cost_engine = MappingCostEngine(
             sa1_weight=self.sa1_weight, row_method=row_method
         )
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _block_densities(blocks: Sequence[np.ndarray]) -> np.ndarray:
-        densities = []
-        for block in blocks:
-            block = np.asarray(block)
-            densities.append(
-                np.count_nonzero(block > 0) / block.size if block.size else 0.0
-            )
-        return np.array(densities)
 
     # ------------------------------------------------------------------ #
     def map_blocks(
@@ -436,11 +393,16 @@ class FaultAwareMapper:
         """Algorithm 1 core for one chunk of at most ``len(fault_maps)`` blocks."""
         num_blocks = len(blocks)
         num_crossbars = len(fault_maps)
+        # The plan reads each block's ``> 0`` pattern only: one stack of them
+        # serves the cost engine and the densities.
+        ones = np.array(blocks) > 0
         costs, sa1_mismatches, permutation_for = self.cost_engine.plan_pairwise(
-            blocks, fault_maps
+            ones, fault_maps
         )
-        densities = self._block_densities(blocks)
-        block_cells = float(np.asarray(blocks[0]).size)
+        block_cells = float(ones[0].size)
+        # Each block's count of ones, read off its packed bits.
+        counts = np.bitwise_count(np.packbits(ones.reshape(num_blocks, -1), axis=1))
+        densities = counts.sum(axis=1) / max(block_cells, 1.0)
 
         # --- crossbar pruning (line 12) --------------------------------
         candidate_crossbars = list(range(num_crossbars))
@@ -450,12 +412,11 @@ class FaultAwareMapper:
             # Best-case SA1 non-overlap of each crossbar, as a fraction of
             # the block size (to be commensurable with edge density).
             min_sa1_fraction = sa1_mismatches.min(axis=0) / max(block_cells, 1.0)
-            for j in sorted(
-                range(num_crossbars), key=lambda c: -min_sa1_fraction[c]
-            ):
+            fractions = min_sa1_fraction.tolist()
+            for j in np.argsort(-min_sa1_fraction, kind="stable").tolist():
                 if len(candidate_crossbars) <= num_blocks:
                     break
-                if min_sa1_fraction[j] > sparsest_density and min_sa1_fraction[j] > 0:
+                if fractions[j] > sparsest_density and fractions[j] > 0:
                     candidate_crossbars.remove(j)
                     pruned.append(ids[j])
 
@@ -475,23 +436,26 @@ class FaultAwareMapper:
                 relaxed.append(sparsest)
 
         # --- outer assignment (line 18) ---------------------------------
-        sub_cost = costs[np.ix_(active_blocks, candidate_crossbars)]
+        sub_cost = costs[active_blocks][:, candidate_crossbars]
         assignment, _ = hungarian_assignment(sub_cost)
 
-        block_mappings: List[BlockMapping] = []
-        used_crossbars = set()
-        for local_index, block_index in enumerate(active_blocks):
-            crossbar_local = candidate_crossbars[int(assignment[local_index])]
-            used_crossbars.add(crossbar_local)
-            block_mappings.append(
-                BlockMapping(
-                    block_index=block_index,
-                    crossbar_index=ids[crossbar_local],
-                    row_permutation=permutation_for(block_index, crossbar_local),
-                    cost=float(costs[block_index, crossbar_local]),
-                    sa1_mismatch=float(sa1_mismatches[block_index, crossbar_local]),
-                )
+        chosen = [candidate_crossbars[column] for column in assignment.tolist()]
+        used_crossbars = set(chosen)
+        block_mappings = [
+            BlockMapping(
+                block_index=block_index,
+                crossbar_index=ids[crossbar_local],
+                row_permutation=permutation_for(block_index, crossbar_local),
+                cost=cost,
+                sa1_mismatch=sa1,
             )
+            for block_index, crossbar_local, cost, sa1 in zip(
+                active_blocks,
+                chosen,
+                costs[active_blocks, chosen].tolist(),
+                sa1_mismatches[active_blocks, chosen].tolist(),
+            )
+        ]
 
         # Relaxed blocks take the cheapest crossbar not used by the others
         # (pruned crossbars become eligible again here — every block must be

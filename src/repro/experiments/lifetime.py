@@ -207,7 +207,7 @@ def _wear_step(
     before = dict(trainer.strategy.mapping_engine_stats() or {})
     # The maps of the previous BIST scan, to count the maps this step changed.
     previous_maps = [
-        fmap.fingerprint for fmap in trainer.hardware.bist.history[-1].fault_maps
+        fmap.fingerprint for fmap in trainer.hardware.bist.last_report.fault_maps
     ]
     started = time.perf_counter()
     report = trainer.apply_fault_delta(increment, replan=True)

@@ -518,7 +518,7 @@ class ArtifactCache:
                     graph.adjacency, num_parts, seed=rng_sampler
                 ),
             )
-            return list(sampler.epoch(shuffle=False))
+            return list(sampler.epoch())
 
         return self._caches["batches"].get(key, compute)
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.graph.graph import Graph, Subgraph
 from repro.graph.partition import PartitionResult, partition_graph
-from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
 
 
@@ -49,7 +48,7 @@ class ClusterBatchSampler:
     batch_clusters:
         Number of clusters grouped into one mini-batch (Table II "Batch").
     seed:
-        Seed controlling the partitioner and batch shuffling.
+        Seed (or generator) breaking the partitioner's ties.
     partition:
         Optionally supply a precomputed :class:`PartitionResult` (used by
         tests and by experiments that share partitions across methods).
@@ -71,7 +70,6 @@ class ClusterBatchSampler:
                 f"batch_clusters ({batch_clusters}) cannot exceed num_parts "
                 f"({num_parts})"
             )
-        self._rng = ensure_rng(seed)
         self.partition = partition or partition_graph(
             graph.adjacency, num_parts, seed=seed
         )
@@ -92,14 +90,13 @@ class ClusterBatchSampler:
         """Number of batches per epoch."""
         return int(np.ceil(self.num_parts / self.batch_clusters))
 
-    def epoch(self, shuffle: bool = True) -> Iterator[ClusterBatch]:
-        """Yield the batches of one training epoch."""
-        order = np.arange(self.num_parts)
-        if shuffle:
-            order = self._rng.permutation(self.num_parts)
+    def epoch(self) -> Iterator[ClusterBatch]:
+        """Yield the batches of one training epoch, clusters in order."""
         for batch_index in range(self.num_batches):
             start = batch_index * self.batch_clusters
-            cluster_ids = order[start : start + self.batch_clusters].tolist()
+            cluster_ids = list(
+                range(start, min(start + self.batch_clusters, self.num_parts))
+            )
             node_ids = np.concatenate(
                 [self.partition.part_nodes(c) for c in cluster_ids]
             )
@@ -109,12 +106,3 @@ class ClusterBatchSampler:
                 cluster_ids=cluster_ids,
                 subgraph=self.graph.subgraph(node_ids),
             )
-
-    def full_graph_batch(self) -> ClusterBatch:
-        """Return the whole graph as a single batch (used for evaluation)."""
-        node_ids = np.arange(self.graph.num_nodes)
-        return ClusterBatch(
-            index=0,
-            cluster_ids=list(range(self.num_parts)),
-            subgraph=self.graph.subgraph(node_ids),
-        )

@@ -11,7 +11,7 @@ BIST does — plus those overhead constants, which the timing model consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.hardware.config import DEFAULT_CONFIG, ReRAMConfig
 from repro.hardware.crossbar import Crossbar
@@ -25,7 +25,6 @@ class BISTReport:
     fault_maps: List[FaultMap]
     scan_index: int
     detected_faults: int
-    missed_faults: int
     time_overhead_fraction: float
 
     def density(self) -> float:
@@ -46,7 +45,10 @@ class BISTController:
     def __init__(self, config: ReRAMConfig = DEFAULT_CONFIG) -> None:
         self.config = config
         self.scan_count = 0
-        self.history: List[BISTReport] = []
+        #: The latest scan's report.  Only the last one is kept: a report
+        #: shares the crossbars' maps, which are views of their injection's
+        #: stacked planes, so a history would keep every stack alive.
+        self.last_report: Optional[BISTReport] = None
 
     def scan(self, crossbars: Sequence[Crossbar]) -> BISTReport:
         """Scan ``crossbars`` and return the detected fault maps.
@@ -60,11 +62,10 @@ class BISTController:
             fault_maps=fault_maps,
             scan_index=self.scan_count,
             detected_faults=sum(population_counts(fault_maps)),
-            missed_faults=0,
             time_overhead_fraction=self.config.bist_time_overhead,
         )
         self.scan_count += 1
-        self.history.append(report)
+        self.last_report = report
         return report
 
     @property

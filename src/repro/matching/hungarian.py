@@ -55,66 +55,76 @@ def hungarian_assignment(cost: np.ndarray) -> Tuple[np.ndarray, float]:
     # Dual potentials; column 0 is a virtual column simplifying the algorithm.
     u = np.zeros(n_rows + 1)
     v = np.zeros(n_cols + 1)
-    p = np.zeros(n_cols + 1, dtype=np.int64)  # p[j] = row assigned to column j (1-based)
+    p = [0] * (n_cols + 1)  # p[j] = row assigned to column j (1-based)
     v_real = v[1:]  # view: the potentials of the real columns
     way = np.zeros(n_cols, dtype=np.int64)  # way[j - 1]: predecessor of column j
-    # The alternating tree of the current search: its columns (virtual
-    # column 0 first), their rows, and the rows'/columns' potentials.  Only
-    # tree members have their potentials shifted during a search, so they
-    # are updated here with one slice operation each and written back to
-    # ``u``/``v`` when the search ends — the same additions in the same
-    # order as updating ``u``/``v`` in place.
-    tree_cols = np.zeros(n_rows + 1, dtype=np.int64)
-    tree_rows = np.zeros(n_rows + 1, dtype=np.int64)
-    tree_u = np.zeros(n_rows + 1)
-    tree_v = np.zeros(n_rows + 1)
-    # Per-search state, reset for every row: the columns outside the tree
-    # and their tentative costs.
-    free = np.empty(n_cols, dtype=bool)
+    cost_rows = list(cost)
+    # Per-search state, reset for every row: tentative costs and scratch.
     minv = np.empty(n_cols)
+    cur = np.empty(n_cols)
+    better = np.empty(n_cols, dtype=bool)
+    # 0-d operands: the newest tree row's potential and the step's delta
+    # (numpy broadcasts them faster than Python floats).
+    row_u = np.empty(())
+    step = np.empty(())
 
     for i in range(1, n_rows + 1):
         j0 = 0
         i0 = i  # the newest tree row
-        free.fill(True)
         minv.fill(INF)
-        tree_rows[0], tree_u[0], tree_v[0] = i, u[i], v[0]
-        size = 1
+        # The alternating tree of this search: its rows and columns (the
+        # virtual column 0 first) and the potentials they had on joining.
+        # Every step's ``delta`` raises the tree rows' potentials and lowers
+        # the tree columns'; those updates are applied when the search ends,
+        # in the same order.  A tree column's potential reads ``-inf`` until
+        # then, so its reduced cost is ``inf`` and it never improves.
+        tree_rows, tree_cols = [i], [0]
+        joined_u, joined_v = [u.item(i)], [v.item(0)]
+        row_u[()] = joined_u[0]
+        deltas = []
         while True:
-            # Reduced costs from the newest tree row to all columns (only the
-            # free ones may update the tentative costs).
-            cur = cost[i0 - 1] - tree_u[size - 1]
-            cur -= v_real
-            better = cur < minv
-            better &= free
+            # Reduced costs from the newest tree row, whose potential has not
+            # moved since it joined, to all columns.
+            np.subtract(cost_rows[i0 - 1], row_u, out=cur)
+            np.subtract(cur, v_real, out=cur)
+            np.less(cur, minv, out=better)
             np.copyto(minv, cur, where=better)
             way[better] = j0
             # Pick the first free column with the smallest tentative cost
             # (a tree column's tentative cost is ``inf``, see below).
             best = int(minv.argmin())
-            delta = minv[best]
+            delta = minv.item(best)
+            deltas.append(delta)
+            step[()] = delta
+            np.subtract(minv, step, out=minv)
             j0 = best + 1
-            # Update potentials and tentative costs.
-            tree_u[:size] += delta
-            tree_v[:size] -= delta
-            minv -= delta
             row = p[j0]
             if row == 0:
                 break
             # Column j0 and its row join the tree; the column's tentative
             # cost is never read again, and ``inf`` keeps it out of argmin.
-            free[best] = False
             minv[best] = INF
             i0 = row
-            tree_cols[size], tree_rows[size] = j0, row
-            tree_u[size], tree_v[size] = u[row], v[j0]
-            size += 1
-        u[tree_rows[:size]] = tree_u[:size]
-        v[tree_cols[:size]] = tree_v[:size]
+            tree_rows.append(row)
+            tree_cols.append(j0)
+            joined_u.append(u.item(row))
+            joined_v.append(v.item(j0))
+            row_u[()] = joined_u[-1]
+            v[j0] = -INF
+        # Member k joined before step k: it takes deltas[k:] in order, one
+        # addition after another.
+        for k, row in enumerate(tree_rows):
+            raised, lowered = joined_u[k], joined_v[k]
+            for delta in deltas[k:]:
+                raised += delta
+                lowered -= delta
+            u[row] = raised
+            v[tree_cols[k]] = lowered
         # Augment along the alternating path.
         p[0] = i
+        way_back = way.tolist()
         while True:
-            j1 = way[j0 - 1]
+            j1 = way_back[j0 - 1]
             p[j0] = p[j1]
             j0 = j1
             if j0 == 0:

@@ -223,9 +223,9 @@ class FaultyTrainer:
 
         # Batch composition is fixed across epochs: the adjacency mapping is
         # computed once in pre-processing (Section IV-A).  The sampler stream
-        # (`rng_sampler`) only feeds partitioning tie-breaks and the (unused
-        # here) epoch shuffle, so injecting a precomputed batch list leaves
-        # the model/training streams — and the outcome — intact.
+        # (`rng_sampler`) only feeds partitioning tie-breaks, so injecting a
+        # precomputed batch list leaves the model/training streams — and the
+        # outcome — intact.
         if self.artifacts.batches is not None:
             self.batches = list(self.artifacts.batches)
         else:
@@ -235,7 +235,7 @@ class FaultyTrainer:
                 batch_clusters=config.batch_clusters,
                 seed=rng_sampler,
             )
-            self.batches = list(sampler.epoch(shuffle=False))
+            self.batches = list(sampler.epoch())
 
         self.model: GNNModel = build_model(
             self.model_name,

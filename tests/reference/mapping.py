@@ -5,8 +5,10 @@
   solved on its own;
 * :class:`SeedPairLoop` / :class:`SeedLoopMapper` — the per-pair loop behind
   Algorithm 1 (for :class:`~repro.core.cost_engine.MappingCostEngine`);
+* :func:`permutation_mismatch_cost` — the mismatch of one dense block under a
+  given row permutation, counted cell by cell;
 * :func:`seed_sequential_mapping` — the fault-unaware plan with one
-  :func:`~repro.core.mapping.permutation_mismatch_cost` call per dense block
+  :func:`permutation_mismatch_cost` call per dense block
   (for the edge-coordinate count of
   :func:`~repro.core.mapping.sequential_plans`);
 * :class:`SeedNeuronReordering` — NR's plan and refresh with one dense
@@ -22,16 +24,47 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.cost_engine import CostEngineStats
-from repro.core.mapping import (
-    BatchMapping,
-    BlockMapping,
-    FaultAwareMapper,
-    permutation_mismatch_cost,
-)
+from repro.core.mapping import BatchMapping, BlockMapping, FaultAwareMapper
 from repro.core.strategies import NeuronReorderingStrategy
 from repro.hardware.faults import FaultMap
 from repro.matching.bipartite import solve_assignment
 from repro.matching.greedy import greedy_assignment
+
+
+def permutation_mismatch_cost(
+    block: np.ndarray,
+    fault_map: FaultMap,
+    permutation: Optional[np.ndarray] = None,
+    sa1_weight: float = 1.0,
+) -> Tuple[float, float]:
+    """Weighted mismatch of storing ``block`` under a *given* row permutation.
+
+    ``permutation[i]`` is the crossbar row block row ``i`` is written to
+    (identity when ``None``).  Returns ``(total_cost, sa1_mismatch)`` — the
+    cost a mapping that did **not** optimise the permutation actually incurs
+    (NR's row-group reordering).
+    :func:`~repro.core.mapping.sequential_plans` counts the same quantity
+    for the identity over edge coordinates, and NR's batched group
+    reordering for its group permutations.
+    """
+    if fault_map.is_fault_free():
+        return 0.0, 0.0
+    block = np.asarray(block, dtype=np.float64)
+    if block.shape != fault_map.shape:
+        raise ValueError(
+            f"block shape {block.shape} does not match fault map {fault_map.shape}"
+        )
+    ones = block > 0
+    if permutation is None:
+        sa0_rows = fault_map.sa0
+        sa1_rows = fault_map.sa1
+    else:
+        permutation = np.asarray(permutation, dtype=np.int64)
+        sa0_rows = fault_map.sa0[permutation]
+        sa1_rows = fault_map.sa1[permutation]
+    sa0_mismatch = float(np.count_nonzero(ones & sa0_rows))
+    sa1_mismatch = float(np.count_nonzero(~ones & sa1_rows))
+    return sa0_mismatch + sa1_weight * sa1_mismatch, sa1_mismatch
 
 
 def block_row_cost_matrix(

@@ -22,7 +22,12 @@ from repro.core.mapping import FaultAwareMapper
 from repro.hardware.faults import FaultMap, FaultModel
 from repro.matching import bipartite
 
-from reference.mapping import SeedLoopMapper, block_crossbar_cost
+from reference.mapping import (
+    SeedLoopMapper,
+    SeedPairLoop,
+    block_crossbar_cost,
+    block_row_cost_matrix,
+)
 
 
 def random_blocks(rng, num_blocks, size, density):
@@ -84,7 +89,7 @@ class TestEngineEquivalence:
         num_crossbars = int(rng.integers(1, 9))
         size = int(rng.choice([4, 8, 16]))
         method = ["greedy", "hungarian", "bsuitor"][seed % 3]
-        sa1_weight = float(rng.choice([1.0, 2.0, 4.0, 7.5]))
+        sa1_weight = float(rng.choice([1.0, 1.3, 2.0, 4.0, 7.5]))
         fault_rate = float(rng.uniform(0.0, 0.25))
         ratio = (9.0, 1.0) if seed % 2 else (1.0, 1.0)
         blocks = random_blocks(rng, num_blocks, size, float(rng.uniform(0.02, 0.4)))
@@ -132,12 +137,13 @@ class TestEngineEquivalence:
         # unchanged BIST maps it must be pure cache hits, zero solver calls.
         assert engine_mapper.cost_engine.stats.solver_pairs == solver_before
 
-    @pytest.mark.parametrize("sa1_weight", [4.0, 7.5])
+    @pytest.mark.parametrize("sa1_weight", [4.0, 7.5, 1.3])
     @pytest.mark.parametrize("method", METHODS)
     def test_refresh_after_fault_delta_at_crossbar_size(self, method, sa1_weight):
         """The post-deployment refresh at 64×64: every map gains 1 % faults,
         so every pair of the kept plan is solved again in one batched call,
-        on the int32 stack (integral weight) and the float64 one (7.5)."""
+        on the int32 stack (integral weight), the float64 one (7.5) and the
+        one combined from separately read counts (1.3, not dyadic)."""
         rng = np.random.default_rng(640)
         blocks = random_blocks(rng, 5, 64, 0.1)
         model = FaultModel(0.05, (9, 1), seed=641)
@@ -181,7 +187,7 @@ class TestEngineEquivalence:
             engine_mapper.update_row_permutations(mapping, blocks, by_id),
         )
 
-    @pytest.mark.parametrize("sa1_weight", [4.0, 7.5])
+    @pytest.mark.parametrize("sa1_weight", [4.0, 7.5, 1.3])
     def test_greedy_identical_at_crossbar_size(self, sa1_weight):
         """64×64 crossbars, as the paper-scale runs plan.  Every pair leaves
         the batch greedy a remainder after its minimum-cost row pass, on the
@@ -194,6 +200,90 @@ class TestEngineEquivalence:
             seed_mapper.map_blocks(blocks, fmaps),
             engine_mapper.map_blocks(blocks, fmaps),
         )
+
+    def test_paper_crossbar_size_with_forced_chunking(self):
+        """128×128 at w = 4, the paper-scale plan's shape, with one fault map
+        per product chunk and one pair per gathered chunk: the plan and the
+        refresh after a delta stay bit-identical."""
+        rng = np.random.default_rng(128)
+        blocks = random_blocks(rng, 3, 128, 0.04)
+        model = FaultModel(0.05, (9, 1), seed=129)
+        fmaps = model.generate(4, 128, 128)
+        seed_mapper, engine_mapper = make_mappers("greedy", sa1_weight=4.0)
+        engine_mapper.cost_engine.MAX_CHUNK_CELLS = 1
+        reference = seed_mapper.map_blocks(blocks, fmaps)
+        mapping = engine_mapper.map_blocks(blocks, fmaps)
+        assert_mappings_identical(reference, mapping)
+        by_id = refresh_by_id(mapping, model.inject_additional(fmaps, 0.01))
+        assert_mappings_identical(
+            seed_mapper.update_row_permutations(reference, blocks, by_id),
+            engine_mapper.update_row_permutations(mapping, blocks, by_id),
+        )
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_zero_cost_pairs_from_column_occupancy(self, seed):
+        """Blocks whose ones avoid the SA0 columns and fill the SA1 columns
+        make many pairs zero-cost before any product: the count of such
+        pairs is the seed's (both of its component matrices all zero) and
+        every entry is the seed loop's."""
+        rng = np.random.default_rng(seed)
+        size = int(rng.choice([4, 8, 16]))
+        method = METHODS[seed % 3]
+        sa1_weight = float(rng.choice([1.0, 1.3, 4.0, 7.5]))
+        fault_cols = rng.permutation(size)[: max(1, size // 4)]
+        sa0_cols, sa1_cols = fault_cols[::2], fault_cols[1::2]
+        fmaps = []
+        for _ in range(int(rng.integers(1, 7))):
+            sa0 = np.zeros((size, size), dtype=bool)
+            sa1 = np.zeros((size, size), dtype=bool)
+            sa0[:, sa0_cols] = rng.random((size, sa0_cols.size)) < 0.3
+            sa1[:, sa1_cols] = rng.random((size, sa1_cols.size)) < 0.3
+            if rng.random() < 0.3:  # a stray fault: no pair on this map is free
+                sa0[rng.integers(size), rng.integers(size)] = True
+                sa1 &= ~sa0
+            fmaps.append(FaultMap(sa0, sa1))
+        blocks = []
+        for _ in range(int(rng.integers(1, 6))):
+            block = (rng.random((size, size)) < 0.3).astype(float)
+            block[:, sa0_cols] = 0.0
+            block[:, sa1_cols] = 1.0
+            if rng.random() < 0.3:  # a one on an SA0 column or a gap on an SA1 one
+                block[rng.integers(size), fault_cols[rng.integers(fault_cols.size)]] = (
+                    rng.random() < 0.5
+                )
+            blocks.append(block)
+        expected_zero = sum(
+            not (sa0_cost.any() or sa1_cost.any())
+            for fmap in fmaps
+            if not fmap.is_fault_free()
+            for block in blocks
+            for _, sa0_cost, sa1_cost in [
+                block_row_cost_matrix(block, fmap, sa1_weight)
+            ]
+        )
+        seed_loop = SeedPairLoop(sa1_weight, method)
+        engine = MappingCostEngine(sa1_weight=sa1_weight, row_method=method)
+        ref_costs, ref_sa1, ref_perm = seed_loop.plan_pairwise(blocks, fmaps)
+        costs, sa1, perm = engine.plan_pairwise(blocks, fmaps)
+        # Distinct random blocks and maps almost never repeat; the count is
+        # the seed's only over unique pairs.
+        if engine.stats.duplicate_pairs == 0:
+            assert engine.stats.zero_cost_pairs == expected_zero
+        assert engine.stats.zero_cost_pairs > 0 or expected_zero == 0
+        np.testing.assert_array_equal(costs, ref_costs)
+        np.testing.assert_array_equal(sa1, ref_sa1)
+        for i in range(len(blocks)):
+            for j in range(len(fmaps)):
+                np.testing.assert_array_equal(perm(i, j), ref_perm(i, j))
+        pair_engine = MappingCostEngine(sa1_weight=sa1_weight, row_method=method)
+        pairs = [(b, f) for b in blocks for f in fmaps]
+        results = pair_engine.pair_results(*zip(*pairs))
+        for (cost, permutation, mismatch), ref in zip(
+            results, seed_loop.pair_results(*zip(*pairs))
+        ):
+            assert (cost, mismatch) == (ref[0], ref[2])
+            np.testing.assert_array_equal(permutation, ref[1])
 
     def test_more_blocks_than_crossbars_chunking(self):
         rng = np.random.default_rng(11)
@@ -217,7 +307,7 @@ class TestEngineEquivalence:
         num_crossbars = int(rng.integers(1, 9))
         size = int(rng.choice([4, 8, 16]))
         method = ["hungarian", "bsuitor"][seed % 2]
-        sa1_weight = float(rng.choice([1.0, 4.0, 7.5]))
+        sa1_weight = float(rng.choice([1.0, 1.3, 4.0, 7.5]))
         fault_rate = float(rng.choice([0.02, 0.1, 0.3]))
         # Dense blocks against dense fault maps make near-constant cost
         # matrices — the all-ties regime.
@@ -269,6 +359,39 @@ class TestEngineEquivalence:
         )
         assert (cost, sa1) == (zero_ref[0], zero_ref[2])
         np.testing.assert_array_equal(perm, zero_ref[1])
+
+    @pytest.mark.parametrize("sa1_weight", [4.0, 7.5, 1.3])
+    def test_one_product_per_chunk_on_every_engine_path(self, sa1_weight, monkeypatch):
+        """Every pair cost comes from the one product: with ``np.tensordot``
+        made to raise, plans (dense and chunked), the refresh after a fault
+        delta and the warm re-plan still match the seed loop."""
+        rng = np.random.default_rng(23)
+        blocks = random_blocks(rng, 4, 8, 0.3)
+        model = FaultModel(0.2, (1, 1), seed=24)
+        fmaps = model.generate(6, 8, 8)
+        new_maps = model.inject_additional(fmaps, 0.05)
+        seed_mapper, engine_mapper = make_mappers("greedy", sa1_weight=sa1_weight)
+        reference = seed_mapper.map_blocks(blocks, fmaps)
+        by_id = refresh_by_id(reference, new_maps)
+        refreshed_ref = seed_mapper.update_row_permutations(reference, blocks, by_id)
+        replanned_ref = seed_mapper.map_blocks(blocks, new_maps)
+
+        def tensordot(*args, **kwargs):
+            raise AssertionError("the cost engine called np.tensordot")
+
+        monkeypatch.setattr(np, "tensordot", tensordot)
+        mapping = engine_mapper.map_blocks(blocks, fmaps)
+        assert_mappings_identical(reference, mapping)
+        assert_mappings_identical(
+            refreshed_ref,
+            engine_mapper.update_row_permutations(mapping, blocks, by_id),
+        )
+        assert_mappings_identical(
+            replanned_ref, engine_mapper.map_blocks(blocks, new_maps)
+        )
+        _, chunked = make_mappers("greedy", sa1_weight=sa1_weight)
+        chunked.cost_engine.MAX_CHUNK_CELLS = 1
+        assert_mappings_identical(reference, chunked.map_blocks(blocks, fmaps))
 
     def test_single_pair_matches_module_function(self):
         rng = np.random.default_rng(5)
@@ -381,6 +504,19 @@ class TestWorkAvoidance:
             MappingCostEngine(sa1_weight=-1.0)
         with pytest.raises(ValueError, match="row method"):
             MappingCostEngine(row_method="auction")
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sa1_weight_rejected(self, weight):
+        """A NaN or infinite weight is refused up front, not deep inside the
+        outer Hungarian solve of the first plan."""
+        from repro.core.strategies import FaReStrategy
+
+        with pytest.raises(ValueError, match="sa1_weight"):
+            MappingCostEngine(sa1_weight=weight)
+        with pytest.raises(ValueError, match="sa1_weight"):
+            FaultAwareMapper(sa1_weight=weight)
+        with pytest.raises(ValueError, match="sa1_weight"):
+            FaReStrategy(sa1_weight=weight)
 
 
 # --------------------------------------------------------------------------- #

@@ -151,24 +151,13 @@ class TestPartitioning:
 class TestSampling:
     def test_batches_cover_graph(self, tiny_graph):
         sampler = ClusterBatchSampler(tiny_graph, num_parts=6, batch_clusters=2, seed=0)
-        nodes = np.concatenate([b.subgraph.node_ids for b in sampler.epoch(shuffle=False)])
+        nodes = np.concatenate([b.subgraph.node_ids for b in sampler.epoch()])
         np.testing.assert_array_equal(np.sort(nodes), np.arange(tiny_graph.num_nodes))
 
     def test_num_batches(self, tiny_graph):
         sampler = ClusterBatchSampler(tiny_graph, num_parts=6, batch_clusters=4, seed=0)
         assert sampler.num_batches == 2
 
-    def test_shuffle_changes_order(self, tiny_graph):
-        sampler = ClusterBatchSampler(tiny_graph, num_parts=6, batch_clusters=2, seed=0)
-        first = [b.cluster_ids for b in sampler.epoch(shuffle=True)]
-        second = [b.cluster_ids for b in sampler.epoch(shuffle=True)]
-        assert first != second or len(first) == 1
-
     def test_batch_clusters_validation(self, tiny_graph):
         with pytest.raises(ValueError):
             ClusterBatchSampler(tiny_graph, num_parts=2, batch_clusters=4)
-
-    def test_full_graph_batch(self, tiny_graph):
-        sampler = ClusterBatchSampler(tiny_graph, num_parts=4, batch_clusters=2, seed=0)
-        batch = sampler.full_graph_batch()
-        assert batch.num_nodes == tiny_graph.num_nodes

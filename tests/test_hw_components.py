@@ -140,7 +140,6 @@ class TestBIST:
         pool = CrossbarPool(tiny_config, fault_model=FaultModel(0.05, seed=0), num_crossbars=6)
         bist = BISTController(tiny_config)
         report = bist.scan(pool.crossbars)
-        assert report.missed_faults == 0
         for crossbar, detected in zip(pool.crossbars, report.fault_maps):
             np.testing.assert_array_equal(detected.sa0, crossbar.fault_map.sa0)
             np.testing.assert_array_equal(detected.sa1, crossbar.fault_map.sa1)
@@ -184,7 +183,7 @@ class TestBIST:
         bist.scan(pool.crossbars)
         bist.scan(pool.crossbars)
         assert bist.scan_count == 2
-        assert len(bist.history) == 2
+        assert bist.last_report.scan_index == 1
 
 
 class TestEndurance:
