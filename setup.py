@@ -20,7 +20,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["numpy"],
+    install_requires=["numpy>=2.0"],  # np.bitwise_count
     extras_require={
         "test": [
             "pytest",

@@ -86,6 +86,14 @@ because a hit returns exactly what the solve returned.  The re-plan is warm
 only while the previous plan's unique pairs still fit in
 :attr:`MappingCostEngine.CACHE_SIZE` (``fare_paper`` plans 5 511 of them);
 beyond that some have been evicted and they are re-solved.
+
+Two things make the unchanged part of a re-plan cheap.  The engine keeps the
+previous call's stacks: an equal block stack keeps its dedupe, and a fault
+map equal to the one at its position keeps its fingerprint, so only the
+changed maps are hashed.  And each cached map's column keeps the grid row of
+the last plan that read it, which a plan of the same unique blocks takes
+whole.  Both are checked against the new input, never trusted, so they
+change no value and no counter (``tests/test_core_delta_planning.py``).
 """
 
 from __future__ import annotations
@@ -93,7 +101,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -160,6 +167,34 @@ class _PairEntry(NamedTuple):
 _COST = itemgetter(0)
 _SA1_MISMATCH = itemgetter(1)
 
+
+class _Column:
+    """One fault map's cached pair results and the grid row of its last plan.
+
+    ``entries[block_fp]`` is the result of one pair.  ``blocks`` lists the
+    unique block fingerprints of the last plan that read this map, and
+    ``row``, ``costs`` and ``sa1`` hold that plan's entries, costs and SA1
+    mismatches in the same order.  A re-plan of the same blocks reads an
+    unchanged map's grid row from them, with no per-block lookup; entries
+    are never removed from a column, so the row stays valid for as long as
+    the column is cached.
+    """
+
+    __slots__ = ("entries", "blocks", "row", "costs", "sa1")
+
+    def __init__(self) -> None:
+        self.entries: Dict[str, _PairEntry] = {}
+        self.blocks: Optional[List[str]] = None
+        self.row: List[_PairEntry] = []
+        self.costs = self.sa1 = np.zeros(0)
+
+    def remember(self, blocks: List[str], row: List[_PairEntry]) -> None:
+        """Keep ``row``, the entries of ``blocks``, as this map's grid row."""
+        self.blocks = blocks
+        self.row = row
+        self.costs = np.fromiter(map(_COST, row), np.float64, len(row))
+        self.sa1 = np.fromiter(map(_SA1_MISMATCH, row), np.float64, len(row))
+
 #: A provider returning the (solver-exact) row permutation for pair ``(i, j)``.
 PermutationProvider = Callable[[int, int], np.ndarray]
 
@@ -194,35 +229,28 @@ def _dedupe(fingerprints: List[str]) -> Tuple[np.ndarray, np.ndarray, List[str]]
     appears, and the distinct fingerprints.
     """
     unique_of: Dict[str, int] = {}
-    numbers = []
-    first = []
-    for position, fp in enumerate(fingerprints):
-        number = unique_of.setdefault(fp, len(first))
-        if number == len(first):
-            first.append(position)
-        numbers.append(number)
-    return (
-        np.array(numbers, dtype=np.int64),
-        np.array(first, dtype=np.int64),
-        list(unique_of),
-    )
+    numbers = [unique_of.setdefault(fp, len(unique_of)) for fp in fingerprints]
+    first = np.unique(numbers, return_index=True)[1]
+    return np.array(numbers, dtype=np.int64), first, list(unique_of)
 
 
 def _stack_and_dedupe(
-    blocks: Sequence[np.ndarray], fault_maps: Sequence[FaultMap]
+    blocks: Sequence[np.ndarray],
+    fault_maps: Sequence[FaultMap],
+    previous: Optional[_Stacks] = None,
 ) -> _Stacks:
     """Stack, fingerprint and dedupe a call's blocks and fault maps.
 
     The cost depends on ``block > 0`` and the fault masks only, so one stack
-    of each is all the engine reads.
+    of each is all the engine reads.  ``previous`` is the engine's previous
+    call: an unchanged block stack keeps its dedupe, and a fault map equal to
+    the one at its position there keeps its fingerprint, without hashing.
     """
     shape = fault_maps[0].shape
     for fmap in fault_maps:
         if fmap.shape != shape:
             raise ValueError(f"fault map shape {fmap.shape} does not match {shape}")
-    masks = np.asarray(blocks)
-    if masks.dtype != bool:
-        masks = masks > 0
+    masks = np.array(blocks) > 0
     if masks.shape[1:] != shape:
         raise ValueError(
             f"block shape {masks.shape[1:]} does not match fault map {shape}"
@@ -232,8 +260,29 @@ def _stack_and_dedupe(
         [plane for fmap in fault_maps for plane in (fmap.sa0, fmap.sa1)]
     ).reshape(num_maps, 2, *shape)
     faulty = np.flatnonzero(planes.reshape(num_maps, -1).any(axis=1))
-    block_uid, block_rep, block_fps = _dedupe(pattern_fingerprints(masks[:, None]))
-    map_numbers, map_first, map_fps = _dedupe(pattern_fingerprints(planes[faulty]))
+    if (
+        previous is not None
+        and previous.masks.shape == masks.shape
+        and np.array_equal(previous.masks, masks)
+    ):
+        block_uid, block_rep, block_fps = (
+            previous.block_uid, previous.block_rep, previous.block_fps,
+        )
+    else:
+        block_uid, block_rep, block_fps = _dedupe(pattern_fingerprints(masks[:, None]))
+    fresh = faulty
+    if previous is not None and previous.planes.shape == planes.shape:
+        unchanged = (planes == previous.planes).reshape(num_maps, -1).all(axis=1)
+        fresh = faulty[~unchanged[faulty]]
+    hashed = dict(zip(fresh.tolist(), pattern_fingerprints(planes[fresh])))
+    if len(hashed) < faulty.size:
+        kept, kept_uid = previous.map_fps, previous.map_uid.tolist()
+        map_fps_at = [
+            hashed[j] if j in hashed else kept[kept_uid[j]] for j in faulty.tolist()
+        ]
+    else:
+        map_fps_at = list(hashed.values())
+    map_numbers, map_first, map_fps = _dedupe(map_fps_at)
     map_uid = np.full(num_maps, -1, dtype=np.int64)
     map_uid[faulty] = map_numbers
     return _Stacks(
@@ -393,11 +442,13 @@ class MappingCostEngine:
         self.row_method = row_method
         self.stats = CostEngineStats()
         # Pair results grouped by fault map, in LRU order of the maps:
-        # ``_cache[self._column_key(map_fp)][block_fp]``.  A call looks each
-        # fault map up once (one LRU touch per map, not per pair) and then
-        # its blocks.
-        self._cache: "OrderedDict[Tuple, Dict[str, _PairEntry]]" = OrderedDict()
+        # ``_cache[self._column_key(map_fp)].entries[block_fp]``.  A call
+        # looks each fault map up once (one LRU touch per map, not per pair)
+        # and then its blocks.
+        self._cache: "OrderedDict[Tuple, _Column]" = OrderedDict()
         self._cached_pairs = 0
+        # The previous call's stacks, whose fingerprints the next call reuses.
+        self._previous: Optional[_Stacks] = None
 
     # ------------------------------------------------------------------ #
     # Cache plumbing
@@ -406,7 +457,7 @@ class MappingCostEngine:
         """Cache key of one fault map's results (with the solver settings)."""
         return (map_fp, self.sa1_weight, self.row_method)
 
-    def _column(self, map_fp: str) -> Optional[Dict[str, _PairEntry]]:
+    def _column(self, map_fp: str) -> Optional[_Column]:
         """The cached results against ``map_fp``, touched as most recent."""
         key = self._column_key(map_fp)
         column = self._cache.get(key)
@@ -414,27 +465,22 @@ class MappingCostEngine:
             self._cache.move_to_end(key)
         return column
 
-    def _cache_store(
-        self, stacks: _Stacks, solved: Dict[Tuple[int, int], _PairEntry]
-    ) -> None:
-        """Cache newly solved pairs in their order, one lookup per run of a map."""
-        column_um, column = None, None
-        for (ub, um), entry in solved.items():
-            if um != column_um:
-                column_um = um
-                key = self._column_key(stacks.map_fps[um])
-                column = self._cache.setdefault(key, {})
-            block_fp = stacks.block_fps[ub]
-            if block_fp not in column:
-                self._cached_pairs += 1
-            column[block_fp] = entry
+    def _cache_store(self, map_fp: str, block_fp: str, entry: _PairEntry) -> None:
+        """Cache one solved pair under its fault map's column."""
+        key = self._column_key(map_fp)
+        column = self._cache.get(key)
+        if column is None:
+            column = self._cache[key] = _Column()
+        if block_fp not in column.entries:
+            self._cached_pairs += 1
+        column.entries[block_fp] = entry
 
     def _evict(self) -> None:
         """Drop least recently used fault maps' results down to ``CACHE_SIZE``."""
         while self._cached_pairs > self.CACHE_SIZE:
             _, column = self._cache.popitem(last=False)
-            self._cached_pairs -= len(column)
-            self.stats.cache_evictions += len(column)
+            self._cached_pairs -= len(column.entries)
+            self.stats.cache_evictions += len(column.entries)
 
     def clear_cache(self) -> None:
         self._cache.clear()
@@ -464,7 +510,7 @@ class MappingCostEngine:
         if num_blocks == 0 or num_maps == 0:
             return costs, sa1_mismatches, lambda i, j: np.arange(0, dtype=np.int64)
         self.stats.pairs_total += num_blocks * num_maps
-        stacks = _stack_and_dedupe(blocks, fault_maps)
+        stacks = self._previous = _stack_and_dedupe(blocks, fault_maps, self._previous)
         faulty_cols, block_fps = stacks.faulty, stacks.block_fps
         block_uid, map_uid = stacks.block_uid, stacks.map_uid
         num_ub, num_um = len(block_fps), len(stacks.map_fps)
@@ -472,20 +518,24 @@ class MappingCostEngine:
         self.stats.duplicate_pairs += num_blocks * faulty_cols.size - num_ub * num_um
 
         # -- resolve unique pairs through the cache ----------------------- #
-        # One lookup per unique fault map, then its unique blocks in one pass:
-        # ``found[um][ub]`` is the entry of unique block ``ub`` against unique
-        # map ``um``, ``None`` until solved.  The counters move once per call.
+        # One lookup per unique fault map: a map whose column last served
+        # these same blocks hands over its grid row whole; any other map
+        # looks its blocks up in one pass.  ``found[um][ub]`` is the entry of
+        # unique block ``ub`` against unique map ``um``, ``None`` until
+        # solved.  The counters move once per call.
         found: List[List[Optional[_PairEntry]]] = []
+        columns: List[Optional[_Column]] = []
         to_solve: List[Tuple[int, int]] = []
-        cache = self._cache
         for um, map_fp in enumerate(stacks.map_fps):
-            key = self._column_key(map_fp)
-            column = cache.get(key)
+            column = self._column(map_fp)
+            columns.append(column)
             if column is None:
                 entries = [None] * num_ub
+            elif column.blocks == block_fps:
+                found.append(column.row)
+                continue
             else:
-                cache.move_to_end(key)
-                entries = list(map(column.get, block_fps))
+                entries = list(map(column.entries.get, block_fps))
             if None in entries:
                 to_solve.extend(
                     (ub, um) for ub, entry in enumerate(entries) if entry is None
@@ -497,15 +547,20 @@ class MappingCostEngine:
         if to_solve:
             for (ub, um), entry in self._solve_pairs_batched(stacks, to_solve).items():
                 found[um][ub] = entry
+        for um, column in enumerate(columns):
+            if column is None:
+                column = columns[um] = self._cache[self._column_key(stacks.map_fps[um])]
+            if column.row is not found[um]:
+                column.remember(block_fps, found[um])
+        if to_solve:
             self._evict()
 
-        # -- scatter the unique results to the full (B, M) grids ---------- #
+        # -- scatter the unique rows to the full (B, M) grids ------------- #
         if faulty_cols.size:
-            flat = list(chain.from_iterable(found))
             grid = np.ix_(map_uid[faulty_cols], block_uid)
-            for out, field in ((costs, _COST), (sa1_mismatches, _SA1_MISMATCH)):
-                unique = np.fromiter(map(field, flat), np.float64, len(flat))
-                out[:, faulty_cols] = unique.reshape(num_um, num_ub)[grid].T
+            for out, field in ((costs, "costs"), (sa1_mismatches, "sa1")):
+                unique = np.array([getattr(column, field) for column in columns])
+                out[:, faulty_cols] = unique[grid].T
 
         rows = fault_maps[0].shape[0]
 
@@ -536,7 +591,7 @@ class MappingCostEngine:
         if not len(blocks):
             return []
         self.stats.pairs_total += len(blocks)
-        stacks = _stack_and_dedupe(blocks, fault_maps)
+        stacks = self._previous = _stack_and_dedupe(blocks, fault_maps, self._previous)
         block_uid = stacks.block_uid.tolist()
         map_uid = stacks.map_uid.tolist()
 
@@ -552,9 +607,10 @@ class MappingCostEngine:
         found: Dict[Tuple[int, int], _PairEntry] = {}
         to_solve: List[Tuple[int, int]] = []
         for um, ubs in blocks_of_map.items():
-            column = self._column(stacks.map_fps[um]) or {}
+            column = self._column(stacks.map_fps[um])
+            cached = {} if column is None else column.entries
             for ub in ubs:
-                entry = column.get(stacks.block_fps[ub])
+                entry = cached.get(stacks.block_fps[ub])
                 if entry is None:
                     to_solve.append((ub, um))
                 else:
@@ -657,7 +713,8 @@ class MappingCostEngine:
                 batch = np.arange(start, min(start + pair_chunk, len(to_solve)))
                 live = batch[~zero[batch]]
                 enter(batch, live, operands.pair_product(pair_ub[live], pair_um[live]))
-        self._cache_store(stacks, solved)
+        for (ub, um), entry in solved.items():
+            self._cache_store(stacks.map_fps[um], stacks.block_fps[ub], entry)
         return solved
 
     def _solve_stack(self, total: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -37,8 +37,10 @@ result by content fingerprint.  The post-deployment refresh
 one engine call through the same stacks, cache and batched solve, so pairs
 against unchanged BIST maps are cache hits.  A full re-plan after a fault
 delta is just another ``map_blocks`` call on the same mapper: the cache
-serves every pair whose block and fault map are unchanged, and only the
-pairs against changed maps are solved again.
+serves every pair whose block and fault map are unchanged, only the pairs
+against changed maps are solved again, and the outer assignment replays
+the searches of the mapper's last solve that the changed crossbar columns
+cannot have touched (:class:`~repro.matching.hungarian.HungarianTrace`).
 
 The seed per-pair loop — ``B·M`` independent single-pair solves, every
 permutation materialised — lives in ``tests/reference/mapping.py``.
@@ -68,7 +70,7 @@ import numpy as np
 
 from repro.core.cost_engine import MappingCostEngine
 from repro.hardware.faults import FaultMap
-from repro.matching.hungarian import hungarian_assignment
+from repro.matching.hungarian import HungarianTrace, hungarian_assignment
 
 __all__ = [
     "BatchMapping",
@@ -330,6 +332,9 @@ class FaultAwareMapper:
         self.cost_engine = MappingCostEngine(
             sa1_weight=self.sa1_weight, row_method=row_method
         )
+        # The last outer solve: a re-plan whose cost grid changed in a few
+        # crossbar columns replays the searches those columns cannot touch.
+        self._outer_trace = HungarianTrace()
 
     # ------------------------------------------------------------------ #
     def map_blocks(
@@ -400,9 +405,9 @@ class FaultAwareMapper:
             ones, fault_maps
         )
         block_cells = float(ones[0].size)
-        # Each block's count of ones, read off its packed bits.
-        counts = np.bitwise_count(np.packbits(ones.reshape(num_blocks, -1), axis=1))
-        densities = counts.sum(axis=1) / max(block_cells, 1.0)
+        densities = np.count_nonzero(ones.reshape(num_blocks, -1), axis=1) / max(
+            block_cells, 1.0
+        )
 
         # --- crossbar pruning (line 12) --------------------------------
         candidate_crossbars = list(range(num_crossbars))
@@ -412,11 +417,12 @@ class FaultAwareMapper:
             # Best-case SA1 non-overlap of each crossbar, as a fraction of
             # the block size (to be commensurable with edge density).
             min_sa1_fraction = sa1_mismatches.min(axis=0) / max(block_cells, 1.0)
-            fractions = min_sa1_fraction.tolist()
-            for j in np.argsort(-min_sa1_fraction, kind="stable").tolist():
+            for j in sorted(
+                range(num_crossbars), key=lambda c: -min_sa1_fraction[c]
+            ):
                 if len(candidate_crossbars) <= num_blocks:
                     break
-                if fractions[j] > sparsest_density and fractions[j] > 0:
+                if min_sa1_fraction[j] > sparsest_density and min_sa1_fraction[j] > 0:
                     candidate_crossbars.remove(j)
                     pruned.append(ids[j])
 
@@ -436,26 +442,23 @@ class FaultAwareMapper:
                 relaxed.append(sparsest)
 
         # --- outer assignment (line 18) ---------------------------------
-        sub_cost = costs[active_blocks][:, candidate_crossbars]
-        assignment, _ = hungarian_assignment(sub_cost)
+        sub_cost = costs[np.ix_(active_blocks, candidate_crossbars)]
+        assignment, _ = hungarian_assignment(sub_cost, trace=self._outer_trace)
 
-        chosen = [candidate_crossbars[column] for column in assignment.tolist()]
-        used_crossbars = set(chosen)
-        block_mappings = [
-            BlockMapping(
-                block_index=block_index,
-                crossbar_index=ids[crossbar_local],
-                row_permutation=permutation_for(block_index, crossbar_local),
-                cost=cost,
-                sa1_mismatch=sa1,
+        block_mappings: List[BlockMapping] = []
+        used_crossbars = set()
+        for local_index, block_index in enumerate(active_blocks):
+            crossbar_local = candidate_crossbars[int(assignment[local_index])]
+            used_crossbars.add(crossbar_local)
+            block_mappings.append(
+                BlockMapping(
+                    block_index=block_index,
+                    crossbar_index=ids[crossbar_local],
+                    row_permutation=permutation_for(block_index, crossbar_local),
+                    cost=float(costs[block_index, crossbar_local]),
+                    sa1_mismatch=float(sa1_mismatches[block_index, crossbar_local]),
+                )
             )
-            for block_index, crossbar_local, cost, sa1 in zip(
-                active_blocks,
-                chosen,
-                costs[active_blocks, chosen].tolist(),
-                sa1_mismatches[active_blocks, chosen].tolist(),
-            )
-        ]
 
         # Relaxed blocks take the cheapest crossbar not used by the others
         # (pruned crossbars become eligible again here — every block must be

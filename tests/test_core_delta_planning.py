@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cost_engine import block_fingerprint
+from repro.core.cost_engine import MappingCostEngine, block_fingerprint
 from repro.core.mapping import FaultAwareMapper
 from repro.core.strategies import FaReStrategy
 from repro.hardware.endurance import EnduranceModel, WearOutSchedule
-from repro.hardware.faults import FaultModel
+from repro.hardware.faults import FaultMap, FaultModel
 
 METHODS = ["greedy", "hungarian", "bsuitor"]
 
@@ -245,3 +245,53 @@ class TestDeltaCounters:
         assert stats.cache_misses - misses >= looked_up - 1 > 0
         assert stats.cache_evictions > 0
         assert_mappings_identical(make_mapper("greedy").map_blocks(blocks, fmaps), mapping)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_reuse_changes_no_result_or_counter(self, seed):
+        """An engine reuses the previous call's fingerprints and each fault
+        map's last grid row.  Across plans and refreshes with deltas,
+        duplicate and fault-free maps, changed blocks and evictions, it
+        returns the same values and moves every counter exactly as an engine
+        whose reuse state is dropped before each call."""
+        rng = np.random.default_rng(seed)
+        size = int(rng.choice([4, 8]))
+        model = FaultModel(0.1, (3.0, 1.0), seed=seed + 2)
+        fmaps = model.generate(int(rng.integers(2, 7)), size, size)
+        blocks = random_blocks(rng, int(rng.integers(1, 6)), size, 0.25)
+        method = METHODS[seed % 3]
+        reusing = MappingCostEngine(row_method=method)
+        dropping = MappingCostEngine(row_method=method)
+        if seed % 4 == 0:
+            reusing.CACHE_SIZE = dropping.CACHE_SIZE = 2 * len(blocks)
+        for _ in range(6):
+            draw = int(rng.integers(5))
+            if draw == 0:
+                fmaps = apply_delta(rng, model, fmaps, "injection", size)
+            elif draw == 1:
+                blocks = blocks[::-1] if len(blocks) > 1 else blocks + blocks
+            elif draw == 2:
+                fmaps = fmaps + [fmaps[0].copy(), FaultMap.empty(size, size)]
+            dropping._previous = None
+            for column in dropping._cache.values():
+                column.blocks = None
+            if draw == 3:
+                pairs = [int(k) for k in rng.integers(0, len(fmaps), len(blocks))]
+                got, ref = (
+                    engine.pair_results(blocks, [fmaps[k] for k in pairs])
+                    for engine in (reusing, dropping)
+                )
+                for (cost, perm, sa1), (ref_cost, ref_perm, ref_sa1) in zip(got, ref):
+                    assert (cost, sa1) == (ref_cost, ref_sa1)
+                    np.testing.assert_array_equal(perm, ref_perm)
+            else:
+                got, ref = (
+                    engine.plan_pairwise(blocks, fmaps)
+                    for engine in (reusing, dropping)
+                )
+                np.testing.assert_array_equal(got[0], ref[0])
+                np.testing.assert_array_equal(got[1], ref[1])
+                for i in range(len(blocks)):
+                    for j in range(len(fmaps)):
+                        np.testing.assert_array_equal(got[2](i, j), ref[2](i, j))
+            assert reusing.stats == dropping.stats

@@ -15,7 +15,7 @@ from repro.matching.bipartite import (
 from repro.matching.bsuitor import bsuitor_assignment, bsuitor_bmatching
 from repro.matching import greedy as greedy_module
 from repro.matching.greedy import greedy_assignment, greedy_assignment_batch
-from repro.matching.hungarian import hungarian_assignment
+from repro.matching.hungarian import HungarianTrace, hungarian_assignment
 
 from reference.matching import (
     seed_greedy_assignment,
@@ -244,6 +244,104 @@ class TestHungarian:
         ref_assignment, ref_total = seed_hungarian_assignment(cost)
         np.testing.assert_array_equal(assignment, ref_assignment)
         assert total == ref_total
+
+
+def hungarian_delta_chain(rng, kind):
+    """A cost matrix and four successors, each changed in a few entries.
+
+    ``kind`` picks the value set: small integers (ties everywhere), halves,
+    floats, or zeros of both signs.  Each step rewrites up to two columns,
+    bumps single entries or (rarely) redraws the whole matrix.
+    """
+    rows = int(rng.integers(1, 14))
+    cols = int(rng.integers(rows, 30))
+
+    def draw(shape):
+        if kind == 0:
+            return np.floor(rng.random(shape) * 3.0)
+        if kind == 1:
+            return np.floor(rng.random(shape) * 8.0) * 0.5
+        if kind == 2:
+            return rng.random(shape)
+        signed = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        ones = np.floor(rng.random(shape) * 2.0)
+        return np.where(rng.random(shape) < 0.5, signed, ones)
+
+    chain = [draw((rows, cols))]
+    for _ in range(4):
+        cost = chain[-1].copy()
+        changed = min(int(rng.integers(0, 3)), cols)
+        for column in rng.choice(cols, size=changed, replace=False):
+            if rng.random() < 0.5:
+                cost[:, column] = draw((rows,))
+            else:
+                cost[int(rng.integers(rows)), column] += float(rng.integers(1, 3))
+        if rng.random() < 0.1:
+            cost = draw((rows, cols))
+        chain.append(cost)
+    return chain
+
+
+class TestHungarianTrace:
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_replayed_solves_identical_to_seed_loop(self, seed):
+        """A chain of solves through one trace returns, at every step, the
+        seed loop's assignment and total, ties and signed zeros included."""
+        rng = np.random.default_rng(seed)
+        trace = HungarianTrace()
+        for cost in hungarian_delta_chain(rng, seed % 4):
+            assignment, total = hungarian_assignment(cost, trace=trace)
+            ref_assignment, ref_total = seed_hungarian_assignment(cost)
+            np.testing.assert_array_equal(assignment, ref_assignment)
+            assert total == ref_total
+
+    def test_chains_replay_searches(self):
+        """The fuzz above exercises partial and full replays, not only reruns."""
+        rng = np.random.default_rng(0)
+        partial = full = 0
+        for case in range(200):
+            trace = HungarianTrace()
+            chain = hungarian_delta_chain(rng, case % 4)
+            hungarian_assignment(chain[0], trace=trace)
+            for cost in chain[1:]:
+                replayed = trace.replayable(cost)
+                full += replayed == cost.shape[0]
+                partial += 0 < replayed < cost.shape[0]
+                hungarian_assignment(cost, trace=trace)
+        assert partial > 20 and full > 20
+
+    def test_changed_column_picked_with_same_values(self):
+        """A changed column the first search picks, at an unchanged entry,
+        leaves that search replayable; a change that undercuts a pick does
+        not."""
+        cost = np.array([[0.0, 5.0, 5.0, 5.0], [1.0, 2.0, 9.0, 9.0]])
+        trace = HungarianTrace()
+        hungarian_assignment(cost, trace=trace)
+        same_pick = cost.copy()
+        same_pick[1, 0] = 3.0  # column 0 changes in row 2 only
+        assert trace.replayable(same_pick) == 1
+        undercut = cost.copy()
+        undercut[0, 2] = -1.0  # column 2 now beats row 1's pick
+        assert trace.replayable(undercut) == 0
+        for changed in (same_pick, undercut):
+            assignment, total = hungarian_assignment(changed, trace=HungarianTrace())
+            fresh = HungarianTrace()
+            hungarian_assignment(cost, trace=fresh)
+            np.testing.assert_array_equal(
+                hungarian_assignment(changed, trace=fresh)[0], assignment
+            )
+
+    def test_trace_keeps_its_own_copy(self):
+        cost = np.array([[1.0, 0.0], [0.0, 1.0]])
+        trace = HungarianTrace()
+        hungarian_assignment(cost, trace=trace)
+        cost[0, 1] = 5.0  # the caller edits its matrix in place
+        assert trace.replayable(cost) < 2
+        np.testing.assert_array_equal(
+            hungarian_assignment(cost, trace=trace)[0],
+            seed_hungarian_assignment(cost)[0],
+        )
 
 
 class TestBSuitor:
