@@ -127,7 +127,7 @@ def _make_workload(nodes, avg_degree, features, hidden, seed):
 def _epoch_loop(spmm_fn, adjacency, features, w1_init, w2_init, steps):
     """``steps`` epochs of GCN-style train step + eval forward.
 
-    Mirrors what :class:`FaultyTrainer` does per epoch with ``eval_every=1``:
+    Mirrors what :class:`FaultyTrainer` does per epoch, which it evaluates:
     one forward+backward training pass plus a no-grad evaluation forward.
     The eval pass is where the seed's eager per-call transpose hurts most —
     the lazy backward graph of the kernel path pays nothing there.

@@ -1,53 +1,44 @@
-"""Chaos gate — fault-tolerant sweep execution under injected failures.
+"""Resilience gate — sweep execution under injected failures.
 
-PR 5's declarative engine made sweeps fast; this gate proves they are also
-*trustworthy*: a supervised sweep survives deterministic injected chaos with
-results bit-identical to a failure-free run, and an interrupted sweep resumes
-from its result store recomputing only unfinished specs.
+A sweep survives the failures its own host can produce: a worker killed
+once loses nothing, a group that kills its worker every time quarantines
+only itself, and an interrupted sweep resumes from its result store
+recomputing only unfinished specs.  Failures enter through the
+``execute_spec`` seam with the substitutes of ``reference.chaos``.
 
-Two scenarios over a **Fig. 4-shaped grid** (strategy × fault-density,
-three seed groups so the parallel supervisor has queued *and* in-flight
-work when a worker dies):
+Three scenarios over a **Fig. 4-shaped grid** (strategy × fault-density,
+three seed groups, so the pool has other groups queued or in flight when a
+worker dies):
 
-* **chaos sweep** — two spawned workers with three *independently
-  triggered* injected failures in one run: group 0's worker hard-killed
-  (``os._exit``) on its first attempt, a transient-raise spec in group 1
-  (fails its first three attempts, then succeeds), and group 0 hung past
-  the per-group wall-clock timeout on its second attempt.  Each trigger
-  fires on an attempt that is guaranteed to execute, so the scenario does
-  not depend on scheduling races between the failures.  Gate: every spec
-  completes, outcomes bit-identical to the failure-free serial run, zero
-  quarantines, and the crash/timeout/retry counters prove the chaos
-  actually fired.
-* **interrupt + resume** — a store-backed serial sweep aborted after ~50 %
-  of the grid published; a fresh engine over the same store must recompute
-  only the unfinished half (store hits for every completed spec) and
-  reproduce the reference bit for bit.
+* **killed once** — two spawned workers; the worker running the first spec
+  of group 0 is hard-killed (``os._exit``) once, a marker file recording
+  the kill.  Every group the broken pool lost reruns alone.  Gate: every
+  spec completes, outcomes bit-identical to the failure-free serial run,
+  zero quarantines, and the marker and ``worker_crashes`` prove the kill
+  struck.
+* **killed every time** — the same spec kills its worker on every run.
+  Gate: exactly group 0's specs are quarantined with ``WorkerCrashError``
+  records, and every other spec is bit-identical to the reference.
+* **interrupt + resume** — a store-backed serial sweep interrupted after
+  ~50 % of the grid published; a fresh engine over the same store must
+  recompute only the unfinished half (store hits for every completed spec)
+  and reproduce the reference bit for bit.
 
 Metrics land in ``bench_summary.json`` via ``record_result``; the
 no-failure hot path is gated separately by ``test_bench_sweeps``.
 """
 
 import time
+from functools import partial
 
-from repro.experiments.failures import FaultInjector, RetryPolicy
+from repro.experiments import sweeps
+from repro.experiments.failures import WorkerCrashError
 from repro.experiments.fig4 import plan_fig4
 from repro.experiments.sweeps import ResultStore, SweepEngine
 
 from _bench_utils import bench_epochs, bench_seed, record_result
+from reference import chaos
 from repro.utils.tabulate import format_table
-
-#: Near-zero backoff: the gate cares about schedules firing, not waiting.
-#: The attempt budget leaves headroom for pile-ups — a spec can lose
-#: attempts to the pool kill and the timeout respawn *on top of* its own
-#: three injected transient failures.
-CHAOS_RETRIES = RetryPolicy(max_attempts=6, base_delay=0.001, max_delay=0.05)
-
-#: Generous per-group budget — worker spawn+import alone costs ~2 s.
-GROUP_TIMEOUT_S = 10.0
-
-#: Injected hang, far past the timeout so expiry is unambiguous.
-HANG_S = 60.0
 
 
 def _outcome(result):
@@ -69,7 +60,7 @@ def _plan():
     return plan
 
 
-def test_bench_sweep_resilience(run_once, tmp_path):
+def test_bench_sweep_resilience(run_once, tmp_path, monkeypatch):
     plan = _plan()
 
     def run():
@@ -82,56 +73,58 @@ def test_bench_sweep_resilience(run_once, tmp_path):
         }
         reference_s = time.perf_counter() - start
 
-        # Scenario 1: chaos sweep.  Each injected failure strikes an attempt
-        # that is guaranteed to execute: group 0's first attempt is killed
-        # (breaking the pool under whatever else is in flight), its retry
-        # hangs past the timeout, and a spec of group 1 raises transiently
-        # on its first three attempts — enough injected failures to fire at
-        # least once even if the two pool respawns already consumed some of
-        # that spec's early attempts.  The hang cannot target group 2's
-        # first attempt: group 1 can finish before the killed worker dies,
-        # and group 2 then starts on the doomed pool and is requeued at
-        # attempt 1.
-        victim = list(plan.groups().values())[1][0]
-        chaos_engine = SweepEngine(
-            retry_policy=CHAOS_RETRIES,
-            group_timeout=GROUP_TIMEOUT_S,
-            fault_injector=FaultInjector(
-                kill_group=0,
-                delay_group=0,
-                delay_attempt=1,
-                delay_seconds=HANG_S,
-                transient_specs=((victim.signature(), 3),),
-            ),
+        victim_group = list(plan.groups().values())[0]
+        victims = {victim_group[0].signature()}
+
+        # Scenario 1: the victim's worker is killed once.
+        marker = tmp_path / "killed"
+        monkeypatch.setattr(
+            sweeps, "execute_spec", partial(chaos.kill_once, str(marker), victims)
         )
+        once_engine = SweepEngine()
         start = time.perf_counter()
-        chaos = chaos_engine.run(plan, max_workers=2)
-        chaos_s = time.perf_counter() - start
-        stats = chaos_engine.summary()
+        once = once_engine.run(plan, max_workers=2)
+        once_s = time.perf_counter() - start
+        once_stats = once_engine.summary()
 
-        assert chaos.complete(), [r.describe() for r in chaos.failed_specs]
+        assert marker.exists(), "injected kill never struck"
+        assert once.complete(), [r.describe() for r in once.failed_specs]
         for spec in plan:
-            assert _outcome(chaos[spec]) == reference[spec], spec
-        # The chaos must actually have fired, not been silently skipped.
-        assert stats["worker_crashes"] >= 1, "injected kill never struck"
-        assert stats["group_timeouts"] >= 1, "injected hang never timed out"
-        assert stats["retry_transient"] >= 1, "injected transient never retried"
-        assert stats["pool_respawns"] >= 2
-        assert stats["quarantine_specs"] == 0
+            assert _outcome(once[spec]) == reference[spec], spec
+        assert once_stats["worker_crashes"] == 1
+        assert once_stats["quarantine_specs"] == 0
 
-        # Scenario 2: interrupt at ~50 %, then resume.
+        # Scenario 2: the victim kills its worker every time.
+        monkeypatch.setattr(sweeps, "execute_spec", partial(chaos.kill_always, victims))
+        always_engine = SweepEngine()
+        start = time.perf_counter()
+        always = always_engine.run(plan, max_workers=2)
+        always_s = time.perf_counter() - start
+        always_stats = always_engine.summary()
+
+        assert set(always.failed) == set(victim_group)
+        assert all(
+            record.error_type == WorkerCrashError.__name__
+            for record in always.failed.values()
+        )
+        for spec in plan:
+            if spec not in always.failed:
+                assert _outcome(always[spec]) == reference[spec], spec
+        assert always_stats["worker_crashes"] == 2
+        assert always_stats["quarantine_specs"] == len(victim_group)
+
+        # Scenario 3: interrupt at ~50 %, then resume.
         store_dir = tmp_path / "runcache"
         abort_after = len(plan) // 2
-        interrupted = SweepEngine(
-            store=ResultStore(store_dir),
-            fault_injector=FaultInjector(abort_after=abort_after),
-        )
+        monkeypatch.setattr(sweeps, "execute_spec", chaos.InterruptAfter(abort_after))
+        interrupted = SweepEngine(store=ResultStore(store_dir))
         try:
             interrupted.run(plan)
-            raise AssertionError("injected abort never interrupted the sweep")
+            raise AssertionError("injected interrupt never stopped the sweep")
         except KeyboardInterrupt:
             pass
         assert interrupted.runs_executed == abort_after
+        monkeypatch.undo()
 
         resumed_engine = SweepEngine(store=ResultStore(store_dir))
         start = time.perf_counter()
@@ -147,21 +140,33 @@ def test_bench_sweep_resilience(run_once, tmp_path):
         assert resumed_stats["runs_executed"] == float(len(plan) - abort_after)
         assert resumed_stats["store_hits"] == float(abort_after)
 
-        return reference_s, chaos_s, resume_s, stats, resumed_stats, abort_after
+        seconds = {
+            "reference": reference_s,
+            "kill_once": once_s,
+            "kill_always": always_s,
+            "resume": resume_s,
+        }
+        return seconds, once_stats, always_stats, resumed_stats, abort_after
 
-    reference_s, chaos_s, resume_s, stats, resumed_stats, abort_after = run_once(run)
+    seconds, once_stats, always_stats, resumed_stats, abort_after = run_once(run)
 
     rows = [
-        ["failure-free serial reference", reference_s, "-"],
+        ["failure-free serial reference", seconds["reference"], "-"],
         [
-            "chaos sweep (kill + hang + transient, 2 workers)",
-            chaos_s,
-            f"{stats['retry_attempts']:.0f} retries, "
-            f"{stats['pool_respawns']:.0f} respawns",
+            "worker killed once (2 workers)",
+            seconds["kill_once"],
+            f"{once_stats['worker_crashes']:.0f} lost pool, "
+            f"{once_stats['quarantine_specs']:.0f} quarantined",
+        ],
+        [
+            "worker killed every time (2 workers)",
+            seconds["kill_always"],
+            f"{always_stats['worker_crashes']:.0f} lost pools, "
+            f"{always_stats['quarantine_specs']:.0f} quarantined",
         ],
         [
             f"resume after interrupt at {abort_after}/{len(_plan())} specs",
-            resume_s,
+            seconds["resume"],
             f"{resumed_stats['store_hits']:.0f} store hits",
         ],
     ]
@@ -172,19 +177,16 @@ def test_bench_sweep_resilience(run_once, tmp_path):
             rows,
             float_fmt=".3f",
             title=(
-                "Fault-tolerant sweep execution — injected chaos, "
+                "Sweep execution under injected failures — "
                 "bit-identical results"
             ),
         ),
         metrics={
-            "resilience.reference_s": reference_s,
-            "resilience.chaos_s": chaos_s,
-            "resilience.resume_s": resume_s,
-            "resilience.worker_crashes": stats["worker_crashes"],
-            "resilience.group_timeouts": stats["group_timeouts"],
-            "resilience.retry_attempts": stats["retry_attempts"],
-            "resilience.pool_respawns": stats["pool_respawns"],
-            "resilience.quarantine_specs": stats["quarantine_specs"],
+            **{f"resilience.{name}_s": value for name, value in seconds.items()},
+            "resilience.kill_once_worker_crashes": once_stats["worker_crashes"],
+            "resilience.kill_once_quarantine_specs": once_stats["quarantine_specs"],
+            "resilience.kill_always_worker_crashes": always_stats["worker_crashes"],
+            "resilience.kill_always_quarantine_specs": always_stats["quarantine_specs"],
             "resilience.resume_store_hits": resumed_stats["store_hits"],
             "resilience.resume_runs_executed": resumed_stats["runs_executed"],
         },

@@ -122,8 +122,6 @@ def run_sweep(
     epochs: Optional[int] = None,
     max_workers: int = 1,
     use_store: bool = False,
-    max_attempts: int = 3,
-    group_timeout: Optional[float] = None,
 ):
     """Execute a (workload × strategy × density × seed) grid declaratively.
 
@@ -139,12 +137,9 @@ def run_sweep(
     run-signature hash, so repeated sweeps skip finished cells across
     sessions.
 
-    Execution is supervised (see :mod:`repro.experiments.failures`):
-    transient/infra failures retry up to ``max_attempts`` with deterministic
-    seeded backoff, ``group_timeout`` bounds each workload group's wall
-    clock under parallel execution, and specs that exhaust their retries are
-    quarantined into ``SweepResult.failed_specs`` instead of aborting the
-    grid (check ``sweep.complete()``).
+    A cell whose run raises, or whose worker dies twice, is quarantined into
+    ``SweepResult.failed_specs`` instead of aborting the grid (check
+    ``sweep.complete()``; see :mod:`repro.experiments.failures`).
 
     Example — a multi-seed accuracy sweep with error bars::
 
@@ -160,7 +155,6 @@ def run_sweep(
         for strategy, accs in by_strategy.items():
             print(f"{strategy:14s} {mean_std(accs)}")
     """
-    from repro.experiments.failures import RetryPolicy
     from repro.experiments.sweeps import (
         ResultStore,
         SweepEngine,
@@ -177,18 +171,9 @@ def run_sweep(
         scale=scale,
         epochs=epochs,
     )
-    # Store-less sweeps with default fault handling share the process-wide
-    # engine (one memo + artifact cache with run_single/compare_strategies
-    # and the figure drivers); custom persistence or fault settings get a
-    # dedicated engine.
-    default_faults = max_attempts == 3 and group_timeout is None
-    if use_store or not default_faults:
-        engine = SweepEngine(
-            store=ResultStore() if use_store else None,
-            retry_policy=RetryPolicy(max_attempts=max_attempts),
-            group_timeout=group_timeout,
-        )
-    else:
-        engine = default_engine()
+    # Store-less sweeps share the process-wide engine (one memo + artifact
+    # cache with run_single/compare_strategies and the figure drivers); a
+    # persistent sweep gets a dedicated store-backed engine.
+    engine = SweepEngine(store=ResultStore()) if use_store else default_engine()
     return engine.run(plan, max_workers=max_workers)
 

@@ -1,10 +1,11 @@
 """Experiment drivers regenerating every table and figure of the paper.
 
 Each ``figN``/``table`` module declares its grid as a
-:class:`~repro.experiments.sweeps.SweepPlan` and exposes a ``run_*`` function
-returning plain data structures (lists of row tuples or dicts of series), a
-``run_*_seeds`` variant for seed-replicated results with error bars, and a
-``format_*`` helper that renders the same rows the paper reports.  Plans
+:class:`~repro.experiments.sweeps.SweepPlan` (``plan_*``) and exposes a
+``run_*`` function returning plain data structures (lists of row tuples or
+dicts of series) and a ``format_*`` helper that renders the same rows the
+paper reports; :func:`~repro.experiments.sweeps.run_seed_replicates` runs a
+``plan_*``/``run_*`` pair at several seeds for results with error bars.  Plans
 execute through the :class:`~repro.experiments.sweeps.SweepEngine` (shared
 preprocessing artifacts, optional process parallelism, optional on-disk
 result store); ``python -m repro.experiments`` runs any figure from the

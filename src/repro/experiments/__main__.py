@@ -15,17 +15,15 @@ per figure: preprocessing artifacts are shared across grid cells, multiple
 ``--store`` persists results under ``benchmarks/results/runcache/``
 (``REPRO_RUNCACHE_DIR`` overrides the location) so re-runs skip finished
 cells.  ``fig7`` and ``tables`` are analytical/static and run as-is.
-``--epochs``, ``--workers``, ``--max-attempts`` and ``--timeout`` must be
-positive; any other value exits 2 before training starts.
+``--epochs`` and ``--workers`` must be positive; any other value exits 2
+before training starts.
 
-Fault tolerance: execution is supervised (see
-:mod:`repro.experiments.failures`) — ``--max-attempts`` and ``--timeout``
-tune the retry policy and per-group wall-clock budget.  Each run publishes
-to the store as it completes, so rerunning an interrupted ``--store``
-invocation recomputes only unfinished specs.  Any spec that exhausts its
-retries is quarantined: the grid still renders (missing cells marked), a
-failure report prints, and the exit status is 1 so CI catches partial
-sweeps.  A ``Ctrl-C`` exits 130 with a resume hint.
+Failures (see :mod:`repro.experiments.failures`): a spec whose run raises,
+or whose worker dies twice, is quarantined.  The grid still renders
+(missing cells marked), a failure report prints, and the exit status is 1
+so CI catches partial sweeps.  Each run publishes to the store as it
+completes, so rerunning an interrupted ``--store`` invocation recomputes
+only unfinished specs.  A ``Ctrl-C`` exits 130 with a resume hint.
 
 Device-lifetime scenario (endurance wear-out + re-planning at each
 checkpoint — see :mod:`repro.experiments.lifetime`)::
@@ -45,7 +43,6 @@ from typing import List
 from repro.experiments import fig3, fig4, fig5, fig6, fig7, headline, tables
 from repro.experiments.configs import SA_RATIO_1_1, SA_RATIO_9_1
 from repro.experiments.sweeps import ResultStore, SweepEngine, run_seed_replicates
-from repro.experiments.failures import RetryPolicy
 
 #: name → (plan_fn, run_fn, format_fn, seed-aggregation headers, title).
 #: Headers come from the figure modules (single source next to ``rows()``).
@@ -182,18 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist results in the on-disk run cache (benchmarks/results/runcache)",
     )
     parser.add_argument(
-        "--max-attempts",
-        type=_positive(int),
-        default=3,
-        help="attempts per spec before quarantine (transient/infra failures only)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=_positive(float),
-        default=None,
-        help="per-artifact-group wall-clock budget in seconds (parallel runs)",
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list available figures and exit"
     )
     return parser
@@ -223,10 +208,7 @@ def main(argv: List[str] = None) -> int:
         return 2
 
     engine = SweepEngine(
-        store=ResultStore() if args.store else None,
-        max_workers=args.workers,
-        retry_policy=RetryPolicy(max_attempts=args.max_attempts),
-        group_timeout=args.timeout,
+        store=ResultStore() if args.store else None, max_workers=args.workers
     )
     started = time.perf_counter()
     try:

@@ -143,10 +143,8 @@ def training_config(dataset: str, scale: str, seed: int = 0, epochs: int = None)
         learning_rate=0.01,
         hidden_features=settings.hidden_features,
         dropout=settings.dropout,
-        optimizer="adam",
         num_parts=num_parts,
         batch_clusters=settings.batch_clusters,
-        eval_every=1,
         seed=seed,
     )
 

@@ -9,21 +9,21 @@ the final test accuracy against the fault-free model.  The expected shape:
 * SA1-only faults hurt substantially more than SA0-only faults.
 
 The grid is declared as a :class:`~repro.experiments.sweeps.SweepPlan`
-(:func:`plan_fig3`) and executed through the sweep engine; use
-:func:`run_fig3_seeds` for seed-replicated results with error bars.
+(:func:`plan_fig3`) and executed through the sweep engine;
+:func:`~repro.experiments.sweeps.run_seed_replicates` gives seed-replicated
+results with error bars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.sweeps import (
     RunSpec,
     SweepEngine,
     SweepPlan,
     default_engine,
-    run_seed_replicates,
 )
 from repro.utils.tabulate import format_table
 
@@ -129,13 +129,6 @@ def run_fig3(
             if cell is not None
         },
     )
-
-
-def run_fig3_seeds(
-    seeds: Sequence[int] = (0, 1, 2), **kwargs
-) -> Dict[int, Fig3Result]:
-    """Seed-replicated Fig. 3 (one engine pass over the union grid)."""
-    return run_seed_replicates(plan_fig3, run_fig3, seeds, **kwargs)
 
 
 def format_fig3(result: Fig3Result) -> str:

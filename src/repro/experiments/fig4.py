@@ -22,7 +22,6 @@ from repro.experiments.sweeps import (
     SweepEngine,
     SweepPlan,
     default_engine,
-    run_seed_replicates,
 )
 from repro.utils.tabulate import format_table
 
@@ -157,13 +156,6 @@ def run_fig4(
             for density in densities
         },
     )
-
-
-def run_fig4_seeds(
-    seeds: Sequence[int] = (0, 1, 2), **kwargs
-) -> Dict[int, Fig4Result]:
-    """Seed-replicated Fig. 4 (one engine pass over the union grid)."""
-    return run_seed_replicates(plan_fig4, run_fig4, seeds, **kwargs)
 
 
 def format_fig4(result: Fig4Result) -> str:

@@ -24,7 +24,6 @@ from repro.experiments.configs import (
     COMPARED_STRATEGIES,
     FIG5_FAULT_DENSITIES,
     FIG5_PAIRS,
-    SA_RATIO_1_1,
     SA_RATIO_9_1,
 )
 from repro.experiments.sweeps import (
@@ -32,7 +31,6 @@ from repro.experiments.sweeps import (
     SweepEngine,
     SweepPlan,
     default_engine,
-    run_seed_replicates,
 )
 from repro.utils.tabulate import format_table
 
@@ -149,23 +147,6 @@ def run_fig5(
     for cell, spec in specs.items():
         result.accuracies[cell] = results.value(spec, lambda r: r.final_test_accuracy)
     return result
-
-
-def run_fig5_seeds(
-    seeds: Sequence[int] = (0, 1, 2), **kwargs
-) -> Dict[int, Fig5Result]:
-    """Seed-replicated Fig. 5 panel (one engine pass over the union grid)."""
-    return run_seed_replicates(plan_fig5, run_fig5, seeds, **kwargs)
-
-
-def run_fig5a(**kwargs) -> Fig5Result:
-    """Panel (a): SA0:SA1 = 9:1."""
-    return run_fig5(sa_ratio=SA_RATIO_9_1, **kwargs)
-
-
-def run_fig5b(**kwargs) -> Fig5Result:
-    """Panel (b): SA0:SA1 = 1:1."""
-    return run_fig5(sa_ratio=SA_RATIO_1_1, **kwargs)
 
 
 def format_fig5(result: Fig5Result) -> str:

@@ -23,7 +23,6 @@ from repro.experiments.configs import (
     FIG6_FAULT_DENSITIES,
     FIG6_PAIRS,
     FIG6_POST_DEPLOYMENT_EXTRA,
-    SA_RATIO_1_1,
     SA_RATIO_9_1,
 )
 from repro.experiments.sweeps import (
@@ -31,7 +30,6 @@ from repro.experiments.sweeps import (
     SweepEngine,
     SweepPlan,
     default_engine,
-    run_seed_replicates,
 )
 from repro.utils.tabulate import format_table
 
@@ -170,23 +168,6 @@ def run_fig6(
     for cell, spec in specs.items():
         result.accuracies[cell] = results.value(spec, lambda r: r.final_test_accuracy)
     return result
-
-
-def run_fig6_seeds(
-    seeds: Sequence[int] = (0, 1, 2), **kwargs
-) -> Dict[int, Fig6Result]:
-    """Seed-replicated Fig. 6 panel (one engine pass over the union grid)."""
-    return run_seed_replicates(plan_fig6, run_fig6, seeds, **kwargs)
-
-
-def run_fig6a(**kwargs) -> Fig6Result:
-    """Panel (a): SA0:SA1 = 9:1."""
-    return run_fig6(sa_ratio=SA_RATIO_9_1, **kwargs)
-
-
-def run_fig6b(**kwargs) -> Fig6Result:
-    """Panel (b): SA0:SA1 = 1:1."""
-    return run_fig6(sa_ratio=SA_RATIO_1_1, **kwargs)
 
 
 def format_fig6(result: Fig6Result) -> str:

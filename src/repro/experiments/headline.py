@@ -21,12 +21,12 @@ panel's preprocessing artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.experiments.configs import SA_RATIO_1_1, SA_RATIO_9_1
 from repro.experiments.fig5 import plan_fig5, run_fig5
 from repro.experiments.fig7 import run_fig7
-from repro.experiments.sweeps import SweepEngine, SweepPlan, run_seed_replicates
+from repro.experiments.sweeps import SweepEngine, SweepPlan
 from repro.utils.tabulate import format_table
 
 #: The single workload the headline numbers are quoted for.
@@ -151,13 +151,6 @@ def run_headline(
         ),
     ]
     return HeadlineResult(claims=claims)
-
-
-def run_headline_seeds(
-    seeds: Sequence[int] = (0, 1, 2), **kwargs
-) -> Dict[int, HeadlineResult]:
-    """Seed-replicated headline numbers (one engine pass over the union grid)."""
-    return run_seed_replicates(plan_headline, run_headline, seeds, **kwargs)
 
 
 def format_headline(result: HeadlineResult) -> str:

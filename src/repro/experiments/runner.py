@@ -31,7 +31,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "build_hardware",
     "cache_size",
-    "cache_stats",
     "clear_cache",
     "run_single",
 ]
@@ -50,11 +49,6 @@ def clear_cache() -> None:
 def cache_size() -> int:
     """Number of memoised training runs."""
     return DEFAULT_ENGINE.memo_size()
-
-
-def cache_stats() -> Dict[str, float]:
-    """Hit/miss counters of the shared engine (memo + artifact caches)."""
-    return DEFAULT_ENGINE.summary()
 
 
 def run_single(

@@ -43,14 +43,11 @@ canonical spec payload and :data:`SIGNATURE_VERSION`.  Bump the version
 whenever a semantic change makes old results stale; stored files whose
 embedded signature no longer matches their spec are deleted on load.
 
-Fault tolerance (see :mod:`repro.experiments.failures` and
-``docs/ARCHITECTURE.md``): execution is *supervised*.  Per-spec exceptions
-are classified (transient / deterministic / infra) and retried under a
-deterministic :class:`~repro.experiments.failures.RetryPolicy`; the parallel
-executor detects dead and hung workers (per-group wall-clock timeouts),
-respawns the pool and requeues in-flight artifact groups; specs that exhaust
-their retries are quarantined into :attr:`SweepResult.failed` with full
-context instead of aborting the sweep.  Results publish to the memo and the
+Failures (see :mod:`repro.experiments.failures`): a spec whose run raises
+is quarantined into :attr:`SweepResult.failed` with its remote traceback,
+serially or in a worker, and never retried.  In parallel, a group whose
+worker died runs once more alone on its own one-process pool; if it dies
+there too, its specs are quarantined.  Results publish to the memo and the
 store *as they complete*, so rerunning an interrupted sweep against the same
 store (``python -m repro.experiments --store``) serves its completed runs
 from the store and executes only the rest.  The store is the only record of
@@ -64,8 +61,8 @@ import hashlib
 import json
 import os
 import time
-from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -74,11 +71,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.strategies import Strategy, build_strategy
 from repro.experiments import configs
 from repro.experiments.failures import (
-    FailureKind,
     FailureRecord,
-    FaultInjector,
-    GroupTimeoutError,
-    RetryPolicy,
     SpecExecutionError,
     WorkerCrashError,
     format_failure_report,
@@ -98,6 +91,7 @@ from repro.pipeline.mapping_engine import (
 from repro.pipeline.trainer import FaultyTrainer, TrainerArtifacts, TrainingResult
 from repro.utils.logging import get_logger
 from repro.utils.rng import spawn_rngs
+from repro.utils.validation import check_fraction
 
 logger = get_logger("experiments.sweeps")
 
@@ -157,7 +151,7 @@ class RunSpec:
                 f"{fault_region!r}"
             )
         strategy = str(strategy).lower()
-        density = round(float(fault_density), 6)
+        density = round(check_fraction(fault_density, "fault_density"), 6)
         # Falsy kwargs (None or {}) resolve to the scale-tuned defaults —
         # exactly the seed runner's `strategy_kwargs or strategy_kwargs_for`
         # behaviour, so both call patterns land on the same canonical spec.
@@ -167,6 +161,8 @@ class RunSpec:
             else configs.strategy_kwargs_for(strategy, scale)
         )
         ratio = tuple(float(x) for x in sa_ratio)
+        if post_deployment_extra is not None:
+            check_fraction(post_deployment_extra, "post_deployment_extra")
         extra = (
             None if not post_deployment_extra else round(float(post_deployment_extra), 6)
         )
@@ -626,10 +622,7 @@ class ArtifactCache:
 # Single-run execution
 # --------------------------------------------------------------------------- #
 def execute_spec(
-    spec: RunSpec,
-    artifacts: Optional[ArtifactCache] = None,
-    injector: Optional[FaultInjector] = None,
-    attempt: int = 0,
+    spec: RunSpec, artifacts: Optional[ArtifactCache] = None
 ) -> TrainingResult:
     """Train one spec and return its result.
 
@@ -640,12 +633,10 @@ def execute_spec(
     behaviour kept as ``tests/reference/sweeps.py::seed_execute_spec`` for
     the equivalence tests and the sweep benchmark baseline.
 
-    ``injector``/``attempt`` are the deterministic fault-injection hook used
-    by the chaos tests: a scheduled per-spec failure raises before any work
-    happens (attempt-gated, so retries replay exactly).
+    The engine calls this module global at run time, serially and (sent
+    with each group) in workers, so tests substitute failing versions of it
+    (``tests/reference/chaos.py``).
     """
-    if injector is not None:
-        injector.on_spec_start(spec.signature(), attempt)
     if artifacts is None:
         artifacts = ArtifactCache()
     strategy_kwargs = dict(spec.strategy_kwargs)
@@ -927,48 +918,33 @@ class ResultStore:
 _WORKER_ARTIFACTS: Optional[ArtifactCache] = None
 
 
-def _run_group_in_worker(task: Tuple):
-    """Execute one artifact-group task inside a spawned worker process.
+def _run_group_in_worker(execute, specs: Sequence[RunSpec]):
+    """Run one artifact group inside a spawned worker process.
 
-    ``task`` is ``(group_index, attempt, specs, injector)``.  Returns
-    ``(pairs, failures, stats_delta)``: ``pairs`` is ``[(spec, result)]``
-    for the specs that succeeded, ``failures`` the classified
-    :class:`FailureRecord`\\ s (full remote traceback included) for those
-    that raised — a per-spec exception never aborts the group, let alone
-    the sweep — and ``stats_delta`` the artifact counters this task added.
-    Sharing is scoped to the group (plans and graph artifacts key on the
-    group itself), so per-run results are identical no matter which process
-    a group lands in.
+    ``execute`` is the engine process's ``execute_spec`` at submission time.
+    Returns ``(pairs, failures, stats_delta)``: ``pairs`` is ``[(spec,
+    result)]`` for the specs that succeeded, ``failures`` the
+    :class:`FailureRecord`\\ s (remote traceback included) of those that
+    raised — a spec's exception never aborts its group — and
+    ``stats_delta`` the artifact counters this group added.  Sharing is
+    scoped to the group (plans and graph artifacts key on the group itself),
+    so per-run results are identical no matter which process a group lands
+    in.
     """
-    group_index, attempt, specs, injector = task
     global _WORKER_ARTIFACTS
     if _WORKER_ARTIFACTS is None:
         _WORKER_ARTIFACTS = ArtifactCache()
-    if injector is not None:
-        injector.on_group_start(group_index, attempt, in_worker=True)
     before = _WORKER_ARTIFACTS.stats()
     pairs: List[Tuple[RunSpec, TrainingResult]] = []
     failures: List[FailureRecord] = []
     for spec in specs:
         try:
-            pairs.append(
-                (spec, execute_spec(spec, _WORKER_ARTIFACTS, injector, attempt))
-            )
+            pairs.append((spec, execute(spec, _WORKER_ARTIFACTS)))
         except Exception as error:
-            failures.append(FailureRecord.from_exception(spec, error, attempt + 1))
+            failures.append(FailureRecord.from_exception(spec, error))
     after = _WORKER_ARTIFACTS.stats()
     delta = {key: after[key] - before.get(key, 0.0) for key in after}
     return pairs, failures, delta
-
-
-@dataclass
-class _GroupTask:
-    """One supervised unit of parallel work: an artifact group attempt."""
-
-    index: int
-    specs: Tuple[RunSpec, ...]
-    attempt: int = 0
-    ready_at: float = 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -978,8 +954,7 @@ class _GroupTask:
 class SweepResult:
     """Spec-keyed results of one :meth:`SweepEngine.run` call.
 
-    ``failed`` holds the quarantined specs (retries exhausted, or
-    deterministic failures) with their classified
+    ``failed`` holds the quarantined specs with their
     :class:`~repro.experiments.failures.FailureRecord`.  Indexing a failed
     spec raises :class:`~repro.experiments.failures.SpecExecutionError`
     with the full remote context; callers that can render partial grids
@@ -1045,19 +1020,6 @@ class SweepEngine:
     max_workers:
         Default process count for :meth:`run`; 1 executes in-process, a
         count below 1 raises ``ValueError``.
-    retry_policy:
-        Failure handling (see :mod:`repro.experiments.failures`): transient
-        and infra failures retry with deterministic seeded backoff,
-        deterministic failures quarantine immediately.  The default policy
-        allows 3 attempts.
-    group_timeout:
-        Per-artifact-group wall-clock budget (seconds) for the parallel
-        executor, measured from task submission.  A group that overruns is
-        presumed hung: its workers are killed, the pool respawned and the
-        in-flight groups requeued.  ``None`` (default) disables timeouts;
-        a budget ≤ 0 raises ``ValueError``.
-    fault_injector:
-        Deterministic chaos hook (tests/benchmarks only).
     """
 
     def __init__(
@@ -1065,47 +1027,29 @@ class SweepEngine:
         store: Optional[ResultStore] = None,
         memo_capacity: int = 128,
         max_workers: int = 1,
-        retry_policy: Optional[RetryPolicy] = None,
-        group_timeout: Optional[float] = None,
-        fault_injector: Optional[FaultInjector] = None,
     ) -> None:
-        if group_timeout is not None and not group_timeout > 0:
-            raise ValueError(f"group_timeout must be > 0, got {group_timeout}")
         self.store = store
         self.memo = _LRU(memo_capacity)
         self.max_workers = _check_workers(max_workers)
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.group_timeout = group_timeout
-        self.fault_injector = fault_injector
         self.artifacts = ArtifactCache()
         self.runs_executed = 0
-        #: Session-wide quarantine ledger (negative memo): a spec that
-        #: exhausted its retries is not re-executed by later plans of this
-        #: engine — figure drivers sharing an engine would otherwise re-fail
-        #: the same cell once per figure.
+        #: Session-wide quarantine ledger (negative memo): a quarantined spec
+        #: is not re-executed by later plans of this engine — figure drivers
+        #: sharing an engine would otherwise re-fail the same cell once per
+        #: figure.
         self.failed: Dict[RunSpec, FailureRecord] = {}
         self._parallel_artifact_stats: Dict[str, float] = {}
         self._fault_counters: Dict[str, float] = {
-            "retry_attempts": 0.0,
-            "retry_transient": 0.0,
-            "retry_infra": 0.0,
             "quarantine_specs": 0.0,
             "quarantine_memo_hits": 0.0,
             "worker_crashes": 0.0,
-            "group_timeouts": 0.0,
-            "pool_respawns": 0.0,
         }
-        self._published = 0
 
     # ------------------------------------------------------------------ #
     def clear_memo(self) -> None:
         """Drop memoised results, shared artifacts and the quarantine ledger."""
         self.memo.clear()
         self.artifacts.clear()
-        self.failed.clear()
-
-    def clear_failures(self) -> None:
-        """Forget quarantined specs so the next plan re-attempts them."""
         self.failed.clear()
 
     def memo_size(self) -> int:
@@ -1125,8 +1069,8 @@ class SweepEngine:
         Results are keyed by spec, so serial and parallel execution produce
         bit-identical result mappings.  Each result publishes to the memo
         and the store *as it completes* — an interrupt loses at most the
-        in-flight runs.  Specs whose retries exhaust land in
-        :attr:`SweepResult.failed` instead of raising.
+        in-flight runs.  Quarantined specs land in :attr:`SweepResult.failed`
+        instead of raising.
         """
         workers = self.max_workers if max_workers is None else _check_workers(max_workers)
         sweep = SweepResult(plan=plan)
@@ -1152,7 +1096,7 @@ class SweepEngine:
                 pending.append(spec)
 
         if pending:
-            groups = SweepPlan(pending).groups()
+            groups = list(SweepPlan(pending).groups().values())
             # Parallelism distributes whole artifact groups; with a single
             # group there is nothing to overlap and a spawned worker would
             # only add interpreter-start + re-import + pickling overhead.
@@ -1170,13 +1114,6 @@ class SweepEngine:
         if self.store is not None:
             self.store.save(spec, result)
         self.runs_executed += 1
-        self._published += 1
-        if self.fault_injector is not None and self.fault_injector.should_abort(
-            self._published
-        ):
-            raise KeyboardInterrupt(
-                f"sweep aborted by fault injector after {self._published} published runs"
-            )
 
     def _quarantine(self, sweep: SweepResult, record: FailureRecord) -> None:
         spec = record.spec
@@ -1185,232 +1122,92 @@ class SweepEngine:
         self._fault_counters["quarantine_specs"] += 1
         logger.warning("quarantined %s", record.describe())
 
-    def _count_retry(self, kind: FailureKind) -> None:
-        self._fault_counters["retry_attempts"] += 1
-        key = "retry_transient" if kind is FailureKind.TRANSIENT else "retry_infra"
-        self._fault_counters[key] += 1
-
     # ------------------------------------------------------------------ #
-    def _run_serial(self, groups, sweep: Optional[SweepResult] = None) -> SweepResult:
-        if sweep is None:
-            sweep = SweepResult(plan=SweepPlan([]))
-        policy = self.retry_policy
-        injector = self.fault_injector
-        for specs in groups.values():
+    def _run_serial(self, groups: List[List[RunSpec]], sweep: SweepResult) -> None:
+        for specs in groups:
             for spec in specs:
-                attempt = 0
-                while True:
-                    try:
-                        result = execute_spec(spec, self.artifacts, injector, attempt)
-                    except Exception as error:
-                        record = FailureRecord.from_exception(spec, error, attempt + 1)
-                        if policy.should_retry(record.kind, attempt):
-                            self._count_retry(record.kind)
-                            time.sleep(policy.delay(record.signature, attempt))
-                            attempt += 1
-                            continue
-                        self._quarantine(sweep, record)
-                        break
-                    self._publish(sweep, spec, result)
-                    break
-        return sweep
+                try:
+                    result = execute_spec(spec, self.artifacts)
+                except Exception as error:
+                    self._quarantine(sweep, FailureRecord.from_exception(spec, error))
+                    continue
+                self._publish(sweep, spec, result)
 
     def _run_parallel(
-        self, groups, workers, sweep: Optional[SweepResult] = None
-    ) -> SweepResult:
-        """Supervised distribution of artifact groups over spawned workers.
+        self, groups: List[List[RunSpec]], workers: int, sweep: SweepResult
+    ) -> None:
+        """Run the groups on one pool; rerun each lost group once, alone.
+
+        A worker that dies breaks the whole pool, so every group still in
+        it is lost, not only the one that killed it.  Rerunning each lost
+        group alone on its own one-process pool tells them apart: a second
+        loss there can only be the group's own, and its specs quarantine.
+        """
+        for specs, _ in self._run_pool(groups, workers, sweep):
+            # At most one loss: this pool runs the group alone.
+            for _, error in self._run_pool([specs], 1, sweep):
+                for spec in specs:
+                    self._quarantine(
+                        sweep,
+                        FailureRecord(
+                            spec=spec,
+                            signature=spec.signature(),
+                            error_type=WorkerCrashError.__name__,
+                            message=f"group lost twice, the second time alone: {error!r}",
+                        ),
+                    )
+
+    def _run_pool(
+        self, groups: List[List[RunSpec]], workers: int, sweep: SweepResult
+    ) -> List[Tuple[List[RunSpec], Exception]]:
+        """Run ``groups`` on one spawned pool; return the lost ones and why.
 
         Spawn (not fork) keeps workers deterministic and safe with threaded
         BLAS.  One task per group: each group's runs execute in order inside
         one process, so the intra-group artifact reuse pattern — the only
         sharing that can influence per-run work counters — matches serial
-        execution exactly.
-
-        Supervision: at most ``workers`` tasks are in flight (so the
-        per-group wall-clock deadline, measured from submission, tracks
-        actual execution).  A worker death (``BrokenProcessPool``) or a
-        deadline overrun kills and respawns the pool and requeues every
-        in-flight group with its attempt count bumped; per-spec failures
-        returned by healthy workers requeue just that spec.  Requeued work
-        waits out the retry policy's deterministic backoff before
-        resubmission; exhausted specs quarantine.  One bad worker therefore
-        never crashes the sweep.
+        execution exactly.  Each task carries the current ``execute_spec``.
         """
-        if sweep is None:
-            sweep = SweepResult(plan=SweepPlan([]))
-        policy = self.retry_policy
-        injector = self.fault_injector
-        queue = deque(
-            _GroupTask(index, tuple(specs))
-            for index, specs in enumerate(groups.values())
+        pool = ProcessPoolExecutor(
+            max_workers=min(workers, len(groups)), mp_context=get_context("spawn")
         )
-        n_workers = min(workers, len(queue))
-        pool: Optional[ProcessPoolExecutor] = None
-        running: Dict[object, Tuple[_GroupTask, float]] = {}
-
-        def spawn_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=n_workers, mp_context=get_context("spawn")
-            )
-
-        def kill_pool() -> None:
-            nonlocal pool
-            if pool is None:
-                return
-            for process in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    process.terminate()
-                except Exception:  # pragma: no cover - best effort cleanup
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
-
-        def requeue_or_quarantine(task: _GroupTask, error: Exception, now: float) -> None:
-            """Whole-task failure: retry the group or quarantine its specs."""
-            kind = FailureKind.TRANSIENT
-            if policy.should_retry(kind, task.attempt):
-                self._count_retry(kind)
-                delay = policy.delay(task.specs[0].signature(), task.attempt)
-                queue.append(
-                    _GroupTask(task.index, task.specs, task.attempt + 1, now + delay)
-                )
-                return
-            for spec in task.specs:
-                self._quarantine(
-                    sweep,
-                    FailureRecord(
-                        spec=spec,
-                        signature=spec.signature(),
-                        kind=kind,
-                        error_type=type(error).__name__,
-                        message=str(error),
-                        attempts=task.attempt + 1,
-                    ),
-                )
-
+        lost: List[Tuple[List[RunSpec], Exception]] = []
         try:
-            while queue or running:
-                now = time.monotonic()
-                # Fill idle workers with ready tasks (in queue order).
-                while queue and len(running) < n_workers:
-                    ready = next(
-                        (i for i, t in enumerate(queue) if t.ready_at <= now), None
+            futures = {
+                pool.submit(_run_group_in_worker, execute_spec, specs): specs
+                for specs in groups
+            }
+            for future in as_completed(futures):
+                try:
+                    pairs, failures, stats_delta = future.result()
+                except Exception as error:
+                    # The worker died (the pool is then broken and every
+                    # unfinished group fails with it), or the result did not
+                    # survive the pipe.
+                    logger.warning(
+                        "lost a group of %d spec(s): %r", len(futures[future]), error
                     )
-                    if ready is None:
-                        break
-                    task = queue[ready]
-                    del queue[ready]
-                    if pool is None:
-                        pool = spawn_pool()
-                    future = pool.submit(
-                        _run_group_in_worker,
-                        (task.index, task.attempt, task.specs, injector),
-                    )
-                    running[future] = (task, time.monotonic())
-                if not running:
-                    # Every remaining task is waiting out its backoff.
-                    next_ready = min(task.ready_at for task in queue)
-                    time.sleep(min(max(next_ready - now, 0.0), 0.25))
+                    lost.append((futures[future], error))
                     continue
-
-                timeout = 0.25
-                if self.group_timeout is not None:
-                    next_deadline = min(
-                        submitted + self.group_timeout
-                        for _, submitted in running.values()
+                for key, value in stats_delta.items():
+                    self._parallel_artifact_stats[key] = (
+                        self._parallel_artifact_stats.get(key, 0.0) + value
                     )
-                    timeout = min(timeout, max(next_deadline - now, 0.0))
-                done, _ = wait(set(running), timeout=timeout, return_when=FIRST_COMPLETED)
-                now = time.monotonic()
-
-                pool_broken = False
-                for future in done:
-                    task, _submitted = running.pop(future)
-                    try:
-                        pairs, failures, stats_delta = future.result()
-                    except Exception as error:
-                        # The future died with the worker (or the result did
-                        # not survive the pipe): the pool is suspect.
-                        self._fault_counters["worker_crashes"] += 1
-                        pool_broken = True
-                        requeue_or_quarantine(
-                            task,
-                            WorkerCrashError(
-                                f"worker died while running group {task.index} "
-                                f"(attempt {task.attempt}): {error!r}"
-                            ),
-                            now,
-                        )
-                        continue
-                    for key, value in stats_delta.items():
-                        self._parallel_artifact_stats[key] = (
-                            self._parallel_artifact_stats.get(key, 0.0) + value
-                        )
-                    for spec, result in pairs:
-                        self._publish(sweep, spec, result)
-                    for record in failures:
-                        if policy.should_retry(record.kind, task.attempt):
-                            self._count_retry(record.kind)
-                            delay = policy.delay(record.signature, task.attempt)
-                            queue.append(
-                                _GroupTask(
-                                    task.index,
-                                    (record.spec,),
-                                    task.attempt + 1,
-                                    now + delay,
-                                )
-                            )
-                        else:
-                            self._quarantine(sweep, record)
-
-                if pool_broken:
-                    # Every other in-flight task died with the pool: requeue
-                    # them all and start a fresh pool lazily.
-                    self._fault_counters["pool_respawns"] += 1
-                    for task, _submitted in running.values():
-                        requeue_or_quarantine(
-                            task,
-                            WorkerCrashError(
-                                f"pool respawn while group {task.index} in flight"
-                            ),
-                            now,
-                        )
-                    running.clear()
-                    kill_pool()
-                    continue
-
-                if self.group_timeout is not None and running:
-                    expired = {
-                        future
-                        for future, (_task, submitted) in running.items()
-                        if now - submitted > self.group_timeout
-                    }
-                    if expired:
-                        # A hung worker cannot be cancelled through the pool
-                        # API: kill the processes, respawn, requeue everything
-                        # that was in flight.
-                        self._fault_counters["group_timeouts"] += len(expired)
-                        self._fault_counters["pool_respawns"] += 1
-                        for future, (task, _submitted) in list(running.items()):
-                            if future in expired:
-                                error: Exception = GroupTimeoutError(
-                                    f"group {task.index} exceeded "
-                                    f"{self.group_timeout:.1f}s wall clock "
-                                    f"(attempt {task.attempt})"
-                                )
-                            else:
-                                error = WorkerCrashError(
-                                    f"pool respawn while group {task.index} in flight"
-                                )
-                            requeue_or_quarantine(task, error, now)
-                        running.clear()
-                        kill_pool()
+                for spec, result in pairs:
+                    self._publish(sweep, spec, result)
+                for record in failures:
+                    self._quarantine(sweep, record)
         except BaseException:
-            kill_pool()
+            # An interrupt or an error here: stop the workers instead of
+            # waiting for their groups.
+            for process in list((pool._processes or {}).values()):
+                process.terminate()
+            pool.shutdown(wait=False, cancel_futures=True)
             raise
-        if pool is not None:
-            pool.shutdown(wait=True)
-        return sweep
+        pool.shutdown(wait=True)
+        if lost:
+            self._fault_counters["worker_crashes"] += 1
+        return lost
 
     # ------------------------------------------------------------------ #
     def failure_report(self) -> str:
@@ -1424,9 +1221,10 @@ class SweepEngine:
 
         Same stats-plumbing convention as the ``kernel_*`` / cost-engine
         counters: plain ``name → number`` so callers can merge it into
-        benchmark metrics or print it directly.  The ``retry_*`` /
-        ``quarantine_*`` / ``worker_crashes`` / ``group_timeouts`` /
-        ``pool_respawns`` counters come from the supervised executor.
+        benchmark metrics or print it directly.  ``quarantine_specs`` counts
+        quarantined specs, ``quarantine_memo_hits`` plans that met an
+        already quarantined spec, and ``worker_crashes`` pools that lost a
+        worker.
         """
         stats: Dict[str, float] = {
             "runs_executed": float(self.runs_executed),

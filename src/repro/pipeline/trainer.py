@@ -65,7 +65,7 @@ from repro.pipeline.mapping_engine import (
     WeightCrossbarMapper,
 )
 from repro.tensor import kernels
-from repro.tensor.optim import Adam, SGD
+from repro.tensor.optim import Adam
 from repro.tensor.tensor import no_grad
 from repro.utils.logging import get_logger
 from repro.utils.rng import spawn_rngs
@@ -81,23 +81,17 @@ class TrainingConfig:
     learning_rate: float = 0.01
     hidden_features: int = 32
     dropout: float = 0.2
-    optimizer: str = "adam"
     num_parts: int = 12
     batch_clusters: int = 4
-    eval_every: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be at least 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_clusters > self.num_parts:
             raise ValueError("batch_clusters cannot exceed num_parts")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer}")
 
 
 @dataclass
@@ -245,10 +239,7 @@ class FaultyTrainer:
             dropout=config.dropout,
             rng=rng_model,
         )
-        if config.optimizer == "adam":
-            self.optimizer = Adam(self.model.parameters(), lr=config.learning_rate)
-        else:
-            self.optimizer = SGD(self.model.parameters(), lr=config.learning_rate, momentum=0.9)
+        self.optimizer = Adam(self.model.parameters(), lr=config.learning_rate)
 
         self._weight_mapper: Optional[WeightCrossbarMapper] = None
         self._adjacency_mapper: Optional[AdjacencyCrossbarMapper] = None
@@ -416,18 +407,7 @@ class FaultyTrainer:
 
                 self._end_of_epoch()
                 result.loss_history.append(float(np.mean(epoch_losses)))
-                if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
-                    train_acc, test_acc = self._evaluate_epoch()
-                elif result.train_accuracy_history:
-                    train_acc = result.train_accuracy_history[-1]
-                    test_acc = result.test_accuracy_history[-1]
-                else:
-                    # Epochs before the first eval_every boundary: evaluate
-                    # once at the first recorded epoch and carry that value
-                    # forward instead of padding with 0.0, which would poison
-                    # mean±std aggregation across seeds.  Histories at and
-                    # after the first boundary are unchanged.
-                    train_acc, test_acc = self._evaluate_epoch()
+                train_acc, test_acc = self._evaluate_epoch()
                 result.train_accuracy_history.append(train_acc)
                 result.test_accuracy_history.append(test_acc)
                 result.epochs_run = epoch + 1

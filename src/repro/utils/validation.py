@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Any
 
@@ -33,6 +34,9 @@ def check_fraction(value: Any, name: str, inclusive_high: bool = True) -> float:
     if not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     value = float(value)
+    if math.isnan(value):
+        # Every comparison with NaN is false: the range checks below would pass it.
+        raise ValueError(f"{name} must be a number, got nan")
     if value < 0.0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     if inclusive_high:

@@ -30,7 +30,10 @@ throughput benchmarks use them as their baselines:
 * :mod:`reference.sweeps` — one sweep spec trained with every input rebuilt
   from scratch (for ``execute_spec`` on shared artifacts);
 * :mod:`reference.gat` — dense ``N × N`` masked attention (for the sparse
-  edge-wise GAT).
+  edge-wise GAT);
+* :mod:`reference.chaos` — failing substitutes for ``execute_spec`` (killed
+  workers, raised exceptions, an interrupt) that the failure tests and the
+  resilience gate install in place of the real one.
 
 References reach the production classes by subclassing, or through
 :func:`reference.hardware.uncached_hardware`, which patches the names the

@@ -8,7 +8,7 @@ scale, and make sure every strategy/dataset/model combination at least runs.
 import pytest
 
 from repro import api
-from repro.experiments import runner
+from repro.experiments import runner, sweeps
 
 
 @pytest.fixture(autouse=True)
@@ -54,6 +54,36 @@ class TestTrainOnFaultyHardware:
         )
         assert result.dataset == dataset
         assert result.model == model
+
+    @pytest.mark.parametrize("density", [-0.05, 1.5, float("nan")])
+    def test_invalid_fault_density_raises(self, density):
+        """An out-of-range or NaN density raises instead of training fault-free."""
+        with pytest.raises(ValueError, match="fault_density"):
+            api.train_on_faulty_hardware(
+                dataset="ppi", model="gcn", strategy="fault_unaware",
+                fault_density=density, epochs=2, scale="ci", seed=0,
+            )
+
+
+class TestRunSweep:
+    @pytest.mark.parametrize("density", [-0.05, 1.5, float("nan")])
+    def test_invalid_fault_density_raises_before_any_run(self, density, monkeypatch):
+        """A bad density is a caller error: it raises, and is not quarantined."""
+        executed = []
+
+        def recording_execute(spec, artifacts=None):
+            executed.append(spec)
+            raise AssertionError("a spec executed despite a bad density")
+
+        monkeypatch.setattr(sweeps, "execute_spec", recording_execute)
+        with pytest.raises(ValueError, match="fault_density"):
+            api.run_sweep(
+                datasets=(("ppi", "gcn"),),
+                strategies=("fault_free", "fault_unaware"),
+                fault_densities=(0.05, density),
+                epochs=1,
+            )
+        assert executed == []
 
 
 class TestCompareStrategies:

@@ -166,6 +166,26 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             RunSpec.make("reddit", "gcn", "fare", 0.05, fault_region="everything")
 
+    @pytest.mark.parametrize("density", [-0.05, 1.5, float("nan")])
+    def test_invalid_fault_density(self, density):
+        """An out-of-range or NaN density raises instead of training fault-free."""
+        with pytest.raises(ValueError, match="fault_density"):
+            RunSpec.make("ppi", "gcn", "fault_unaware", density)
+        with pytest.raises(ValueError, match="fault_density"):
+            runner.run_single("ppi", "gcn", "fault_unaware", density, epochs=1)
+        with pytest.raises(ValueError, match="fault_density"):
+            SweepPlan.grid(
+                datasets=[("ppi", "gcn")],
+                strategies=("fault_unaware",),
+                fault_densities=(density,),
+                epochs=1,
+            )
+
+    @pytest.mark.parametrize("extra", [-0.01, 2.0, float("nan")])
+    def test_invalid_post_deployment_extra(self, extra):
+        with pytest.raises(ValueError, match="post_deployment_extra"):
+            RunSpec.make("ppi", "gcn", "fare", 0.05, post_deployment_extra=extra)
+
 
 class TestSweepPlan:
     def test_dedupe_preserves_order(self):
@@ -576,12 +596,12 @@ class TestFigureDriverEquivalence:
 
 
 class TestSeedReplication:
-    def test_run_fig3_seeds_and_aggregation(self):
-        from repro.experiments.fig3 import run_fig3_seeds
+    def test_fig3_seed_replicates_and_aggregation(self):
+        from repro.experiments.fig3 import plan_fig3, run_fig3
 
-        results = run_fig3_seeds(
-            seeds=(0, 1), dataset="ppi", model="gcn", fault_density=0.05,
-            scale="ci", epochs=1, engine=SweepEngine(),
+        results = sweeps.run_seed_replicates(
+            plan_fig3, run_fig3, (0, 1), engine=SweepEngine(),
+            dataset="ppi", model="gcn", fault_density=0.05, scale="ci", epochs=1,
         )
         assert sorted(results) == [0, 1]
         rows = aggregate_seed_rows([results[0].rows(), results[1].rows()])

@@ -211,6 +211,12 @@ class TestEndurance:
         with pytest.raises(ValueError):
             PostDeploymentSchedule(total_extra_density=2.0)
 
+    def test_schedule_rejects_nan_density(self):
+        # Every comparison with NaN is false, so a range check alone lets
+        # it through and the schedule injects NaN densities.
+        with pytest.raises(ValueError, match="total_extra_density"):
+            PostDeploymentSchedule(total_extra_density=float("nan"))
+
 
 class TestCostModel:
     def test_cycle_time(self):

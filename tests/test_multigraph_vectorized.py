@@ -254,7 +254,6 @@ def _train(model, strategy_name, graph, trainer_cls=FaultyTrainer, **flags):
         dropout=0.0,
         num_parts=4,
         batch_clusters=1,
-        eval_every=1,
         seed=0,
     )
     bucket_nodes = flags.pop("bucket_nodes", FaultyTrainer.EVAL_BUCKET_NODES)

@@ -43,12 +43,6 @@ class TestTrainingConfig:
             TrainingConfig(learning_rate=0)
         with pytest.raises(ValueError):
             TrainingConfig(num_parts=2, batch_clusters=4)
-        with pytest.raises(ValueError):
-            TrainingConfig(optimizer="rmsprop")
-        with pytest.raises(ValueError, match="eval_every"):
-            TrainingConfig(eval_every=0)
-        with pytest.raises(ValueError, match="eval_every"):
-            TrainingConfig(eval_every=-2)
 
 
 class TestFaultFreeTraining:
@@ -324,34 +318,3 @@ class TestCounters:
         assert reported[0]["kernel_csr_matmat_calls"] > 0
         assert reported[0]["kernel_edge_softmax_calls"] == 0
         assert reported[1]["kernel_edge_softmax_calls"] > 0
-
-
-class TestAccuracyHistoryPadding:
-    """Epochs before the first eval_every boundary carry a real evaluation."""
-
-    @staticmethod
-    def _run(tiny_graph, eval_every, epochs=4):
-        config = TrainingConfig(
-            epochs=epochs,
-            hidden_features=8,
-            dropout=0.0,
-            num_parts=4,
-            batch_clusters=2,
-            eval_every=eval_every,
-            seed=0,
-        )
-        trainer = FaultyTrainer(tiny_graph, "gcn", build_strategy("fault_free"), config)
-        return trainer.train()
-
-    def test_first_epochs_not_zero_padded(self, tiny_graph):
-        every_epoch = self._run(tiny_graph, eval_every=1)
-        sparse = self._run(tiny_graph, eval_every=2)
-        # Training is identical, so the first recorded epoch is a real
-        # evaluation of the same model state — not the old 0.0 padding …
-        assert sparse.train_accuracy_history[0] == every_epoch.train_accuracy_history[0]
-        assert sparse.test_accuracy_history[0] == every_epoch.test_accuracy_history[0]
-        # … and values at / after the first boundary are unchanged: epoch 2
-        # is an eval boundary, epoch 3 carries it forward, epoch 4 is final.
-        assert sparse.test_accuracy_history[1] == every_epoch.test_accuracy_history[1]
-        assert sparse.test_accuracy_history[2] == sparse.test_accuracy_history[1]
-        assert sparse.test_accuracy_history[3] == every_epoch.test_accuracy_history[3]

@@ -63,6 +63,13 @@ class TestCheckFraction:
         with pytest.raises(ValueError):
             check_fraction(1.0, "x", inclusive_high=False)
 
+    @pytest.mark.parametrize("inclusive_high", [True, False])
+    def test_rejects_nan(self, inclusive_high):
+        with pytest.raises(ValueError, match="x must be a number"):
+            check_fraction(float("nan"), "x", inclusive_high=inclusive_high)
+        with pytest.raises(ValueError, match="x must be a number"):
+            check_fraction(np.float64("nan"), "x", inclusive_high=inclusive_high)
+
     def test_rejects_non_numeric(self):
         with pytest.raises(TypeError):
             check_fraction("half", "x")
