@@ -15,6 +15,12 @@ files this run wrote are copied into ``benchmarks/results/`` and every
 ``benchmarks/results/bench_summary.json`` — a flat ``metric name → value``
 mapping plus a ``_meta`` block (scale, seed, pytest exit code) — so the perf
 trajectory can be diffed without parsing tables.
+
+A run given pytest arguments (a subset, e.g. ``-k``) updates its own
+benchmarks' keys in the existing summary and keeps every other key, when
+that summary was made at the same scale and seed; ``_meta.subset`` then
+names the arguments.  A full run, or a subset at another scale or seed,
+starts the summary afresh.
 """
 
 from __future__ import annotations
@@ -77,6 +83,22 @@ def collect_summary(
     }
 
 
+def merge_summary(summary: dict, previous: dict, subset: str) -> dict:
+    """``summary`` of a subset run laid over the ``previous`` summary.
+
+    Kept only when ``previous`` has this run's scale and seed; otherwise the
+    subset's summary stands alone.  ``_meta`` is this run's, naming the
+    subset.
+    """
+    meta = dict(summary["_meta"], subset=subset)
+    old_meta = previous.get("_meta", {})
+    if (old_meta.get("scale"), old_meta.get("seed")) != (meta["scale"], meta["seed"]):
+        return {**summary, "_meta": meta}
+    merged = {key: value for key, value in previous.items() if key != "_meta"}
+    merged.update((key, value) for key, value in summary.items() if key != "_meta")
+    return {"_meta": meta, **merged}
+
+
 def main(argv: list) -> int:
     env = dict(os.environ)
     env.setdefault("REPRO_BENCH_SCALE", "ci")
@@ -99,6 +121,14 @@ def main(argv: list) -> int:
         seed=env.get("REPRO_BENCH_SEED", "0"),
         since=started,
     )
+    if argv:
+        try:
+            previous = json.loads(SUMMARY_PATH.read_text())
+        except (OSError, json.JSONDecodeError):
+            previous = {}
+        summary = merge_summary(
+            summary, previous if isinstance(previous, dict) else {}, " ".join(argv)
+        )
     SUMMARY_PATH.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {SUMMARY_PATH} ({len(summary) - 1} metrics)")
     return exit_code

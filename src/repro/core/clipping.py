@@ -50,23 +50,28 @@ class WeightClipper:
             The model whose parameters are clipped.
         parameter_names:
             Restrict clipping to these parameter names (default: every 2-D
-            parameter, i.e. the weights mapped onto crossbars).
+            parameter, i.e. the weights mapped onto crossbars — one clamp
+            over the contiguous weight slice of the model's
+            :class:`~repro.tensor.module.ParameterArena`).
 
         Returns
         -------
         Number of scalar weights that were actually clamped.
         """
-        names = set(parameter_names) if parameter_names is not None else None
+        if parameter_names is None:
+            targets = [model.parameter_arena().weights]
+        else:
+            names = set(parameter_names)
+            targets = [
+                param.data
+                for name, param in model.named_parameters()
+                if name in names
+            ]
         clipped = 0
-        for name, param in model.named_parameters():
-            if names is not None and name not in names:
-                continue
-            if names is None and param.data.ndim != 2:
-                continue
-            before = param.data
-            after = self.clip_array(before)
-            clipped += int(np.count_nonzero(before != after))
-            param.data = after
+        for values in targets:
+            after = self.clip_array(values)
+            clipped += int(np.count_nonzero(values != after))
+            values[...] = after
         return clipped
 
     @staticmethod

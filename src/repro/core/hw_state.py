@@ -21,15 +21,20 @@ loop recomputed both per batch.
 :class:`HardwareStateCache` turns these derivations into versioned,
 invalidate-on-change lookups:
 
-* adjacency results are keyed on ``(plan version, Σ crossbar fault_epoch)``
-  — the fault component advances automatically whenever any crossbar's fault
-  map is replaced (:meth:`Crossbar.set_fault_map` bumps ``fault_epoch``), the
-  plan component is bumped explicitly by the trainer after
-  :meth:`Strategy.refresh_adjacency`;
+* adjacency results are keyed on ``(plan version, fault clock)`` — the
+  fault component is the :class:`~repro.hardware.crossbar.FaultClock` of the
+  adjacency crossbars (their group of the split
+  :class:`~repro.hardware.tile.CrossbarPool`), which every
+  :meth:`Crossbar.set_fault_map` on one of them advances and no fault change
+  on a weight crossbar does, so it is read in O(1) per fetch and equals the
+  sum of their ``fault_epoch``; the plan component is bumped explicitly by
+  the trainer after :meth:`Strategy.refresh_adjacency`;
 * effective weights are keyed on ``(optimizer.param_version,
   weight_mapper.fault_version)`` — the former advances on every
   ``optimizer.step()``, the latter on every
-  :meth:`WeightCrossbarMapper.refresh_fault_masks`.
+  :meth:`WeightCrossbarMapper.refresh_fault_masks`.  The first fetch under a
+  new key reads every mapped weight back in one pass; hits and misses are
+  still counted per weight.
 
 Cache hits still advance the *simulated* write accounting (the hardware
 re-programs its blocks every batch regardless of what the simulator
@@ -44,7 +49,7 @@ trainer that owns the cache copies its hit/miss counters (``hw_*``) into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -94,7 +99,7 @@ class HardwareStateCache:
         The run's :class:`~repro.pipeline.mapping_engine.AdjacencyCrossbarMapper`.
     weight_mapper:
         The run's :class:`~repro.pipeline.mapping_engine.WeightCrossbarMapper`
-        (optional — only needed for simulated-write replay on weight hits).
+        (optional — only needed for :meth:`effective_weights`).
     """
 
     def __init__(self, adjacency_mapper, weight_mapper=None) -> None:
@@ -102,8 +107,17 @@ class HardwareStateCache:
         self.weight_mapper = weight_mapper
         self.stats = HwStateStats()
         self._plan_version = 0
+        # The distinct fault clocks of the adjacency crossbars: one when they
+        # are a group of a split pool.
+        clocks = {id(x.fault_clock): x.fault_clock for x in adjacency_mapper.crossbars}
+        self._fault_clocks = tuple(clocks.values())
         self._adjacency_cache: Dict[int, _AdjacencyEntry] = {}
-        self._weight_cache: Dict[str, Tuple[Tuple, np.ndarray]] = {}
+        # (key, {name: effective weights}, names fetched under key).
+        self._weights: Tuple[Optional[Tuple], Dict[str, np.ndarray], Set[str]] = (
+            None,
+            {},
+            set(),
+        )
 
     # ------------------------------------------------------------------ #
     # Versioning
@@ -112,7 +126,7 @@ class HardwareStateCache:
         """Invalidate cached read-backs after a mapping-plan refresh.
 
         Fault-map changes are tracked automatically through the crossbars'
-        ``fault_epoch`` counters; this explicit bump covers the second
+        fault clock; this explicit bump covers the second
         invalidation source — the strategy rewriting its
         :class:`~repro.core.mapping.BatchMapping` plans (row permutations,
         block placement) at the epoch boundary.
@@ -122,10 +136,9 @@ class HardwareStateCache:
         self._adjacency_cache.clear()
 
     def _adjacency_key(self) -> Tuple:
-        # Sum of per-crossbar fault epochs: strictly increases on any
-        # set_fault_map, so a stale entry can never collide with a new state.
-        fault_state = sum(x.fault_epoch for x in self.adjacency_mapper.crossbars)
-        return (self._plan_version, fault_state)
+        # The fault clocks strictly increase on any set_fault_map, so a stale
+        # entry can never collide with a new state.
+        return (self._plan_version, *(clock.ticks for clock in self._fault_clocks))
 
     def state_key(self) -> Tuple:
         """Opaque token identifying the current hardware state.
@@ -203,24 +216,31 @@ class HardwareStateCache:
         self,
         name: str,
         key: Tuple,
-        compute: Callable[[], np.ndarray],
-        count_hit_write: bool = False,
+        read_back: Callable[[Tuple[str, ...]], Dict[str, np.ndarray]],
+        count_write: bool = False,
     ) -> np.ndarray:
         """Effective-weight view of parameter ``name`` under version ``key``.
 
-        ``compute()`` runs the full transform (storage permutation, faulty
-        read-back, strategy post-processing) on a miss.  ``count_hit_write``
-        replays the simulated re-programming counter on hits — True during
+        ``read_back(names)`` runs the full transform (storage permutation,
+        faulty read-back, strategy post-processing) of the named weights and
+        returns ``{name: effective values}``.  The first fetch under a new
+        key reads back every mapped weight at once, and every fetch under
+        that key takes its view from it; a weight's first fetch under a key
+        counts as its miss, later ones as hits.  ``count_write`` records one
+        simulated re-programming of the weight per fetch — True during
         training (where hardware re-programs per batch), False during
         evaluation (re-read only).
         """
-        cached = self._weight_cache.get(name)
-        if cached is not None and cached[0] == key:
+        cached_key, views, fetched = self._weights
+        if cached_key != key:
+            views = read_back(tuple(self.weight_mapper.layouts))
+            fetched = set()
+            self._weights = (key, views, fetched)
+        if name in fetched:
             self.stats.weight_hits += 1
-            if count_hit_write and self.weight_mapper is not None:
-                self.weight_mapper.record_write(name)
-            return cached[1]
-        self.stats.weight_misses += 1
-        value = compute()
-        self._weight_cache[name] = (key, value)
-        return value
+        else:
+            self.stats.weight_misses += 1
+            fetched.add(name)
+        if count_write:
+            self.weight_mapper.record_write(name)
+        return views[name]

@@ -124,8 +124,12 @@ class Strategy:
         """
         return None
 
-    def transform_effective_weights(self, name: str, effective: np.ndarray) -> np.ndarray:
-        """Post-process the faulty weights read back from the crossbars."""
+    def transform_effective_weights(self, effective: np.ndarray) -> np.ndarray:
+        """Post-process the faulty weights read back from the crossbars.
+
+        Elementwise: the trainer applies it once to every mapped weight's
+        read-back, flattened and concatenated.
+        """
         return effective
 
     def after_optimizer_step(self, model: Module) -> None:
@@ -171,7 +175,7 @@ class WeightClippingStrategy(Strategy):
     def __init__(self, threshold: float = 1.0) -> None:
         self.clipper = WeightClipper(threshold)
 
-    def transform_effective_weights(self, name: str, effective: np.ndarray) -> np.ndarray:
+    def transform_effective_weights(self, effective: np.ndarray) -> np.ndarray:
         return self.clipper.clip_array(effective)
 
     def after_optimizer_step(self, model: Module) -> None:
@@ -449,7 +453,7 @@ class FaReStrategy(Strategy):
         ]
 
     # -- combination ---------------------------------------------------- #
-    def transform_effective_weights(self, name: str, effective: np.ndarray) -> np.ndarray:
+    def transform_effective_weights(self, effective: np.ndarray) -> np.ndarray:
         return self.clipper.clip_array(effective)
 
     def after_optimizer_step(self, model: Module) -> None:

@@ -19,16 +19,35 @@ from repro.tensor import kernels
 
 
 def add_self_loops(adjacency: CSRMatrix) -> CSRMatrix:
-    """Return ``A + I`` (existing self loops are not duplicated)."""
+    """Return ``A + I`` (existing self loops are not duplicated).
+
+    The result is canonical (rows sorted, no duplicate coordinates, as
+    :meth:`CSRMatrix.from_coo` builds it).  A canonical input — which the
+    faulty read-back always returns — gets its missing diagonal entries
+    inserted in place in one O(nnz + n) pass; any other input is summed
+    through ``from_coo``.  An input with every diagonal entry stored comes
+    back as is.
+    """
     n = adjacency.shape[0]
     if adjacency.shape[0] != adjacency.shape[1]:
         raise ValueError("adjacency must be square")
-    dense_diag = np.zeros(n, dtype=bool)
-    rows, cols, _ = adjacency.coo()
-    dense_diag[rows[rows == cols]] = True
-    missing = np.flatnonzero(~dense_diag)
+    rows = kernels.csr_row_ids(adjacency.indptr)
+    cols = adjacency.indices
+    has_loop = np.zeros(n, dtype=bool)
+    has_loop[rows[rows == cols]] = True
+    missing = np.flatnonzero(~has_loop)
     if missing.size == 0:
         return adjacency
+    keys = rows * n + cols
+    if np.all(keys[1:] > keys[:-1]):
+        at = np.searchsorted(keys, missing * n + missing)
+        indptr = adjacency.indptr + np.concatenate(([0], np.cumsum(~has_loop)))
+        return CSRMatrix(
+            indptr,
+            np.insert(cols, at, missing),
+            np.insert(adjacency.data, at, 1.0),
+            adjacency.shape,
+        )
     eye_part = CSRMatrix.from_coo(missing, missing, np.ones(missing.size), adjacency.shape)
     return adjacency.add(eye_part)
 

@@ -5,6 +5,13 @@ quantised weight matrix, tracks how many times each cell has been written
 (endurance accounting), and returns the *faulty* view of its contents when
 read — SA0 cells read as the minimum cell value and SA1 cells as the maximum,
 regardless of what was programmed.
+
+The write accounting is O(1) per whole-array write: such writes (every
+adjacency block programmed, and the simulated re-programming a cached
+read-back replays per batch) add to one count, and the per-cell
+``write_counts`` are built from it when read.  A :class:`FaultClock` shared
+by a group of crossbars counts their fault-map replacements, so a cache of
+the group's faulty read-backs can key on one integer.
 """
 
 from __future__ import annotations
@@ -15,6 +22,20 @@ import numpy as np
 
 from repro.hardware.faults import FaultMap, apply_faults_to_cells
 from repro.utils.validation import check_permutation, check_positive_int
+
+
+class FaultClock:
+    """Counts fault-map replacements over a set of crossbars.
+
+    Every :meth:`Crossbar.set_fault_map` of a crossbar holding this clock
+    advances :attr:`ticks` by one, whether or not the new map differs, so
+    the value strictly increases with every fault change.
+    """
+
+    __slots__ = ("ticks",)
+
+    def __init__(self, ticks: int = 0) -> None:
+        self.ticks = ticks
 
 
 class Crossbar:
@@ -30,6 +51,10 @@ class Crossbar:
         Number of conductance levels per cell (4 for 2-bit cells).
     fault_map:
         Stuck-at-fault map; defaults to fault-free.
+    fault_clock:
+        The clock this crossbar's fault-map replacements advance (shared by
+        the crossbars of a :class:`~repro.hardware.tile.CrossbarPool`, or of
+        one group of a split pool); a private one by default.
     """
 
     def __init__(
@@ -39,6 +64,7 @@ class Crossbar:
         cols: int = 128,
         cell_levels: int = 4,
         fault_map: Optional[FaultMap] = None,
+        fault_clock: Optional[FaultClock] = None,
     ) -> None:
         self.crossbar_id = int(crossbar_id)
         self.rows = check_positive_int(rows, "rows")
@@ -51,11 +77,14 @@ class Crossbar:
                 f"({rows}, {cols})"
             )
         self._stored = np.zeros((rows, cols), dtype=np.int64)
-        self.write_counts = np.zeros((rows, cols), dtype=np.int64)
+        # Whole-array writes, and per-cell counts of partial-region
+        # programs (allocated by the first such program).
+        self._array_writes = 0
+        self._region_writes: Optional[np.ndarray] = None
         self.total_writes = 0
-        #: Monotonic counter bumped whenever the fault map is replaced; any
-        #: cached derivation of this crossbar's faulty read-back keys on it.
+        #: Monotonic counter bumped whenever the fault map is replaced.
         self.fault_epoch = 0
+        self.fault_clock = fault_clock if fault_clock is not None else FaultClock()
 
     def __repr__(self) -> str:
         return (
@@ -75,6 +104,7 @@ class Crossbar:
             )
         self.fault_map = fault_map
         self.fault_epoch += 1
+        self.fault_clock.ticks += 1
 
     # ------------------------------------------------------------------ #
     # Programming / reading
@@ -102,7 +132,9 @@ class Crossbar:
             raise ValueError("programmed region exceeds crossbar bounds")
         clipped = np.clip(values.astype(np.int64), 0, self.cell_levels - 1)
         self._stored[r0 : r0 + rows, c0 : c0 + cols] = clipped
-        self.write_counts[r0 : r0 + rows, c0 : c0 + cols] += 1
+        if self._region_writes is None:
+            self._region_writes = np.zeros((self.rows, self.cols), dtype=np.int64)
+        self._region_writes[r0 : r0 + rows, c0 : c0 + cols] += 1
         self.total_writes += 1
 
     def read(self) -> np.ndarray:
@@ -130,7 +162,7 @@ class Crossbar:
         self.store_binary(block, row_permutation=row_permutation)
         # Full-array write: same accounting as program() over the whole
         # crossbar (the binary values never need the write driver's clip).
-        self.write_counts += 1
+        self._array_writes += 1
         self.total_writes += 1
 
     def store_binary(
@@ -187,10 +219,20 @@ class Crossbar:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         if count:
-            self.write_counts += count
+            self._array_writes += count
             self.total_writes += count
+
+    @property
+    def write_counts(self) -> np.ndarray:
+        """Per-cell write counts (a new ``rows × cols`` int64 array)."""
+        counts = np.full((self.rows, self.cols), self._array_writes, dtype=np.int64)
+        if self._region_writes is not None:
+            counts += self._region_writes
+        return counts
 
     @property
     def max_cell_writes(self) -> int:
         """Largest write count over all cells (endurance wear indicator)."""
-        return int(self.write_counts.max()) if self.write_counts.size else 0
+        if self._region_writes is None:
+            return self._array_writes
+        return self._array_writes + int(self._region_writes.max())

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.hardware.config import DEFAULT_CONFIG, ReRAMConfig
-from repro.hardware.crossbar import Crossbar
+from repro.hardware.crossbar import Crossbar, FaultClock
 from repro.hardware.faults import FaultMap, FaultModel
 
 
@@ -64,12 +64,16 @@ class CrossbarPool:
         count = num_crossbars if num_crossbars is not None else config.crossbar_count
         if count <= 0:
             raise ValueError(f"pool needs at least one crossbar, got {count}")
+        # One clock counts every fault-map replacement in the pool until
+        # :meth:`split` gives each group its own.
+        clock = FaultClock()
         self.crossbars: List[Crossbar] = [
             Crossbar(
                 crossbar_id=i,
                 rows=config.crossbar_rows,
                 cols=config.crossbar_cols,
                 cell_levels=config.cell_levels,
+                fault_clock=clock,
             )
             for i in range(count)
         ]
@@ -133,12 +137,24 @@ class CrossbarPool:
         return self.crossbars[:count]
 
     def split(self, first_count: int) -> Sequence[List[Crossbar]]:
-        """Split the pool into two disjoint groups (weights vs adjacency)."""
+        """Split the pool into two disjoint groups (weights vs adjacency).
+
+        Each group gets a :class:`~repro.hardware.crossbar.FaultClock` of its
+        own, reading the sum of its crossbars' ``fault_epoch``: a fault change
+        in one group leaves the other's clock, and a cache keyed on it, as
+        they are.  The clocks are replaced, so split before building such a
+        cache.
+        """
         if not 0 < first_count < len(self.crossbars):
             raise ValueError(
                 f"first_count must be in (0, {len(self.crossbars)}), got {first_count}"
             )
-        return self.crossbars[:first_count], self.crossbars[first_count:]
+        groups = self.crossbars[:first_count], self.crossbars[first_count:]
+        for group in groups:
+            clock = FaultClock(sum(crossbar.fault_epoch for crossbar in group))
+            for crossbar in group:
+                crossbar.fault_clock = clock
+        return groups
 
     def total_writes(self) -> int:
         return sum(x.total_writes for x in self.crossbars)

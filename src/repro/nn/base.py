@@ -4,7 +4,8 @@
 :class:`~repro.tensor.module.Module`: when the training pipeline maps weights
 onto faulty crossbars, it installs a callable that maps ``(parameter name,
 parameter values) -> effective values``.  Layers call
-:meth:`GNNModel.effective_weight` so the forward pass uses the faulty,
+:meth:`GNNModel.effective_weight_value` (or :meth:`GNNModel.effective_weight`
+for a tensor of the graph) so the forward pass uses the faulty,
 quantised weights while gradients still flow to the master (floating point)
 copy — the straight-through estimator that on-device ReRAM training implements
 physically (weights are updated digitally and re-programmed).
@@ -85,16 +86,7 @@ class GNNModel(Module):
     def weight_transform(self) -> Optional[WeightTransform]:
         return self._weight_transform
 
-    def effective_weight(self, name: str, param: Parameter) -> Tensor:
-        """Return the tensor actually used in the combination-phase MVM.
-
-        Without a transform this is the parameter itself.  With a transform
-        the returned tensor evaluates to ``transform(name, param.data)`` in
-        the forward pass while its gradient flows unchanged into ``param``
-        (straight-through estimator).
-        """
-        if self._weight_transform is None:
-            return param
+    def _read_back(self, name: str, param: Parameter) -> np.ndarray:
         effective = np.asarray(
             self._weight_transform(name, param.data), dtype=np.float64
         )
@@ -103,7 +95,34 @@ class GNNModel(Module):
                 f"weight transform changed the shape of {name!r}: "
                 f"{param.data.shape} -> {effective.shape}"
             )
-        correction = Tensor(effective - param.data, requires_grad=False)
+        return effective
+
+    def effective_weight_value(self, name: str, param: Parameter) -> np.ndarray:
+        """The value the combination-phase MVM uses for ``param``.
+
+        Without a transform this is ``param.data`` itself.  With one it is
+        the straight-through read-back ``p + (e − p)``, with
+        ``e = transform(name, param.data)``: the forward value of
+        :meth:`effective_weight`, whose gradient the fused layer nodes of
+        :mod:`repro.tensor.ops` send into ``param`` unchanged.
+        """
+        if self._weight_transform is None:
+            return param.data
+        return param.data + (self._read_back(name, param) - param.data)
+
+    def effective_weight(self, name: str, param: Parameter) -> Tensor:
+        """Return the tensor actually used in the combination-phase MVM.
+
+        Without a transform this is the parameter itself.  With a transform
+        the returned tensor evaluates to ``transform(name, param.data)`` in
+        the forward pass while its gradient flows unchanged into ``param``
+        (straight-through estimator).  GAT's attention vectors use it with
+        the generic ops; the layers' weight products use
+        :meth:`effective_weight_value` with a fused node.
+        """
+        if self._weight_transform is None:
+            return param
+        correction = Tensor(self._read_back(name, param) - param.data, requires_grad=False)
         return param + correction
 
     # ------------------------------------------------------------------ #

@@ -266,6 +266,5 @@ class GAT(GNNModel):
         rng = ensure_rng(rng) if rng is not None else self._dropout_rng
         x = Tensor(batch.features)
         x = self.layer0(x, batch.adjacency)
-        x = ops.elu(x)
-        x = ops.dropout(x, self.dropout, training=self.training, rng=rng)
+        x = ops.elu_dropout(x, self.dropout, training=self.training, rng=rng)
         return self.layer1(x, batch.adjacency)

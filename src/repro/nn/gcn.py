@@ -33,8 +33,10 @@ class GCNLayer(GNNModel):
         self.linear = Linear(in_features, out_features, bias=True, name=name, rng=rng)
 
     def forward(self, x: Tensor, adjacency_norm) -> Tensor:
-        combined = self.linear(x)
-        return ops.spmm(adjacency_norm, combined)
+        linear = self.linear
+        return ops.gcn_layer(
+            adjacency_norm, x, linear.weight, linear.weight_value(), linear.bias
+        )
 
     def forward_preaggregated(self, aggregated, row_sums) -> Tensor:
         """Reassociated first-layer forward on a cached aggregation.
@@ -46,11 +48,9 @@ class GCNLayer(GNNModel):
         floating-point summation order, not the operator.
         """
         linear = self.linear
-        weight = linear.effective_weight(f"{linear.layer_name}.weight", linear.weight)
-        out = Tensor(aggregated) @ weight
-        if linear.bias is not None:
-            out = out + ops.outer_constant(row_sums, linear.bias)
-        return out
+        return ops.gcn_first_layer(
+            aggregated, row_sums, linear.weight, linear.weight_value(), linear.bias
+        )
 
 
 class GCN(GNNModel):
@@ -115,6 +115,5 @@ class GCN(GNNModel):
             else:
                 x = layer(x, adjacency_norm)
             if index < self.num_layers - 1:
-                x = ops.relu(x)
-                x = ops.dropout(x, self.dropout, training=self.training, rng=rng)
+                x = ops.relu_dropout(x, self.dropout, training=self.training, rng=rng)
         return x

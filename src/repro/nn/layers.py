@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.nn.base import GNNModel
-from repro.tensor import init
+from repro.tensor import init, ops
 from repro.tensor.tensor import Tensor
 
 
@@ -44,12 +44,12 @@ class Linear(GNNModel):
         )
         self.bias = init.zeros((out_features,), name=f"{name}.bias") if bias else None
 
+    def weight_value(self):
+        """The weight's value as the crossbars provide it (straight-through)."""
+        return self.effective_weight_value(f"{self.layer_name}.weight", self.weight)
+
     def forward(self, x: Tensor) -> Tensor:
-        weight = self.effective_weight(f"{self.layer_name}.weight", self.weight)
-        out = x @ weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return ops.linear(x, self.weight, self.weight_value(), self.bias)
 
     def __repr__(self) -> str:
         return (

@@ -2,7 +2,10 @@
 
 Both losses accept an optional boolean node mask so Cluster-GCN batches can be
 trained on their training nodes only (validation/test nodes inside a batch do
-not contribute gradient).
+not contribute gradient).  Each is one autograd node that evaluates the same
+numpy expressions, forward and backward, as the chain of generic ops it
+replaces (``tests/reference/fused.py``), so values and gradients are
+bit-identical to it.
 
 The ``*_segmented`` variants compute one loss value **per bucket member** of a
 fused block-diagonal training forward (``FaultyTrainer`` train mode
@@ -23,6 +26,9 @@ import numpy as np
 
 from repro.tensor import kernels, ops
 from repro.tensor.tensor import Tensor
+
+#: ``ops.log``'s floor on its argument.
+_LOG_EPS = 1e-12
 
 
 def _resolve_mask(mask: Optional[np.ndarray], num_rows: int) -> np.ndarray:
@@ -59,9 +65,23 @@ def cross_entropy(
     selected = np.flatnonzero(mask)
     if selected.size == 0:
         return Tensor(0.0)
-    log_probs = ops.log_softmax(logits, axis=1)
-    picked = log_probs[selected, labels[selected]]
-    return -picked.mean()
+    picked_labels = labels[selected]
+    log_probs = ops.log_softmax_values(logits.data, axis=1)
+    inv_count = 1.0 / selected.size
+    value = -(log_probs[selected, picked_labels].sum() * inv_count)
+
+    def _backward() -> None:
+        # The chain's backward: the mean's -g/k scattered onto the picked
+        # log-probabilities, then log-softmax's ``G - soft * G.sum(axis=1)``;
+        # each selected row of G holds exactly one value, its row sum.
+        picked_grad = np.zeros_like(log_probs)
+        picked_grad[selected, picked_labels] += -out.grad * inv_count
+        summed = np.zeros((log_probs.shape[0], 1))
+        summed[selected, 0] = picked_grad[selected, picked_labels]
+        logits._accumulate_owned(picked_grad - np.exp(log_probs) * summed)
+
+    out = ops._wrap(value, (logits,), _backward, logits.requires_grad)
+    return out
 
 
 def bce_with_logits(
@@ -87,11 +107,33 @@ def bce_with_logits(
     selected = np.flatnonzero(mask)
     if selected.size == 0:
         return Tensor(0.0)
-    picked_logits = logits[selected]
-    picked_labels = Tensor(labels[selected])
-    probs = ops.sigmoid(picked_logits)
-    loss = -(picked_labels * ops.log(probs) + (1.0 - picked_labels) * ops.log(1.0 - probs))
-    return loss.mean()
+    picked = logits.data[selected]
+    picked_labels = labels[selected]
+    probs = ops.sigmoid_values(picked)
+    safe_probs = np.maximum(probs, _LOG_EPS)
+    safe_complement = np.maximum(1.0 + (-probs), _LOG_EPS)
+    complement_labels = 1.0 + (-picked_labels)
+    elementwise = -(
+        picked_labels * np.log(safe_probs)
+        + complement_labels * np.log(safe_complement)
+    )
+    inv_count = 1.0 / elementwise.size
+    value = elementwise.sum() * inv_count
+
+    def _backward() -> None:
+        # The chain's backward: the mean's g/size, negated, through the two
+        # log terms into the probabilities (two contributions, order-free),
+        # through the sigmoid, scattered back onto the selected rows.
+        neg_scale = -(out.grad * inv_count)
+        grad_probs = -((neg_scale * complement_labels) / safe_complement) + (
+            (neg_scale * picked_labels) / safe_probs
+        )
+        logits_grad = np.zeros_like(logits.data)
+        logits_grad[selected] += grad_probs * probs * (1.0 - probs)
+        logits._accumulate_owned(logits_grad)
+
+    out = ops._wrap(value, (logits,), _backward, logits.requires_grad)
+    return out
 
 
 def cross_entropy_segmented(

@@ -90,6 +90,5 @@ class GraphSAGE(GNNModel):
             else:
                 x = layer(x, adjacency_rw)
             if index < self.num_layers - 1:
-                x = ops.relu(x)
-                x = ops.dropout(x, self.dropout, training=self.training, rng=rng)
+                x = ops.relu_dropout(x, self.dropout, training=self.training, rng=rng)
         return x

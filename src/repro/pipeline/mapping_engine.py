@@ -43,7 +43,7 @@ from __future__ import annotations
 import operator
 from collections import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from repro.hardware.quantization import (
     quantize_faulty_dequantize,
 )
 from repro.hardware.tile import CrossbarPool
-from repro.tensor.module import Module
+from repro.tensor.module import Module, Parameter
 from repro.utils.validation import check_permutation
 
 
@@ -99,6 +99,8 @@ class WeightCrossbarMapper:
         self.fault_version = 0
         self._crossbars = list(crossbars)
         self.layouts: Dict[str, WeightLayout] = {}
+        #: The model's parameter behind each layout.
+        self.params: Dict[str, Parameter] = {}
         self.weight_write_events = 0
         cursor = 0
         for dotted_name, param in model.named_parameters():
@@ -133,14 +135,13 @@ class WeightCrossbarMapper:
                     )
                     cursor += 1
             self.layouts[name] = layout
+            self.params[name] = param
         self.crossbars_used = cursor
         self._fault_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._code_masks: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        # Last validated row permutation per parameter, keyed by the identity
-        # of the caller's array: strategies hand the same permutation object
-        # to every per-batch re-programming, so re-validating it each call is
-        # pure hot-loop overhead (the strong reference keeps ``is`` sound).
-        self._perm_cache: Dict[str, Tuple[Any, np.ndarray]] = {}
+        # Flat (clear, set) masks of a tuple of names under the current fault
+        # masks, with the row permutations they were gathered with.
+        self._flat_masks: Dict[Tuple[str, ...], Tuple[tuple, np.ndarray, np.ndarray]] = {}
         self.refresh_fault_masks()
 
     # ------------------------------------------------------------------ #
@@ -153,6 +154,7 @@ class WeightCrossbarMapper:
         """
         self._fault_cache.clear()
         self._code_masks.clear()
+        self._flat_masks.clear()
         for name, layout in self.layouts.items():
             sa0 = np.zeros(layout.cell_shape, dtype=bool)
             sa1 = np.zeros(layout.cell_shape, dtype=bool)
@@ -203,7 +205,7 @@ class WeightCrossbarMapper:
     def record_write(self, name: str) -> None:
         """Account one simulated re-programming of ``name``'s crossbars.
 
-        Used by the effective-weight cache on training-time hits: the
+        Used by the effective-weight cache on every training-time fetch: the
         hardware re-programs the weights every batch even when the simulator
         serves the faulty view from cache.
         """
@@ -211,58 +213,86 @@ class WeightCrossbarMapper:
 
     def effective_weights(
         self,
-        name: str,
+        names: Sequence[str],
         values: np.ndarray,
-        row_permutation: Optional[np.ndarray] = None,
+        row_permutations: Optional[Sequence[Optional[np.ndarray]]] = None,
         count_write: bool = True,
     ) -> np.ndarray:
         """Return the weights the crossbars actually provide to the MVM.
 
         The precomputed per-code clear/set masks are applied in a single
         integer quantise → fault → dequantise pass (no per-cell
-        intermediates).
+        intermediates).  The pass is elementwise, so each weight reads back
+        exactly as it would alone.
 
         Parameters
         ----------
-        name:
-            Parameter name (must have been registered at construction).
+        names:
+            Parameter names (each registered at construction).
         values:
-            Current master (digital) weight values.
-        row_permutation:
-            Optional storage permutation: logical row ``i`` is programmed
-            into physical row ``row_permutation[i]`` (the NR baseline's
-            remapping).  The returned matrix is already un-permuted, i.e. it
-            is the effective value of the *logical* weight matrix.
+            Their current master (digital) values: each matrix flattened, in
+            ``names`` order, concatenated (e.g. the weight slice of a
+            :class:`~repro.tensor.module.ParameterArena`).  The result has
+            the same flat layout.
+        row_permutations:
+            Optional storage permutation per name: logical row ``i`` is
+            programmed into physical row ``permutation[i]`` (the NR
+            baseline's remapping), ``None`` for none.  The result is already
+            un-permuted, i.e. the effective values of the *logical* matrices.
         count_write:
             Whether this call represents a re-programming of the weights
             (True during training, False for read-only analyses).
         """
-        layout = self.layout(name)
+        names = tuple(names)
+        layouts = [self.layout(name) for name in names]
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != layout.shape:
+        expected = (sum(layout.shape[0] * layout.shape[1] for layout in layouts),)
+        if values.shape != expected:
             raise ValueError(
-                f"values shape {values.shape} does not match layout {layout.shape}"
+                f"values shape {values.shape} does not match the layouts' {expected}"
             )
-        clear, set_ = self._code_masks[name]
-        if row_permutation is not None:
-            cached = self._perm_cache.get(name)
-            if cached is not None and cached[0] is row_permutation:
-                permutation = cached[1]
-            else:
-                permutation = check_permutation(
-                    row_permutation, layout.shape[0], "row_permutation"
-                )
-                self._perm_cache[name] = (row_permutation, permutation)
-            # Logical row ``i`` sits at physical row ``permutation[i]``, so
-            # gathering the per-code masks with the permutation applies the
-            # physical faults directly to the logical matrix — no
-            # scatter/gather round trip through the stored layout.
-            clear = clear[permutation]
-            set_ = set_[permutation]
+        if row_permutations is None:
+            row_permutations = (None,) * len(names)
+        clear, set_ = self._flat_masks_of(names, tuple(row_permutations))
         result = quantize_faulty_dequantize(values, clear, set_, self.fmt)
         if count_write:
-            self.weight_write_events += layout.num_crossbars
+            self.weight_write_events += sum(layout.num_crossbars for layout in layouts)
         return result
+
+    def _flat_masks_of(
+        self, names: Tuple[str, ...], permutations: Tuple[Optional[np.ndarray], ...]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat masks of ``names``, built once per fault version and permutations.
+
+        Strategies hand the same permutation object to every per-batch
+        re-programming, so the masks gathered with it are reused while it is
+        (by identity) the same; the entry holds it, which keeps ``is``
+        sound.
+        """
+        if len(permutations) != len(names):
+            raise ValueError(
+                f"{len(permutations)} row permutations for {len(names)} weights"
+            )
+        cached = self._flat_masks.get(names)
+        if cached is not None and all(a is b for a, b in zip(cached[0], permutations)):
+            return cached[1], cached[2]
+        clears, sets = [], []
+        for name, row_permutation in zip(names, permutations):
+            clear, set_ = self._code_masks[name]
+            if row_permutation is not None:
+                permutation = check_permutation(
+                    row_permutation, self.layouts[name].shape[0], "row_permutation"
+                )
+                # Logical row ``i`` sits at physical row ``permutation[i]``,
+                # so gathering the per-code masks with the permutation
+                # applies the physical faults directly to the logical matrix
+                # — no scatter/gather round trip through the stored layout.
+                clear, set_ = clear[permutation], set_[permutation]
+            clears.append(clear.ravel())
+            sets.append(set_.ravel())
+        clear, set_ = np.concatenate(clears), np.concatenate(sets)
+        self._flat_masks[names] = (permutations, clear, set_)
+        return clear, set_
 
 
 # --------------------------------------------------------------------------- #

@@ -320,29 +320,56 @@ class FaultyTrainer:
     # Hardware views
     # ------------------------------------------------------------------ #
     def _weight_transform(self, name: str, values: np.ndarray) -> np.ndarray:
-        layout_names = self._weight_mapper.layouts
-        if name not in layout_names:
+        param = self._weight_mapper.params.get(name)
+        if param is None:
             return values
+        # The read-back is cached per parameter version, so it reads the
+        # model's own weights: any other array would be answered with them.
+        if values is not param.data:
+            raise ValueError(
+                f"the hardware read-back of {name!r} takes the model's own "
+                "weights, not another array"
+            )
         # Evaluation re-reads the crossbars without re-programming them, so
-        # only training-mode calls count as weight-write events (the Fig. 7
+        # only training-mode fetches count as weight-write events (the Fig. 7
         # timing counters track training writes).
-        training = self.model.training
-
-        def compute() -> np.ndarray:
-            permutation = self.strategy.weight_storage_permutation(
-                name,
-                values,
-                lambda: self._weight_mapper.row_mismatch_cost(name, values),
-            )
-            effective = self._weight_mapper.effective_weights(
-                name, values, row_permutation=permutation, count_write=training
-            )
-            return self.strategy.transform_effective_weights(name, effective)
-
         key = (self.optimizer.param_version, self._weight_mapper.fault_version)
         return self._hw_cache.effective_weights(
-            name, key, compute, count_hit_write=training
+            name, key, self._read_back_weights, count_write=self.model.training
         )
+
+    def _read_back_weights(self, names: Tuple[str, ...]) -> Dict[str, np.ndarray]:
+        """Storage permutation, faulty read-back and strategy transform of ``names``.
+
+        One pass over their values, a view of the model's parameter arena:
+        the mapper registers the 2-D parameters in traversal order, which
+        is the order of the arena's weight slice, so all the weights at once
+        (as the hardware-state cache asks for them) are that slice.
+        Returns ``{name: effective matrix}``.
+        """
+        mapper = self._weight_mapper
+        params = [mapper.params[name] for name in names]
+        values = self.model.parameter_arena().flat_view(params)
+        permutations = tuple(
+            self.strategy.weight_storage_permutation(
+                name,
+                param.data,
+                lambda name=name, param=param: mapper.row_mismatch_cost(name, param.data),
+            )
+            for name, param in zip(names, params)
+        )
+        flat = self.strategy.transform_effective_weights(
+            mapper.effective_weights(
+                names, values, row_permutations=permutations, count_write=False
+            )
+        )
+        result: Dict[str, np.ndarray] = {}
+        start = 0
+        for name, param in zip(names, params):
+            stop = start + param.data.size
+            result[name] = flat[start:stop].reshape(param.data.shape)
+            start = stop
+        return result
 
     @contextmanager
     def _weights_on_hardware(self) -> Iterator[None]:

@@ -5,6 +5,14 @@ These cover every operation used by the GNN layers and losses: activations,
 phase, masked fills for dense attention, edge-wise gathers/softmax for sparse
 attention, and concatenation.  The sparse operations delegate their numeric
 work to the segment-reduce kernels in :mod:`repro.tensor.kernels`.
+
+The GNN layers' hot paths run on *fused* nodes (:func:`linear`,
+:func:`gcn_layer`, :func:`gcn_first_layer`, :func:`relu_dropout`,
+:func:`elu_dropout`): one autograd node each where the generic ops would
+record a chain of three to five.  Each evaluates the same numpy expressions
+in the same order as its chain, forward and backward, so values and
+gradients are bit-identical; the chains live in ``tests/reference/fused.py``
+as the proofs (``tests/test_tensor_fused.py``).
 """
 
 from __future__ import annotations
@@ -56,29 +64,39 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     return out
 
 
+def _elu_values(x: np.ndarray, alpha: float):
+    """ELU at ``x`` and a callable giving its derivative there."""
+    neg = np.minimum(x, 0.0)
+    pos_mask = (x > 0).astype(np.float64)
+    exp_neg = np.exp(neg)
+    out_data = x * pos_mask + alpha * (exp_neg - 1.0) * (1.0 - pos_mask)
+    return out_data, lambda: pos_mask + alpha * exp_neg * (1.0 - pos_mask)
+
+
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     """Exponential linear unit (GAT's output non-linearity)."""
-    neg = np.minimum(x.data, 0.0)
-    pos_mask = (x.data > 0).astype(np.float64)
-    exp_neg = np.exp(neg)
-    out_data = x.data * pos_mask + alpha * (exp_neg - 1.0) * (1.0 - pos_mask)
+    out_data, local = _elu_values(x.data, alpha)
 
     def _backward() -> None:
         if x.requires_grad:
-            local = pos_mask + alpha * exp_neg * (1.0 - pos_mask)
-            x._accumulate(out.grad * local)
+            x._accumulate(out.grad * local())
 
     out = _wrap(out_data, (x,), _backward, x.requires_grad)
     return out
 
 
+def sigmoid_values(x: np.ndarray) -> np.ndarray:
+    """:func:`sigmoid`'s forward on an array (numerically stable)."""
+    return np.where(
+        x >= 0,
+        1.0 / (1.0 + np.exp(-np.clip(x, -500, 500))),
+        np.exp(np.clip(x, -500, 500)) / (1.0 + np.exp(np.clip(x, -500, 500))),
+    )
+
+
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic sigmoid."""
-    out_data = np.where(
-        x.data >= 0,
-        1.0 / (1.0 + np.exp(-np.clip(x.data, -500, 500))),
-        np.exp(np.clip(x.data, -500, 500)) / (1.0 + np.exp(np.clip(x.data, -500, 500))),
-    )
+    out_data = sigmoid_values(x.data)
 
     def _backward() -> None:
         if x.requires_grad:
@@ -143,11 +161,16 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
+def log_softmax_values(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """:func:`log_softmax`'s forward on an array (numerically stabilised)."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return shifted - log_z
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Log-softmax along ``axis`` (numerically stabilised)."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - log_z
+    out_data = log_softmax_values(x.data, axis)
     soft = np.exp(out_data)
 
     def _backward() -> None:
@@ -178,6 +201,44 @@ def dropout(x: Tensor, p: float, training: bool = True, rng=None) -> Tensor:
 
     out = _wrap(out_data, (x,), _backward, x.requires_grad)
     return out
+
+
+def _activation_dropout(
+    x: Tensor, out_data: np.ndarray, local, p: float, training: bool, rng
+) -> Tensor:
+    """One node for ``dropout(activation(x))``.
+
+    ``out_data`` is the activation's value (a fresh array) and ``local()``
+    its derivative.  Forward ``activation(x) · keep`` with the same
+    ``rng.random(shape)`` draw as :func:`dropout`; backward
+    ``(g · keep) · local`` — dropout's then the activation's gradient.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    keep = None
+    if training and p != 0.0:
+        keep = (ensure_rng(rng).random(x.data.shape) >= p).astype(np.float64) / (1.0 - p)
+        out_data *= keep
+
+    def _backward() -> None:
+        if x.requires_grad:
+            grad = out.grad if keep is None else out.grad * keep
+            x._accumulate_owned(grad * local())
+
+    out = _wrap(out_data, (x,), _backward, x.requires_grad)
+    return out
+
+
+def relu_dropout(x: Tensor, p: float, training: bool = True, rng=None) -> Tensor:
+    """``dropout(relu(x), p)`` as one node (GCN's and GraphSAGE's hidden layer)."""
+    mask = (x.data > 0).astype(np.float64)
+    return _activation_dropout(x, x.data * mask, lambda: mask, p, training, rng)
+
+
+def elu_dropout(x: Tensor, p: float, training: bool = True, rng=None) -> Tensor:
+    """``dropout(elu(x), p)`` as one node (GAT's hidden layer)."""
+    out_data, local = _elu_values(x.data, 1.0)
+    return _activation_dropout(x, out_data, local, p, training, rng)
 
 
 def clip(x: Tensor, low: float, high: float) -> Tensor:
@@ -233,29 +294,94 @@ def spmm(adjacency, x: Tensor) -> Tensor:
     return out
 
 
-def outer_constant(scale: np.ndarray, vec: Tensor) -> Tensor:
-    """Outer product of a constant column with a tensor row: ``out[i, j] =
-    scale[i] * vec[j]``.
+def linear(
+    x: Tensor,
+    weight: Tensor,
+    weight_value: np.ndarray,
+    bias: Optional[Tensor] = None,
+) -> Tensor:
+    """Affine map ``x @ W + b`` as one node.
 
-    ``scale`` is a constant 1-D array (no gradient); ``vec`` is a 1-D tensor
-    (e.g. a bias).  This is the term that lets the batched GCN layer
-    reassociate ``A @ (X W + 1 bᵀ)`` into ``(A X) W + (A 1) bᵀ`` so the
-    weight-independent aggregation ``A X`` can be precomputed once per
-    (adjacency, features) pair — see
-    :func:`repro.graph.normalize.aggregate_features_cached`.
+    ``weight_value`` is the value the product uses for ``weight``: its data,
+    or the straight-through read-back ``p + (e − p)`` of
+    :meth:`repro.nn.base.GNNModel.effective_weight_value`, whose gradient
+    flows into ``weight`` unchanged.  Backward: ``g.sum(axis=0)`` into ``b``
+    (the broadcast add's reduction), ``x.T @ g`` into ``W`` and
+    ``g @ weight_value.T`` into ``x``.
     """
-    scale = np.asarray(scale, dtype=np.float64)
-    if scale.ndim != 1 or vec.data.ndim != 1:
-        raise ValueError(
-            f"outer_constant expects 1-D inputs, got {scale.shape} and {vec.shape}"
-        )
-    out_data = scale[:, None] * vec.data[None, :]
+    out_data = x.data @ weight_value
+    if bias is not None:
+        out_data += bias.data
+    return _affine_node(out_data, x, weight, weight_value, bias, None)
+
+
+def gcn_layer(
+    adjacency,
+    x: Tensor,
+    weight: Tensor,
+    weight_value: np.ndarray,
+    bias: Optional[Tensor] = None,
+) -> Tensor:
+    """One GCN layer ``Â (x W + b)`` as one node.
+
+    ``adjacency`` is a :class:`~repro.graph.sparse.CSRMatrix` (a constant);
+    ``weight_value`` as in :func:`linear`.  The backward first takes
+    ``Â.T g`` through the matrix's memoised transpose (as :func:`spmm`
+    does), then distributes it as :func:`linear`'s backward.
+    """
+    combined = x.data @ weight_value
+    if bias is not None:
+        combined += bias.data
+    return _affine_node(adjacency.dot(combined), x, weight, weight_value, bias, adjacency)
+
+
+def _affine_node(out_data, x, weight, weight_value, bias, adjacency) -> Tensor:
+    params = (weight,) if bias is None else (weight, bias)
+    requires = x.requires_grad or any(param.requires_grad for param in params)
 
     def _backward() -> None:
-        if vec.requires_grad:
-            vec._accumulate(scale @ out.grad)
+        grad = out.grad
+        if adjacency is not None:
+            grad = adjacency.transpose().dot(grad)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate_owned(grad.sum(axis=0))
+        if weight.requires_grad:
+            weight._accumulate_owned(x.data.T @ grad)
+        if x.requires_grad:
+            x._accumulate_owned(grad @ weight_value.T)
 
-    out = _wrap(out_data, (vec,), _backward, vec.requires_grad)
+    out = _wrap(out_data, (x,) + params, _backward, requires)
+    return out
+
+
+def gcn_first_layer(
+    aggregated: np.ndarray,
+    row_sums: np.ndarray,
+    weight: Tensor,
+    weight_value: np.ndarray,
+    bias: Optional[Tensor] = None,
+) -> Tensor:
+    """GCN's first layer on a cached aggregation: ``(A X) W + (A 1) bᵀ``.
+
+    ``aggregated`` is the cached ``A X`` and ``row_sums`` the cached
+    ``A 1`` (:func:`repro.graph.normalize.aggregate_features_cached`); both
+    are constants.  Backward: ``(A X).T @ g`` into ``W`` and
+    ``(A 1) @ g`` into ``b``.
+    """
+    row_sums = np.asarray(row_sums, dtype=np.float64)
+    out_data = aggregated @ weight_value
+    if bias is not None:
+        out_data += row_sums[:, None] * bias.data[None, :]
+    params = (weight,) if bias is None else (weight, bias)
+
+    def _backward() -> None:
+        grad = out.grad
+        if weight.requires_grad:
+            weight._accumulate_owned(aggregated.T @ grad)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate_owned(row_sums @ grad)
+
+    out = _wrap(out_data, params, _backward, any(p.requires_grad for p in params))
     return out
 
 

@@ -3,19 +3,28 @@
 The paper trains every model with a learning rate of 0.01 (Table II); Adam is
 the default used by the experiment drivers because mini-batch cluster training
 with a numpy backend benefits from its per-parameter scaling.
+
+Both update rules are elementwise, so each optimiser steps its whole
+:class:`~repro.tensor.module.ParameterArena` with one set of vector
+operations over the flat parameter buffer, a flat gradient and flat state
+buffers of the same layout, in place.  Per element these are the same
+operations, in the same order, as a loop over the parameters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from repro.tensor.module import Parameter
+from repro.tensor.module import Parameter, ParameterArena
 
 
 class Optimizer:
-    """Base optimiser holding a parameter list."""
+    """Base optimiser holding a parameter list and its arena."""
+
+    #: Names of the flat per-element state buffers (laid out like the arena).
+    _state_names: Tuple[str, ...] = ()
 
     def __init__(self, parameters: Iterable[Parameter], lr: float) -> None:
         self.parameters: List[Parameter] = list(parameters)
@@ -24,6 +33,9 @@ class Optimizer:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = float(lr)
+        self.arena = ParameterArena.of(self.parameters)
+        for name in self._state_names:
+            setattr(self, name, np.zeros(self.arena.size))
         #: Monotonic counter identifying the parameter state: bumped once per
         #: :meth:`step`.  Consumers deriving state from the parameters (the
         #: effective-weight cache in :mod:`repro.core.hw_state`) key on it.
@@ -35,21 +47,58 @@ class Optimizer:
             param.zero_grad()
 
     def step(self) -> None:
-        """Apply one update; subclasses implement :meth:`_step`.
+        """Apply one update; subclasses implement :meth:`_update`.
 
         The version bump lives here (not in the subclasses) so the
         effective-weight cache invariant — every parameter update advances
-        :attr:`param_version` — cannot be forgotten by a new optimiser.
+        :attr:`param_version` — cannot be forgotten by a new optimiser.  A
+        step in which no parameter has a gradient changes no parameter and
+        no state buffer; a parameter without a gradient keeps its values and
+        its state.
         """
         self.param_version += 1
-        self._step()
+        self._begin_step()
+        arena = self._current_arena()
+        grads = [param.grad for param in arena.params]
+        if all(grad is not None for grad in grads):
+            self._update(
+                arena.data,
+                np.concatenate([grad.ravel() for grad in grads]),
+                *(getattr(self, name) for name in self._state_names),
+            )
+            return
+        for param, grad in zip(arena.params, grads):
+            if grad is not None:
+                span = arena.span(param)
+                self._update(
+                    arena.data[span],
+                    grad.ravel(),
+                    *(getattr(self, name)[span] for name in self._state_names),
+                )
 
-    def _step(self) -> None:
+    def _current_arena(self) -> ParameterArena:
+        """The parameters' arena; state buffers follow it if it was re-packed."""
+        arena = ParameterArena.of(self.parameters)
+        if arena is not self.arena:
+            for name in self._state_names:
+                old, new = getattr(self, name), np.zeros(arena.size)
+                for param in self.parameters:
+                    new[arena.span(param)] = old[self.arena.span(param)]
+                setattr(self, name, new)
+            self.arena = arena
+        return arena
+
+    def _begin_step(self) -> None:
+        """Per-step bookkeeping that runs whether or not any gradient exists."""
+
+    def _update(self, data: np.ndarray, grad: np.ndarray, *state: np.ndarray) -> None:
         raise NotImplementedError
 
 
 class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum and weight decay."""
+
+    _state_names = ("_velocity",)
 
     def __init__(
         self,
@@ -65,29 +114,23 @@ class SGD(Optimizer):
             raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
 
-    def _step(self) -> None:
-        for param in self.parameters:
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                vel = self._velocity.get(id(param))
-                if vel is None:
-                    vel = np.zeros_like(param.data)
-                vel = self.momentum * vel + grad
-                self._velocity[id(param)] = vel
-                update = vel
-            else:
-                update = grad
-            param.data = param.data - self.lr * update
+    def _update(self, data: np.ndarray, grad: np.ndarray, velocity: np.ndarray) -> None:
+        if self.weight_decay:
+            grad = grad + self.weight_decay * data
+        if self.momentum:
+            velocity *= self.momentum
+            velocity += grad
+            update = velocity
+        else:
+            update = grad
+        data -= self.lr * update
 
 
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba, 2015)."""
+
+    _state_names = ("_m", "_v")
 
     def __init__(
         self,
@@ -107,25 +150,24 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
         self._step_count = 0
 
-    def _step(self) -> None:
+    def _begin_step(self) -> None:
         self._step_count += 1
+
+    def _update(
+        self, data: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray
+    ) -> None:
         t = self._step_count
-        for param in self.parameters:
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m = self._m.get(id(param), np.zeros_like(param.data))
-            v = self._v.get(id(param), np.zeros_like(param.data))
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad**2
-            self._m[id(param)] = m
-            self._v[id(param)] = v
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if self.weight_decay:
+            grad = grad + self.weight_decay * data
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad**2
+        denom = np.sqrt(v / (1.0 - self.beta2**t))
+        denom += self.eps
+        update = m / (1.0 - self.beta1**t)
+        update *= self.lr
+        update /= denom
+        data -= update

@@ -147,6 +147,19 @@ class Tensor:
         else:
             self.grad = self.grad + grad
 
+    def _accumulate_owned(self, grad: np.ndarray) -> None:
+        """:meth:`_accumulate` for a fresh float64 array of ``self``'s shape.
+
+        The fused nodes of :mod:`repro.tensor.ops` compute each gradient into
+        a new array that nothing else holds, so the first contribution is
+        stored as is instead of copied; later ones add exactly as
+        :meth:`_accumulate` does.
+        """
+        if self.grad is None:
+            self.grad = grad
+        else:
+            self.grad = self.grad + grad
+
     def zero_grad(self) -> None:
         """Reset accumulated gradient."""
         self.grad = None
@@ -169,18 +182,23 @@ class Tensor:
             grad = np.ones_like(self.data)
         self._accumulate(np.asarray(grad, dtype=np.float64))
 
+        # Depth-first post-order over the parents, iteratively: a node is
+        # appended once every parent's subtree is, parents visited in
+        # ``_parents`` order.  Running the nodes in reverse delivers the
+        # gradient contributions into a shared tensor in a fixed order.
         order: List[Tensor] = []
-        visited: Set[int] = set()
-
-        def visit(node: "Tensor") -> None:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            order.append(node)
-
-        visit(self)
+        visited: Set[int] = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if id(parent) not in visited:
+                    visited.add(id(parent))
+                    stack.append((parent, iter(parent._parents)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn()

@@ -5,9 +5,11 @@
   (for the segment-maximum ``_heavy_edge_matching_streaming``);
 * :func:`seed_from_coo` — ``CSRMatrix.from_coo`` that finds duplicate
   boundaries with ``np.unique`` (a second sort) and orders the unsummed
-  entries with ``np.lexsort``.
+  entries with ``np.lexsort``;
+* :func:`seed_add_self_loops` — ``A + I`` through a ``from_coo`` for the
+  missing diagonal and a second, sorting one in ``CSRMatrix.add``.
 
-Both production paths must return bit-identical results and, for the
+The production paths must return bit-identical results and, for the
 matcher, leave the generator in the same state.
 """
 
@@ -98,3 +100,18 @@ def seed_from_coo(
     counts = np.bincount(rows, minlength=n_rows)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return CSRMatrix(indptr, cols, values, (n_rows, n_cols))
+
+
+def seed_add_self_loops(adjacency: CSRMatrix) -> CSRMatrix:
+    """``A + I`` with the missing diagonal summed in through ``from_coo``."""
+    n = adjacency.shape[0]
+    if adjacency.shape[0] != adjacency.shape[1]:
+        raise ValueError("adjacency must be square")
+    dense_diag = np.zeros(n, dtype=bool)
+    rows, cols, _ = adjacency.coo()
+    dense_diag[rows[rows == cols]] = True
+    missing = np.flatnonzero(~dense_diag)
+    if missing.size == 0:
+        return adjacency
+    eye_part = CSRMatrix.from_coo(missing, missing, np.ones(missing.size), adjacency.shape)
+    return adjacency.add(eye_part)

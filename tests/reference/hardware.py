@@ -11,7 +11,7 @@ the last three — the seed per-batch recomputation.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 from unittest import mock
 
 import numpy as np
@@ -111,21 +111,39 @@ class LoopAdjacencyMapper(AdjacencyCrossbarMapper):
 
 
 class BitSlicedWeightMapper(WeightCrossbarMapper):
-    """Effective weights through quantise → bit-slice → fault → reassemble."""
+    """Effective weights through quantise → bit-slice → fault → reassemble.
+
+    Each named matrix runs the pipeline on its own, in turn.
+    """
 
     def effective_weights(
         self,
-        name: str,
+        names,
         values: np.ndarray,
-        row_permutation: Optional[np.ndarray] = None,
+        row_permutations=None,
         count_write: bool = True,
     ) -> np.ndarray:
-        layout = self.layout(name)
+        names = tuple(names)
+        if row_permutations is None:
+            row_permutations = (None,) * len(names)
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != layout.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match layout {layout.shape}"
+        parts, start = [], 0
+        for name, row_permutation in zip(names, row_permutations):
+            layout = self.layout(name)
+            stop = start + layout.shape[0] * layout.shape[1]
+            parts.append(
+                self._bit_sliced(
+                    layout, values[start:stop].reshape(layout.shape), row_permutation
+                ).ravel()
             )
+            if count_write:
+                self.weight_write_events += layout.num_crossbars
+            start = stop
+        if start != values.size:
+            raise ValueError(f"values hold {values.size} weights, layouts {start}")
+        return np.concatenate(parts)
+
+    def _bit_sliced(self, layout, values: np.ndarray, row_permutation) -> np.ndarray:
         rows = layout.shape[0]
         if row_permutation is None:
             permutation = np.arange(rows, dtype=np.int64)
@@ -135,15 +153,12 @@ class BitSlicedWeightMapper(WeightCrossbarMapper):
         stored[permutation] = values
 
         cells = codes_to_cells(quantize(stored, self.fmt), self.fmt)
-        sa0, sa1 = self._fault_cache[name]
+        sa0, sa1 = self._fault_cache[layout.name]
         faulty_matrix = apply_faults_to_cells(
             cells.reshape(layout.cell_shape), sa0, sa1, self.fmt.cell_levels
         )
         faulty_codes = cells_to_codes(faulty_matrix.reshape(cells.shape), self.fmt)
-        result = dequantize(faulty_codes, self.fmt)[permutation]
-        if count_write:
-            self.weight_write_events += layout.num_crossbars
-        return result
+        return dequantize(faulty_codes, self.fmt)[permutation]
 
 
 class PassThroughStateCache(HardwareStateCache):
@@ -163,10 +178,26 @@ class PassThroughStateCache(HardwareStateCache):
         self,
         name: str,
         key: Tuple,
-        compute: Callable[[], np.ndarray],
-        count_hit_write: bool = False,
+        read_back: Callable[[Tuple[str, ...]], Dict[str, np.ndarray]],
+        count_write: bool = False,
     ) -> np.ndarray:
-        return compute()
+        # The seed pipeline: every fetch reads its one weight back.
+        if count_write:
+            self.weight_mapper.record_write(name)
+        return read_back((name,))[name]
+
+
+class EpochSumStateCache(HardwareStateCache):
+    """The cache keyed on the sum of the adjacency crossbars' ``fault_epoch``.
+
+    The key before the pool's fault clock: it walks every adjacency
+    crossbar on every fetch.  A trainer on the clock must hit and miss
+    exactly where this one does.
+    """
+
+    def _adjacency_key(self) -> Tuple:
+        fault_state = sum(x.fault_epoch for x in self.adjacency_mapper.crossbars)
+        return (self._plan_version, fault_state)
 
 
 @contextmanager

@@ -47,3 +47,71 @@ def test_publish_copies_only_this_runs_files(bench_modules, tmp_path, monkeypatc
     runner.publish_results(since=2_000.0)
     assert [path.name for path in results.iterdir()] == ["this_run.json"]
     assert runner.collect_summary(0, "ci", "0", since=2_000.0)["demo.x"] == 2.0
+
+
+@pytest.fixture
+def fake_run(bench_modules, tmp_path, monkeypatch):
+    """``run_benchmarks.main`` on temporary directories, pytest replaced.
+
+    The replacement writes one metrics file, ``demo.json``, as a benchmark's
+    ``record_result`` would; the summary lands in a temporary results
+    directory, so no tracked file is written.
+    """
+    _, runner = bench_modules
+    out, results = tmp_path / "out", tmp_path / "results"
+    out.mkdir()
+    results.mkdir()
+    monkeypatch.setattr(runner, "OUTPUT_DIR", out)
+    monkeypatch.setattr(runner, "RESULTS_DIR", results)
+    monkeypatch.setattr(runner, "SUMMARY_PATH", results / "bench_summary.json")
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "ci")
+    monkeypatch.delenv("REPRO_BENCH_SEED", raising=False)
+
+    def pytest_writing_demo(command, env):
+        (out / "demo.json").write_text('{"demo.x": 2.0}\n')
+        return 0
+
+    monkeypatch.setattr(runner.subprocess, "call", pytest_writing_demo)
+
+    def run(argv, previous=None):
+        if previous is not None:
+            runner.SUMMARY_PATH.write_text(json.dumps(previous))
+        assert runner.main(argv) == 0
+        return json.loads(runner.SUMMARY_PATH.read_text())
+
+    return run
+
+
+def test_subset_run_keeps_the_other_benchmarks_keys(fake_run):
+    previous = {
+        "_meta": {"scale": "ci", "seed": "0", "pytest_exit_code": 1},
+        "demo.x": 1.0,
+        "other.y": 5.0,
+    }
+    summary = fake_run(["-k", "demo"], previous)
+    assert summary["demo.x"] == 2.0
+    assert summary["other.y"] == 5.0
+    assert summary["_meta"] == {
+        "scale": "ci",
+        "seed": "0",
+        "pytest_exit_code": 0,
+        "subset": "-k demo",
+    }
+
+
+def test_subset_run_at_another_seed_starts_afresh(fake_run):
+    previous = {"_meta": {"scale": "ci", "seed": "3"}, "other.y": 5.0}
+    summary = fake_run(["-k", "demo"], previous)
+    assert "other.y" not in summary
+    assert summary["demo.x"] == 2.0
+    assert summary["_meta"]["seed"] == "0"
+    assert summary["_meta"]["subset"] == "-k demo"
+
+
+def test_full_run_starts_afresh(fake_run):
+    previous = {"_meta": {"scale": "ci", "seed": "0"}, "other.y": 5.0}
+    summary = fake_run([], previous)
+    assert summary == {
+        "_meta": {"scale": "ci", "seed": "0", "pytest_exit_code": 0},
+        "demo.x": 2.0,
+    }

@@ -209,23 +209,42 @@ class TestFusedWeightEquivalence:
             BitSlicedWeightMapper(model, env.weight_crossbars, env.fmt, env.config),
         )
 
+    @staticmethod
+    def _effective(mapper, name, values, row_permutation=None):
+        flat = mapper.effective_weights(
+            (name,), values.ravel(), row_permutations=(row_permutation,), count_write=False
+        )
+        return flat.reshape(values.shape)
+
     @pytest.mark.parametrize("use_permutation", [False, True])
     def test_bit_identical(self, tiny_config, use_permutation):
         env = make_environment(tiny_config, density=0.1, seed=3)
         model = build_model("gcn", 12, 8, 4, rng=0)
         mapper, seed_mapper = self._mappers(env, model)
         rng = np.random.default_rng(7)
-        for name in mapper.layouts:
+        names = tuple(mapper.layouts)
+        matrices, perms = [], []
+        for name in names:
             rows, cols = mapper.layout(name).shape
             values = rng.normal(scale=2.0, size=(rows, cols))
             perm = rng.permutation(rows) if use_permutation else None
-            fused = mapper.effective_weights(
-                name, values, row_permutation=perm, count_write=False
-            )
-            seed = seed_mapper.effective_weights(
-                name, values, row_permutation=perm, count_write=False
-            )
+            fused = self._effective(mapper, name, values, perm)
+            seed = self._effective(seed_mapper, name, values, perm)
             np.testing.assert_array_equal(fused, seed)
+            matrices.append(values)
+            perms.append(perm)
+        # All the weights in one pass read back as each does alone.
+        flat = np.concatenate([values.ravel() for values in matrices])
+        together = mapper.effective_weights(
+            names, flat, row_permutations=tuple(perms), count_write=False
+        )
+        alone = np.concatenate(
+            [
+                self._effective(seed_mapper, name, values, perm).ravel()
+                for name, values, perm in zip(names, matrices, perms)
+            ]
+        )
+        np.testing.assert_array_equal(together, alone)
 
     def test_bit_identical_after_fault_refresh(self, tiny_config):
         env = make_environment(tiny_config, density=0.05, seed=9)
@@ -240,8 +259,8 @@ class TestFusedWeightEquivalence:
         for name in mapper.layouts:
             values = rng.normal(scale=3.0, size=mapper.layout(name).shape)
             np.testing.assert_array_equal(
-                mapper.effective_weights(name, values, count_write=False),
-                seed_mapper.effective_weights(name, values, count_write=False),
+                self._effective(mapper, name, values),
+                self._effective(seed_mapper, name, values),
             )
 
     def test_saturating_values_identical(self, tiny_config):
@@ -253,8 +272,8 @@ class TestFusedWeightEquivalence:
         shape = mapper.layout(name).shape
         values = np.linspace(-50.0, 50.0, num=shape[0] * shape[1]).reshape(shape)
         np.testing.assert_array_equal(
-            mapper.effective_weights(name, values, count_write=False),
-            seed_mapper.effective_weights(name, values, count_write=False),
+            self._effective(mapper, name, values),
+            self._effective(seed_mapper, name, values),
         )
 
 
@@ -416,29 +435,55 @@ class TestCacheBookkeeping:
         )
         trainer.train()
         cache = trainer._hw_cache
-        name = next(iter(trainer._weight_mapper.layouts))
-        values = dict(trainer.model.named_parameters())
+        name, other = list(trainer._weight_mapper.layouts)[:2]
         calls = []
 
-        def compute():
-            calls.append(1)
-            return np.zeros((1, 1))
+        def read_back(names):
+            calls.append(names)
+            return {item: np.zeros((1, 1)) for item in names}
+
+        def fetch(fetched, key):
+            misses = cache.stats.weight_misses
+            cache.effective_weights(fetched, key, read_back)
+            return cache.stats.weight_misses - misses
 
         key = (trainer.optimizer.param_version, trainer._weight_mapper.fault_version)
-        cache.effective_weights(name, key, compute)
+        assert fetch(name, key) == 0
         assert len(calls) == 0  # entry from the post-training eval is fresh → hit
         trainer.optimizer.param_version += 1
         key2 = (trainer.optimizer.param_version, trainer._weight_mapper.fault_version)
-        cache.effective_weights(name, key2, compute)
-        assert len(calls) == 1  # version bump → miss
-        cache.effective_weights(name, key2, compute)
+        assert fetch(name, key2) == 1
+        assert calls == [tuple(trainer._weight_mapper.layouts)]  # version bump → miss
+        assert fetch(name, key2) == 0
         assert len(calls) == 1  # same key → hit
+        # Another weight's first fetch under the key is its miss, served by
+        # the same read-back.
+        assert fetch(other, key2) == 1
+        assert fetch(other, key2) == 0
+        assert len(calls) == 1
         trainer._weight_mapper.refresh_fault_masks()
         key3 = (trainer.optimizer.param_version, trainer._weight_mapper.fault_version)
         assert key3 != key2
-        cache.effective_weights(name, key3, compute)
+        assert fetch(name, key3) == 1
         assert len(calls) == 2  # fault refresh → miss
-        assert values  # silence linters: parameters fetched for completeness
+
+    def test_read_back_takes_the_models_own_weights(self, tiny_graph, tiny_config):
+        config = TrainingConfig(
+            epochs=1, hidden_features=8, dropout=0.0, num_parts=4, batch_clusters=2, seed=0
+        )
+        trainer = FaultyTrainer(
+            tiny_graph,
+            "gcn",
+            build_strategy("fare"),
+            config,
+            hardware=make_environment(tiny_config, seed=35),
+        )
+        name = next(iter(trainer._weight_mapper.layouts))
+        param = trainer._weight_mapper.params[name]
+        effective = trainer._weight_transform(name, param.data)
+        assert effective.shape == param.data.shape
+        with pytest.raises(ValueError, match="own weights"):
+            trainer._weight_transform(name, param.data.copy())
 
     def test_eval_counts_no_weight_writes(self, tiny_graph, tiny_config):
         """Satellite: evaluate() must not inflate weight_write_events."""

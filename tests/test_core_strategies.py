@@ -68,7 +68,7 @@ class TestBaseBehaviour:
         strategy = FaultUnawareStrategy()
         values = np.ones((4, 4))
         assert strategy.weight_storage_permutation("w", values, lambda: np.zeros((4, 4))) is None
-        np.testing.assert_array_equal(strategy.transform_effective_weights("w", values), values)
+        np.testing.assert_array_equal(strategy.transform_effective_weights(values), values)
 
     def test_refresh_is_noop(self):
         blocks, fmaps = make_blocks_and_maps()
@@ -80,7 +80,7 @@ class TestBaseBehaviour:
 class TestClippingStrategy:
     def test_effective_weights_clamped(self):
         strategy = WeightClippingStrategy(threshold=0.5)
-        out = strategy.transform_effective_weights("w", np.array([[3.0, -2.0, 0.1]]))
+        out = strategy.transform_effective_weights(np.array([[3.0, -2.0, 0.1]]))
         np.testing.assert_allclose(out, [[0.5, -0.5, 0.1]])
 
     def test_master_weights_clamped_after_step(self):
@@ -213,7 +213,7 @@ class TestFaReStrategy:
 
     def test_clipping_behaviour(self):
         strategy = FaReStrategy(clipping_threshold=0.25)
-        out = strategy.transform_effective_weights("w", np.array([[1.0, -1.0]]))
+        out = strategy.transform_effective_weights(np.array([[1.0, -1.0]]))
         np.testing.assert_allclose(out, [[0.25, -0.25]])
 
     def test_constructor_kwargs(self):

@@ -61,6 +61,14 @@ class TestWeightCrossbarMapper:
     def _mapper(env, model):
         return WeightCrossbarMapper(model, env.weight_crossbars, env.fmt, env.config)
 
+    @staticmethod
+    def _effective(mapper, name, values, row_permutation=None, **kwargs):
+        """Read back one weight matrix through the flat many-weight call."""
+        flat = mapper.effective_weights(
+            (name,), values.ravel(), row_permutations=(row_permutation,), **kwargs
+        )
+        return flat.reshape(values.shape)
+
     def test_layouts_cover_all_2d_params(self, clean_environment):
         model = build_model("gcn", 12, 8, 4, rng=0)
         mapper = self._mapper(clean_environment, model)
@@ -74,7 +82,7 @@ class TestWeightCrossbarMapper:
         name = next(iter(mapper.layouts))
         params = {p.name: p for _, p in model.named_parameters()}
         values = params[name].data
-        effective = mapper.effective_weights(name, values)
+        effective = self._effective(mapper, name, values)
         assert np.max(np.abs(effective - values)) <= clean_environment.fmt.scale
 
     def test_faults_change_weights(self, environment):
@@ -83,7 +91,7 @@ class TestWeightCrossbarMapper:
         name = next(iter(mapper.layouts))
         params = {p.name: p for _, p in model.named_parameters()}
         values = params[name].data
-        effective = mapper.effective_weights(name, values)
+        effective = self._effective(mapper, name, values)
         assert np.max(np.abs(effective - values)) > 10 * environment.fmt.scale
 
     def test_row_permutation_is_transparent_without_faults(self, clean_environment):
@@ -94,8 +102,8 @@ class TestWeightCrossbarMapper:
         values = params[name].data
         perm = np.random.default_rng(0).permutation(values.shape[0])
         np.testing.assert_allclose(
-            mapper.effective_weights(name, values, row_permutation=perm),
-            mapper.effective_weights(name, values),
+            self._effective(mapper, name, values, row_permutation=perm),
+            self._effective(mapper, name, values),
         )
 
     def test_invalid_permutation_rejected(self, clean_environment):
@@ -104,8 +112,8 @@ class TestWeightCrossbarMapper:
         name = next(iter(mapper.layouts))
         params = {p.name: p for _, p in model.named_parameters()}
         with pytest.raises(ValueError):
-            mapper.effective_weights(
-                name, params[name].data, row_permutation=np.zeros(params[name].data.shape[0], int)
+            self._effective(
+                mapper, name, params[name].data, row_permutation=np.zeros(params[name].data.shape[0], int)
             )
 
     def test_unknown_parameter_rejected(self, clean_environment):
@@ -120,9 +128,9 @@ class TestWeightCrossbarMapper:
         name = next(iter(mapper.layouts))
         params = {p.name: p for _, p in model.named_parameters()}
         before = mapper.weight_write_events
-        mapper.effective_weights(name, params[name].data)
+        self._effective(mapper, name, params[name].data)
         assert mapper.weight_write_events > before
-        mapper.effective_weights(name, params[name].data, count_write=False)
+        self._effective(mapper, name, params[name].data, count_write=False)
         assert mapper.weight_write_events == before + mapper.layout(name).num_crossbars
 
     def test_refresh_fault_masks_tracks_new_faults(self, clean_environment):
@@ -131,7 +139,7 @@ class TestWeightCrossbarMapper:
         name = next(iter(mapper.layouts))
         params = {p.name: p for _, p in model.named_parameters()}
         values = params[name].data
-        baseline = mapper.effective_weights(name, values)
+        baseline = self._effective(mapper, name, values)
         # Make every weight crossbar fully SA1-faulty and refresh.
         for crossbar in clean_environment.weight_crossbars:
             crossbar.set_fault_map(
@@ -139,7 +147,7 @@ class TestWeightCrossbarMapper:
                          np.ones((crossbar.rows, crossbar.cols), bool))
             )
         mapper.refresh_fault_masks()
-        saturated = mapper.effective_weights(name, values)
+        saturated = self._effective(mapper, name, values)
         assert not np.allclose(saturated, baseline)
         assert np.all(saturated >= values.max() - 1e-9)
 
